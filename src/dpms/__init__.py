@@ -15,7 +15,7 @@ from .data import (
     sufficient_stats,
 )
 from .enumeration import CandidateSet, all_subsets, from_explicit
-from .errors import ConfigError, DataError, DegenerateFitError, DpmsError
+from .errors import ConfigError, DataError, DegenerateFitError, DpmsError, SolverError
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
@@ -76,6 +76,7 @@ __all__ = [
     "SelectionReport",
     "SensitivityBound",
     "SolverConfig",
+    "SolverError",
     "SufficientStats",
     "SweepGrid",
     "SweepResult",

@@ -89,14 +89,20 @@ class ModelMask:
 
     def member_row(self) -> np.ndarray:
         """Boolean membership vector of length d."""
-        out = np.zeros(self.d, dtype=bool)
-        for j in range(self.d):
-            if self.bits >> j & 1:
-                out[j] = True
-        return out
+        return member_matrix([self.bits], self.d)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ModelMask(d={self.d}, indices={self.indices()})"
+
+
+def member_matrix(bits, d: int) -> np.ndarray:
+    """Boolean (m, d) membership rows for a sequence of m bit-sets.
+
+    Bit-sets of up to 64 covariates shift as uint64 words; wider ones fall
+    back to exact Python-int words.
+    """
+    words = np.array(bits, dtype=np.uint64 if d <= 64 else object)
+    return ((words[:, None] >> np.arange(d).astype(words.dtype)) & 1).astype(bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

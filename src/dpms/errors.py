@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: DataError -> 1,
-ConfigError -> 2 (argparse's own usage failures also exit 2).
+ConfigError -> 2 (argparse's own usage failures also exit 2), and every
+other DpmsError (SolverError included) -> 1.
 """
 
 
@@ -21,3 +22,9 @@ class DegenerateFitError(DpmsError):
     """A fit produced a non-positive squared-error loss, so the profile
     score n*log(loss/n) is undefined.  Callers substitute the documented
     floor instead."""
+
+
+class SolverError(DpmsError):
+    """The constrained least-squares solver broke its own invariant (an
+    objective increase under the 1/L step), so its losses are not to be
+    trusted."""

@@ -4,7 +4,9 @@ For a candidate model M the score is the squared-error loss
 ``min ||y - X beta||^2`` over ``{beta : beta_j = 0 for j not in M,
 ||beta||_1 <= radius}``.  The minimizer is found by projected gradient
 descent on the quadratic ``yty - 2 b.beta + beta.A.beta`` (A = X'X,
-b = X'y), with exact sort-based projection onto the l1 ball.
+b = X'y), with exact sort-based projection onto the l1 ball.  The step is
+1/L with L the largest eigenvalue of the restricted A, computed exactly by
+one batched symmetric eigensolve per model size.
 
 Every restricted problem is embedded in the full coordinate space with the
 excluded rows/columns zeroed: a zero start then keeps excluded coordinates
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelMask, SufficientStats
-from .errors import ConfigError, DataError, DegenerateFitError
+from .data import ModelMask, SufficientStats, member_matrix
+from .errors import ConfigError, DataError, DegenerateFitError, SolverError
 
 __all__ = [
     "SolverConfig",
@@ -32,28 +34,17 @@ __all__ = [
     "profile_neg2_loglik",
 ]
 
-_STEP_RULES = ("fixed_inverse_lipschitz", "backtracking")
-
-# Relative-change tolerance and cap for the power iteration that estimates
-# the largest eigenvalue of each restricted X'X (sets the step size).
-_POWER_TOL = 1e-8
-_POWER_MAX_ITER = 1000
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget and stopping rule for the projected gradient loop.
 
     The loop stops when the relative objective decrease falls below
-    ``tolerance`` or after ``max_iterations`` steps.  ``step_rule``
-    "fixed_inverse_lipschitz" uses step 1/L with L the largest eigenvalue
-    of the restricted X'X; "backtracking" halves a trial step until the
-    quadratic sufficient-decrease test holds.
+    ``tolerance`` or after ``max_iterations`` steps.  Every step is 1/L,
+    L the exact largest eigenvalue of the restricted X'X.
     """
 
     max_iterations: int = 10_000
     tolerance: float = 1e-10
-    step_rule: str = "fixed_inverse_lipschitz"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -62,10 +53,6 @@ class SolverConfig:
             )
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
-        if self.step_rule not in _STEP_RULES:
-            raise ConfigError(
-                f"step_rule must be one of {_STEP_RULES}, got {self.step_rule!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -118,29 +105,19 @@ def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _masked_top_eigenvalue(a: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each row-masked restriction of ``a``.
+    """Largest eigenvalue of each restriction ``a[S, S]``, S a row of ``member``.
 
-    Power iteration run jointly for all masks: the iterate lives in the
-    full space with excluded coordinates pinned at zero, which is exactly
-    multiplication by the restricted matrix.
+    Exact: masks are grouped by size k and each group's compact k x k
+    restricted matrices go through one batched symmetric eigensolve.  The
+    empty mask keeps 0.
     """
-    m, d = member.shape
-    diag = np.diag(a)
-    # Deterministic start with mass on every coordinate of the mask so the
-    # dominant eigenvector is never missed by symmetry.
-    v = member * (1.0 + diag / (1.0 + np.max(np.abs(diag))))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    np.divide(v, norms, out=v, where=norms > 0)
-    lam = np.zeros(m)
-    for _ in range(_POWER_MAX_ITER):
-        w = (v @ a) * member
-        new_lam = np.einsum("ij,ij->i", v, w)
-        wnorm = np.linalg.norm(w, axis=1, keepdims=True)
-        done = np.abs(new_lam - lam) <= _POWER_TOL * np.maximum(new_lam, 1e-30)
-        lam = new_lam
-        if done.all():
-            break
-        np.divide(w, wnorm, out=v, where=wnorm > 0)
+    sizes = member.sum(axis=1)
+    lam = np.zeros(member.shape[0])
+    for k in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == k)
+        idx = np.nonzero(member[rows])[1].reshape(len(rows), int(k))
+        sub = a[idx[:, :, None], idx[:, None, :]]
+        lam[rows] = np.linalg.eigvalsh(sub)[:, -1]
     return np.maximum(lam, 0.0)
 
 
@@ -168,10 +145,6 @@ def _fit_batch(
     # the zero fit is the answer and needs no iterations.
     step = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, lam))
 
-    backtracking = config.step_rule == "backtracking"
-    if backtracking:
-        step = np.where(flat, 0.0, 1.0)
-
     beta = np.zeros((m, d))
     obj = np.full(m, yty)
     iterations = np.zeros(m, dtype=np.int64)
@@ -186,32 +159,9 @@ def _fit_batch(
         cand_obj = yty - 2.0 * np.einsum("ij,ij->i", cand, bvec) + np.einsum(
             "ij,ij->i", cand, cand_w
         )
-        if backtracking:
-            for _ in range(80):
-                delta = cand - beta
-                # Sufficient decrease for the 1/2-scaled quadratic:
-                # f(new) <= f(old) + 2 g.delta + ||delta||^2 / step.
-                lhs = cand_obj
-                rhs = (
-                    obj
-                    + 2.0 * np.einsum("ij,ij->i", grad, delta)
-                    + np.einsum("ij,ij->i", delta, delta)
-                    / np.where(step > 0, step, 1.0)
-                )
-                bad = (lhs > rhs + 1e-9 * np.maximum(1.0, np.abs(obj))) & ~flat
-                if not bad.any():
-                    break
-                step = np.where(bad, step / 2.0, step)
-                cand = _project_rows(beta - step[:, None] * grad, radius)
-                cand_w = (cand @ a) * member
-                cand_obj = (
-                    yty
-                    - 2.0 * np.einsum("ij,ij->i", cand, bvec)
-                    + np.einsum("ij,ij->i", cand, cand_w)
-                )
         slack = 1e-9 * np.maximum(1.0, np.abs(obj))
         if np.any(cand_obj > obj + slack):
-            raise AssertionError(
+            raise SolverError(
                 "projected gradient objective increased; step size rule broke"
             )
         decrease = obj - cand_obj
@@ -251,22 +201,16 @@ def fit_masks(
     if not (math.isfinite(radius) and radius > 0):
         raise DataError(f"radius must be positive and finite, got {radius}")
     config = config or SolverConfig()
-    member = np.stack([mk.member_row() for mk in masks])
+    member = member_matrix([mk.bits for mk in masks], stats.d)
     beta, obj, iters, conv = _fit_batch(stats, member, radius, config, trace)
-    results = []
-    for i in range(len(masks)):
-        b = beta[i].copy()
-        b.setflags(write=False)
-        results.append(
-            FitResult(
-                beta=b,
-                neg2_loglik=float(obj[i]),
-                iterations=int(iters[i]),
-                converged=bool(conv[i]),
-                l1_norm=float(np.abs(beta[i]).sum()),
-            )
+    beta.setflags(write=False)
+    l1 = np.abs(beta).sum(axis=1)
+    return [
+        FitResult(beta=row, neg2_loglik=o, iterations=i, converged=c, l1_norm=n)
+        for row, o, i, c, n in zip(
+            beta, obj.tolist(), iters.tolist(), conv.tolist(), l1.tolist()
         )
-    return results
+    ]
 
 
 def fit_constrained_ls(

@@ -102,6 +102,19 @@ class TestSelect:
         assert code == 1
         assert "row" in capsys.readouterr().err
 
+    def test_solver_failure_is_error_exit(self, demo_csv, capsys, monkeypatch):
+        # A step of 4/L makes the objective rise; the CLI reports it.
+        from dpms import solver
+
+        exact = solver._masked_top_eigenvalue
+        monkeypatch.setattr(
+            solver, "_masked_top_eigenvalue", lambda a, member: exact(a, member) / 4.0
+        )
+        code = main(_select_args(demo_csv))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "objective increased" in err
+
     def test_pcpl_without_delta_is_usage_error(self, demo_csv, capsys):
         code = main(_select_args(demo_csv, "--algorithm", "pcpl"))
         assert code == 2

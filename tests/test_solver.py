@@ -13,6 +13,8 @@ from dpms import (
     FitResult,
     ModelMask,
     SolverConfig,
+    SolverError,
+    all_subsets,
     fit_constrained_ls,
     fit_masks,
     profile_neg2_loglik,
@@ -196,18 +198,6 @@ class TestDescentMechanics:
             assert np.allclose(joint.beta, solo.beta, atol=1e-8)
             assert joint.neg2_loglik == pytest.approx(solo.neg2_loglik, rel=1e-10, abs=1e-10)
 
-    def test_backtracking_reaches_same_optimum(self):
-        ds, _, _ = _uniform_dataset(70, 4, 13)
-        stats = sufficient_stats(ds)
-        mask = ModelMask.full(4)
-        fixed = fit_constrained_ls(stats, mask, 0.9, TIGHT)
-        back = fit_constrained_ls(
-            stats, mask, 0.9,
-            SolverConfig(max_iterations=200_000, tolerance=1e-16, step_rule="backtracking"),
-        )
-        assert np.allclose(fixed.beta, back.beta, atol=1e-6)
-        assert fixed.neg2_loglik == pytest.approx(back.neg2_loglik, rel=1e-8)
-
     def test_empty_mask_scores_pure_variance(self):
         ds, _, y = _uniform_dataset(40, 3, 15)
         stats = sufficient_stats(ds)
@@ -257,8 +247,56 @@ class TestDescentMechanics:
             fit_constrained_ls(stats, ModelMask.full(3), -1.0)
         with pytest.raises(ConfigError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ConfigError):
-            SolverConfig(step_rule="exact")
+
+    def test_objective_increase_raises_solver_error(self, monkeypatch):
+        # A step of 4/L overshoots: the first move from zero already raises
+        # the objective, which must surface as a DpmsError, not an assert.
+        from dpms import solver
+
+        exact = solver._masked_top_eigenvalue
+        monkeypatch.setattr(
+            solver, "_masked_top_eigenvalue", lambda a, member: exact(a, member) / 4.0
+        )
+        ds, _, _ = _uniform_dataset(60, 4, 31)
+        with pytest.raises(SolverError):
+            fit_masks(sufficient_stats(ds), [ModelMask.full(4)], 50.0)
+
+
+class TestExactStep:
+    def test_top_eigenvalue_matches_eigvalsh_per_mask(self):
+        from dpms.solver import _masked_top_eigenvalue
+
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-1, 1, (80, 8))
+        x[:, 3] = 0.0  # flat: a mask of only this column has A_S = 0
+        x[:, 6] = x[:, 1]  # rank deficient once both columns are in
+        y = x @ rng.normal(0, 1, 8) + rng.normal(0, 0.2, 80)
+        stats = sufficient_stats(Dataset(x, y, float(np.max(np.abs(y)))))
+        a = stats.xtx
+        masks = list(all_subsets(8, include_empty=True))
+        lam = _masked_top_eigenvalue(a, np.stack([m.member_row() for m in masks]))
+        for mask, got in zip(masks, lam):
+            cols = mask.column_positions()
+            if mask.bits in (0, 1 << 3):
+                assert got == 0.0
+                continue
+            want = np.linalg.eigvalsh(a[np.ix_(cols, cols)])[-1]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_default_fits_carry_a_small_duality_gap(self):
+        # Frank-Wolfe certificate: for g the (restricted) gradient of the
+        # loss at beta, g.beta + R ||g||_inf bounds loss - min loss.
+        ds, _, _ = _uniform_dataset(1000, 10, 41)
+        stats = sufficient_stats(ds)
+        masks = list(all_subsets(10))
+        radius = 2.0
+        fits = fit_masks(stats, masks, radius)
+        for mask, fit in zip(masks, fits):
+            cols = mask.column_positions()
+            beta = fit.beta[cols]
+            g = 2.0 * (stats.xtx[np.ix_(cols, cols)] @ beta - stats.xty[cols])
+            gap = float(g @ beta + radius * np.max(np.abs(g)))
+            assert gap <= 1e-5 * max(fit.neg2_loglik, 1.0)
 
 
 class TestEquivalenceRadius:
