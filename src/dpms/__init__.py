@@ -23,7 +23,6 @@ from .mechanisms import (
     compose_eps_delta,
     exponential_mechanism,
     noisy_argmin,
-    noisy_release,
     sample_laplace,
 )
 from .selection import (
@@ -94,7 +93,6 @@ __all__ = [
     "load_csv",
     "ls_sensitivity",
     "noisy_argmin",
-    "noisy_release",
     "pcls_select",
     "pcpl_select",
     "profile_neg2_loglik",

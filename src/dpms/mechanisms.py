@@ -5,15 +5,19 @@ pair:
 
 * bulk sampling (``sample_laplace`` and dataset generation elsewhere) runs
   through a numpy Generator seeded from the pair;
-* per-candidate noise inside ``noisy_argmin`` / ``exponential_mechanism``
-  is keyed by hashing (seed, stream_id, tag, mask bits), so a candidate's
-  draw depends on the mask's content, never its list position.  Permuting
-  a candidate list permutes the realized draws with it, exactly.
+* per-candidate noise inside the selection mechanisms is keyed by hashing
+  (seed, stream_id, tag, mask bits), so a candidate's draw depends on the
+  mask's content, never its list position.  Permuting a candidate list
+  permutes the realized draws with it, exactly.
 
-All Laplace variates come from one inverse-CDF transform of a 64-bit
-integer k (k = 0 rejected): ``log(k / 2^63)`` on the lower half and
-``-log((2^64 - k) / 2^63)`` on the upper, computed from integers so the
-tails lose no precision.
+The mechanisms work on score matrices: each row is one release with its
+own stream, each column one candidate mask.  ``noisy_argmin`` and
+``exponential_mechanism`` are the one-row case over a list of
+candidates.  Every Laplace variate comes from one inverse-CDF transform of
+a 64-bit integer k (k = 0 rejected): ``log(k / 2^63)`` on the lower half
+and ``-log((2^64 - k) / 2^63)`` on the upper, computed from integers so
+the tails lose no precision.  Exact score ties go to the smallest model,
+then the smallest bit value, whatever the column order.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "RngStream",
     "ScoredCandidate",
     "sample_laplace",
-    "noisy_release",
     "noisy_argmin",
     "exponential_mechanism",
     "compose_eps_delta",
@@ -47,6 +50,10 @@ _HALF = 1 << 63
 _TAG_ARGMIN = 1
 _TAG_GUMBEL = 2
 _TAG_FALLBACK = 3
+
+# Keyed draws hashed between two conversions into the output array; bounds
+# the digest list a large block holds at once.
+_HASH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,45 +121,62 @@ class ScoredCandidate:
             )
 
 
-def _laplace_from_u64(k: int) -> float:
-    """Standard Laplace variate from a uniform 64-bit integer, k != 0."""
-    if k < _HALF:
-        return math.log(k / _HALF)
-    return -math.log((_U64 - k) / _HALF)
-
-
 def _laplace_from_u64_array(k: np.ndarray) -> np.ndarray:
+    """Standard Laplace variates from uniform 64-bit integers, all != 0."""
     small = k < np.uint64(_HALF)
     comp = np.bitwise_not(k) + np.uint64(1)  # 2^64 - k, exact for k >= 1
     arg = np.where(small, k, comp).astype(np.float64) / float(_HALF)
     return np.where(small, 1.0, -1.0) * np.log(arg)
 
 
-def _gumbel_from_u64(k: int) -> float:
-    """Standard Gumbel variate from a uniform 64-bit integer, k != 0."""
+def _gumbel_from_u64_array(k: np.ndarray) -> np.ndarray:
+    """Standard Gumbel variates from uniform 64-bit integers, all != 0."""
     # u = k / 2^64; -log(u) via log1p of the exact complement so u -> 1
     # loses nothing.
-    e = -math.log1p(-(_U64 - k) / _U64)
-    return -math.log(e)
+    comp = np.bitwise_not(k) + np.uint64(1)
+    e = -np.log1p(-(comp.astype(np.float64) / float(_U64)))
+    return -np.log(e)
 
 
-def _keyed_u64(rng: RngStream, tag: int, payload: int) -> int:
-    """Uniform nonzero 64-bit integer keyed by (stream, tag, payload)."""
-    counter = 0
-    while True:
-        digest = hashlib.blake2b(
-            struct.pack("<QQQQQ", rng.seed, rng.stream_id, tag, payload, counter),
-            digest_size=8,
-        ).digest()
-        k = int.from_bytes(digest, "little")
-        if k:
-            return k
-        counter += 1
+def _keyed_u64_block(seed: int, stream_ids, tag: int, bits) -> np.ndarray:
+    """Uniform nonzero 64-bit integers keyed by (stream, tag, mask bits).
+
+    Entry ``[i, j]`` is the first nonzero blake2b-64 digest of the
+    little-endian words (seed, stream_ids[i], tag, bits[j], counter) for
+    counter = 0, 1, ...  The three leading words are hashed once per row
+    and the hash state copied per column; streaming the message in two
+    parts gives the same digest as hashing it whole.
+    """
+    stream_ids = [int(s) for s in stream_ids]
+    bits = [int(b) for b in bits]
+    out = np.empty((len(stream_ids), len(bits)), dtype=np.uint64)
+    suffixes = [struct.pack("<QQ", b, 0) for b in bits]
+    rows_per_chunk = max(1, _HASH_CHUNK // len(bits))
+    for lo in range(0, len(stream_ids), rows_per_chunk):
+        digests = []
+        append = digests.append
+        for sid in stream_ids[lo:lo + rows_per_chunk]:
+            copy = hashlib.blake2b(struct.pack("<QQQ", seed, sid, tag), digest_size=8).copy
+            for suffix in suffixes:
+                h = copy()
+                h.update(suffix)
+                append(h.digest())
+        block = np.frombuffer(b"".join(digests), dtype="<u8")
+        out[lo:lo + rows_per_chunk] = block.reshape(-1, len(bits))
+    if not out.all():  # probability 2^-64 per entry
+        for i, j in zip(*np.nonzero(out == 0)):
+            counter, k = 0, 0
+            while not k:
+                counter += 1
+                message = struct.pack("<QQQQQ", seed, stream_ids[i], tag, bits[j], counter)
+                k = int.from_bytes(hashlib.blake2b(message, digest_size=8).digest(), "little")
+            out[i, j] = k
+    return out
 
 
 def _uniform_index(rng: RngStream, n: int) -> int:
     """Index uniform on range(n), keyed to the stream's fallback tag."""
-    u = _keyed_u64(rng, _TAG_FALLBACK, 0) / _U64
+    u = int(_keyed_u64_block(rng.seed, [rng.stream_id], _TAG_FALLBACK, [0])[0, 0]) / _U64
     return min(int(u * n), n - 1)
 
 
@@ -178,21 +202,6 @@ def sample_laplace(rng, scale: float, size: int | None = None):
     return float(z[0]) if size is None else z
 
 
-def noisy_release(value: float, sensitivity: float, epsilon: float, rng: RngStream) -> float:
-    """Laplace mechanism for one statistic: value + (sensitivity/epsilon) Z.
-
-    epsilon = inf returns the exact value (zero scale).  The caller owns
-    the claim that ``sensitivity`` bounds the statistic's global
-    sensitivity; with that, the release is epsilon-DP.
-    """
-    if not (math.isfinite(sensitivity) and sensitivity >= 0):
-        raise ConfigError(f"sensitivity must be finite and >= 0, got {sensitivity}")
-    if math.isnan(epsilon) or epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0 (or inf), got {epsilon}")
-    scale = 0.0 if math.isinf(epsilon) else sensitivity / epsilon
-    return float(value) + scale * sample_laplace(rng, 1.0)
-
-
 def _check_candidates(candidates) -> list[ScoredCandidate]:
     cands = list(candidates)
     if not cands:
@@ -211,19 +220,60 @@ def _check_candidates(candidates) -> list[ScoredCandidate]:
     return cands
 
 
-def _tie_argmin(keys, cands: list[ScoredCandidate]) -> int:
-    """Index of the smallest key; exact ties go to the smallest model,
-    then the smallest bit value, independent of list order."""
-    best = 0
-    for i in range(1, len(cands)):
-        ki, kb = keys[i], keys[best]
-        if ki < kb or (
-            ki == kb
-            and (cands[i].mask.size, cands[i].mask.bits)
-            < (cands[best].mask.size, cands[best].mask.bits)
-        ):
-            best = i
-    return best
+def _mask_arrays(masks) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, bits) of a sequence of masks, in sequence order."""
+    bits = np.array([m.bits for m in masks], dtype=np.uint64)
+    return np.bitwise_count(bits).astype(np.int64), bits
+
+
+def _row_argmin(keys: np.ndarray, sizes: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Column of the smallest key in each row of ``keys``.
+
+    Exact ties go to the smallest model, then the smallest bit value, so
+    the winner does not depend on the column order.
+    """
+    order = np.lexsort((bits, sizes))
+    return order[np.argmin(keys[:, order], axis=1)]
+
+
+def _noisy_argmin_rows(scores, scales, sizes, bits, seed: int, stream_ids):
+    """Report-noisy-argmin on each row of a score matrix.
+
+    Row ``i`` perturbs every score by its own Laplace draw keyed by
+    ``(seed, stream_ids[i])`` and the column's mask bits, scaled by
+    ``scales``.  ``scores`` and ``scales`` broadcast against the
+    (rows x masks) matrix; an all-zero scale is the noiseless limit and
+    draws nothing.  Returns (winning column per row, noisy scores).
+    """
+    if np.any(scales):
+        words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, bits)
+        noisy = scores + scales * _laplace_from_u64_array(words)
+    else:
+        noisy = scores + np.zeros((len(stream_ids), len(bits)))
+    return _row_argmin(noisy, sizes, bits), noisy
+
+
+def _gumbel_argmin_rows(scores, epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids):
+    """Exponential-mechanism sample on each row of a score matrix.
+
+    Row ``i`` draws one Gumbel variate per column keyed like
+    :func:`_noisy_argmin_rows` (under its own tag) and returns the argmin
+    of ``-(log-weight + Gumbel)``, an exact sample with probability
+    proportional to ``exp(-epsilon * score / (2 * sensitivity))``.
+    ``scores`` broadcasts against the (rows x masks) matrix and
+    ``sensitivity`` may hold one value per row.  ``epsilon = inf`` keys by
+    the scores themselves.  Returns (winning column per row, keys).
+    """
+    if math.isinf(epsilon):
+        keys = scores + np.zeros((len(stream_ids), len(bits)))
+    else:
+        # Subtracting each row's minimum gives the best candidate the
+        # weight exp(0) = 1: no normalization and no underflow.
+        low = scores.min(axis=1, keepdims=True)
+        logw = -epsilon * (scores - low) / (2.0 * sensitivity)
+        words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, bits)
+        keys = -(logw + _gumbel_from_u64_array(words))
+    return _row_argmin(keys, sizes, bits), keys
 
 
 def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
@@ -238,13 +288,11 @@ def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
     if budget.delta != 0.0:
         raise ConfigError("noisy_argmin is a pure-epsilon mechanism; delta must be 0")
     cands = _check_candidates(candidates)
-    noisy = [
-        c.score
-        + c.noise_scale * _laplace_from_u64(_keyed_u64(rng, _TAG_ARGMIN, c.mask.bits))
-        for c in cands
-    ]
-    best = _tie_argmin(noisy, cands)
-    return cands[best].mask, np.asarray(noisy)
+    sizes, bits = _mask_arrays([c.mask for c in cands])
+    scores = np.array([[c.score for c in cands]], dtype=np.float64)
+    scales = np.array([[c.noise_scale for c in cands]], dtype=np.float64)
+    winners, noisy = _noisy_argmin_rows(scores, scales, sizes, bits, rng.seed, [rng.stream_id])
+    return cands[winners[0]].mask, noisy[0]
 
 
 def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget, rng: RngStream):
@@ -254,29 +302,19 @@ def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget,
     Returns (chosen mask, realized sampling keys).  Keys are oriented so
     the chosen mask is their argmin, mirroring noisy_argmin's output
     contract.  Sampling uses per-candidate Gumbel draws keyed by mask
-    content (argmax of log-weight + Gumbel is an exact softmax sample), so
-    no normalization and no underflow: after subtracting the minimum score
-    the best candidate's weight is exp(0) = 1.
+    content (argmax of log-weight + Gumbel is an exact softmax sample).
     """
     if budget.delta != 0.0:
         raise ConfigError("exponential_mechanism is a pure-epsilon mechanism; delta must be 0")
     if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ConfigError(f"sensitivity must be finite and > 0, got {sensitivity}")
     cands = _check_candidates(candidates)
-    eps = budget.epsilon
-    if math.isinf(eps):
-        keys = [c.score for c in cands]
-        best = _tie_argmin(keys, cands)
-        return cands[best].mask, np.asarray(keys, dtype=np.float64)
-    low = min(c.score for c in cands)
-    logw = [-eps * (c.score - low) / (2.0 * sensitivity) for c in cands]
-    assert max(logw) == 0.0, "stabilized weights lost their unit maximum"
-    keys = [
-        -(lw + _gumbel_from_u64(_keyed_u64(rng, _TAG_GUMBEL, c.mask.bits)))
-        for lw, c in zip(logw, cands)
-    ]
-    best = _tie_argmin(keys, cands)
-    return cands[best].mask, np.asarray(keys)
+    sizes, bits = _mask_arrays([c.mask for c in cands])
+    scores = np.array([[c.score for c in cands]], dtype=np.float64)
+    winners, keys = _gumbel_argmin_rows(
+        scores, budget.epsilon, sensitivity, sizes, bits, rng.seed, [rng.stream_id]
+    )
+    return cands[winners[0]].mask, keys[0]
 
 
 def compose_eps_delta(stage1_eps: float, stage2_eps: float, delta: float) -> PrivacyBudget:

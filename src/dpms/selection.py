@@ -14,7 +14,10 @@ data, score it, and let a mechanism pick a winner.
 
 Both paths draw every noise variate from a caller-supplied
 :class:`~dpms.mechanisms.RngStream`, so a fixed (seed, stream) pair replays
-the exact selection byte for byte.
+the exact selection byte for byte.  They share one array core,
+:func:`_select_rows`, which runs one selection per row of a score matrix;
+a single select is its one-row case, and the sweep harness scores a whole
+penalty grid per fit through it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import CandidateSet
@@ -29,13 +35,17 @@ from .errors import ConfigError, DataError, DegenerateFitError
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
-    ScoredCandidate,
+    _gumbel_argmin_rows,
+    _mask_arrays,
+    _noisy_argmin_rows,
     _uniform_index,
     compose_eps_delta,
-    exponential_mechanism,
-    noisy_argmin,
     sample_laplace,
 )
+
+# The list-based mechanisms stay importable from this module, where
+# perfbench/bench_trace.py looks them up.
+from .mechanisms import exponential_mechanism, noisy_argmin  # noqa: F401
 from .solver import SolverConfig, fit_masks, profile_neg2_loglik
 
 __all__ = [
@@ -268,19 +278,157 @@ def _check_family(dataset: Dataset, models: CandidateSet) -> None:
         )
 
 
-def _run_mechanism(
-    candidates: list[ScoredCandidate],
-    sensitivity: float,
-    budget: PrivacyBudget,
-    mechanism: str,
-    rng: RngStream,
-) -> tuple[ModelMask, list[float | None]]:
+class _Picks(NamedTuple):
+    """One private selection per row of a score matrix."""
+
+    winners: np.ndarray  # winning column of each row
+    noisy: np.ndarray | None  # noisy scores (noisy_argmin only); NaN on fallback rows
+    fallback: np.ndarray  # True where pcpl's uniform fallback picked the winner
+    g_of_d: np.ndarray | None  # pcpl's released sensitivity proxy of each row
+
+
+def _profile_scores(fits, n_obs: int) -> np.ndarray:
+    floor = n_obs * math.log(_PROFILE_FLOOR)
+    scores = []
+    for fit in fits:
+        try:
+            scores.append(profile_neg2_loglik(fit, n_obs))
+        except DegenerateFitError:
+            scores.append(floor)
+    return np.array(scores)
+
+
+def _score_matrix(algorithm: str, fits, n_obs: int, penalties, sizes: np.ndarray) -> np.ndarray:
+    """Clean scores, one row per penalty phi: the constrained loss (pcls)
+    or the profile score (pcpl) of each fit, plus ``phi * |model|``."""
+    if algorithm == "pcls":
+        base = np.array([fit.neg2_loglik for fit in fits])
+    else:
+        base = _profile_scores(fits, n_obs)
+    return base + np.asarray(penalties, dtype=np.float64)[:, None] * sizes
+
+
+def _stage_epsilons(config: SelectionConfig) -> tuple[float, float]:
+    """pcpl's (stage 1, stage 2) split of its ``2 * epsilon`` budget;
+    both are infinite in the noiseless limit."""
+    if math.isinf(config.budget.epsilon):
+        return math.inf, math.inf
+    epsilon_total = 2.0 * config.budget.epsilon
+    stage1_epsilon = epsilon_total * config.stage1_fraction
+    return stage1_epsilon, epsilon_total - stage1_epsilon
+
+
+def _mechanism_rows(clean, sensitivity, epsilon, mechanism, family, seed, stream_ids):
+    sizes, bits = family
     if mechanism == "noisy_argmin":
-        winner, noisy = noisy_argmin(candidates, budget, rng)
-        return winner, [float(v) for v in noisy]
-    winner, _keys = exponential_mechanism(candidates, sensitivity, budget, rng)
+        scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
+        return _noisy_argmin_rows(clean, scale, sizes, bits, seed, stream_ids)
+    winners, _keys = _gumbel_argmin_rows(clean, epsilon, sensitivity, sizes, bits, seed, stream_ids)
     # Softmax sampling has no per-candidate noisy score to report.
-    return winner, [None] * len(candidates)
+    return winners, None
+
+
+def _select_rows(
+    algorithm: str,
+    fits,
+    clean: np.ndarray,
+    bound: float,
+    n_obs: int,
+    config: SelectionConfig,
+    family: tuple[np.ndarray, np.ndarray],
+    seed: int,
+    stream_ids,
+) -> _Picks:
+    """The selection core: row ``i`` of ``clean`` is released under
+    ``RngStream(seed, stream_ids[i])``.
+
+    ``family`` holds the (sizes, bits) of the candidates in column order.
+    ``config`` supplies the radius, budget, mechanism and stage-1 split;
+    its penalty is already inside ``clean``.  pcls calibrates every row to
+    ``(r + R)**2``.  pcpl draws each row's stage-1 Laplace variate as the
+    first draw of the row's stream, releases the row's sensitivity proxy
+    with it, and falls back to a uniform pick on rows whose proxy is
+    degenerate; its noiseless limit (epsilon = inf) never falls back.
+    """
+    if not np.isfinite(clean).all():
+        raise DataError("candidate scores must be finite")
+    epsilon = config.budget.epsilon
+    if algorithm == "pcls":
+        sensitivity = ls_sensitivity(bound, config.radius).value
+        winners, noisy = _mechanism_rows(
+            clean, sensitivity, epsilon, config.mechanism, family, seed, stream_ids
+        )
+        return _Picks(winners, noisy, np.zeros(len(stream_ids), dtype=bool), None)
+
+    stage1_epsilon, stage2_epsilon = _stage_epsilons(config)
+    min_loss = min(fit.neg2_loglik for fit in fits)
+    proxy = np.array([
+        _profile_sensitivity_value(
+            min_loss, n_obs, bound, config.radius, stage1_epsilon, config.budget.delta,
+            float(sample_laplace(RngStream(seed, sid), 1.0)),
+        )
+        for sid in stream_ids
+    ])
+    fallback = np.isinf(proxy) & math.isfinite(epsilon)
+    winners = np.empty(len(stream_ids), dtype=np.intp)
+    for i in np.flatnonzero(fallback):
+        winners[i] = _uniform_index(RngStream(seed, stream_ids[i]), clean.shape[1])
+    kept = np.flatnonzero(~fallback)
+    noisy = None
+    if kept.size:
+        kept_winners, kept_noisy = _mechanism_rows(
+            clean[kept], proxy[kept, None], stage2_epsilon, config.mechanism, family,
+            seed, [stream_ids[i] for i in kept],
+        )
+        winners[kept] = kept_winners
+        if kept_noisy is not None:
+            noisy = np.full(clean.shape, np.nan)
+            noisy[kept] = kept_noisy
+    return _Picks(winners, noisy, fallback, proxy)
+
+
+def _select_with_fits(
+    algorithm: str,
+    dataset: Dataset,
+    models: CandidateSet,
+    fits,
+    config: SelectionConfig,
+    rng: RngStream,
+) -> SelectionReport:
+    # One row of the selection core, on fits that depend only on (data,
+    # radius): the sweep harness reuses one batch of fits across its whole
+    # penalty-by-budget grid.
+    bound, data_dependent = _effective_bound(dataset, config)
+    family = _mask_arrays(models)
+    clean = _score_matrix(algorithm, fits, dataset.n, [config.penalty], family[0])
+    picks = _select_rows(
+        algorithm, fits, clean, bound, dataset.n, config, family, rng.seed, [rng.stream_id]
+    )
+    if algorithm == "pcls":
+        total = config.budget
+        g_of_d = None
+    else:
+        total = compose_eps_delta(*_stage_epsilons(config), config.budget.delta)
+        g_of_d = float(picks.g_of_d[0])
+    fallback = bool(picks.fallback[0])
+    if picks.noisy is None or fallback:
+        noisy = [None] * len(models)
+    else:
+        noisy = picks.noisy[0].tolist()
+    return SelectionReport(
+        chosen=models.masks[picks.winners[0]],
+        epsilon_total=total.epsilon,
+        delta=total.delta,
+        radius=config.radius,
+        penalty=config.penalty,
+        response_bound=bound,
+        response_bound_data_dependent=data_dependent,
+        rng=rng,
+        mechanism=config.mechanism,
+        fallback_uniform=fallback,
+        g_of_d=g_of_d,
+        entries=tuple(map(ModelEntry, models.masks, clean[0].tolist(), noisy)),
+    )
 
 
 def pcls_select(
@@ -310,39 +458,9 @@ def _pcls_with_fits(
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
-    # Scoring and mechanism core.  Fits enter precomputed because they
-    # depend only on (data, radius): the sweep harness reuses one batch of
-    # fits across its whole penalty-by-budget grid.
     if config.budget.delta != 0.0:
         raise ConfigError("pure selection requires delta == 0; use the two-stage path for delta > 0")
-    bound, data_dependent = _effective_bound(dataset, config)
-    clean = [fit.neg2_loglik + config.penalty * mask.size for mask, fit in zip(models, fits)]
-
-    sensitivity = ls_sensitivity(bound, config.radius).value
-    epsilon = config.budget.epsilon
-    scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
-    candidates = [
-        ScoredCandidate(mask, score, scale) for mask, score in zip(models, clean)
-    ]
-    winner, noisy = _run_mechanism(candidates, sensitivity, config.budget, config.mechanism, rng)
-
-    entries = tuple(
-        ModelEntry(mask, score, ns) for mask, score, ns in zip(models, clean, noisy)
-    )
-    return SelectionReport(
-        chosen=winner,
-        epsilon_total=epsilon,
-        delta=0.0,
-        radius=config.radius,
-        penalty=config.penalty,
-        response_bound=bound,
-        response_bound_data_dependent=data_dependent,
-        rng=rng,
-        mechanism=config.mechanism,
-        fallback_uniform=False,
-        g_of_d=None,
-        entries=entries,
-    )
+    return _select_with_fits("pcls", dataset, models, fits, config, rng)
 
 
 def compute_g_of_d(
@@ -377,18 +495,6 @@ def compute_g_of_d(
     )
 
 
-def _profile_scores(fits, masks, n_obs: int, penalty: float) -> list[float]:
-    scores = []
-    floor = n_obs * math.log(_PROFILE_FLOOR)
-    for mask, fit in zip(masks, fits):
-        try:
-            value = profile_neg2_loglik(fit, n_obs)
-        except DegenerateFitError:
-            value = floor
-        scores.append(value + penalty * mask.size)
-    return scores
-
-
 def pcpl_select(
     dataset: Dataset,
     models: CandidateSet,
@@ -417,90 +523,7 @@ def _pcpl_with_fits(
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
-    # Two-stage core on precomputed fits; see _pcls_with_fits for why.
-    epsilon = config.budget.epsilon
     delta = config.budget.delta
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"two-stage selection needs 0 < delta < 1, got {delta}")
-    bound, data_dependent = _effective_bound(dataset, config)
-    clean = _profile_scores(fits, list(models), dataset.n, config.penalty)
-
-    if math.isinf(epsilon):
-        # Noiseless limit: the proxy is still computed (its noise term
-        # vanishes) but never triggers the uniform fallback, because there
-        # is no noise for a huge scale to inject.
-        min_loss = min(fit.neg2_loglik for fit in fits)
-        laplace_unit = float(sample_laplace(rng, 1.0))
-        proxy = _profile_sensitivity_value(
-            min_loss, dataset.n, bound, config.radius, math.inf, delta, laplace_unit
-        )
-        candidates = [ScoredCandidate(m, s, 0.0) for m, s in zip(models, clean)]
-        noiseless = PrivacyBudget(math.inf, 0.0)
-        winner, noisy = _run_mechanism(candidates, 1.0, noiseless, config.mechanism, rng)
-        entries = tuple(
-            ModelEntry(m, s, ns) for m, s, ns in zip(models, clean, noisy)
-        )
-        return SelectionReport(
-            chosen=winner,
-            epsilon_total=math.inf,
-            delta=delta,
-            radius=config.radius,
-            penalty=config.penalty,
-            response_bound=bound,
-            response_bound_data_dependent=data_dependent,
-            rng=rng,
-            mechanism=config.mechanism,
-            fallback_uniform=False,
-            g_of_d=proxy,
-            entries=entries,
-        )
-
-    epsilon_total = 2.0 * epsilon
-    stage1_epsilon = epsilon_total * config.stage1_fraction
-    stage2_epsilon = epsilon_total - stage1_epsilon
-    total = compose_eps_delta(stage1_epsilon, stage2_epsilon, delta)
-
-    min_loss = min(fit.neg2_loglik for fit in fits)
-    laplace_unit = float(sample_laplace(rng, 1.0))
-    proxy = _profile_sensitivity_value(
-        min_loss, dataset.n, bound, config.radius, stage1_epsilon, delta, laplace_unit
-    )
-
-    if math.isinf(proxy):
-        index = _uniform_index(rng, len(models))
-        winner = models.masks[index]
-        entries = tuple(ModelEntry(m, s, None) for m, s in zip(models, clean))
-        return SelectionReport(
-            chosen=winner,
-            epsilon_total=total.epsilon,
-            delta=total.delta,
-            radius=config.radius,
-            penalty=config.penalty,
-            response_bound=bound,
-            response_bound_data_dependent=data_dependent,
-            rng=rng,
-            mechanism=config.mechanism,
-            fallback_uniform=True,
-            g_of_d=proxy,
-            entries=entries,
-        )
-
-    scale = 2.0 * proxy / stage2_epsilon
-    stage2_budget = PrivacyBudget(stage2_epsilon, 0.0)
-    candidates = [ScoredCandidate(m, s, scale) for m, s in zip(models, clean)]
-    winner, noisy = _run_mechanism(candidates, proxy, stage2_budget, config.mechanism, rng)
-    entries = tuple(ModelEntry(m, s, ns) for m, s, ns in zip(models, clean, noisy))
-    return SelectionReport(
-        chosen=winner,
-        epsilon_total=total.epsilon,
-        delta=total.delta,
-        radius=config.radius,
-        penalty=config.penalty,
-        response_bound=bound,
-        response_bound_data_dependent=data_dependent,
-        rng=rng,
-        mechanism=config.mechanism,
-        fallback_uniform=False,
-        g_of_d=proxy,
-        entries=entries,
-    )
+    return _select_with_fits("pcpl", dataset, models, fits, config, rng)

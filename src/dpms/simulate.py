@@ -23,16 +23,20 @@ import struct
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
 from .errors import ConfigError
-from .mechanisms import PrivacyBudget, RngStream
-from .selection import SelectionConfig, _pcls_with_fits, _pcpl_with_fits
+from .mechanisms import PrivacyBudget, RngStream, _mask_arrays, _row_argmin
+from .selection import SelectionConfig, _Picks, _score_matrix, _select_rows
 from .solver import SolverConfig, fit_masks
+
+# The one-cell selections stay importable from this module, where
+# perfbench/bench_trace.py looks them up.
+from .selection import _pcls_with_fits, _pcpl_with_fits  # noqa: F401
 
 __all__ = [
     "SyntheticSpec",
@@ -84,7 +88,6 @@ class SyntheticSpec:
     coefficients: tuple[float, ...]
     rng: RngStream
     noise_sd: float = 1.0
-    x_law: str = "uniform_pm1"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
@@ -96,8 +99,6 @@ class SyntheticSpec:
             raise ConfigError(f"coefficients must be finite, got {self.coefficients}")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise ConfigError(f"noise_sd must be a nonnegative finite float, got {self.noise_sd}")
-        if self.x_law != "uniform_pm1":
-            raise ConfigError(f"unsupported x_law {self.x_law!r}")
         if not isinstance(self.rng, RngStream):
             raise ConfigError("rng must be an RngStream")
 
@@ -244,39 +245,101 @@ class SweepResult:
         return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
-def _stream_id(*parts) -> int:
-    """64-bit stream id from typed, length-prefixed parts.
+def _encode(*parts) -> bytes:
+    """Typed, length-prefixed encoding of sweep coordinates.
 
     The explicit type tags keep e.g. the int 1 and the float 1.0 from
-    colliding, so every (cell, replication, role) triple gets its own
-    stream under a fixed master seed.
+    colliding.  The encoding of a sequence of parts is the concatenation
+    of the parts' encodings.
     """
-    h = hashlib.blake2b(digest_size=8)
+    out = []
     for p in parts:
         if isinstance(p, str):
             raw = p.encode("utf-8")
-            h.update(b"s" + struct.pack("<I", len(raw)) + raw)
+            out.append(b"s" + struct.pack("<I", len(raw)) + raw)
         elif isinstance(p, bool):
-            h.update(b"b" + struct.pack("<?", p))
+            out.append(b"b" + struct.pack("<?", p))
         elif isinstance(p, int):
-            h.update(b"i" + struct.pack("<q", p))
+            out.append(b"i" + struct.pack("<q", p))
         elif isinstance(p, float):
-            h.update(b"f" + struct.pack("<d", p))
+            out.append(b"f" + struct.pack("<d", p))
         elif isinstance(p, tuple):
-            h.update(b"(")
-            h.update(_stream_id(*p).to_bytes(8, "little"))
-            h.update(b")")
+            out.append(b"(" + _stream_id(*p).to_bytes(8, "little") + b")")
         else:
             raise TypeError(f"unhashable sweep coordinate {p!r}")
-    return int.from_bytes(h.digest(), "little")
+    return b"".join(out)
 
 
-def _noiseless_pick(entries) -> ModelMask:
-    best = min(
-        range(len(entries)),
-        key=lambda i: (entries[i].clean_score, entries[i].mask.size, entries[i].mask.bits),
-    )
-    return entries[best].mask
+def _id_of(encoded: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
+
+
+def _stream_id(*parts) -> int:
+    """64-bit stream id from typed, length-prefixed parts, so every
+    (cell, replication, role) triple gets its own stream under a fixed
+    master seed."""
+    return _id_of(_encode(*parts))
+
+
+class _Block(NamedTuple):
+    """One replication's picks at one (R, epsilon, delta), one row per phi."""
+
+    rep: int
+    cell: tuple[int, int, int]  # (R, epsilon, delta) positions in the grid
+    truth: int  # column of the generating model, -1 if not a candidate
+    picks: _Picks  # one row per phi
+    noiseless: np.ndarray  # noiseless winning column per phi
+    seconds: float  # selection wall time, when measured
+
+
+def _sweep_blocks(grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi, measure_runtime):
+    """Score each replication's phi x epsilon x delta grid as matrices.
+
+    Each (replication, R) is fitted once; its clean scores form one
+    (phi x model) matrix, whose noiseless winners are taken once per phi.
+    Each (epsilon, delta) then runs the selection core on that matrix with
+    one stream per phi, keyed by the cell coordinates.
+    """
+    models = all_subsets(template.d)
+    model_list = list(models)
+    family = _mask_arrays(models)
+    phis = grid.phis_for(n)
+    phi_codes = [_encode(phi) for phi in phis]
+    seed = template.rng.seed
+    coords_base = (model_id, template.coefficients, template.noise_sd, n)
+
+    for rep in range(rep_lo, rep_hi):
+        data_stream = RngStream(seed, _stream_id("data", *coords_base, rep))
+        spec = replace(template, n=n, rng=data_stream)
+        dataset, truth = generate(spec)
+        stats = sufficient_stats(dataset)
+        hit = np.flatnonzero(family[1] == truth.bits)
+        truth_column = int(hit[0]) if hit.size else -1
+        for i, R in enumerate(grid.radius_values):
+            head = _encode("select", *coords_base, R)
+            fits = fit_masks(stats, model_list, R, solver)
+            clean = _score_matrix(grid.algorithm, fits, dataset.n, phis, family[0])
+            noiseless = _row_argmin(clean, *family)
+            for k, eps in enumerate(grid.epsilon_values):
+                for m, delta in enumerate(grid.delta_values):
+                    config = SelectionConfig(
+                        radius=R,
+                        penalty=0.0,  # the penalties are rows of clean
+                        budget=PrivacyBudget(eps, delta),
+                        mechanism=mechanism,
+                        solver=solver,
+                    )
+                    # _stream_id("select", *coords_base, R, phi, eps, delta,
+                    # algorithm, mechanism, rep), from pre-encoded parts.
+                    tail = _encode(eps, delta, grid.algorithm, mechanism, rep)
+                    stream_ids = [_id_of(head + code + tail) for code in phi_codes]
+                    started = time.perf_counter() if measure_runtime else 0.0
+                    picks = _select_rows(
+                        grid.algorithm, fits, clean, dataset.response_bound, dataset.n,
+                        config, family, seed, stream_ids,
+                    )
+                    elapsed = (time.perf_counter() - started) if measure_runtime else 0.0
+                    yield _Block(rep, (i, k, m), truth_column, picks, noiseless, elapsed)
 
 
 def _sweep_chunk(
@@ -289,61 +352,31 @@ def _sweep_chunk(
     rep_lo: int,
     rep_hi: int,
     measure_runtime: bool,
-) -> dict:
+) -> np.ndarray:
     """Accumulate per-cell counters over a contiguous replication range.
 
-    Returns {(R, phi, eps, delta): [correct, agree, fallback, runtime_ms_sum]}.
-    Counters are order-independent sums, so chunked execution merges into
-    the same totals as a single pass.
+    Returns an array indexed [R, phi, epsilon, delta, k] that holds, for
+    k = 0..3, the replications whose pick was correct, agreed with the
+    noiseless pick and fell back, and the summed selection time in ms; a
+    block's time is shared evenly across its phi cells.  Counters are
+    order-independent sums, so chunked execution merges into the same
+    totals as a single pass.
     """
-    d = template.d
-    models = all_subsets(d)
-    model_list = list(models)
     phis = grid.phis_for(n)
-    seed = template.rng.seed
-    coords_base = (model_id, template.coefficients, template.noise_sd, n)
-    select_fn = _pcls_with_fits if grid.algorithm == "pcls" else _pcpl_with_fits
-
-    cells: dict = {}
-    for R in grid.radius_values:
-        for phi in phis:
-            for eps in grid.epsilon_values:
-                for delta in grid.delta_values:
-                    cells[(R, phi, eps, delta)] = [0, 0, 0, 0.0]
-
-    for rep in range(rep_lo, rep_hi):
-        data_stream = RngStream(seed, _stream_id("data", *coords_base, rep))
-        spec = replace(template, n=n, rng=data_stream)
-        dataset, truth = generate(spec)
-        stats = sufficient_stats(dataset)
-        for R in grid.radius_values:
-            fits = fit_masks(stats, model_list, R, solver)
-            for phi in phis:
-                for eps in grid.epsilon_values:
-                    for delta in grid.delta_values:
-                        config = SelectionConfig(
-                            radius=R,
-                            penalty=phi,
-                            budget=PrivacyBudget(eps, delta),
-                            mechanism=mechanism,
-                            solver=solver,
-                        )
-                        select_stream = RngStream(
-                            seed,
-                            _stream_id(
-                                "select", *coords_base, R, phi, eps, delta,
-                                grid.algorithm, mechanism, rep,
-                            ),
-                        )
-                        started = time.perf_counter() if measure_runtime else 0.0
-                        report = select_fn(dataset, models, fits, config, select_stream)
-                        elapsed = (time.perf_counter() - started) if measure_runtime else 0.0
-                        cell = cells[(R, phi, eps, delta)]
-                        cell[0] += report.chosen == truth
-                        cell[1] += report.chosen == _noiseless_pick(report.entries)
-                        cell[2] += report.fallback_uniform
-                        cell[3] += elapsed * 1000.0
-    return cells
+    counts = np.zeros(
+        (len(grid.radius_values), len(phis), len(grid.epsilon_values),
+         len(grid.delta_values), 4)
+    )
+    for block in _sweep_blocks(
+        grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi, measure_runtime
+    ):
+        i, k, m = block.cell
+        cell = counts[i, :, k, m]
+        cell[:, 0] += block.picks.winners == block.truth
+        cell[:, 1] += block.picks.winners == block.noiseless
+        cell[:, 2] += block.picks.fallback
+        cell[:, 3] += 1000.0 * block.seconds / len(phis)
+    return counts
 
 
 def _chunk_payloads(grid, template, model_id, mechanism, solver, n, workers, measure):
@@ -353,7 +386,7 @@ def _chunk_payloads(grid, template, model_id, mechanism, solver, n, workers, mea
             yield (grid, template, model_id, mechanism, solver, n, int(lo), int(hi), measure)
 
 
-def _run_chunk(payload) -> dict:
+def _run_chunk(payload) -> np.ndarray:
     return _sweep_chunk(*payload)
 
 
@@ -399,19 +432,13 @@ def run_sweep(
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 partials = list(pool.map(_run_chunk, payloads))
-        merged: dict = {}
-        for part in partials:
-            for key, counts in part.items():
-                if key not in merged:
-                    merged[key] = [0, 0, 0, 0.0]
-                for i in range(4):
-                    merged[key][i] += counts[i]
+        merged = sum(partials)
         reps = grid.replications
-        for R in grid.radius_values:
-            for phi in grid.phis_for(n):
-                for eps in grid.epsilon_values:
-                    for delta in grid.delta_values:
-                        correct, agree, fallback, runtime = merged[(R, phi, eps, delta)]
+        for i, R in enumerate(grid.radius_values):
+            for j, phi in enumerate(grid.phis_for(n)):
+                for k, eps in enumerate(grid.epsilon_values):
+                    for m, delta in enumerate(grid.delta_values):
+                        correct, agree, fallback, runtime = merged[i, j, k, m].tolist()
                         rows.append(
                             SweepRow(
                                 n=n,

@@ -10,8 +10,8 @@ Criteria 6 and 7 check private accuracy against the Report-Noisy-Max law
 noise to every score, so its accuracy on a dataset is the chance that this
 noise leaves the true model's score lowest.  The README gives the numbers.
 
-Run with ``pytest tests/test_acceptance.py -v -s``; the whole file takes a
-couple of minutes on one core.
+Run with ``pytest tests/test_acceptance.py -v -s``; the whole file takes
+about 40 seconds on one core.
 """
 
 import math
@@ -26,23 +26,21 @@ from dpms import (
     ModelMask,
     PrivacyBudget,
     RngStream,
-    ScoredCandidate,
     SelectionConfig,
     SolverConfig,
     SweepGrid,
     SyntheticSpec,
     all_subsets,
     cli,
-    exponential_mechanism,
     fit_masks,
     generate,
     ls_sensitivity,
-    noisy_argmin,
     pcpl_select,
     run_sweep,
     sample_laplace,
     sufficient_stats,
 )
+from dpms.mechanisms import _gumbel_argmin_rows, _mask_arrays, _noisy_argmin_rows
 from dpms.simulate import _stream_id
 
 MASTER = 20260822
@@ -159,17 +157,16 @@ def test_c04_mechanism_distributions():
     masks = list(all_subsets(3))
     scores = (0.0, 0.4, 0.9, 1.6, 2.3, 3.1, 4.0)
     eps = 2.0
-    cands = [ScoredCandidate(m, s, 0.0) for m, s in zip(masks, scores)]
     trials = 100_000
-    counts = Counter()
-    for i in range(trials):
-        chosen, _ = exponential_mechanism(
-            cands, 1.0, PrivacyBudget(eps, 0.0), RngStream(MASTER, 42_000_000 + i)
-        )
-        counts[chosen.bits] += 1
+    sizes, bits = _mask_arrays(masks)
+    # One block of trials: row i is exponential_mechanism at sensitivity 1
+    # under RngStream(MASTER, 42_000_000 + i).
+    chosen, _ = _gumbel_argmin_rows(
+        np.array([scores]), eps, 1.0, sizes, bits, MASTER, range(42_000_000, 42_000_000 + trials)
+    )
     weights = np.exp(-eps * np.array(scores) / 2.0)
     probs = weights / weights.sum()
-    observed = np.array([counts[m.bits] for m in masks], dtype=float)
+    observed = np.bincount(chosen, minlength=len(masks)).astype(float)
     chi = stats.chisquare(observed, probs * trials)
 
     ok = ks.pvalue > 0.01 and chi.pvalue > 0.01
@@ -315,30 +312,27 @@ def test_c07_radius_below_signal_norm():
 
 def test_c08_privacy_log_ratio():
     sens = ls_sensitivity(AUDIT_R, AUDIT_RADIUS).value
-    m1 = ModelMask.from_indices([1], 2)
-    m2 = ModelMask.from_indices([2], 2)
+    sizes, bits = _mask_arrays([ModelMask.from_indices([1], 2), ModelMask.from_indices([2], 2)])
     trials = 1_000_000
     parts = []
     ok = True
     for k, eps in enumerate((0.5, 1.0)):
         scale = 2.0 * sens / eps
-        budget = PrivacyBudget(eps, 0.0)
+        first = 80_000_000 + k * 2_000_000
         # Two score vectors one row swap apart in the worst case: every
-        # candidate's score moves by exactly the global sensitivity.
-        sides = (
-            [ScoredCandidate(m1, 0.0, scale), ScoredCandidate(m2, sens, scale)],
-            [ScoredCandidate(m1, sens, scale), ScoredCandidate(m2, 0.0, scale)],
-        )
-        counts = (Counter(), Counter())
-        for i in range(trials):
-            rng_id = 80_000_000 + k * 2_000_000 + i
-            for side, cands in enumerate(sides):
-                chosen, _ = noisy_argmin(cands, budget, RngStream(MASTER, rng_id))
-                counts[side][chosen.bits] += 1
-        worst = max(
-            abs(math.log(counts[0][bits] / counts[1][bits]))
-            for bits in (m1.bits, m2.bits)
-        )
+        # candidate's score moves by exactly the global sensitivity.  Each
+        # side is one block of trials: row i is noisy_argmin on that side
+        # under RngStream(MASTER, first + i).
+        counts = [
+            np.bincount(
+                _noisy_argmin_rows(
+                    np.array([side]), scale, sizes, bits, MASTER, range(first, first + trials)
+                )[0],
+                minlength=2,
+            )
+            for side in ((0.0, sens), (sens, 0.0))
+        ]
+        worst = max(abs(math.log(counts[0][j] / counts[1][j])) for j in range(2))
         parts.append(f"eps={eps}: log-ratio {worst:.3f} <= {eps + 0.05:.2f}")
         ok = ok and worst <= eps + 0.05
     detail = "; ".join(parts) + f"; {trials} draws per side"

@@ -1,6 +1,10 @@
 """Noise primitives: exactness, distributions, and mechanism behavior."""
 
+import hashlib
+import itertools
 import math
+import struct
+import types
 
 import numpy as np
 import pytest
@@ -15,12 +19,17 @@ from dpms import (
     compose_eps_delta,
     exponential_mechanism,
     noisy_argmin,
-    noisy_release,
     sample_laplace,
 )
+from dpms import mechanisms
 from dpms.mechanisms import (
-    _gumbel_from_u64,
-    _laplace_from_u64,
+    _gumbel_argmin_rows,
+    _gumbel_from_u64_array,
+    _keyed_u64_block,
+    _laplace_from_u64_array,
+    _mask_arrays,
+    _noisy_argmin_rows,
+    _row_argmin,
     _uniform_index,
 )
 
@@ -73,15 +82,16 @@ class TestLaplaceInverseMap:
     def test_frozen_extremes_and_center(self):
         # Integer-exact tails: the smallest and largest nonzero words map
         # to symmetric extreme quantiles, the midpoint to zero.
-        assert _laplace_from_u64(1) == math.log(2.0**-63)
-        assert _laplace_from_u64(2**64 - 1) == -math.log(2.0**-63)
-        assert _laplace_from_u64(2**63) == 0.0
+        k = np.array([1, 2**64 - 1, 2**63], dtype=np.uint64)
+        assert _laplace_from_u64_array(k).tolist() == [
+            math.log(2.0**-63), -math.log(2.0**-63), 0.0
+        ]
 
     def test_antisymmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            k = int(rng.integers(1, 2**63))
-            assert _laplace_from_u64(k) == -_laplace_from_u64(2**64 - k)
+        ks = np.random.default_rng(0).integers(1, 2**63, size=200)
+        lower = _laplace_from_u64_array(ks.astype(np.uint64))
+        upper = _laplace_from_u64_array(np.array([2**64 - int(k) for k in ks], dtype=np.uint64))
+        assert np.array_equal(lower, -upper)
 
     def test_sample_scale_zero_is_exact_zero(self):
         assert sample_laplace(RngStream(1, 1), 0.0) == 0.0
@@ -120,24 +130,100 @@ class TestGumbelMap:
 
         rng = np.random.default_rng(5)
         ks = rng.integers(1, 2**64, size=50_000, dtype=np.uint64)
-        draws = np.array([_gumbel_from_u64(int(k)) for k in ks])
+        draws = _gumbel_from_u64_array(ks)
         result = stats.kstest(draws, stats.gumbel_r().cdf)
         assert result.pvalue > 0.01
 
 
-class TestNoisyRelease:
-    def test_infinite_epsilon_is_identity(self):
-        assert noisy_release(3.25, 4.0, math.inf, RngStream(1, 0)) == 3.25
+def _reference_word(seed, stream_id, tag, bits):
+    """One keyed draw as specified: the first nonzero blake2b-64 digest of
+    the words (seed, stream_id, tag, bits, counter), counter = 0, 1, ..."""
+    counter = 0
+    while True:
+        message = struct.pack("<QQQQQ", seed, stream_id, tag, bits, counter)
+        k = int.from_bytes(hashlib.blake2b(message, digest_size=8).digest(), "little")
+        if k:
+            return k
+        counter += 1
 
-    def test_replayable_and_calibrated(self):
-        a = noisy_release(0.0, 2.0, 1.0, RngStream(5, 7))
-        b = noisy_release(0.0, 2.0, 1.0, RngStream(5, 7))
-        assert a == b
-        draws = np.array(
-            [noisy_release(0.0, 2.0, 1.0, RngStream(5, i)) for i in range(20_000)]
-        )
-        # scale = sensitivity / epsilon = 2, variance 2 * 2^2 = 8
-        assert np.var(draws) == pytest.approx(8.0, rel=0.05)
+
+class TestKeyedDraws:
+    SEED = 2**64 - 3
+    STREAMS = [0, 1, 977, 2**63, 2**64 - 1]
+    BITS = [0, 1, 6, 2**40 + 5, 2**64 - 1]
+
+    def test_block_matches_per_entry_reference(self):
+        for tag in (1, 2, 3):
+            block = _keyed_u64_block(self.SEED, self.STREAMS, tag, self.BITS)
+            expected = [
+                [_reference_word(self.SEED, s, tag, b) for b in self.BITS] for s in self.STREAMS
+            ]
+            assert block.dtype == np.uint64
+            assert block.tolist() == expected
+
+    def test_chunked_hashing_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(mechanisms, "_HASH_CHUNK", 7)  # one or two rows per chunk
+        block = _keyed_u64_block(5, self.STREAMS, 1, self.BITS[:3])
+        assert block.tolist() == [
+            [_reference_word(5, s, 1, b) for b in self.BITS[:3]] for s in self.STREAMS
+        ]
+
+    def test_zero_digest_retries_with_next_counter(self, monkeypatch):
+        seed, stream, tag, bits = 4, 9, 1, [3, 5]
+        zero_message = struct.pack("<QQQQQ", seed, stream, tag, bits[0], 0)
+        real = hashlib.blake2b
+
+        class ZeroOnce:
+            """blake2b stand-in whose digest of one message is all zeros."""
+
+            def __init__(self, data=b"", digest_size=8):
+                self.data = bytes(data)
+
+            def copy(self):
+                return ZeroOnce(self.data)
+
+            def update(self, data):
+                self.data += bytes(data)
+
+            def digest(self):
+                if self.data == zero_message:
+                    return bytes(8)
+                return real(self.data, digest_size=8).digest()
+
+        monkeypatch.setattr(mechanisms, "hashlib", types.SimpleNamespace(blake2b=ZeroOnce))
+        block = _keyed_u64_block(seed, [stream], tag, bits)
+        retried = struct.pack("<QQQQQ", seed, stream, tag, bits[0], 1)
+        assert int(block[0, 0]) == int.from_bytes(real(retried, digest_size=8).digest(), "little")
+        assert int(block[0, 1]) == _reference_word(seed, stream, tag, bits[1])
+
+    def test_row_tie_rule_ignores_column_order(self):
+        bits = np.array([0b0111, 0b1000, 0b0001, 0b0011, 0b0100], dtype=np.uint64)
+        sizes = np.bitwise_count(bits).astype(np.int64)
+        keys = np.array([
+            [1.0, 1.0, 1.0, 1.0, 2.0],  # three sizes tie: size 1, bits 1 wins
+            [0.5, 3.0, 3.0, 0.5, 3.0],  # sizes 3 and 2 tie: bits 3 wins
+            [2.0, 0.0, 1.0, 1.0, 0.0],  # size-1 masks 8 and 4 tie: bits 4 wins
+        ])
+        expected = [0b0001, 0b0011, 0b0100]
+        for perm in itertools.permutations(range(len(bits))):
+            perm = list(perm)
+            winners = _row_argmin(keys[:, perm], sizes[perm], bits[perm])
+            assert bits[perm][winners].tolist() == expected
+
+    def test_list_mechanisms_equal_their_block_row(self):
+        cands = _cands([3.0, 1.0, 4.0, 1.5, 0.2], 2.0, d=4)
+        sizes, bits = _mask_arrays([c.mask for c in cands])
+        scores = np.array([[c.score for c in cands]])
+        streams = [11, 12, 13]
+        winners, noisy_rows = _noisy_argmin_rows(scores, 2.0, sizes, bits, 77, streams)
+        key_winners, key_rows = _gumbel_argmin_rows(scores, 0.7, 1.5, sizes, bits, 77, streams)
+        for row, stream in enumerate(streams):
+            mask, noisy = noisy_argmin(cands, PrivacyBudget(1.0), RngStream(77, stream))
+            assert mask == cands[winners[row]].mask
+            assert np.array_equal(noisy, noisy_rows[row])
+            mask, keys = exponential_mechanism(cands, 1.5, PrivacyBudget(0.7), RngStream(77, stream))
+            assert mask == cands[key_winners[row]].mask
+            assert np.array_equal(keys, key_rows[row])
 
 
 class TestNoisyArgmin:
@@ -185,14 +271,13 @@ class TestNoisyArgmin:
         assert flip_oracle == pytest.approx(closed_form, abs=1e-9)
 
         trials = 120_000
-        eps = 2.0 * 1.0 / b  # b = 2 * sensitivity / eps with sensitivity 1
-        budget = PrivacyBudget(eps)
-        cands = _cands([0.0, margin], b)
-        flips = 0
-        for i in range(trials):
-            mask, _ = noisy_argmin(cands, budget, RngStream(1000, i))
-            flips += mask == cands[1].mask
-        rate = flips / trials
+        sizes, bits = _mask_arrays([c.mask for c in _cands([0.0, margin], b)])
+        # All trials in one block: row i is noisy_argmin on these two
+        # candidates at scale b under RngStream(1000, i).
+        winners, _ = _noisy_argmin_rows(
+            np.array([[0.0, margin]]), b, sizes, bits, 1000, range(trials)
+        )
+        rate = np.count_nonzero(winners == 1) / trials
         sigma = math.sqrt(flip_oracle * (1 - flip_oracle) / trials)
         assert abs(rate - flip_oracle) < 4 * sigma
 
@@ -224,12 +309,12 @@ class TestExponentialMechanism:
         weights = np.exp([-eps * s / (2 * sens) for s in scores])
         probs = weights / weights.sum()
         trials = 30_000
-        counts = np.zeros(3)
-        cands = _cands(scores, 0.0)
-        index = {c.mask.bits: i for i, c in enumerate(cands)}
-        for i in range(trials):
-            mask, _ = exponential_mechanism(cands, sens, PrivacyBudget(eps), RngStream(2000, i))
-            counts[index[mask.bits]] += 1
+        sizes, bits = _mask_arrays([c.mask for c in _cands(scores, 0.0)])
+        # Row i is exponential_mechanism(..., RngStream(2000, i)).
+        winners, _ = _gumbel_argmin_rows(
+            np.array([scores]), eps, sens, sizes, bits, 2000, range(trials)
+        )
+        counts = np.bincount(winners, minlength=3)
         result = stats.chisquare(counts, probs * trials)
         assert result.pvalue > 0.01
 

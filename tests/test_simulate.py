@@ -1,7 +1,9 @@
 """Synthetic data generation and the Monte Carlo sweep harness."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +12,20 @@ from dpms import (
     BUILTIN_MODELS,
     ConfigError,
     ModelMask,
+    PrivacyBudget,
     RngStream,
+    SelectionConfig,
+    SolverConfig,
     SweepGrid,
     SyntheticSpec,
+    all_subsets,
     default_phi_grid,
     generate,
+    pcls_select,
+    pcpl_select,
     run_sweep,
 )
-from dpms.simulate import CSV_COLUMNS, _stream_id
+from dpms.simulate import CSV_COLUMNS, _stream_id, _sweep_blocks
 
 
 def _template(n=100, coeffs=None, seed=7, sigma=1.0):
@@ -43,8 +51,6 @@ class TestSyntheticSpec:
             SyntheticSpec(n=5, coefficients=(math.nan,), rng=RngStream(0, 0))
         with pytest.raises(ConfigError):
             SyntheticSpec(n=5, coefficients=(1.0,), rng=RngStream(0, 0), noise_sd=-1.0)
-        with pytest.raises(ConfigError):
-            SyntheticSpec(n=5, coefficients=(1.0,), rng=RngStream(0, 0), x_law="gaussian")
 
 
 class TestGenerate:
@@ -242,3 +248,75 @@ class TestRunSweep:
             _template(), model_id="1",
         )
         assert ",inf," in res.to_csv()
+
+
+# sha256 of run_sweep(...).to_csv() on _golden_grid, pinned from the
+# implementation that ran one selection call per cell.  Scoring a
+# replication's grid as a matrix must replay every cell exactly.
+GOLDEN_SWEEP_SHA256 = {
+    ("pcls", "noisy_argmin"): "09e3f25f781533d3478be0d25e47d85503ca9fa9fa9a8443040a3f9f38d2cb6c",
+    ("pcls", "exponential"): "2a7cf7314ab2bd7e4fc70641e41c61621677ec1c1bda943c1f955c7b40d8f3d9",
+    ("pcpl", "noisy_argmin"): "b53e826aec911a9e81f37fa82388ca4f8369e1999f71427930d5c5e366eaf075",
+    ("pcpl", "exponential"): "284415730d18da18264704052a91e3c180aa5c51c1284d4cae7be38688b40788",
+}
+
+
+def _golden_grid(algorithm):
+    # n = 200 is too small for pcpl's stage-1 bound at R = 3, epsilon = 1,
+    # so those cells fall back to the uniform pick on every replication.
+    return SweepGrid(
+        n_values=(200,), radius_values=(0.5, 3.0), epsilon_values=(1.0, 10.0, float("inf")),
+        phi_values=(0.0, 2.0, 8.0, 30.0, 100.0),
+        delta_values=(0.0,) if algorithm == "pcls" else (1e-6,),
+        replications=6, algorithm=algorithm,
+    )
+
+
+class TestGoldenSweeps:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("algorithm,mechanism", sorted(GOLDEN_SWEEP_SHA256))
+    def test_csv_digest_is_pinned(self, algorithm, mechanism, workers):
+        res = run_sweep(
+            _golden_grid(algorithm), _template(n=200, coeffs=BUILTIN_MODELS["2"], seed=11),
+            model_id="2", mechanism=mechanism, max_workers=workers,
+        )
+        digest = hashlib.sha256(res.to_csv().encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_SWEEP_SHA256[(algorithm, mechanism)]
+        if algorithm == "pcpl":
+            fallback = [row.fallback_rate for row in res.rows if math.isfinite(row.epsilon)]
+            assert max(fallback) == 1.0 and min(fallback) < 1.0
+
+    @pytest.mark.parametrize(
+        "algorithm,mechanism", [("pcls", "noisy_argmin"), ("pcpl", "exponential")]
+    )
+    def test_every_cell_picks_what_the_one_cell_selector_picks(self, algorithm, mechanism):
+        grid = _golden_grid(algorithm)
+        template = _template(n=200, coeffs=BUILTIN_MODELS["2"], seed=11)
+        models = all_subsets(template.d)
+        select = pcls_select if algorithm == "pcls" else pcpl_select
+        coords = ("2", template.coefficients, template.noise_sd, 200)
+        phis = grid.phis_for(200)
+        blocks = _sweep_blocks(grid, template, "2", mechanism, SolverConfig(), 200, 0, 3, False)
+        cells = 0
+        for block in blocks:
+            data_stream = RngStream(11, _stream_id("data", *coords, block.rep))
+            dataset, _ = generate(replace(template, rng=data_stream))
+            i, k, m = block.cell
+            R, eps = grid.radius_values[i], grid.epsilon_values[k]
+            delta = grid.delta_values[m]
+            for j, phi in enumerate(phis):
+                config = SelectionConfig(
+                    radius=R, penalty=phi, budget=PrivacyBudget(eps, delta), mechanism=mechanism
+                )
+                stream_id = _stream_id(
+                    "select", *coords, R, phi, eps, delta, algorithm, mechanism, block.rep
+                )
+                report = select(dataset, models, config, RngStream(11, stream_id))
+                assert models.masks[block.picks.winners[j]] == report.chosen
+                assert block.picks.fallback[j] == report.fallback_uniform
+                noiseless = min(
+                    report.entries, key=lambda e: (e.clean_score, e.mask.size, e.mask.bits)
+                )
+                assert models.masks[block.noiseless[j]] == noiseless.mask
+                cells += 1
+        assert cells == 3 * len(grid.radius_values) * len(phis) * len(grid.epsilon_values)
