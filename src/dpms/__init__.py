@@ -10,7 +10,6 @@ from .data import (
     ModelMask,
     SufficientStats,
     load_csv,
-    restrict,
     standardize,
     sufficient_stats,
 )
@@ -20,7 +19,6 @@ from .mechanisms import (
     PrivacyBudget,
     RngStream,
     ScoredCandidate,
-    compose_eps_delta,
     exponential_mechanism,
     noisy_argmin,
     sample_laplace,
@@ -29,8 +27,6 @@ from .selection import (
     ModelEntry,
     SelectionConfig,
     SelectionReport,
-    SensitivityBound,
-    compute_g_of_d,
     ls_sensitivity,
     pcls_select,
     pcpl_select,
@@ -48,7 +44,6 @@ from .simulate import (
 from .solver import (
     FitResult,
     SolverConfig,
-    fit_constrained_ls,
     fit_masks,
     profile_neg2_loglik,
     project_l1,
@@ -73,7 +68,6 @@ __all__ = [
     "ScoredCandidate",
     "SelectionConfig",
     "SelectionReport",
-    "SensitivityBound",
     "SolverConfig",
     "SolverError",
     "SufficientStats",
@@ -82,11 +76,8 @@ __all__ = [
     "SweepRow",
     "SyntheticSpec",
     "all_subsets",
-    "compose_eps_delta",
-    "compute_g_of_d",
     "default_phi_grid",
     "exponential_mechanism",
-    "fit_constrained_ls",
     "fit_masks",
     "from_explicit",
     "generate",
@@ -97,7 +88,6 @@ __all__ = [
     "pcpl_select",
     "profile_neg2_loglik",
     "project_l1",
-    "restrict",
     "run_sweep",
     "sample_laplace",
     "standardize",

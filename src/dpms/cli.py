@@ -124,7 +124,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     swp.add_argument("--timing", action="store_true",
                      help="measure mean_runtime_ms (makes that column non-reproducible)")
     swp.add_argument("--threads", type=int, default=None,
-                     help="worker cap; DPMS_THREADS caps it too")
+                     help="worker cap (default: the CPU count)")
     swp.add_argument("--out", default=None, help="write CSV here instead of stdout (.json for JSON)")
     swp.add_argument("--config", default=None, help="key=value defaults file")
     swp.set_defaults(func=_cmd_sweep)

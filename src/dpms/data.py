@@ -18,13 +18,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
+# Keyed noise draws hash a mask's bits as one 64-bit word, so a mask
+# covers at most 64 covariates.
+_MAX_MASK_D = 64
+
 __all__ = [
     "ModelMask",
     "Dataset",
     "SufficientStats",
     "standardize",
     "sufficient_stats",
-    "restrict",
     "load_csv",
 ]
 
@@ -42,8 +45,8 @@ class ModelMask:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DataError(f"mask dimension must be >= 1, got {self.d}")
+        if not 1 <= self.d <= _MAX_MASK_D:
+            raise DataError(f"mask dimension must be in [1, {_MAX_MASK_D}], got {self.d}")
         if not 0 <= self.bits < (1 << self.d):
             raise DataError(
                 f"mask bits {self.bits} out of range for d={self.d}"
@@ -96,13 +99,9 @@ class ModelMask:
 
 
 def member_matrix(bits, d: int) -> np.ndarray:
-    """Boolean (m, d) membership rows for a sequence of m bit-sets.
-
-    Bit-sets of up to 64 covariates shift as uint64 words; wider ones fall
-    back to exact Python-int words.
-    """
-    words = np.array(bits, dtype=np.uint64 if d <= 64 else object)
-    return ((words[:, None] >> np.arange(d).astype(words.dtype)) & 1).astype(bool)
+    """Boolean (m, d) membership rows for a sequence of m bit-sets."""
+    words = np.asarray(bits, dtype=np.uint64)
+    return ((words[:, None] >> np.arange(d, dtype=np.uint64)) & 1).astype(bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -324,21 +323,6 @@ def sufficient_stats(dataset: Dataset) -> SufficientStats:
     xtx = x.T @ x
     xtx = (xtx + xtx.T) / 2.0
     return SufficientStats(xtx, x.T @ y, float(y @ y), dataset.n)
-
-
-def restrict(stats: SufficientStats, mask: ModelMask) -> SufficientStats:
-    """Project the statistics onto the mask's covariates.
-
-    Equals ``sufficient_stats`` of the column-subset dataset exactly
-    (same arithmetic on the same entries), so restricting commutes with
-    computing.
-    """
-    if mask.d != stats.d:
-        raise DataError(f"mask is for d={mask.d}, stats have d={stats.d}")
-    cols = mask.column_positions()
-    return SufficientStats(
-        stats.xtx[np.ix_(cols, cols)], stats.xty[cols], stats.yty, stats.n
-    )
 
 
 def load_csv(path, response: str, include_intercept: bool = True):

@@ -8,11 +8,11 @@ that can win by accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ModelMask
+from .data import _MAX_MASK_D, ModelMask
 from .errors import ConfigError, DataError
 
 __all__ = ["CandidateSet", "all_subsets", "from_explicit"]
@@ -22,38 +22,46 @@ __all__ = ["CandidateSet", "all_subsets", "from_explicit"]
 _MAX_D = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """An ordered, duplicate-free collection of masks over d covariates."""
+    """An ordered, duplicate-free family of masks over d covariates.
 
-    masks: tuple[ModelMask, ...]
+    ``bits[j]`` is the bit-set of candidate ``j`` (the encoding of
+    :class:`~dpms.data.ModelMask`) and ``sizes[j]`` its cardinality; both
+    are read-only arrays.  Indexing and iteration build ``ModelMask``
+    objects on demand.
+    """
+
+    bits: np.ndarray
     d: int
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.masks:
+        if not 1 <= self.d <= _MAX_MASK_D:
+            raise DataError(f"mask dimension must be in [1, {_MAX_MASK_D}], got {self.d}")
+        bits = np.array(self.bits, dtype=np.uint64)
+        if not bits.size:
             raise DataError("candidate set must contain at least one model")
-        seen = set()
-        for m in self.masks:
-            if m.d != self.d:
-                raise DataError(f"mask for d={m.d} in a candidate set with d={self.d}")
-            if m.bits in seen:
-                raise DataError(f"duplicate mask {m.indices()} in candidate set")
-            seen.add(m.bits)
-
-    @property
-    def max_size(self) -> int:
-        """Largest model cardinality in the family."""
-        return max(m.size for m in self.masks)
+        if self.d < _MAX_MASK_D and np.any(bits >> np.uint64(self.d)):
+            raise DataError(f"mask bits out of range for d={self.d} in candidate set")
+        values, counts = np.unique(bits, return_counts=True)
+        if counts.max() > 1:
+            dup = ModelMask(int(values[np.argmax(counts > 1)]), self.d)
+            raise DataError(f"duplicate mask {dup.indices()} in candidate set")
+        bits.setflags(write=False)
+        sizes = np.bitwise_count(bits).astype(np.int64)
+        sizes.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "sizes", sizes)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.bits.size
+
+    def __getitem__(self, i) -> ModelMask:
+        return ModelMask(int(self.bits[i]), self.d)
 
     def __iter__(self):
-        return iter(self.masks)
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
+        return (ModelMask(b, self.d) for b in self.bits.tolist())
 
 
 def all_subsets(
@@ -73,13 +81,11 @@ def all_subsets(
     if cap == 0 and not include_empty:
         raise ConfigError("max_size=0 without include_empty leaves no candidates")
     values = np.arange(1 << d, dtype=np.uint32)
-    sizes = _popcount(values)
+    sizes = np.bitwise_count(values)
     lo = 0 if include_empty else 1
     keep = (sizes >= lo) & (sizes <= cap)
     values, sizes = values[keep], sizes[keep]
-    order = np.lexsort((values, sizes))
-    masks = tuple(ModelMask(int(v), d) for v in values[order])
-    return CandidateSet(masks, d)
+    return CandidateSet(values[np.lexsort((values, sizes))], d)
 
 
 def from_explicit(index_sets, d: int) -> CandidateSet:
@@ -88,13 +94,7 @@ def from_explicit(index_sets, d: int) -> CandidateSet:
     Later duplicates (same subset, any index order) collapse into the
     first occurrence.
     """
-    masks: list[ModelMask] = []
-    seen: set[int] = set()
-    for idx in index_sets:
-        m = ModelMask.from_indices(idx, d)
-        if m.bits not in seen:
-            seen.add(m.bits)
-            masks.append(m)
-    if not masks:
+    bits = dict.fromkeys(ModelMask.from_indices(idx, d).bits for idx in index_sets)
+    if not bits:
         raise DataError("no candidate models given")
-    return CandidateSet(tuple(masks), d)
+    return CandidateSet(list(bits), d)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ModelMask
+from .enumeration import CandidateSet
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "sample_laplace",
     "noisy_argmin",
     "exponential_mechanism",
-    "compose_eps_delta",
 ]
 
 _U64 = 1 << 64
@@ -202,28 +202,16 @@ def sample_laplace(rng, scale: float, size: int | None = None):
     return float(z[0]) if size is None else z
 
 
-def _check_candidates(candidates) -> list[ScoredCandidate]:
+def _candidate_family(candidates) -> tuple[list[ScoredCandidate], CandidateSet]:
+    """The candidates as a list and their masks as a family; an empty
+    list, mixed dimensions or a repeated mask raise DataError."""
     cands = list(candidates)
     if not cands:
         raise DataError("need at least one candidate")
     d = cands[0].mask.d
-    seen = set()
-    for c in cands:
-        if c.mask.d != d:
-            raise DataError("candidates mix masks of different dimensions")
-        if c.mask.bits in seen:
-            raise DataError(
-                f"duplicate candidate mask {c.mask.indices()}; keyed noise "
-                f"draws require distinct masks"
-            )
-        seen.add(c.mask.bits)
-    return cands
-
-
-def _mask_arrays(masks) -> tuple[np.ndarray, np.ndarray]:
-    """(sizes, bits) of a sequence of masks, in sequence order."""
-    bits = np.array([m.bits for m in masks], dtype=np.uint64)
-    return np.bitwise_count(bits).astype(np.int64), bits
+    if any(c.mask.d != d for c in cands):
+        raise DataError("candidates mix masks of different dimensions")
+    return cands, CandidateSet([c.mask.bits for c in cands], d)
 
 
 def _row_argmin(keys: np.ndarray, sizes: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -287,11 +275,12 @@ def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
     """
     if budget.delta != 0.0:
         raise ConfigError("noisy_argmin is a pure-epsilon mechanism; delta must be 0")
-    cands = _check_candidates(candidates)
-    sizes, bits = _mask_arrays([c.mask for c in cands])
+    cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
     scales = np.array([[c.noise_scale for c in cands]], dtype=np.float64)
-    winners, noisy = _noisy_argmin_rows(scores, scales, sizes, bits, rng.seed, [rng.stream_id])
+    winners, noisy = _noisy_argmin_rows(
+        scores, scales, family.sizes, family.bits, rng.seed, [rng.stream_id]
+    )
     return cands[winners[0]].mask, noisy[0]
 
 
@@ -308,22 +297,10 @@ def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget,
         raise ConfigError("exponential_mechanism is a pure-epsilon mechanism; delta must be 0")
     if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ConfigError(f"sensitivity must be finite and > 0, got {sensitivity}")
-    cands = _check_candidates(candidates)
-    sizes, bits = _mask_arrays([c.mask for c in cands])
+    cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
     winners, keys = _gumbel_argmin_rows(
-        scores, budget.epsilon, sensitivity, sizes, bits, rng.seed, [rng.stream_id]
+        scores, budget.epsilon, sensitivity, family.sizes, family.bits, rng.seed, [rng.stream_id]
     )
     return cands[winners[0]].mask, keys[0]
 
-
-def compose_eps_delta(stage1_eps: float, stage2_eps: float, delta: float) -> PrivacyBudget:
-    """Sequential composition: two stages spend their epsilons additively;
-    the delta rides along once (the first stage's estimate holds with
-    probability 1 - delta)."""
-    for name, e in (("stage1_eps", stage1_eps), ("stage2_eps", stage2_eps)):
-        if math.isnan(float(e)) or e <= 0:
-            raise ConfigError(f"{name} must be > 0, got {e}")
-    if not 0.0 <= float(delta) < 1.0:
-        raise ConfigError(f"delta must be in [0, 1), got {delta}")
-    return PrivacyBudget(float(stage1_eps) + float(stage2_eps), float(delta))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,25 +36,21 @@ from .mechanisms import (
     PrivacyBudget,
     RngStream,
     _gumbel_argmin_rows,
-    _mask_arrays,
     _noisy_argmin_rows,
     _uniform_index,
-    compose_eps_delta,
     sample_laplace,
 )
 
 # The list-based mechanisms stay importable from this module, where
 # perfbench/bench_trace.py looks them up.
 from .mechanisms import exponential_mechanism, noisy_argmin  # noqa: F401
-from .solver import SolverConfig, fit_masks, profile_neg2_loglik
+from .solver import fit_masks, profile_neg2_loglik
 
 __all__ = [
     "SelectionConfig",
     "SelectionReport",
     "ModelEntry",
-    "SensitivityBound",
     "ls_sensitivity",
-    "compute_g_of_d",
     "pcls_select",
     "pcpl_select",
 ]
@@ -93,8 +89,6 @@ class SelectionConfig:
     stage1_fraction
         Share of the total ``2 * epsilon`` budget that ``pcpl_select``
         spends on its sensitivity measurement.
-    solver
-        Accuracy knobs for the constrained fits.
     """
 
     radius: float
@@ -103,7 +97,6 @@ class SelectionConfig:
     mechanism: str = "noisy_argmin"
     response_bound: float | None = None
     stage1_fraction: float = 0.5
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -140,15 +133,7 @@ class ModelEntry:
     noisy_score: float | None
 
 
-@dataclass(frozen=True)
-class SensitivityBound:
-    """A sensitivity value together with the kind of argument behind it."""
-
-    kind: str
-    value: float
-
-
-def ls_sensitivity(response_bound: float, radius: float) -> SensitivityBound:
+def ls_sensitivity(response_bound: float, radius: float) -> float:
     """Worst-case change of the constrained squared error under one row swap.
 
     A single row contributes ``(y_i - x_i @ beta)**2`` to the loss, and with
@@ -160,7 +145,7 @@ def ls_sensitivity(response_bound: float, radius: float) -> SensitivityBound:
         raise ConfigError(f"response_bound must be positive and finite, got {response_bound}")
     if not (math.isfinite(radius) and radius > 0):
         raise ConfigError(f"radius must be positive and finite, got {radius}")
-    return SensitivityBound("global_loss", (response_bound + radius) ** 2)
+    return (response_bound + radius) ** 2
 
 
 def _profile_sensitivity_value(
@@ -271,13 +256,6 @@ def _effective_bound(dataset: Dataset, config: SelectionConfig) -> tuple[float, 
     return config.response_bound, False
 
 
-def _check_family(dataset: Dataset, models: CandidateSet) -> None:
-    if models.d != dataset.d:
-        raise DataError(
-            f"candidate set is over d={models.d} covariates but the dataset has d={dataset.d}"
-        )
-
-
 class _Picks(NamedTuple):
     """One private selection per row of a score matrix."""
 
@@ -318,8 +296,8 @@ def _stage_epsilons(config: SelectionConfig) -> tuple[float, float]:
     return stage1_epsilon, epsilon_total - stage1_epsilon
 
 
-def _mechanism_rows(clean, sensitivity, epsilon, mechanism, family, seed, stream_ids):
-    sizes, bits = family
+def _mechanism_rows(clean, sensitivity, epsilon, mechanism, models, seed, stream_ids):
+    sizes, bits = models.sizes, models.bits
     if mechanism == "noisy_argmin":
         scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
         return _noisy_argmin_rows(clean, scale, sizes, bits, seed, stream_ids)
@@ -335,14 +313,14 @@ def _select_rows(
     bound: float,
     n_obs: int,
     config: SelectionConfig,
-    family: tuple[np.ndarray, np.ndarray],
+    models: CandidateSet,
     seed: int,
     stream_ids,
 ) -> _Picks:
     """The selection core: row ``i`` of ``clean`` is released under
     ``RngStream(seed, stream_ids[i])``.
 
-    ``family`` holds the (sizes, bits) of the candidates in column order.
+    Column ``j`` of ``clean`` scores candidate ``j`` of ``models``.
     ``config`` supplies the radius, budget, mechanism and stage-1 split;
     its penalty is already inside ``clean``.  pcls calibrates every row to
     ``(r + R)**2``.  pcpl draws each row's stage-1 Laplace variate as the
@@ -354,9 +332,9 @@ def _select_rows(
         raise DataError("candidate scores must be finite")
     epsilon = config.budget.epsilon
     if algorithm == "pcls":
-        sensitivity = ls_sensitivity(bound, config.radius).value
+        sensitivity = ls_sensitivity(bound, config.radius)
         winners, noisy = _mechanism_rows(
-            clean, sensitivity, epsilon, config.mechanism, family, seed, stream_ids
+            clean, sensitivity, epsilon, config.mechanism, models, seed, stream_ids
         )
         return _Picks(winners, noisy, np.zeros(len(stream_ids), dtype=bool), None)
 
@@ -377,7 +355,7 @@ def _select_rows(
     noisy = None
     if kept.size:
         kept_winners, kept_noisy = _mechanism_rows(
-            clean[kept], proxy[kept, None], stage2_epsilon, config.mechanism, family,
+            clean[kept], proxy[kept, None], stage2_epsilon, config.mechanism, models,
             seed, [stream_ids[i] for i in kept],
         )
         winners[kept] = kept_winners
@@ -399,16 +377,18 @@ def _select_with_fits(
     # radius): the sweep harness reuses one batch of fits across its whole
     # penalty-by-budget grid.
     bound, data_dependent = _effective_bound(dataset, config)
-    family = _mask_arrays(models)
-    clean = _score_matrix(algorithm, fits, dataset.n, [config.penalty], family[0])
+    clean = _score_matrix(algorithm, fits, dataset.n, [config.penalty], models.sizes)
     picks = _select_rows(
-        algorithm, fits, clean, bound, dataset.n, config, family, rng.seed, [rng.stream_id]
+        algorithm, fits, clean, bound, dataset.n, config, models, rng.seed, [rng.stream_id]
     )
     if algorithm == "pcls":
-        total = config.budget
+        epsilon_total = config.budget.epsilon
         g_of_d = None
     else:
-        total = compose_eps_delta(*_stage_epsilons(config), config.budget.delta)
+        # Sequential composition: the stages' epsilons add, and delta is
+        # spent once, by stage 1's safety margin.
+        stage1_epsilon, stage2_epsilon = _stage_epsilons(config)
+        epsilon_total = stage1_epsilon + stage2_epsilon
         g_of_d = float(picks.g_of_d[0])
     fallback = bool(picks.fallback[0])
     if picks.noisy is None or fallback:
@@ -416,9 +396,9 @@ def _select_with_fits(
     else:
         noisy = picks.noisy[0].tolist()
     return SelectionReport(
-        chosen=models.masks[picks.winners[0]],
-        epsilon_total=total.epsilon,
-        delta=total.delta,
+        chosen=models[picks.winners[0]],
+        epsilon_total=epsilon_total,
+        delta=config.budget.delta,
         radius=config.radius,
         penalty=config.penalty,
         response_bound=bound,
@@ -427,7 +407,7 @@ def _select_with_fits(
         mechanism=config.mechanism,
         fallback_uniform=fallback,
         g_of_d=g_of_d,
-        entries=tuple(map(ModelEntry, models.masks, clean[0].tolist(), noisy)),
+        entries=tuple(map(ModelEntry, models, clean[0].tolist(), noisy)),
     )
 
 
@@ -445,9 +425,8 @@ def pcls_select(
     both mechanisms are calibrated to the row-swap sensitivity
     ``(r + R)**2``.
     """
-    _check_family(dataset, models)
     stats = sufficient_stats(dataset)
-    fits = fit_masks(stats, list(models), config.radius, config.solver)
+    fits = fit_masks(stats, models, config.radius)
     return _pcls_with_fits(dataset, models, fits, config, rng)
 
 
@@ -461,38 +440,6 @@ def _pcls_with_fits(
     if config.budget.delta != 0.0:
         raise ConfigError("pure selection requires delta == 0; use the two-stage path for delta > 0")
     return _select_with_fits("pcls", dataset, models, fits, config, rng)
-
-
-def compute_g_of_d(
-    dataset: Dataset,
-    models: CandidateSet,
-    config: SelectionConfig,
-    stage1_epsilon: float,
-    rng: RngStream,
-) -> float:
-    """Release the profile score's sensitivity proxy, privately.
-
-    Spends ``stage1_epsilon`` (pure) plus the ``config.budget.delta``
-    failure probability baked into the safety margin.  Returns
-    ``math.inf`` when the noisy denominator is nonpositive.  The Laplace
-    variate is the first draw of ``rng``'s sequential stream, so a caller
-    holding the same stream can reproduce the release exactly.
-    """
-    if not (stage1_epsilon > 0):
-        raise ConfigError(f"stage1_epsilon must be positive, got {stage1_epsilon}")
-    delta = config.budget.delta
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"the sensitivity release needs 0 < delta < 1, got {delta}")
-    _check_family(dataset, models)
-    bound, _ = _effective_bound(dataset, config)
-
-    stats = sufficient_stats(dataset)
-    fits = fit_masks(stats, list(models), config.radius, config.solver)
-    min_loss = min(fit.neg2_loglik for fit in fits)
-    laplace_unit = float(sample_laplace(rng, 1.0))
-    return _profile_sensitivity_value(
-        min_loss, dataset.n, bound, config.radius, stage1_epsilon, delta, laplace_unit
-    )
 
 
 def pcpl_select(
@@ -510,9 +457,8 @@ def pcpl_select(
     fit too well for the bound to hold) falls back to a uniform draw over
     the candidates, reported via ``fallback_uniform``.
     """
-    _check_family(dataset, models)
     stats = sufficient_stats(dataset)
-    fits = fit_masks(stats, list(models), config.radius, config.solver)
+    fits = fit_masks(stats, models, config.radius)
     return _pcpl_with_fits(dataset, models, fits, config, rng)
 
 

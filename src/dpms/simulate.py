@@ -30,9 +30,9 @@ import numpy as np
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
 from .errors import ConfigError
-from .mechanisms import PrivacyBudget, RngStream, _mask_arrays, _row_argmin
+from .mechanisms import PrivacyBudget, RngStream, _row_argmin
 from .selection import SelectionConfig, _Picks, _score_matrix, _select_rows
-from .solver import SolverConfig, fit_masks
+from .solver import fit_masks
 
 # The one-cell selections stay importable from this module, where
 # perfbench/bench_trace.py looks them up.
@@ -292,7 +292,7 @@ class _Block(NamedTuple):
     seconds: float  # selection wall time, when measured
 
 
-def _sweep_blocks(grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi, measure_runtime):
+def _sweep_blocks(grid, template, model_id, mechanism, n, rep_lo, rep_hi, measure_runtime):
     """Score each replication's phi x epsilon x delta grid as matrices.
 
     Each (replication, R) is fitted once; its clean scores form one
@@ -301,8 +301,6 @@ def _sweep_blocks(grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi
     one stream per phi, keyed by the cell coordinates.
     """
     models = all_subsets(template.d)
-    model_list = list(models)
-    family = _mask_arrays(models)
     phis = grid.phis_for(n)
     phi_codes = [_encode(phi) for phi in phis]
     seed = template.rng.seed
@@ -313,13 +311,13 @@ def _sweep_blocks(grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi
         spec = replace(template, n=n, rng=data_stream)
         dataset, truth = generate(spec)
         stats = sufficient_stats(dataset)
-        hit = np.flatnonzero(family[1] == truth.bits)
+        hit = np.flatnonzero(models.bits == truth.bits)
         truth_column = int(hit[0]) if hit.size else -1
         for i, R in enumerate(grid.radius_values):
             head = _encode("select", *coords_base, R)
-            fits = fit_masks(stats, model_list, R, solver)
-            clean = _score_matrix(grid.algorithm, fits, dataset.n, phis, family[0])
-            noiseless = _row_argmin(clean, *family)
+            fits = fit_masks(stats, models, R)
+            clean = _score_matrix(grid.algorithm, fits, dataset.n, phis, models.sizes)
+            noiseless = _row_argmin(clean, models.sizes, models.bits)
             for k, eps in enumerate(grid.epsilon_values):
                 for m, delta in enumerate(grid.delta_values):
                     config = SelectionConfig(
@@ -327,7 +325,6 @@ def _sweep_blocks(grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi
                         penalty=0.0,  # the penalties are rows of clean
                         budget=PrivacyBudget(eps, delta),
                         mechanism=mechanism,
-                        solver=solver,
                     )
                     # _stream_id("select", *coords_base, R, phi, eps, delta,
                     # algorithm, mechanism, rep), from pre-encoded parts.
@@ -336,7 +333,7 @@ def _sweep_blocks(grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi
                     started = time.perf_counter() if measure_runtime else 0.0
                     picks = _select_rows(
                         grid.algorithm, fits, clean, dataset.response_bound, dataset.n,
-                        config, family, seed, stream_ids,
+                        config, models, seed, stream_ids,
                     )
                     elapsed = (time.perf_counter() - started) if measure_runtime else 0.0
                     yield _Block(rep, (i, k, m), truth_column, picks, noiseless, elapsed)
@@ -347,7 +344,6 @@ def _sweep_chunk(
     template: SyntheticSpec,
     model_id: str,
     mechanism: str,
-    solver: SolverConfig,
     n: int,
     rep_lo: int,
     rep_hi: int,
@@ -368,7 +364,7 @@ def _sweep_chunk(
          len(grid.delta_values), 4)
     )
     for block in _sweep_blocks(
-        grid, template, model_id, mechanism, solver, n, rep_lo, rep_hi, measure_runtime
+        grid, template, model_id, mechanism, n, rep_lo, rep_hi, measure_runtime
     ):
         i, k, m = block.cell
         cell = counts[i, :, k, m]
@@ -379,11 +375,11 @@ def _sweep_chunk(
     return counts
 
 
-def _chunk_payloads(grid, template, model_id, mechanism, solver, n, workers, measure):
+def _chunk_payloads(grid, template, model_id, mechanism, n, workers, measure):
     bounds = np.linspace(0, grid.replications, workers + 1).astype(int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            yield (grid, template, model_id, mechanism, solver, n, int(lo), int(hi), measure)
+            yield (grid, template, model_id, mechanism, n, int(lo), int(hi), measure)
 
 
 def _run_chunk(payload) -> np.ndarray:
@@ -391,8 +387,7 @@ def _run_chunk(payload) -> np.ndarray:
 
 
 def _resolve_workers(max_workers: int | None) -> int:
-    env = os.environ.get("DPMS_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    cap = os.cpu_count() or 1
     if max_workers is not None:
         cap = min(cap, max_workers)
     return max(1, cap)
@@ -403,7 +398,6 @@ def run_sweep(
     template: SyntheticSpec,
     model_id: str = "",
     mechanism: str = "noisy_argmin",
-    solver: SolverConfig | None = None,
     measure_runtime: bool = False,
     max_workers: int | None = None,
 ) -> SweepResult:
@@ -412,16 +406,15 @@ def run_sweep(
     ``template`` fixes the coefficient vector, noise level, and master
     seed; its own ``n`` and stream id are ignored in favor of per-cell
     derived streams.  Worker count is capped by ``max_workers`` and the
-    ``DPMS_THREADS`` environment variable; results do not depend on it.
+    CPU count; results do not depend on it.
     """
-    solver = solver or SolverConfig()
     workers = _resolve_workers(max_workers)
     d = template.d
 
     rows: list[SweepRow] = []
     for n in grid.n_values:
         payloads = list(
-            _chunk_payloads(grid, template, model_id, mechanism, solver, n, workers, measure_runtime)
+            _chunk_payloads(grid, template, model_id, mechanism, n, workers, measure_runtime)
         )
         if len(payloads) <= 1:
             partials = [_run_chunk(p) for p in payloads]

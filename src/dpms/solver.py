@@ -22,14 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelMask, SufficientStats, member_matrix
+from .data import SufficientStats, member_matrix
+from .enumeration import CandidateSet
 from .errors import ConfigError, DataError, DegenerateFitError, SolverError
 
 __all__ = [
     "SolverConfig",
     "FitResult",
     "project_l1",
-    "fit_constrained_ls",
     "fit_masks",
     "profile_neg2_loglik",
 ]
@@ -126,7 +126,6 @@ def _fit_batch(
     member: np.ndarray,
     radius: float,
     config: SolverConfig,
-    trace: list | None = None,
 ):
     """Solve every masked problem in ``member`` (m, d) jointly.
 
@@ -149,8 +148,6 @@ def _fit_batch(
     obj = np.full(m, yty)
     iterations = np.zeros(m, dtype=np.int64)
     converged = flat.copy()
-    if trace is not None:
-        trace.append((obj.copy(), np.abs(beta).sum(axis=1)))
 
     for it in range(1, config.max_iterations + 1):
         grad = (beta @ a) * member - bvec
@@ -171,8 +168,6 @@ def _fit_batch(
         iterations[just_done] = it
         converged |= just_done
         beta, obj = cand, np.maximum(cand_obj, 0.0)
-        if trace is not None:
-            trace.append((obj.copy(), np.abs(beta).sum(axis=1)))
         if converged.all():
             break
 
@@ -182,27 +177,19 @@ def _fit_batch(
 
 def fit_masks(
     stats: SufficientStats,
-    masks,
+    models: CandidateSet,
     radius: float,
     config: SolverConfig | None = None,
-    trace: list | None = None,
 ) -> list[FitResult]:
-    """Fit every mask against the same statistics in one stacked solve.
-
-    Output order matches input order.  ``trace`` (diagnostic) receives one
-    (objectives, l1_norms) pair per iteration when provided.
-    """
-    masks = list(masks)
-    if not masks:
-        raise DataError("fit_masks needs at least one mask")
-    for mk in masks:
-        if mk.d != stats.d:
-            raise DataError(f"mask is for d={mk.d}, stats have d={stats.d}")
+    """Fit every model of the family against the same statistics in one
+    stacked solve.  Output order matches family order."""
+    if models.d != stats.d:
+        raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):
         raise DataError(f"radius must be positive and finite, got {radius}")
     config = config or SolverConfig()
-    member = member_matrix([mk.bits for mk in masks], stats.d)
-    beta, obj, iters, conv = _fit_batch(stats, member, radius, config, trace)
+    member = member_matrix(models.bits, stats.d)
+    beta, obj, iters, conv = _fit_batch(stats, member, radius, config)
     beta.setflags(write=False)
     l1 = np.abs(beta).sum(axis=1)
     return [
@@ -211,21 +198,6 @@ def fit_masks(
             beta, obj.tolist(), iters.tolist(), conv.tolist(), l1.tolist()
         )
     ]
-
-
-def fit_constrained_ls(
-    stats: SufficientStats,
-    mask: ModelMask,
-    radius: float,
-    config: SolverConfig | None = None,
-) -> FitResult:
-    """Constrained least squares for one candidate model.
-
-    Deterministic: the zero start makes the returned beta a fixed function
-    of the inputs even when the restricted design is rank deficient (the
-    minimal loss is unique; beta then is just one minimizer).
-    """
-    return fit_masks(stats, [mask], radius, config)[0]
 
 
 def profile_neg2_loglik(fit: FitResult, n_obs: int) -> float:

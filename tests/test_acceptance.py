@@ -11,17 +11,17 @@ noise to every score, so its accuracy on a dataset is the chance that this
 noise leaves the true model's score lowest.  The README gives the numbers.
 
 Run with ``pytest tests/test_acceptance.py -v -s``; the whole file takes
-about 40 seconds on one core.
+about 25 seconds on one core.
 """
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpms import (
+    CandidateSet,
     Dataset,
     ModelMask,
     PrivacyBudget,
@@ -33,14 +33,15 @@ from dpms import (
     all_subsets,
     cli,
     fit_masks,
+    from_explicit,
     generate,
     ls_sensitivity,
-    pcpl_select,
     run_sweep,
     sample_laplace,
     sufficient_stats,
 )
-from dpms.mechanisms import _gumbel_argmin_rows, _mask_arrays, _noisy_argmin_rows
+from dpms.mechanisms import _gumbel_argmin_rows, _noisy_argmin_rows
+from dpms.selection import _score_matrix, _select_rows
 from dpms.simulate import _stream_id
 
 MASTER = 20260822
@@ -135,7 +136,7 @@ def test_c03_unconstrained_equivalence():
                 m = ModelMask.from_indices(pick, d)
                 if all(m.bits != f.bits for f in fam):
                     fam.append(m)
-        fits = fit_masks(st, fam, radius=radius, config=tight)
+        fits = fit_masks(st, CandidateSet([m.bits for m in fam], d), radius=radius, config=tight)
         for mask, fit in zip(fam, fits):
             cols = mask.column_positions()
             xm = x[:, cols]
@@ -154,11 +155,11 @@ def test_c04_mechanism_distributions():
     draws = sample_laplace(RngStream(MASTER, 41), 1.3, size=100_000)
     ks = stats.kstest(draws, "laplace", args=(0.0, 1.3))
 
-    masks = list(all_subsets(3))
+    masks = all_subsets(3)
     scores = (0.0, 0.4, 0.9, 1.6, 2.3, 3.1, 4.0)
     eps = 2.0
     trials = 100_000
-    sizes, bits = _mask_arrays(masks)
+    sizes, bits = masks.sizes, masks.bits
     # One block of trials: row i is exponential_mechanism at sensitivity 1
     # under RngStream(MASTER, 42_000_000 + i).
     chosen, _ = _gumbel_argmin_rows(
@@ -216,8 +217,8 @@ def _noise_law_accuracy(coefficients, model_id, radius, eps, phis):
     chance, over the noise alone, that the noisy argmin is.
     """
     template = _sweep_template(coefficients)
-    masks = list(all_subsets(template.d))
-    sizes = np.array([m.size for m in masks], dtype=float)
+    masks = all_subsets(template.d)
+    sizes = masks.sizes.astype(float)
     phis = np.asarray(phis, dtype=float)
     noise = np.random.default_rng(MASTER + 6)
     clean_hits = np.zeros(phis.size)
@@ -227,7 +228,7 @@ def _noise_law_accuracy(coefficients, model_id, radius, eps, phis):
             "data", model_id, template.coefficients, template.noise_sd, SWEEP_N, rep
         )
         dataset, truth = generate(replace(template, rng=RngStream(MASTER, stream)))
-        target = masks.index(truth)
+        target = list(masks).index(truth)
         fits = fit_masks(sufficient_stats(dataset), masks, radius)
         scores = np.array([f.neg2_loglik for f in fits]) + phis[:, None] * sizes
         clean_hits += scores.argmin(axis=1) == target
@@ -237,8 +238,21 @@ def _noise_law_accuracy(coefficients, model_id, radius, eps, phis):
     return clean_hits / SWEEP_REPS, noisy_hits / SWEEP_REPS
 
 
-def test_c05_sweep_strong_signal():
+@pytest.fixture(scope="module")
+def model1_props():
+    """Model-1 cells of criteria 5 and 7, each computed once.
+
+    A cell does not depend on which sweep computes it, because streams are
+    keyed by cell coordinates and replication.  Two sweeps skip the
+    (R=1, epsilon 0.1 and 10) cells that neither criterion reads.
+    """
     props = _sweep_props(MODEL_1, "1", (3.5,), (0.1, 5.0, 10.0))
+    props.update(_sweep_props(MODEL_1, "1", (1.0,), (5.0,)))
+    return props
+
+
+def test_c05_sweep_strong_signal(model1_props):
+    props = model1_props
 
     cells = props[(3.5, 5.0)]
     best = run = 0
@@ -291,13 +305,13 @@ def test_c06_sweep_tapered_signal():
     assert _verdict(6, ok, detail), detail
 
 
-def test_c07_radius_below_signal_norm():
+def test_c07_radius_below_signal_norm(model1_props):
     # The true coefficient l1 norm is 3.  Radius 1 shrinks every fit, which
     # narrows the loss gap between the truth and its best submodel (median
     # about 40 RSS, against about 300 at R=3.5) to a few Laplace scales
     # (about 13 at R=1), so no penalty reaches reliable private recovery
     # (c05's 0.90).  The same datasets at R=3.5 must do clearly better.
-    props = _sweep_props(MODEL_1, "1", (1.0, 3.5), (5.0,))
+    props = model1_props
     phi1, p1 = max(props[(1.0, 5.0)], key=lambda t: t[1])
     phi35, p35 = max(props[(3.5, 5.0)], key=lambda t: t[1])
     sigma = math.sqrt(p1 * (1 - p1) / SWEEP_REPS + p35 * (1 - p35) / SWEEP_REPS)
@@ -311,8 +325,8 @@ def test_c07_radius_below_signal_norm():
 
 
 def test_c08_privacy_log_ratio():
-    sens = ls_sensitivity(AUDIT_R, AUDIT_RADIUS).value
-    sizes, bits = _mask_arrays([ModelMask.from_indices([1], 2), ModelMask.from_indices([2], 2)])
+    sens = ls_sensitivity(AUDIT_R, AUDIT_RADIUS)
+    family = from_explicit([[1], [2]], 2)
     trials = 1_000_000
     parts = []
     ok = True
@@ -326,7 +340,8 @@ def test_c08_privacy_log_ratio():
         counts = [
             np.bincount(
                 _noisy_argmin_rows(
-                    np.array([side]), scale, sizes, bits, MASTER, range(first, first + trials)
+                    np.array([side]), scale, family.sizes, family.bits, MASTER,
+                    range(first, first + trials),
                 )[0],
                 minlength=2,
             )
@@ -356,13 +371,17 @@ def test_c09_fallback_uniformity():
         budget=PrivacyBudget(1.0, 1e-6),
         response_bound=1.0,
     )
-    counts = Counter()
-    fallbacks = 0
-    for i in range(10_000):
-        rep = pcpl_select(ds, fam, cfg, RngStream(MASTER, 900_000 + i))
-        fallbacks += int(rep.fallback_uniform and math.isinf(rep.g_of_d))
-        counts[rep.chosen.bits] += 1
-    observed = np.array([counts[m.bits] for m in fam], dtype=float)
+    # One fit; row i is pcpl_select(ds, fam, cfg, RngStream(MASTER,
+    # 900_000 + i)).
+    trials = 10_000
+    fits = fit_masks(sufficient_stats(ds), fam, cfg.radius)
+    clean = _score_matrix("pcpl", fits, ds.n, [cfg.penalty], fam.sizes)
+    picks = _select_rows(
+        "pcpl", fits, np.broadcast_to(clean, (trials, len(fam))), 1.0, ds.n, cfg, fam,
+        MASTER, range(900_000, 900_000 + trials),
+    )
+    fallbacks = int(np.count_nonzero(picks.fallback & np.isinf(picks.g_of_d)))
+    observed = np.bincount(picks.winners, minlength=len(fam)).astype(float)
     chi = stats.chisquare(observed)
     ok = fallbacks == 10_000 and chi.pvalue > 0.01
     detail = f"fallback on {fallbacks}/10000 draws, uniformity chi-square p={chi.pvalue:.3f}"

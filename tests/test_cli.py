@@ -115,6 +115,20 @@ class TestSelect:
         err = capsys.readouterr().err
         assert "error:" in err and "objective increased" in err
 
+    def test_more_than_64_covariates_is_data_error(self, tmp_path, capsys):
+        # 64 columns plus the intercept: keyed draws hash a mask as one
+        # 64-bit word, so even a one-mask family cannot be released.
+        rng = np.random.default_rng(3)
+        data = np.column_stack([rng.uniform(-1, 1, (20, 64)), rng.uniform(-1, 1, 20)])
+        path = tmp_path / "wide.csv"
+        header = ",".join([f"x{j}" for j in range(1, 65)] + ["y"])
+        np.savetxt(path, data, fmt="%.6f", delimiter=",", header=header, comments="")
+        fam = tmp_path / "family.json"
+        fam.write_text("[[1]]", encoding="utf-8")
+        code = main(_select_args(path, "--r", "1.0", "--models", f"@{fam}"))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_pcpl_without_delta_is_usage_error(self, demo_csv, capsys):
         code = main(_select_args(demo_csv, "--algorithm", "pcpl"))
         assert code == 2

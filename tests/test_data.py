@@ -10,7 +10,6 @@ from dpms import (
     ModelMask,
     SufficientStats,
     load_csv,
-    restrict,
     standardize,
     sufficient_stats,
 )
@@ -54,6 +53,15 @@ class TestModelMask:
             ModelMask(-1, 3)
         with pytest.raises(DataError):
             ModelMask(0, 0)
+
+    def test_dimension_capped_at_one_word(self):
+        # Keyed draws hash a mask's bits as one 64-bit word.
+        top = ModelMask.from_indices([64], 64)
+        assert top.column_positions().tolist() == [63]
+        with pytest.raises(DataError):
+            ModelMask(1, 65)
+        with pytest.raises(DataError):
+            ModelMask.from_indices([1], 65)
 
     def test_positions_and_member_row(self):
         m = ModelMask.from_indices([1, 4], 5)
@@ -173,23 +181,6 @@ class TestSufficientStats:
         assert np.allclose(stats.xty, x.T @ y)
         assert stats.yty == pytest.approx(float(y @ y))
         assert stats.n == 10
-
-    def test_restrict_takes_submatrices(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-1, 1, (12, 4))
-        y = rng.uniform(-1, 1, 12)
-        stats = sufficient_stats(Dataset(x, y, 1.0))
-        mask = ModelMask.from_indices([2, 4], 4)
-        sub = restrict(stats, mask)
-        cols = [1, 3]
-        assert np.allclose(sub.xtx, x[:, cols].T @ x[:, cols])
-        assert np.allclose(sub.xty, x[:, cols].T @ y)
-        assert sub.yty == stats.yty and sub.n == stats.n
-
-    def test_restrict_dimension_mismatch(self):
-        stats = SufficientStats(np.eye(3), np.zeros(3), 1.0, 5)
-        with pytest.raises(DataError):
-            restrict(stats, ModelMask.from_indices([1], 2))
 
 
 class TestStandardize:

@@ -1,7 +1,9 @@
 """Candidate family enumeration: counts, order, explicit lists."""
 
+import numpy as np
 import pytest
 
+from dpms import enumeration
 from dpms import CandidateSet, ConfigError, DataError, ModelMask, all_subsets, from_explicit
 
 
@@ -46,7 +48,13 @@ class TestAllSubsets:
         fam = all_subsets(7)
         assert len({m.bits for m in fam}) == len(fam)
         assert all(m.d == 7 for m in fam)
-        assert fam.max_size == 7
+
+    def test_builds_no_mask_objects(self, monkeypatch):
+        # The family is two arrays; masks are made only when a caller
+        # indexes or iterates it.
+        monkeypatch.setattr(enumeration, "ModelMask", None)
+        fam = all_subsets(12)
+        assert len(fam) == 4095 and fam.bits[:3].tolist() == [1, 2, 4]
 
 
 class TestFromExplicit:
@@ -71,14 +79,24 @@ class TestFromExplicit:
 
 class TestCandidateSet:
     def test_rejects_duplicates(self):
-        m = ModelMask.from_indices([1], 3)
-        with pytest.raises(DataError):
-            CandidateSet((m, m), 3)
+        with pytest.raises(DataError, match=r"duplicate mask \(1,\)"):
+            CandidateSet([0b010, 0b001, 0b001], 3)
 
     def test_rejects_mixed_dimensions(self):
+        # A mask of d=4 has bits no mask of d=3 can have.
         with pytest.raises(DataError):
-            CandidateSet((ModelMask.full(3), ModelMask.full(4)), 3)
+            CandidateSet([ModelMask.full(3).bits, ModelMask.full(4).bits], 3)
+        with pytest.raises(DataError):
+            CandidateSet([1], 65)
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
-            CandidateSet((), 3)
+            CandidateSet([], 3)
+
+    def test_arrays_are_read_only_and_masks_built_on_demand(self):
+        fam = from_explicit([[2, 3], [1]], 3)
+        assert fam.bits.dtype == np.uint64 and fam.bits.tolist() == [0b110, 0b001]
+        assert fam.sizes.tolist() == [2, 1]
+        assert not fam.bits.flags.writeable and not fam.sizes.flags.writeable
+        assert fam[0] == ModelMask.from_indices([2, 3], 3)
+        assert list(fam) == [fam[0], fam[1]]

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from dpms import (
+    CandidateSet,
     ConfigError,
     DataError,
     ModelMask,
     PrivacyBudget,
     RngStream,
     ScoredCandidate,
-    compose_eps_delta,
     exponential_mechanism,
     noisy_argmin,
     sample_laplace,
@@ -27,11 +27,16 @@ from dpms.mechanisms import (
     _gumbel_from_u64_array,
     _keyed_u64_block,
     _laplace_from_u64_array,
-    _mask_arrays,
     _noisy_argmin_rows,
     _row_argmin,
     _uniform_index,
 )
+
+
+def _arrays(cands):
+    """(sizes, bits) of the candidates' masks, in list order."""
+    family = CandidateSet([c.mask.bits for c in cands], cands[0].mask.d)
+    return family.sizes, family.bits
 
 
 def _cands(scores, scale, d=None):
@@ -212,7 +217,7 @@ class TestKeyedDraws:
 
     def test_list_mechanisms_equal_their_block_row(self):
         cands = _cands([3.0, 1.0, 4.0, 1.5, 0.2], 2.0, d=4)
-        sizes, bits = _mask_arrays([c.mask for c in cands])
+        sizes, bits = _arrays(cands)
         scores = np.array([[c.score for c in cands]])
         streams = [11, 12, 13]
         winners, noisy_rows = _noisy_argmin_rows(scores, 2.0, sizes, bits, 77, streams)
@@ -271,7 +276,7 @@ class TestNoisyArgmin:
         assert flip_oracle == pytest.approx(closed_form, abs=1e-9)
 
         trials = 120_000
-        sizes, bits = _mask_arrays([c.mask for c in _cands([0.0, margin], b)])
+        sizes, bits = _arrays(_cands([0.0, margin], b))
         # All trials in one block: row i is noisy_argmin on these two
         # candidates at scale b under RngStream(1000, i).
         winners, _ = _noisy_argmin_rows(
@@ -309,7 +314,7 @@ class TestExponentialMechanism:
         weights = np.exp([-eps * s / (2 * sens) for s in scores])
         probs = weights / weights.sum()
         trials = 30_000
-        sizes, bits = _mask_arrays([c.mask for c in _cands(scores, 0.0)])
+        sizes, bits = _arrays(_cands(scores, 0.0))
         # Row i is exponential_mechanism(..., RngStream(2000, i)).
         winners, _ = _gumbel_argmin_rows(
             np.array([scores]), eps, sens, sizes, bits, 2000, range(trials)
@@ -369,15 +374,3 @@ class TestUniformIndex:
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 
-
-class TestCompose:
-    def test_adds_epsilons_keeps_delta(self):
-        total = compose_eps_delta(0.75, 0.25, 1e-6)
-        assert total.epsilon == 1.0
-        assert total.delta == 1e-6
-
-    def test_rejects_nonpositive_stages(self):
-        with pytest.raises(ConfigError):
-            compose_eps_delta(0.0, 1.0, 0.1)
-        with pytest.raises(ConfigError):
-            compose_eps_delta(1.0, -0.5, 0.1)

@@ -15,7 +15,6 @@ from dpms import (
     RngStream,
     SelectionConfig,
     all_subsets,
-    compute_g_of_d,
     from_explicit,
     ls_sensitivity,
     pcls_select,
@@ -43,13 +42,11 @@ def _ols_rss(x, y, mask):
 
 class TestLsSensitivity:
     def test_frozen_value(self):
-        bound = ls_sensitivity(2.0, 1.0)
-        assert bound.value == 9.0
-        assert bound.kind == "global_loss"
+        assert ls_sensitivity(2.0, 1.0) == 9.0
 
     def test_grows_with_both_arguments(self):
-        assert ls_sensitivity(3.0, 1.0).value > ls_sensitivity(2.0, 1.0).value
-        assert ls_sensitivity(2.0, 2.0).value > ls_sensitivity(2.0, 1.0).value
+        assert ls_sensitivity(3.0, 1.0) > ls_sensitivity(2.0, 1.0)
+        assert ls_sensitivity(2.0, 2.0) > ls_sensitivity(2.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -93,28 +90,31 @@ class TestProfileSensitivityValue:
 
 class TestComputeGofD:
     def test_matches_manual_replay(self):
-        ds, x, y = _dataset(n=300, seed=3)
-        models = all_subsets(4)
-        cfg = SelectionConfig(radius=1.5, penalty=0.0, budget=PrivacyBudget(1.0, 1e-4))
-        stream = RngStream(42, 7)
-        got = compute_g_of_d(ds, models, cfg, stage1_epsilon=1.0, rng=stream)
-
+        # pcpl's released proxy; stage 1 spends 2 * 1.0 * 0.5 = 1.0.  The
+        # small sample's proxy is degenerate, the large one's finite.
         from dpms import fit_masks, sufficient_stats
 
-        fits = fit_masks(sufficient_stats(ds), list(models), 1.5, cfg.solver)
-        min_loss = min(f.neg2_loglik for f in fits)
-        z = sample_laplace(RngStream(42, 7), 1.0)
-        width = (ds.response_bound + 1.5) ** 2
-        denom = min_loss - width + width * (z - math.log(1.0 / (2.0 * 1e-4))) / 1.0
-        oracle = 300 * width / denom if denom > 0 else math.inf
-        assert got == pytest.approx(oracle, rel=1e-12)
+        for n, noise in ((300, 0.4), (2000, 1.0)):
+            ds, x, y = _dataset(n=n, seed=3, noise=noise)
+            models = all_subsets(4)
+            cfg = SelectionConfig(radius=1.5, penalty=0.0, budget=PrivacyBudget(1.0, 1e-4))
+            got = pcpl_select(ds, models, cfg, RngStream(42, 7)).g_of_d
+
+            fits = fit_masks(sufficient_stats(ds), models, 1.5)
+            min_loss = min(f.neg2_loglik for f in fits)
+            z = sample_laplace(RngStream(42, 7), 1.0)
+            width = (ds.response_bound + 1.5) ** 2
+            denom = min_loss - width + width * (z - math.log(1.0 / (2.0 * 1e-4))) / 1.0
+            oracle = n * width / denom if denom > 0 else math.inf
+            assert math.isfinite(oracle) == (n == 2000)
+            assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_requires_usable_delta(self):
         ds, _, _ = _dataset()
         models = all_subsets(4)
         cfg = SelectionConfig(radius=1.0, penalty=0.0, budget=PrivacyBudget(1.0, 0.0))
         with pytest.raises(ConfigError):
-            compute_g_of_d(ds, models, cfg, 1.0, RngStream(0, 0))
+            pcpl_select(ds, models, cfg, RngStream(0, 0))
 
 
 class TestPclsSelect:
@@ -383,3 +383,36 @@ class TestReportSerialization:
         assert text.endswith("\n")
         doc = json.loads(text)
         assert doc["chosen"] == list(report.chosen.indices())
+
+
+# sha256 of to_json(include_clean_scores=True), pinned so that a change to
+# how families, fits or draws are passed around cannot move a single byte
+# of a report.
+REPORT_SHA256 = {
+    "pcls-all": "9447b49d00d9efa1b310133bf457ce33ac3791d6dee64ec637f830c09e63ad5a",
+    "pcls-reversed": "e44e302b42a9fa2ff15155383b9d17f50c63419d4ffea0a416c2eda6401a794d",
+    "pcpl-exponential": "8e0503469401558b877ba474ca5b8cf6f32bb76e9a27919455a1f017b14e943d",
+}
+
+
+class TestReportDigests:
+    @pytest.mark.parametrize("case", sorted(REPORT_SHA256))
+    def test_report_digest_is_pinned(self, case):
+        import hashlib
+
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        family = all_subsets(4)
+        if case == "pcls-reversed":
+            family = from_explicit([m.indices() for m in reversed(list(family))], 4)
+        if case.startswith("pcls"):
+            select = pcls_select
+            cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(1.0))
+        else:
+            select = pcpl_select
+            cfg = SelectionConfig(
+                radius=1.0, penalty=3.0, budget=PrivacyBudget(5.0, 1e-3),
+                mechanism="exponential",
+            )
+        report = select(ds, family, cfg, RngStream(3, 1))
+        text = report.to_json(include_clean_scores=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[case]

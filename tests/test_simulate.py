@@ -15,7 +15,6 @@ from dpms import (
     PrivacyBudget,
     RngStream,
     SelectionConfig,
-    SolverConfig,
     SweepGrid,
     SyntheticSpec,
     all_subsets,
@@ -296,7 +295,7 @@ class TestGoldenSweeps:
         select = pcls_select if algorithm == "pcls" else pcpl_select
         coords = ("2", template.coefficients, template.noise_sd, 200)
         phis = grid.phis_for(200)
-        blocks = _sweep_blocks(grid, template, "2", mechanism, SolverConfig(), 200, 0, 3, False)
+        blocks = _sweep_blocks(grid, template, "2", mechanism, 200, 0, 3, False)
         cells = 0
         for block in blocks:
             data_stream = RngStream(11, _stream_id("data", *coords, block.rep))
@@ -312,11 +311,11 @@ class TestGoldenSweeps:
                     "select", *coords, R, phi, eps, delta, algorithm, mechanism, block.rep
                 )
                 report = select(dataset, models, config, RngStream(11, stream_id))
-                assert models.masks[block.picks.winners[j]] == report.chosen
+                assert models[block.picks.winners[j]] == report.chosen
                 assert block.picks.fallback[j] == report.fallback_uniform
                 noiseless = min(
                     report.entries, key=lambda e: (e.clean_score, e.mask.size, e.mask.bits)
                 )
-                assert models.masks[block.noiseless[j]] == noiseless.mask
+                assert models[block.noiseless[j]] == noiseless.mask
                 cells += 1
         assert cells == 3 * len(grid.radius_values) * len(phis) * len(grid.epsilon_values)
