@@ -14,7 +14,7 @@ from .data import (
     sufficient_stats,
 )
 from .enumeration import CandidateSet, all_subsets, from_explicit
-from .errors import ConfigError, DataError, DegenerateFitError, DpmsError, SolverError
+from .errors import ConfigError, DataError, DpmsError, SolverError
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
@@ -24,7 +24,6 @@ from .mechanisms import (
     sample_laplace,
 )
 from .selection import (
-    ModelEntry,
     SelectionConfig,
     SelectionReport,
     ls_sensitivity,
@@ -43,6 +42,7 @@ from .simulate import (
 )
 from .solver import (
     FitResult,
+    Fits,
     SolverConfig,
     fit_masks,
     profile_neg2_loglik,
@@ -58,10 +58,9 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "DegenerateFitError",
     "DpmsError",
     "FitResult",
-    "ModelEntry",
+    "Fits",
     "ModelMask",
     "PrivacyBudget",
     "RngStream",

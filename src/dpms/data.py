@@ -80,12 +80,6 @@ class ModelMask:
         """1-based covariate indices, ascending."""
         return tuple(j + 1 for j in range(self.d) if self.bits >> j & 1)
 
-    def contains(self, index: int) -> bool:
-        """Membership test for a 1-based covariate index."""
-        if not 1 <= index <= self.d:
-            raise DataError(f"covariate index {index} outside [1, {self.d}]")
-        return bool(self.bits >> (index - 1) & 1)
-
     def column_positions(self) -> np.ndarray:
         """0-based column positions into a design matrix, ascending."""
         return np.flatnonzero(self.member_row())
@@ -246,13 +240,6 @@ class SufficientStats:
     @property
     def d(self) -> int:
         return self.xtx.shape[0]
-
-    def squared_error(self, beta) -> float:
-        """``||y - X beta||^2`` evaluated through the stats identity."""
-        b = np.asarray(beta, dtype=np.float64)
-        if b.shape != (self.d,):
-            raise DataError(f"beta shape {b.shape} does not match d={self.d}")
-        return float(self.yty - 2.0 * b @ self.xty + b @ self.xtx @ b)
 
 
 def standardize(

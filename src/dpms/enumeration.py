@@ -8,6 +8,7 @@ that can win by accident.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,16 @@ class CandidateSet:
     def __post_init__(self) -> None:
         if not 1 <= self.d <= _MAX_MASK_D:
             raise DataError(f"mask dimension must be in [1, {_MAX_MASK_D}], got {self.d}")
-        bits = np.array(self.bits, dtype=np.uint64)
+        bits = np.asarray(self.bits)
+        if bits.dtype.kind not in "iu":
+            # Python ints past int64 arrive as a float or object array.
+            try:
+                bits = np.array([operator.index(b) for b in self.bits], dtype=np.uint64)
+            except (TypeError, OverflowError):
+                raise DataError(f"mask bits must be integers in [0, 2^{self.d})") from None
+        elif bits.dtype.kind == "i" and bits.size and bits.min() < 0:
+            raise DataError(f"mask bits must be integers in [0, 2^{self.d})")
+        bits = bits.astype(np.uint64)
         if not bits.size:
             raise DataError("candidate set must contain at least one model")
         if self.d < _MAX_MASK_D and np.any(bits >> np.uint64(self.d)):

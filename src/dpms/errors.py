@@ -18,12 +18,6 @@ class ConfigError(DpmsError):
     """A configuration value is invalid or inconsistent."""
 
 
-class DegenerateFitError(DpmsError):
-    """A fit produced a non-positive squared-error loss, so the profile
-    score n*log(loss/n) is undefined.  Callers substitute the documented
-    floor instead."""
-
-
 class SolverError(DpmsError):
     """The constrained least-squares solver broke its own invariant (an
     objective increase under the 1/L step), so its losses are not to be

@@ -3,8 +3,9 @@
 Two kinds of draws, both deterministic functions of an (seed, stream_id)
 pair:
 
-* bulk sampling (``sample_laplace`` and dataset generation elsewhere) runs
-  through a numpy Generator seeded from the pair;
+* bulk sampling (``sample_laplace`` and dataset generation elsewhere)
+  draws from ``RngStream.generator()``, a numpy Generator seeded from the
+  pair;
 * per-candidate noise inside the selection mechanisms is keyed by hashing
   (seed, stream_id, tag, mask bits), so a candidate's draw depends on the
   mask's content, never its list position.  Permuting a candidate list
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -69,9 +71,15 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name, v in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= int(v) < _U64:
+        for name in ("seed", "stream_id"):
+            v = getattr(self, name)
+            try:
+                k = operator.index(v)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {v!r}") from None
+            if not 0 <= k < _U64:
                 raise ConfigError(f"{name} must be a 64-bit non-negative integer, got {v}")
+            object.__setattr__(self, name, k)
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy Generator; same stream, same sequence, every time."""
@@ -180,18 +188,17 @@ def _uniform_index(rng: RngStream, n: int) -> int:
     return min(int(u * n), n - 1)
 
 
-def sample_laplace(rng, scale: float, size: int | None = None):
+def sample_laplace(rng: RngStream, scale: float, size: int | None = None):
     """Laplace(0, scale) draw(s) via the exact inverse CDF.
 
-    ``rng`` is an RngStream (replayable: the same stream always returns
-    the same value) or a numpy Generator (stateful, for bulk sampling).
-    Returns a float, or an ndarray when ``size`` is given.
+    Replayable: the same stream always returns the same values.  Returns a
+    float, or an ndarray when ``size`` is given.
     """
     if not (math.isfinite(scale) and scale >= 0):
         raise ConfigError(f"scale must be finite and >= 0, got {scale}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if not isinstance(gen, np.random.Generator):
-        raise ConfigError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
+    if not isinstance(rng, RngStream):
+        raise ConfigError(f"rng must be an RngStream, got {type(rng)!r}")
+    gen = rng.generator()
     n = 1 if size is None else int(size)
     k = gen.integers(0, _U64, dtype=np.uint64, size=n)
     zero = k == 0

@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, ModelMask, sufficient_stats
+from .data import Dataset, ModelMask, _readonly, member_matrix, sufficient_stats
 from .enumeration import CandidateSet
-from .errors import ConfigError, DataError, DegenerateFitError
+from .errors import ConfigError, DataError
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
@@ -44,22 +44,17 @@ from .mechanisms import (
 # The list-based mechanisms stay importable from this module, where
 # perfbench/bench_trace.py looks them up.
 from .mechanisms import exponential_mechanism, noisy_argmin  # noqa: F401
-from .solver import fit_masks, profile_neg2_loglik
+from .solver import Fits, fit_masks, profile_neg2_loglik
 
 __all__ = [
     "SelectionConfig",
     "SelectionReport",
-    "ModelEntry",
     "ls_sensitivity",
     "pcls_select",
     "pcpl_select",
 ]
 
 _MECHANISMS = ("noisy_argmin", "exponential")
-
-# Floor used when a profile score is evaluated on an interpolating fit:
-# the average squared residual is clamped below at this value.
-_PROFILE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,20 +114,6 @@ class SelectionConfig:
             )
 
 
-@dataclass(frozen=True)
-class ModelEntry:
-    """Per-candidate record kept alongside the released winner.
-
-    ``clean_score`` is NOT privatized.  It exists for debugging and for
-    noiseless-agreement bookkeeping in simulations; serialization drops it
-    unless explicitly told otherwise.
-    """
-
-    mask: ModelMask
-    clean_score: float
-    noisy_score: float | None
-
-
 def ls_sensitivity(response_bound: float, radius: float) -> float:
     """Worst-case change of the constrained squared error under one row swap.
 
@@ -177,7 +158,7 @@ def _profile_sensitivity_value(
     return n_obs * width / denominator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionReport:
     """Everything a run releases, plus replay metadata.
 
@@ -185,6 +166,14 @@ class SelectionReport:
     proxy on the two-stage path, and ``math.inf`` when that proxy was
     degenerate (in which case ``fallback_uniform`` is True and the winner
     was drawn uniformly).
+
+    Entry ``j`` of the read-only ``clean_scores`` and ``noisy_scores``
+    scores candidate ``j`` of ``models``.  ``clean_scores`` are NOT
+    privatized: they exist for debugging and for noiseless-agreement
+    bookkeeping, and serialization drops them unless explicitly told
+    otherwise.  ``noisy_scores`` is ``None`` when the winner came from the
+    exponential mechanism or the uniform fallback, which have no
+    per-candidate noisy score.
     """
 
     chosen: ModelMask
@@ -198,7 +187,9 @@ class SelectionReport:
     mechanism: str
     fallback_uniform: bool
     g_of_d: float | None
-    entries: tuple[ModelEntry, ...]
+    models: CandidateSet
+    clean_scores: np.ndarray
+    noisy_scores: np.ndarray | None
 
     def to_json_dict(self, include_clean_scores: bool = False) -> dict:
         """Schema-stable dict.  Clean scores are redacted by default.
@@ -222,13 +213,17 @@ class SelectionReport:
         }
         if self.g_of_d is not None:
             out["g_of_d"] = None if math.isinf(self.g_of_d) else self.g_of_d
-        models = []
-        for entry in self.entries:
-            rec: dict = {"mask": list(entry.mask.indices()), "noisy_score": entry.noisy_score}
-            if include_clean_scores:
-                rec["clean_score"] = entry.clean_score
-            models.append(rec)
-        out["models"] = models
+        # Every mask's 1-based indices, cut from one flat list of the
+        # membership matrix's columns.
+        columns = (np.nonzero(member_matrix(self.models.bits, self.models.d))[1] + 1).tolist()
+        ends = np.cumsum(self.models.sizes).tolist()
+        masks = [columns[end - size:end] for end, size in zip(ends, self.models.sizes.tolist())]
+        noisy = [None] * len(masks) if self.noisy_scores is None else self.noisy_scores.tolist()
+        rows = zip(masks, noisy, self.clean_scores.tolist())
+        if include_clean_scores:
+            out["models"] = [{"mask": m, "noisy_score": ns, "clean_score": cs} for m, ns, cs in rows]
+        else:
+            out["models"] = [{"mask": m, "noisy_score": ns} for m, ns, _ in rows]
         return out
 
     def to_json(self, include_clean_scores: bool = False) -> str:
@@ -265,24 +260,13 @@ class _Picks(NamedTuple):
     g_of_d: np.ndarray | None  # pcpl's released sensitivity proxy of each row
 
 
-def _profile_scores(fits, n_obs: int) -> np.ndarray:
-    floor = n_obs * math.log(_PROFILE_FLOOR)
-    scores = []
-    for fit in fits:
-        try:
-            scores.append(profile_neg2_loglik(fit, n_obs))
-        except DegenerateFitError:
-            scores.append(floor)
-    return np.array(scores)
-
-
-def _score_matrix(algorithm: str, fits, n_obs: int, penalties, sizes: np.ndarray) -> np.ndarray:
+def _score_matrix(algorithm: str, fits: Fits, n_obs: int, penalties, sizes: np.ndarray) -> np.ndarray:
     """Clean scores, one row per penalty phi: the constrained loss (pcls)
     or the profile score (pcpl) of each fit, plus ``phi * |model|``."""
     if algorithm == "pcls":
-        base = np.array([fit.neg2_loglik for fit in fits])
+        base = fits.neg2_loglik
     else:
-        base = _profile_scores(fits, n_obs)
+        base = profile_neg2_loglik(fits.neg2_loglik, n_obs)
     return base + np.asarray(penalties, dtype=np.float64)[:, None] * sizes
 
 
@@ -308,7 +292,7 @@ def _mechanism_rows(clean, sensitivity, epsilon, mechanism, models, seed, stream
 
 def _select_rows(
     algorithm: str,
-    fits,
+    fits: Fits,
     clean: np.ndarray,
     bound: float,
     n_obs: int,
@@ -339,7 +323,7 @@ def _select_rows(
         return _Picks(winners, noisy, np.zeros(len(stream_ids), dtype=bool), None)
 
     stage1_epsilon, stage2_epsilon = _stage_epsilons(config)
-    min_loss = min(fit.neg2_loglik for fit in fits)
+    min_loss = float(fits.neg2_loglik.min())
     proxy = np.array([
         _profile_sensitivity_value(
             min_loss, n_obs, bound, config.radius, stage1_epsilon, config.budget.delta,
@@ -369,7 +353,7 @@ def _select_with_fits(
     algorithm: str,
     dataset: Dataset,
     models: CandidateSet,
-    fits,
+    fits: Fits,
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
@@ -391,10 +375,6 @@ def _select_with_fits(
         epsilon_total = stage1_epsilon + stage2_epsilon
         g_of_d = float(picks.g_of_d[0])
     fallback = bool(picks.fallback[0])
-    if picks.noisy is None or fallback:
-        noisy = [None] * len(models)
-    else:
-        noisy = picks.noisy[0].tolist()
     return SelectionReport(
         chosen=models[picks.winners[0]],
         epsilon_total=epsilon_total,
@@ -407,7 +387,9 @@ def _select_with_fits(
         mechanism=config.mechanism,
         fallback_uniform=fallback,
         g_of_d=g_of_d,
-        entries=tuple(map(ModelEntry, models, clean[0].tolist(), noisy)),
+        models=models,
+        clean_scores=_readonly(clean[0]),
+        noisy_scores=None if picks.noisy is None or fallback else _readonly(picks.noisy[0]),
     )
 
 
@@ -433,7 +415,7 @@ def pcls_select(
 def _pcls_with_fits(
     dataset: Dataset,
     models: CandidateSet,
-    fits,
+    fits: Fits,
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
@@ -465,7 +447,7 @@ def pcpl_select(
 def _pcpl_with_fits(
     dataset: Dataset,
     models: CandidateSet,
-    fits,
+    fits: Fits,
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:

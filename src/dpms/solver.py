@@ -24,11 +24,12 @@ import numpy as np
 
 from .data import SufficientStats, member_matrix
 from .enumeration import CandidateSet
-from .errors import ConfigError, DataError, DegenerateFitError, SolverError
+from .errors import ConfigError, DataError, SolverError
 
 __all__ = [
     "SolverConfig",
     "FitResult",
+    "Fits",
     "project_l1",
     "fit_masks",
     "profile_neg2_loglik",
@@ -59,16 +60,45 @@ class SolverConfig:
 class FitResult:
     """Outcome of one constrained fit.
 
-    beta is a full-length vector with exact zeros outside the mask;
-    neg2_loglik is the squared-error loss at beta (>= 0); l1_norm is
-    ||beta||_1, within round-off of the radius at most.
+    beta is a full-length vector with exact zeros outside the mask and
+    ``||beta||_1`` within round-off of the radius at most; neg2_loglik is
+    the squared-error loss at beta (>= 0).
     """
 
     beta: np.ndarray
     neg2_loglik: float
     iterations: int
     converged: bool
-    l1_norm: float
+
+
+@dataclass(frozen=True, eq=False)
+class Fits:
+    """Every fit of one stacked solve, in family order.
+
+    Row ``j`` of each read-only array belongs to candidate ``j``:
+    ``beta`` (m, d), ``neg2_loglik``, ``iterations`` and ``converged``
+    (m,).  Indexing and iteration build ``FitResult`` objects on demand.
+    """
+
+    beta: np.ndarray
+    neg2_loglik: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+    def __len__(self) -> int:
+        return self.neg2_loglik.size
+
+    def __getitem__(self, j) -> FitResult:
+        return FitResult(
+            self.beta[j], self.neg2_loglik[j].item(), self.iterations[j].item(),
+            self.converged[j].item(),
+        )
+
+    def __iter__(self):
+        return map(
+            FitResult, self.beta, self.neg2_loglik.tolist(), self.iterations.tolist(),
+            self.converged.tolist(),
+        )
 
 
 def project_l1(v, radius: float) -> np.ndarray:
@@ -180,7 +210,7 @@ def fit_masks(
     models: CandidateSet,
     radius: float,
     config: SolverConfig | None = None,
-) -> list[FitResult]:
+) -> Fits:
     """Fit every model of the family against the same statistics in one
     stacked solve.  Output order matches family order."""
     if models.d != stats.d:
@@ -189,30 +219,18 @@ def fit_masks(
         raise DataError(f"radius must be positive and finite, got {radius}")
     config = config or SolverConfig()
     member = member_matrix(models.bits, stats.d)
-    beta, obj, iters, conv = _fit_batch(stats, member, radius, config)
-    beta.setflags(write=False)
-    l1 = np.abs(beta).sum(axis=1)
-    return [
-        FitResult(beta=row, neg2_loglik=o, iterations=i, converged=c, l1_norm=n)
-        for row, o, i, c, n in zip(
-            beta, obj.tolist(), iters.tolist(), conv.tolist(), l1.tolist()
-        )
-    ]
+    arrays = _fit_batch(stats, member, radius, config)
+    for a in arrays:
+        a.setflags(write=False)
+    return Fits(*arrays)
 
 
-def profile_neg2_loglik(fit: FitResult, n_obs: int) -> float:
-    """Profile score ``n * log(loss / n)`` with the variance profiled out.
-
-    Raises DegenerateFitError for a non-positive loss (perfect
-    interpolation); losses below ``n * 1e-12`` are floored at that level so
-    the log stays bounded.  Callers catching the error substitute the same
-    floor, ``n * log(1e-12)``.
-    """
+def profile_neg2_loglik(losses, n_obs: int) -> np.ndarray:
+    """Profile score ``n * log(loss / n)`` of each loss, the variance
+    profiled out.  ``loss / n`` is floored at 1e-12, so a zero
+    (interpolating) or tiny loss scores ``n * log(1e-12)``."""
     if n_obs < 1:
         raise DataError(f"n_obs must be >= 1, got {n_obs}")
-    loss = fit.neg2_loglik
-    if loss <= 0.0:
-        raise DegenerateFitError(
-            f"squared-error loss {loss} is not positive; profile score undefined"
-        )
-    return n_obs * math.log(max(loss, n_obs * 1e-12) / n_obs)
+    ratio = np.maximum(np.asarray(losses, dtype=np.float64) / n_obs, 1e-12)
+    # math.log per element: numpy's log can differ from it in the last digit.
+    return np.array([math.log(r) for r in ratio.tolist()]) * n_obs

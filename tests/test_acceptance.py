@@ -73,8 +73,7 @@ def adjacent_losses():
 
     def losses(x, y):
         st = sufficient_stats(Dataset.from_arrays(x, y, response_bound=AUDIT_R))
-        fits = fit_masks(st, masks, radius=AUDIT_RADIUS, config=AUDIT_SOLVER)
-        return np.array([f.neg2_loglik for f in fits])
+        return fit_masks(st, masks, radius=AUDIT_RADIUS, config=AUDIT_SOLVER).neg2_loglik
 
     pairs = []
     for _ in range(250):
@@ -137,12 +136,12 @@ def test_c03_unconstrained_equivalence():
                 if all(m.bits != f.bits for f in fam):
                     fam.append(m)
         fits = fit_masks(st, CandidateSet([m.bits for m in fam], d), radius=radius, config=tight)
-        for mask, fit in zip(fam, fits):
+        for mask, beta in zip(fam, fits.beta):
             cols = mask.column_positions()
             xm = x[:, cols]
             ols = np.linalg.solve(xm.T @ xm, xm.T @ y)
-            worst = max(worst, float(np.max(np.abs(fit.beta[cols] - ols))))
-            off = np.delete(fit.beta, cols)
+            worst = max(worst, float(np.max(np.abs(beta[cols] - ols))))
+            off = np.delete(beta, cols)
             if off.size:
                 worst = max(worst, float(np.max(np.abs(off))))
     detail = f"max coefficient gap vs normal equations {worst:.3e}, bound 1e-06"
@@ -230,7 +229,7 @@ def _noise_law_accuracy(coefficients, model_id, radius, eps, phis):
         dataset, truth = generate(replace(template, rng=RngStream(MASTER, stream)))
         target = list(masks).index(truth)
         fits = fit_masks(sufficient_stats(dataset), masks, radius)
-        scores = np.array([f.neg2_loglik for f in fits]) + phis[:, None] * sizes
+        scores = fits.neg2_loglik + phis[:, None] * sizes
         clean_hits += scores.argmin(axis=1) == target
         scale = 2.0 * (float(np.max(np.abs(dataset.y))) + radius) ** 2 / eps
         noisy = scores[:, None, :] + noise.laplace(0.0, scale, (NOISE_DRAWS, len(masks)))

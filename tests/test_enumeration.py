@@ -89,6 +89,14 @@ class TestCandidateSet:
         with pytest.raises(DataError):
             CandidateSet([1], 65)
 
+    def test_rejects_fractional_and_negative_bits(self):
+        # Fractional bits used to be truncated and negative ones raised a
+        # bare OverflowError.
+        for bits in ([1.5, 2], np.array([1.0, 2.0]), [-1], np.array([-1, 2]), [-1, 2**63]):
+            with pytest.raises(DataError):
+                CandidateSet(bits, 3)
+        assert CandidateSet([1, 2**64 - 1], 64).bits.tolist() == [1, 2**64 - 1]
+
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             CandidateSet([], 3)

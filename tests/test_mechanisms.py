@@ -67,6 +67,16 @@ class TestRngStream:
         with pytest.raises(ConfigError):
             RngStream(0, 2**64)
 
+    def test_integers_only(self):
+        # A float or string key used to pass validation and then break
+        # every draw with a bare TypeError or struct.error.
+        for bad in ((1.5, 0), ("7", 0), (0, 2.0), (0, None)):
+            with pytest.raises(ConfigError):
+                RngStream(*bad)
+        stream = RngStream(np.uint64(7), np.int64(3))
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        assert stream == RngStream(7, 3)
+
 
 class TestPrivacyBudget:
     def test_accepts_positive_and_inf(self):
@@ -127,6 +137,10 @@ class TestLaplaceInverseMap:
             sample_laplace(RngStream(1, 0), -1.0)
         with pytest.raises(ConfigError):
             sample_laplace(RngStream(1, 0), math.inf)
+
+    def test_takes_a_stream_only(self):
+        with pytest.raises(ConfigError):
+            sample_laplace(np.random.default_rng(0), 1.0)
 
 
 class TestGumbelMap:

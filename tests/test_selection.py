@@ -136,9 +136,11 @@ class TestPclsSelect:
             models, key=lambda m: (oracle_scores[m.bits], m.size, m.bits)
         )
         assert report.chosen == oracle_pick
-        for entry in report.entries:
-            assert entry.clean_score == pytest.approx(oracle_scores[entry.mask.bits], abs=1e-5)
-            assert entry.noisy_score == entry.clean_score  # zero noise
+        for bits, clean, noisy in zip(
+            report.models.bits.tolist(), report.clean_scores, report.noisy_scores
+        ):
+            assert clean == pytest.approx(oracle_scores[bits], abs=1e-5)
+            assert noisy == clean  # zero noise
 
     def test_budget_echo_and_flags(self):
         ds, _, _ = _dataset()
@@ -168,9 +170,8 @@ class TestPclsSelect:
         residuals = []
         for i in range(3000):
             report = pcls_select(ds, models, cfg, RngStream(77, i))
-            for entry in report.entries:
-                residuals.append(entry.noisy_score - entry.clean_score)
-        residuals = np.asarray(residuals)
+            residuals.append(report.noisy_scores - report.clean_scores)
+        residuals = np.concatenate(residuals)
         assert abs(np.mean(residuals)) < 0.1 * scale
         assert np.var(residuals) == pytest.approx(2.0 * scale**2, rel=0.1)
 
@@ -201,7 +202,7 @@ class TestPclsSelect:
         b = pcls_select(ds, fam, cfg, RngStream(3, 1))
         c = pcls_select(ds, fam, cfg, RngStream(3, 2))
         assert a.to_json(include_clean_scores=True) == b.to_json(include_clean_scores=True)
-        assert [e.noisy_score for e in a.entries] != [e.noisy_score for e in c.entries]
+        assert a.noisy_scores.tolist() != c.noisy_scores.tolist()
 
     def test_family_order_does_not_change_winner(self):
         ds, _, _ = _dataset()
@@ -219,7 +220,7 @@ class TestPclsSelect:
         )
         report = pcls_select(ds, all_subsets(4), cfg, RngStream(2, 2))
         assert report.mechanism == "exponential"
-        assert all(e.noisy_score is None for e in report.entries)
+        assert report.noisy_scores is None
         assert report.chosen in list(all_subsets(4))
 
     def test_family_dimension_mismatch(self):
@@ -237,7 +238,7 @@ class TestPcplSelect:
         report = pcpl_select(ds, all_subsets(4), cfg, RngStream(4, 4))
         assert report.fallback_uniform is True
         assert math.isinf(report.g_of_d)
-        assert all(e.noisy_score is None for e in report.entries)
+        assert report.noisy_scores is None
         assert report.chosen in list(all_subsets(4))
         assert report.epsilon_total == 2.0
 
@@ -249,7 +250,8 @@ class TestPcplSelect:
         assert report.g_of_d is not None and math.isfinite(report.g_of_d)
         assert report.epsilon_total == 2.0
         assert report.delta == 1e-6
-        assert all(e.noisy_score is not None for e in report.entries)
+        assert report.noisy_scores is not None
+        assert np.isfinite(report.noisy_scores).all() and len(report.noisy_scores) == 15
 
     def test_requires_delta_strictly_inside_unit_interval(self):
         ds, _, _ = _dataset()
@@ -273,8 +275,8 @@ class TestPcplSelect:
         assert report.chosen == oracle_pick
         assert report.fallback_uniform is False
         assert math.isinf(report.epsilon_total)
-        for entry in report.entries:
-            assert entry.clean_score == pytest.approx(oracle_scores[entry.mask.bits], abs=1e-4)
+        for bits, clean in zip(report.models.bits.tolist(), report.clean_scores):
+            assert clean == pytest.approx(oracle_scores[bits], abs=1e-4)
 
     def test_noiseless_limit_never_falls_back(self):
         # Interpolating data makes the proxy degenerate, but with no noise
@@ -383,6 +385,32 @@ class TestReportSerialization:
         assert text.endswith("\n")
         doc = json.loads(text)
         assert doc["chosen"] == list(report.chosen.indices())
+
+
+class TestReportArrays:
+    def test_select_builds_at_most_the_winning_mask(self, monkeypatch):
+        # Scores stay arrays from the fits to the JSON text; the one
+        # ModelMask a select makes is the released winner.
+        made = []
+        post_init = ModelMask.__post_init__
+
+        def counted(self):
+            made.append(self.bits)
+            post_init(self)
+
+        ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
+        cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(1.0))
+        family = all_subsets(10)
+        monkeypatch.setattr(ModelMask, "__post_init__", counted)
+        report = pcls_select(ds, family, cfg, RngStream(6, 6))
+        text = report.to_json(include_clean_scores=True)
+        monkeypatch.undo()
+        assert made == [report.chosen.bits]
+        doc = json.loads(text)
+        assert len(doc["models"]) == 1023
+        assert [m["mask"] for m in doc["models"]] == [list(m.indices()) for m in family]
+        assert not report.clean_scores.flags.writeable
+        assert not report.noisy_scores.flags.writeable
 
 
 # sha256 of to_json(include_clean_scores=True), pinned so that a change to

@@ -314,8 +314,9 @@ class TestGoldenSweeps:
                 assert models[block.picks.winners[j]] == report.chosen
                 assert block.picks.fallback[j] == report.fallback_uniform
                 noiseless = min(
-                    report.entries, key=lambda e: (e.clean_score, e.mask.size, e.mask.bits)
+                    range(len(models)),
+                    key=lambda c: (report.clean_scores[c], models.sizes[c], models.bits[c]),
                 )
-                assert models[block.noiseless[j]] == noiseless.mask
+                assert models[block.noiseless[j]] == models[noiseless]
                 cells += 1
         assert cells == 3 * len(grid.radius_values) * len(phis) * len(grid.epsilon_values)

@@ -10,13 +10,15 @@ from dpms import (
     ConfigError,
     DataError,
     Dataset,
-    DegenerateFitError,
-    FitResult,
     ModelMask,
+    PrivacyBudget,
+    RngStream,
+    SelectionConfig,
     SolverConfig,
     SolverError,
     all_subsets,
     fit_masks,
+    pcpl_select,
     profile_neg2_loglik,
     sufficient_stats,
 )
@@ -160,7 +162,7 @@ class TestFitAgainstNormalEquations:
         ols = _ols_restricted(x, y, mask)
         radius = float(np.abs(ols).sum()) / 2.0
         fit = _fit_one(stats, mask, radius, TIGHT)
-        assert fit.l1_norm == pytest.approx(radius, rel=1e-8)
+        assert np.abs(fit.beta).sum() == pytest.approx(radius, rel=1e-8)
         assert fit.neg2_loglik >= float(np.sum((y - x @ ols) ** 2))
 
     def test_binding_constraint_beats_grid_of_feasible_points(self):
@@ -187,7 +189,7 @@ class TestDescentMechanics:
         for radius in (0.7, 0.8):
             fits = fit_masks(stats, CandidateSet([0b1111, 0b0011, 0b1000], 4), radius)
             for fit in fits:
-                assert fit.l1_norm <= radius + 1e-9
+                assert np.abs(fit.beta).sum() <= radius + 1e-9
 
     def test_batch_matches_solo_fits(self):
         ds, _, _ = _uniform_dataset(90, 5, 11)
@@ -323,19 +325,46 @@ class TestEquivalenceRadius:
 
 class TestProfileScore:
     def test_matches_direct_formula(self):
-        fit = FitResult(np.zeros(2), 18.0, 3, True, 0.0)
-        assert profile_neg2_loglik(fit, 9) == pytest.approx(9 * math.log(2.0))
+        assert profile_neg2_loglik([18.0], 9)[0] == pytest.approx(9 * math.log(2.0))
 
-    def test_degenerate_loss_raises(self):
-        fit = FitResult(np.zeros(1), 0.0, 1, True, 0.0)
-        with pytest.raises(DegenerateFitError):
-            profile_neg2_loglik(fit, 5)
+    def test_zero_and_tiny_losses_score_the_floor(self):
+        # n = 117 is the first n whose n * 1e-12 / n is not 1e-12 again:
+        # the floor must still be exactly n * log(1e-12).
+        for n in (5, 10, 117):
+            got = profile_neg2_loglik(np.array([0.0, 1e-20]), n)
+            assert got.tolist() == [n * math.log(1e-12)] * 2
 
-    def test_tiny_loss_floored(self):
-        fit = FitResult(np.zeros(1), 1e-20, 1, True, 0.0)
-        assert profile_neg2_loglik(fit, 10) == pytest.approx(10 * math.log(1e-12))
+    def test_every_entry_matches_math_log(self):
+        losses = np.random.default_rng(3).uniform(0.0, 500.0, 2000)
+        losses[:3] = (0.0, 1e-20, 200.0)
+        got = profile_neg2_loglik(losses, 200)
+        want = [200 * math.log(max(loss / 200, 1e-12)) for loss in losses.tolist()]
+        assert got.tolist() == want
 
     def test_rejects_bad_n(self):
-        fit = FitResult(np.zeros(1), 1.0, 1, True, 0.0)
         with pytest.raises(DataError):
-            profile_neg2_loglik(fit, 0)
+            profile_neg2_loglik([1.0], 0)
+
+
+class TestFitsArrays:
+    def test_fit_masks_builds_no_fit_objects(self, monkeypatch):
+        # Fits are four arrays from the solver to the report; FitResult
+        # objects are built only when a caller indexes or iterates them.
+        from dpms import solver
+
+        ds, _, _ = _uniform_dataset(300, 6, 43)
+        cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0, 1e-6))
+        monkeypatch.setattr(solver, "FitResult", None)
+        pcpl_select(ds, all_subsets(6), cfg, RngStream(1, 1))
+        fits = fit_masks(sufficient_stats(ds), all_subsets(6), 2.0)
+        monkeypatch.undo()
+        assert len(fits) == 63 and fits.beta.shape == (63, 6)
+        for a in (fits.beta, fits.neg2_loglik, fits.iterations, fits.converged):
+            assert not a.flags.writeable and len(a) == 63
+        for j in (0, 17, 62):
+            fit = fits[j]
+            assert np.array_equal(fit.beta, fits.beta[j])
+            assert fit.neg2_loglik == fits.neg2_loglik[j]
+            assert fit.iterations == fits.iterations[j]
+            assert fit.converged == fits.converged[j]
+        assert [f.neg2_loglik for f in fits] == fits.neg2_loglik.tolist()
