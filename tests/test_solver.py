@@ -327,12 +327,17 @@ class TestProfileScore:
     def test_matches_direct_formula(self):
         assert profile_neg2_loglik([18.0], 9)[0] == pytest.approx(9 * math.log(2.0))
 
-    def test_zero_and_tiny_losses_score_the_floor(self):
-        # n = 117 is the first n whose n * 1e-12 / n is not 1e-12 again:
-        # the floor must still be exactly n * log(1e-12).
+    # n = 117 is the first n whose n * 1e-12 / n is not 1e-12 again: the
+    # floor must still be exactly n * log(1e-12).
+    def test_zero_loss_scores_the_floor(self):
         for n in (5, 10, 117):
-            got = profile_neg2_loglik(np.array([0.0, 1e-20]), n)
-            assert got.tolist() == [n * math.log(1e-12)] * 2
+            got = profile_neg2_loglik(np.array([0.0]), n)
+            assert got.tolist() == [n * math.log(1e-12)]
+
+    def test_tiny_loss_floored(self):
+        for n in (5, 10, 117):
+            got = profile_neg2_loglik(np.array([1e-20]), n)
+            assert got.tolist() == [n * math.log(1e-12)]
 
     def test_every_entry_matches_math_log(self):
         losses = np.random.default_rng(3).uniform(0.0, 500.0, 2000)
