@@ -1,18 +1,23 @@
 """Randomness plumbing and the private selection primitives.
 
-Two kinds of draws, both deterministic functions of an (seed, stream_id)
-pair:
+Every noise variate of a selection comes from one keyed primitive:
+SHAKE-256 (NIST FIPS 202) over the 16-byte little-endian seed and the
+little-endian 64-bit words (stream_id, tag), read out as little-endian
+64-bit words.  Distinct tags keep distinct consumers from sharing a draw,
+and one read serves a whole row:
 
-* bulk sampling (``sample_laplace`` and dataset generation elsewhere)
-  draws from ``RngStream.generator()``, a numpy Generator seeded from the
-  pair;
-* per-candidate noise inside the selection mechanisms is keyed by hashing
-  (seed, stream_id, tag, mask bits), so a candidate's draw depends on the
-  mask's content, never its list position.  Permuting a candidate list
-  permutes the realized draws with it, exactly.
+* the mechanisms work on score matrices, each row one release with its
+  own stream and each column one candidate mask.  Row ``i`` reads one
+  word per candidate, and word ``r`` goes to the candidate of rank ``r``
+  in the family's canonical order (by size, then bit value).  Permuting a
+  candidate list permutes the realized draws with it, exactly; a draw
+  depends on its mask's rank within the public family, not on the list
+  position.
+* ``sample_laplace`` (pcpl's stage 1) and the uniform fallback read the
+  first words of their own tags' streams.
 
-The mechanisms work on score matrices: each row is one release with its
-own stream, each column one candidate mask.  ``noisy_argmin`` and
+``RngStream.generator()``, a numpy Generator seeded from the same pair,
+serves only synthetic data generation.  ``noisy_argmin`` and
 ``exponential_mechanism`` are the one-row case over a list of
 candidates.  Every Laplace variate comes from one inverse-CDF transform of
 a 64-bit integer k (k = 0 rejected): ``log(k / 2^63)`` on the lower half
@@ -46,16 +51,16 @@ __all__ = [
 
 _U64 = 1 << 64
 _HALF = 1 << 63
+_SEED_LIMIT = 1 << 128
 
 # Domain-separation tags for keyed draws; distinct consumers never share
 # a draw even on the same stream.
 _TAG_ARGMIN = 1
 _TAG_GUMBEL = 2
 _TAG_FALLBACK = 3
+_TAG_LAPLACE = 4
 
-# Keyed draws hashed between two conversions into the output array; bounds
-# the digest list a large block holds at once.
-_HASH_CHUNK = 1 << 16
+_STREAM_TAG = struct.Struct("<QQ")
 
 
 @dataclass(frozen=True)
@@ -63,22 +68,23 @@ class RngStream:
     """A named, replayable randomness source.
 
     Identical (seed, stream_id) pairs reproduce every draw bit-for-bit;
-    distinct stream_ids give statistically independent streams.  Streams
-    are cheap value objects: derive one per independent private release.
+    distinct stream_ids give statistically independent streams.  The seed
+    is a 128-bit key, the stream id a 64-bit word.  Streams are cheap value
+    objects: derive one per independent private release.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
+        for name, limit, width in (("seed", _SEED_LIMIT, 128), ("stream_id", _U64, 64)):
             v = getattr(self, name)
             try:
                 k = operator.index(v)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {v!r}") from None
-            if not 0 <= k < _U64:
-                raise ConfigError(f"{name} must be a 64-bit non-negative integer, got {v}")
+            if not 0 <= k < limit:
+                raise ConfigError(f"{name} must be a {width}-bit non-negative integer, got {v}")
             object.__setattr__(self, name, k)
 
     def generator(self) -> np.random.Generator:
@@ -146,66 +152,84 @@ def _gumbel_from_u64_array(k: np.ndarray) -> np.ndarray:
     return -np.log(e)
 
 
-def _keyed_u64_block(seed: int, stream_ids, tag: int, bits) -> np.ndarray:
-    """Uniform nonzero 64-bit integers keyed by (stream, tag, mask bits).
+def _canonical_order(sizes: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Column positions of a family sorted by size, then by bit value."""
+    return np.lexsort((bits, sizes))
 
-    Entry ``[i, j]`` is the first nonzero blake2b-64 digest of the
-    little-endian words (seed, stream_ids[i], tag, bits[j], counter) for
-    counter = 0, 1, ...  The three leading words are hashed once per row
-    and the hash state copied per column; streaming the message in two
-    parts gives the same digest as hashing it whole.
+
+def _xof_words(seed: int, stream_ids, tag: int, count: int) -> np.ndarray:
+    """Uniform nonzero 64-bit words, ``count`` per stream, one read each.
+
+    Row ``i`` holds the first ``count`` little-endian words of SHAKE-256
+    over the 16-byte little-endian seed and the words (stream_ids[i], tag).
+    A zero word (probability 2^-64) is rejected: the t-th zero of a row
+    takes the t-th nonzero word read past the first ``count`` of the same
+    stream.
     """
-    stream_ids = [int(s) for s in stream_ids]
-    bits = [int(b) for b in bits]
-    out = np.empty((len(stream_ids), len(bits)), dtype=np.uint64)
-    suffixes = [struct.pack("<QQ", b, 0) for b in bits]
-    rows_per_chunk = max(1, _HASH_CHUNK // len(bits))
-    for lo in range(0, len(stream_ids), rows_per_chunk):
-        digests = []
-        append = digests.append
-        for sid in stream_ids[lo:lo + rows_per_chunk]:
-            copy = hashlib.blake2b(struct.pack("<QQQ", seed, sid, tag), digest_size=8).copy
-            for suffix in suffixes:
-                h = copy()
-                h.update(suffix)
-                append(h.digest())
-        block = np.frombuffer(b"".join(digests), dtype="<u8")
-        out[lo:lo + rows_per_chunk] = block.reshape(-1, len(bits))
-    if not out.all():  # probability 2^-64 per entry
-        for i, j in zip(*np.nonzero(out == 0)):
-            counter, k = 0, 0
-            while not k:
-                counter += 1
-                message = struct.pack("<QQQQQ", seed, stream_ids[i], tag, bits[j], counter)
-                k = int.from_bytes(hashlib.blake2b(message, digest_size=8).digest(), "little")
-            out[i, j] = k
+    key = seed.to_bytes(16, "little")
+    shake = hashlib.shake_256
+    pack = _STREAM_TAG.pack
+    messages = [key + pack(sid, tag) for sid in stream_ids]
+    raw = b"".join([shake(message).digest(8 * count) for message in messages])
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(messages), count)
+    if words.all():
+        return words
+    words = words.copy()
+    for i in np.flatnonzero(~words.all(axis=1)):
+        zeros = np.flatnonzero(words[i] == 0)
+        spare = np.empty(0, dtype=np.uint64)
+        read = count
+        while spare.size < zeros.size:
+            read += zeros.size - spare.size
+            tail = np.frombuffer(shake(messages[i]).digest(8 * read), dtype="<u8")[count:]
+            spare = tail[tail != 0]
+        words[i, zeros] = spare[:zeros.size]
+    return words
+
+
+def _keyed_u64_block(seed: int, stream_ids, tag: int, sizes, bits) -> np.ndarray:
+    """Uniform nonzero 64-bit integers keyed by (stream, tag, candidate rank).
+
+    Entry ``[i, j]`` is word ``r`` of row ``i``'s stream
+    (:func:`_xof_words`), where ``r`` is column ``j``'s rank in the
+    family's canonical order; reordering the columns reorders the entries
+    with them.
+    """
+    order = _canonical_order(sizes, bits)
+    words = _xof_words(seed, stream_ids, tag, len(order))
+    out = np.empty(words.shape, dtype=np.uint64)
+    out[:, order] = words
     return out
 
 
 def _uniform_index(rng: RngStream, n: int) -> int:
     """Index uniform on range(n), keyed to the stream's fallback tag."""
-    u = int(_keyed_u64_block(rng.seed, [rng.stream_id], _TAG_FALLBACK, [0])[0, 0]) / _U64
+    u = int(_xof_words(rng.seed, [rng.stream_id], _TAG_FALLBACK, 1)[0, 0]) / _U64
     return min(int(u * n), n - 1)
 
 
 def sample_laplace(rng: RngStream, scale: float, size: int | None = None):
     """Laplace(0, scale) draw(s) via the exact inverse CDF.
 
-    Replayable: the same stream always returns the same values.  Returns a
-    float, or an ndarray when ``size`` is given.
+    The draws are the first words of the stream's Laplace tag, so the same
+    stream always returns the same values.  Returns a float, or an ndarray
+    of ``size`` draws when ``size`` (a non-negative integer) is given.
     """
     if not (math.isfinite(scale) and scale >= 0):
         raise ConfigError(f"scale must be finite and >= 0, got {scale}")
     if not isinstance(rng, RngStream):
         raise ConfigError(f"rng must be an RngStream, got {type(rng)!r}")
-    gen = rng.generator()
-    n = 1 if size is None else int(size)
-    k = gen.integers(0, _U64, dtype=np.uint64, size=n)
-    zero = k == 0
-    while zero.any():  # u = 0 endpoint is rejected and redrawn
-        k[zero] = gen.integers(0, _U64, dtype=np.uint64, size=int(zero.sum()))
-        zero = k == 0
-    z = _laplace_from_u64_array(k) * scale
+    if size is None:
+        n = 1
+    else:
+        try:
+            n = operator.index(size)
+        except TypeError:
+            raise ConfigError(f"size must be an integer, got {size!r}") from None
+        if n < 0:
+            raise ConfigError(f"size must be non-negative, got {size}")
+    words = _xof_words(rng.seed, [rng.stream_id], _TAG_LAPLACE, n)[0]
+    z = _laplace_from_u64_array(words) * scale
     return float(z[0]) if size is None else z
 
 
@@ -227,7 +251,7 @@ def _row_argmin(keys: np.ndarray, sizes: np.ndarray, bits: np.ndarray) -> np.nda
     Exact ties go to the smallest model, then the smallest bit value, so
     the winner does not depend on the column order.
     """
-    order = np.lexsort((bits, sizes))
+    order = _canonical_order(sizes, bits)
     return order[np.argmin(keys[:, order], axis=1)]
 
 
@@ -235,13 +259,13 @@ def _noisy_argmin_rows(scores, scales, sizes, bits, seed: int, stream_ids):
     """Report-noisy-argmin on each row of a score matrix.
 
     Row ``i`` perturbs every score by its own Laplace draw keyed by
-    ``(seed, stream_ids[i])`` and the column's mask bits, scaled by
+    ``(seed, stream_ids[i])`` and the column's canonical rank, scaled by
     ``scales``.  ``scores`` and ``scales`` broadcast against the
     (rows x masks) matrix; an all-zero scale is the noiseless limit and
     draws nothing.  Returns (winning column per row, noisy scores).
     """
     if np.any(scales):
-        words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, bits)
+        words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, sizes, bits)
         noisy = scores + scales * _laplace_from_u64_array(words)
     else:
         noisy = scores + np.zeros((len(stream_ids), len(bits)))
@@ -266,7 +290,7 @@ def _gumbel_argmin_rows(scores, epsilon: float, sensitivity, sizes, bits, seed: 
         # weight exp(0) = 1: no normalization and no underflow.
         low = scores.min(axis=1, keepdims=True)
         logw = -epsilon * (scores - low) / (2.0 * sensitivity)
-        words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, bits)
+        words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, sizes, bits)
         keys = -(logw + _gumbel_from_u64_array(words))
     return _row_argmin(keys, sizes, bits), keys
 
@@ -277,8 +301,9 @@ def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
 
     Each candidate's ``noise_scale`` must already equal
     2 * sensitivity / epsilon; with per-candidate independent draws that
-    makes the argmin epsilon-DP.  Draws are keyed by mask content, so the
-    same stream gives the same mask the same noise in any list order.
+    makes the argmin epsilon-DP.  Draws are keyed by each mask's rank in
+    the family's canonical order, so the same stream gives the same mask
+    the same noise in any list order.
     """
     if budget.delta != 0.0:
         raise ConfigError("noisy_argmin is a pure-epsilon mechanism; delta must be 0")
@@ -297,8 +322,8 @@ def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget,
 
     Returns (chosen mask, realized sampling keys).  Keys are oriented so
     the chosen mask is their argmin, mirroring noisy_argmin's output
-    contract.  Sampling uses per-candidate Gumbel draws keyed by mask
-    content (argmax of log-weight + Gumbel is an exact softmax sample).
+    contract.  Sampling uses per-candidate Gumbel draws keyed by canonical
+    rank (argmax of log-weight + Gumbel is an exact softmax sample).
     """
     if budget.delta != 0.0:
         raise ConfigError("exponential_mechanism is a pure-epsilon mechanism; delta must be 0")

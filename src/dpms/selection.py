@@ -308,8 +308,8 @@ def _select_rows(
     ``config`` supplies the radius, budget, mechanism and stage-1 split;
     its penalty is already inside ``clean``.  pcls calibrates every row to
     ``(r + R)**2``.  pcpl draws each row's stage-1 Laplace variate as the
-    first draw of the row's stream, releases the row's sensitivity proxy
-    with it, and falls back to a uniform pick on rows whose proxy is
+    first word of the row's Laplace stream, releases the row's sensitivity
+    proxy with it, and falls back to a uniform pick on rows whose proxy is
     degenerate; its noiseless limit (epsilon = inf) never falls back.
     """
     if not np.isfinite(clean).all():

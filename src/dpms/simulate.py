@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import struct
 import time
@@ -133,6 +134,13 @@ def default_phi_grid(n: int) -> tuple[float, ...]:
     return (0.0,) + tuple(float(v) for v in np.geomspace(0.01 * n, 0.5 * n, 40))
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _dedup(name: str, values: Sequence) -> tuple:
     out, seen = [], set()
     for v in values:
@@ -164,7 +172,10 @@ class SweepGrid:
     algorithm: str = "pcls"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", _dedup("n", tuple(int(v) for v in self.n_values)))
+        object.__setattr__(
+            self, "n_values", _dedup("n", tuple(_integer("n", v) for v in self.n_values))
+        )
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
         for name in ("radius_values", "epsilon_values", "delta_values"):
             object.__setattr__(
                 self, name, _dedup(name, tuple(float(v) for v in getattr(self, name)))
@@ -389,8 +400,11 @@ def _run_chunk(payload) -> np.ndarray:
 def _resolve_workers(max_workers: int | None) -> int:
     cap = os.cpu_count() or 1
     if max_workers is not None:
+        max_workers = _integer("max_workers", max_workers)
+        if max_workers < 1:
+            raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
         cap = min(cap, max_workers)
-    return max(1, cap)
+    return cap
 
 
 def run_sweep(

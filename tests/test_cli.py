@@ -260,6 +260,14 @@ class TestSweep:
         ]
         assert main(args) == 2
 
+    def test_threads_below_one_is_usage_error(self, capsys):
+        args = [
+            "sweep", "--model-id", "1", "--n", "40", "--eps", "2", "--R", "2.0",
+            "--phi", "0", "--replications", "2", "--seed", "4", "--threads", "-3",
+        ]
+        assert main(args) == 2
+        assert "max_workers must be at least 1" in capsys.readouterr().err
+
     def test_reproducible_across_thread_counts(self, tmp_path):
         outs = []
         for threads, name in ((1, "a.csv"), (2, "b.csv")):

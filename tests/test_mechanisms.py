@@ -13,12 +13,17 @@ from dpms import (
     CandidateSet,
     ConfigError,
     DataError,
+    Dataset,
     ModelMask,
     PrivacyBudget,
     RngStream,
     ScoredCandidate,
+    SelectionConfig,
+    all_subsets,
     exponential_mechanism,
     noisy_argmin,
+    pcls_select,
+    pcpl_select,
     sample_laplace,
 )
 from dpms import mechanisms
@@ -62,10 +67,13 @@ class TestRngStream:
     def test_bounds(self):
         RngStream(0, 0)
         RngStream(2**64 - 1, 2**64 - 1)
+        RngStream(2**128 - 1, 0)
         with pytest.raises(ConfigError):
             RngStream(-1, 0)
         with pytest.raises(ConfigError):
             RngStream(0, 2**64)
+        with pytest.raises(ConfigError):
+            RngStream(2**128, 0)
 
     def test_integers_only(self):
         # A float or string key used to pass validation and then break
@@ -142,6 +150,15 @@ class TestLaplaceInverseMap:
         with pytest.raises(ConfigError):
             sample_laplace(np.random.default_rng(0), 1.0)
 
+    def test_size_is_a_nonnegative_integer(self):
+        # size=-1 used to raise a bare numpy ValueError and size=2.5 to
+        # return two draws.
+        for bad in (-1, 2.5, "3", 2.0):
+            with pytest.raises(ConfigError):
+                sample_laplace(RngStream(1, 0), 1.0, size=bad)
+        assert sample_laplace(RngStream(1, 0), 1.0, size=0).shape == (0,)
+        assert sample_laplace(RngStream(1, 0), 1.0, size=np.int64(3)).shape == (3,)
+
 
 class TestGumbelMap:
     def test_distribution(self):
@@ -154,66 +171,121 @@ class TestGumbelMap:
         assert result.pvalue > 0.01
 
 
-def _reference_word(seed, stream_id, tag, bits):
-    """One keyed draw as specified: the first nonzero blake2b-64 digest of
-    the words (seed, stream_id, tag, bits, counter), counter = 0, 1, ..."""
-    counter = 0
-    while True:
-        message = struct.pack("<QQQQQ", seed, stream_id, tag, bits, counter)
-        k = int.from_bytes(hashlib.blake2b(message, digest_size=8).digest(), "little")
-        if k:
-            return k
-        counter += 1
+def _reference_word(seed, stream_id, tag, rank):
+    """Word ``rank`` of one keyed stream, read on its own as specified:
+    SHAKE-256 of the 16-byte little-endian seed and the little-endian
+    words (stream_id, tag), cut into little-endian 64-bit words."""
+    message = seed.to_bytes(16, "little") + struct.pack("<QQ", stream_id, tag)
+    digest = hashlib.shake_256(message).digest(8 * (rank + 1))
+    return int.from_bytes(digest[8 * rank:], "little")
+
+
+def _ranks(bits):
+    """Each mask's position when the masks are sorted by size, then bits."""
+    order = sorted(range(len(bits)), key=lambda j: (bin(bits[j]).count("1"), bits[j]))
+    return [order.index(j) for j in range(len(bits))]
 
 
 class TestKeyedDraws:
-    SEED = 2**64 - 3
+    SEEDS = [2**64 - 3, 2**100 + 2**64 + 17]
     STREAMS = [0, 1, 977, 2**63, 2**64 - 1]
-    BITS = [0, 1, 6, 2**40 + 5, 2**64 - 1]
+    BITS = [2**64 - 1, 6, 0, 2**40 + 5, 1, 12]
+
+    def _block(self, seed, streams, tag, bits):
+        family = CandidateSet(bits, 64)
+        return _keyed_u64_block(seed, streams, tag, family.sizes, family.bits)
 
     def test_block_matches_per_entry_reference(self):
-        for tag in (1, 2, 3):
-            block = _keyed_u64_block(self.SEED, self.STREAMS, tag, self.BITS)
-            expected = [
-                [_reference_word(self.SEED, s, tag, b) for b in self.BITS] for s in self.STREAMS
-            ]
-            assert block.dtype == np.uint64
-            assert block.tolist() == expected
+        ranks = _ranks(self.BITS)
+        for seed in self.SEEDS:
+            for tag in (1, 2, 3, 4):
+                block = self._block(seed, self.STREAMS, tag, self.BITS)
+                expected = [
+                    [_reference_word(seed, s, tag, r) for r in ranks] for s in self.STREAMS
+                ]
+                assert block.dtype == np.uint64
+                assert block.tolist() == expected
 
-    def test_chunked_hashing_matches_reference(self, monkeypatch):
-        monkeypatch.setattr(mechanisms, "_HASH_CHUNK", 7)  # one or two rows per chunk
-        block = _keyed_u64_block(5, self.STREAMS, 1, self.BITS[:3])
-        assert block.tolist() == [
-            [_reference_word(5, s, 1, b) for b in self.BITS[:3]] for s in self.STREAMS
-        ]
+    def test_single_draws_read_the_first_words(self):
+        for seed in self.SEEDS:
+            stream = RngStream(seed, 977)
+            words = np.array(
+                [_reference_word(seed, 977, mechanisms._TAG_LAPLACE, r) for r in range(5)],
+                dtype=np.uint64,
+            )
+            expected = 3.0 * _laplace_from_u64_array(words)
+            assert np.array_equal(sample_laplace(stream, 3.0, size=5), expected)
+            assert sample_laplace(stream, 3.0) == expected[0]
+            u = _reference_word(seed, 977, mechanisms._TAG_FALLBACK, 0) / 2**64
+            assert _uniform_index(stream, 1000) == int(u * 1000)
 
-    def test_zero_digest_retries_with_next_counter(self, monkeypatch):
-        seed, stream, tag, bits = 4, 9, 1, [3, 5]
-        zero_message = struct.pack("<QQQQQ", seed, stream, tag, bits[0], 0)
-        real = hashlib.blake2b
+    def test_zero_word_takes_the_next_nonzero_spare(self, monkeypatch):
+        # Six masks: rank 1 reads a zero word, so it takes the first
+        # nonzero word past the first six (word 6, or word 7 when word 6
+        # is zero too).  The other stream of the block is untouched.
+        seed, streams, tag = 2**70 + 4, [9, 10], 1
+        target = seed.to_bytes(16, "little") + struct.pack("<QQ", streams[0], tag)
+        real = hashlib.shake_256
+        ranks = _ranks(self.BITS)
+        for zeroed in ((1,), (1, 6)):
 
-        class ZeroOnce:
-            """blake2b stand-in whose digest of one message is all zeros."""
+            class ZeroWords:
+                """SHAKE-256 stand-in that zeroes some words of one stream."""
 
-            def __init__(self, data=b"", digest_size=8):
-                self.data = bytes(data)
+                def __init__(self, data):
+                    self.data = bytes(data)
 
-            def copy(self):
-                return ZeroOnce(self.data)
+                def digest(self, length):
+                    out = bytearray(real(self.data).digest(length))
+                    if self.data == target:
+                        for w in zeroed:
+                            if 8 * w < length:
+                                out[8 * w:8 * w + 8] = bytes(8)
+                    return bytes(out)
 
-            def update(self, data):
-                self.data += bytes(data)
+            monkeypatch.setattr(mechanisms, "hashlib", types.SimpleNamespace(shake_256=ZeroWords))
+            block = self._block(seed, streams, tag, self.BITS)
+            monkeypatch.undo()
+            spare = _reference_word(seed, streams[0], tag, 5 + len(zeroed))
+            for j, r in enumerate(ranks):
+                want = spare if r == 1 else _reference_word(seed, streams[0], tag, r)
+                assert int(block[0, j]) == want
+                assert int(block[1, j]) == _reference_word(seed, streams[1], tag, r)
 
-            def digest(self):
-                if self.data == zero_message:
-                    return bytes(8)
-                return real(self.data, digest_size=8).digest()
+    def test_shuffled_family_reorders_its_draws(self):
+        family = all_subsets(5)
+        perm = np.random.default_rng(3).permutation(len(family))
+        for tag in (1, 2):
+            block = _keyed_u64_block(7, [0, 5], tag, family.sizes, family.bits)
+            shuffled = _keyed_u64_block(7, [0, 5], tag, family.sizes[perm], family.bits[perm])
+            assert np.array_equal(shuffled, block[:, perm])
 
-        monkeypatch.setattr(mechanisms, "hashlib", types.SimpleNamespace(blake2b=ZeroOnce))
-        block = _keyed_u64_block(seed, [stream], tag, bits)
-        retried = struct.pack("<QQQQQ", seed, stream, tag, bits[0], 1)
-        assert int(block[0, 0]) == int.from_bytes(real(retried, digest_size=8).digest(), "little")
-        assert int(block[0, 1]) == _reference_word(seed, stream, tag, bits[1])
+    def test_wide_seed_draws_differently_from_its_low_half(self):
+        low, wide = RngStream(5, 3), RngStream(2**64 + 5, 3)
+        assert sample_laplace(low, 1.0) != sample_laplace(wide, 1.0)
+        blocks = [self._block(s.seed, [s.stream_id], 1, self.BITS) for s in (low, wide)]
+        assert not np.any(blocks[0] == blocks[1])
+
+    def test_selectors_never_use_the_generator(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("selection drew from RngStream.generator")
+
+        monkeypatch.setattr(RngStream, "generator", forbidden)
+        gen = np.random.default_rng(0)
+        x = gen.uniform(-1.0, 1.0, (400, 3))
+        y = np.clip(x @ np.array([0.8, -0.6, 0.0]) + 0.3 * gen.normal(size=400), -2, 2)
+        ds = Dataset.from_arrays(x, y, response_bound=2.0)
+        family = all_subsets(3)
+        fallbacks = set()
+        for mechanism in ("noisy_argmin", "exponential"):
+            cfg = SelectionConfig(radius=1.0, penalty=1.0, budget=PrivacyBudget(1.0),
+                                  mechanism=mechanism)
+            pcls_select(ds, family, cfg, RngStream(1, 2))
+            for radius, delta in ((1.0, 1e-3), (3.0, 1e-6)):
+                cfg = SelectionConfig(radius=radius, penalty=1.0, mechanism=mechanism,
+                                      budget=PrivacyBudget(20.0, delta))
+                fallbacks.add(pcpl_select(ds, family, cfg, RngStream(1, 2)).fallback_uniform)
+        assert fallbacks == {False, True}
 
     def test_row_tie_rule_ignores_column_order(self):
         bits = np.array([0b0111, 0b1000, 0b0001, 0b0011, 0b0100], dtype=np.uint64)

@@ -15,13 +15,15 @@ from dpms import (
     RngStream,
     SelectionConfig,
     all_subsets,
+    fit_masks,
     from_explicit,
     ls_sensitivity,
     pcls_select,
     pcpl_select,
     sample_laplace,
+    sufficient_stats,
 )
-from dpms.selection import _profile_sensitivity_value
+from dpms.selection import _profile_sensitivity_value, _score_matrix, _select_rows
 
 
 def _dataset(n=120, d=4, seed=0, beta=(0.9, -0.7, 0.0, 0.0), noise=0.4):
@@ -92,7 +94,6 @@ class TestComputeGofD:
     def test_matches_manual_replay(self):
         # pcpl's released proxy; stage 1 spends 2 * 1.0 * 0.5 = 1.0.  The
         # small sample's proxy is degenerate, the large one's finite.
-        from dpms import fit_masks, sufficient_stats
 
         for n, noise in ((300, 0.4), (2000, 1.0)):
             ds, x, y = _dataset(n=n, seed=3, noise=noise)
@@ -161,17 +162,26 @@ class TestPclsSelect:
 
     def test_noise_calibration_on_entries(self):
         # The reported noisy scores must sit at clean + Laplace noise with
-        # scale exactly 2 * (r + R)^2 / epsilon.
+        # scale exactly 2 * (r + R)^2 / epsilon.  One fit; row i is
+        # pcls_select(ds, models, cfg, RngStream(77, i)).
         ds, _, _ = _dataset(n=40, d=2, seed=9, beta=(0.5, -0.5))
         models = from_explicit([[1], [2], [1, 2]], 2)
         eps = 2.0
         cfg = SelectionConfig(radius=1.0, penalty=0.0, budget=PrivacyBudget(eps))
         scale = 2.0 * (ds.response_bound + 1.0) ** 2 / eps
-        residuals = []
-        for i in range(3000):
+        trials = 3000
+        fits = fit_masks(sufficient_stats(ds), models, cfg.radius)
+        clean = _score_matrix("pcls", fits, ds.n, [cfg.penalty], models.sizes)
+        picks = _select_rows(
+            "pcls", fits, np.broadcast_to(clean, (trials, len(models))), ds.response_bound,
+            ds.n, cfg, models, 77, range(trials),
+        )
+        for i in (0, 1, 1234, trials - 1):
             report = pcls_select(ds, models, cfg, RngStream(77, i))
-            residuals.append(report.noisy_scores - report.clean_scores)
-        residuals = np.concatenate(residuals)
+            assert np.array_equal(report.clean_scores, clean[0])
+            assert np.array_equal(report.noisy_scores, picks.noisy[i])
+            assert report.chosen == models[picks.winners[i]]
+        residuals = (picks.noisy - clean).ravel()
         assert abs(np.mean(residuals)) < 0.1 * scale
         assert np.var(residuals) == pytest.approx(2.0 * scale**2, rel=0.1)
 
@@ -417,9 +427,9 @@ class TestReportArrays:
 # how families, fits or draws are passed around cannot move a single byte
 # of a report.
 REPORT_SHA256 = {
-    "pcls-all": "9447b49d00d9efa1b310133bf457ce33ac3791d6dee64ec637f830c09e63ad5a",
-    "pcls-reversed": "e44e302b42a9fa2ff15155383b9d17f50c63419d4ffea0a416c2eda6401a794d",
-    "pcpl-exponential": "8e0503469401558b877ba474ca5b8cf6f32bb76e9a27919455a1f017b14e943d",
+    "pcls-all": "b3933c71a48872d28d3f35177dec9a5f352aa9d7da092171ff3228677446c0fa",
+    "pcls-reversed": "b59c9b3d78ca5d5e6faaa06cdd4817a3ec469f43b11de50af2c13bb79fd63609",
+    "pcpl-exponential": "6cce1f26e8d118c83447e8530c73738d1de377b7925864811c50e0febeb58162",
 }
 
 

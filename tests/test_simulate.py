@@ -136,6 +136,27 @@ class TestSweepGrid:
                 algorithm="stepwise",
             )
 
+    def test_fractional_replications_rejected(self):
+        # 2.5 used to run two replications and divide the counts by 2.5,
+        # so an infinite budget reported prop_agree = 0.8.
+        with pytest.raises(ConfigError, match="replications"):
+            SweepGrid(
+                n_values=(100,), radius_values=(1.0,), epsilon_values=(1.0,),
+                replications=2.5,
+            )
+        grid = SweepGrid(
+            n_values=(100,), radius_values=(1.0,), epsilon_values=(1.0,),
+            replications=np.int64(3),
+        )
+        assert type(grid.replications) is int and grid.replications == 3
+
+    def test_fractional_n_rejected(self):
+        # 100.7 used to be truncated to 100 without a word.
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            SweepGrid(n_values=(100.7,), radius_values=(1.0,), epsilon_values=(1.0,))
+        grid = SweepGrid(n_values=(np.int64(100),), radius_values=(1.0,), epsilon_values=(1.0,))
+        assert grid.n_values == (100,) and type(grid.n_values[0]) is int
+
     def test_phi_default_depends_on_n(self):
         grid = SweepGrid(n_values=(100, 1000), radius_values=(1.0,), epsilon_values=(1.0,))
         assert grid.phis_for(100)[1] == pytest.approx(1.0)
@@ -198,6 +219,13 @@ class TestRunSweep:
         duo = run_sweep(grid, _template(), model_id="1", max_workers=3)
         assert solo.to_csv() == duo.to_csv()
 
+    def test_rejects_fewer_than_one_worker(self):
+        # 0 and negative caps used to run one worker without a word.
+        grid = self._small_grid(replications=2)
+        for workers in (0, -3):
+            with pytest.raises(ConfigError, match="max_workers"):
+                run_sweep(grid, _template(), model_id="1", max_workers=workers)
+
     def test_infinite_budget_always_agrees_with_noiseless_baseline(self):
         res = run_sweep(self._small_grid(), _template(), model_id="1")
         for row in res.rows:
@@ -250,13 +278,13 @@ class TestRunSweep:
 
 
 # sha256 of run_sweep(...).to_csv() on _golden_grid, pinned from the
-# implementation that ran one selection call per cell.  Scoring a
-# replication's grid as a matrix must replay every cell exactly.
+# SHAKE-256 keyed draws.  Scoring a replication's grid as a matrix must
+# replay every cell exactly, for any worker count.
 GOLDEN_SWEEP_SHA256 = {
-    ("pcls", "noisy_argmin"): "09e3f25f781533d3478be0d25e47d85503ca9fa9fa9a8443040a3f9f38d2cb6c",
-    ("pcls", "exponential"): "2a7cf7314ab2bd7e4fc70641e41c61621677ec1c1bda943c1f955c7b40d8f3d9",
-    ("pcpl", "noisy_argmin"): "b53e826aec911a9e81f37fa82388ca4f8369e1999f71427930d5c5e366eaf075",
-    ("pcpl", "exponential"): "284415730d18da18264704052a91e3c180aa5c51c1284d4cae7be38688b40788",
+    ("pcls", "noisy_argmin"): "f68102ca8c02bf2670f1f44bf54b5b29693399dcfa4f7134acbbb3c58a0b4a95",
+    ("pcls", "exponential"): "beb83cc4d9b99aa25817449bdba74db17829d71638a96f0005cf7cc6600b17bf",
+    ("pcpl", "noisy_argmin"): "764ddeb4a0c25ff6d53ed5715bfc291291da35da75fed34a9d174a3384c8715f",
+    ("pcpl", "exponential"): "99da569bd94b1e7c37611631dbcd69a46c065b3fb8f59873d70ad3926c7d204f",
 }
 
 
