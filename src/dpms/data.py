@@ -253,9 +253,10 @@ def standardize(
     """Map raw arrays into the bounded domain and build a Dataset.
 
     policy "clip"
-        Truncate x into [-1, 1] and y into [-r, r].  ``r`` is
-        ``response_bound`` when given, else max|y| (flagged
-        data-dependent on the result).
+        Truncate x into [-1, 1] and, when ``response_bound`` is given, y
+        into [-r, r] with ``r = response_bound``.  Without it the bound
+        is :meth:`Dataset.from_arrays`'s max|y| (flagged data-dependent
+        on the result), which y already satisfies.
     policy "rescale"
         Affinely map each x column from a caller-supplied public range
         [lo, hi] onto [-1, 1], and y from ``y_range`` onto [-r, r] with
@@ -270,16 +271,10 @@ def standardize(
             f"expected x (n, d) and y (n,), got shapes {x.shape} and {y.shape}"
         )
     if policy == "clip":
-        if response_bound is None:
-            r = float(np.max(np.abs(y))) if y.size else 0.0
-            r = max(r, 1e-12)
-            flagged = True
-        else:
-            r = float(response_bound)
-            flagged = False
         np.clip(x, -1.0, 1.0, out=x)
-        np.clip(y, -r, r, out=y)
-        return Dataset(x, y, r, bound_is_data_dependent=flagged)
+        if response_bound is not None:
+            np.clip(y, -response_bound, response_bound, out=y)
+        return Dataset.from_arrays(x, y, response_bound)
     if policy == "rescale":
         if x_ranges is None or y_range is None:
             raise ConfigError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _MAX_MASK_D, ModelMask
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _integer
 
 __all__ = ["CandidateSet", "all_subsets", "from_explicit"]
 
@@ -83,9 +83,10 @@ def all_subsets(
     printed reports and frozen test expectations never shuffle.  ``d`` is
     capped at 24.
     """
+    d = _integer("d", d)
     if not 1 <= d <= _MAX_D:
         raise ConfigError(f"d must be in [1, {_MAX_D}] for exhaustive enumeration, got {d}")
-    cap = d if max_size is None else int(max_size)
+    cap = d if max_size is None else _integer("max_size", max_size)
     if not 0 <= cap <= d:
         raise ConfigError(f"max_size must be in [0, {d}], got {max_size}")
     if cap == 0 and not include_empty:

@@ -13,8 +13,10 @@ and one read serves a whole row:
   candidate list permutes the realized draws with it, exactly; a draw
   depends on its mask's rank within the public family, not on the list
   position.
-* ``sample_laplace`` (pcpl's stage 1) and the uniform fallback read the
-  first words of their own tags' streams.
+* pcpl's stage-1 Laplace variates (:func:`_laplace_rows`) and its uniform
+  fallback (:func:`_uniform_rows`) read the first word of each row's
+  stream under their own tags; ``sample_laplace`` reads the first words
+  of one stream's Laplace tag.
 
 ``RngStream.generator()``, a numpy Generator seeded from the same pair,
 serves only synthetic data generation.  ``noisy_argmin`` and
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .data import ModelMask
 from .enumeration import CandidateSet
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _integer, _real
 
 __all__ = [
     "PrivacyBudget",
@@ -79,10 +80,7 @@ class RngStream:
     def __post_init__(self) -> None:
         for name, limit, width in (("seed", _SEED_LIMIT, 128), ("stream_id", _U64, 64)):
             v = getattr(self, name)
-            try:
-                k = operator.index(v)
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {v!r}") from None
+            k = _integer(name, v)
             if not 0 <= k < limit:
                 raise ConfigError(f"{name} must be a {width}-bit non-negative integer, got {v}")
             object.__setattr__(self, name, k)
@@ -106,8 +104,8 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        eps = float(self.epsilon)
-        delta = float(self.delta)
+        eps = _real("epsilon", self.epsilon)
+        delta = _real("delta", self.delta)
         if math.isnan(eps) or eps <= 0:
             raise ConfigError(f"epsilon must be > 0 (or inf), got {self.epsilon}")
         if not 0.0 <= delta < 1.0:
@@ -202,10 +200,18 @@ def _keyed_u64_block(seed: int, stream_ids, tag: int, sizes, bits) -> np.ndarray
     return out
 
 
-def _uniform_index(rng: RngStream, n: int) -> int:
-    """Index uniform on range(n), keyed to the stream's fallback tag."""
-    u = int(_xof_words(rng.seed, [rng.stream_id], _TAG_FALLBACK, 1)[0, 0]) / _U64
-    return min(int(u * n), n - 1)
+def _laplace_rows(seed: int, stream_ids) -> np.ndarray:
+    """One standard Laplace variate per stream: the first word of its
+    Laplace tag, the draw ``sample_laplace(RngStream(seed, sid), 1.0)``
+    returns."""
+    return _laplace_from_u64_array(_xof_words(seed, stream_ids, _TAG_LAPLACE, 1)[:, 0])
+
+
+def _uniform_rows(seed: int, stream_ids, n: int) -> np.ndarray:
+    """One index uniform on range(n) per stream, from the first word
+    ``k`` of its fallback tag: ``min(int(k / 2^64 * n), n - 1)``."""
+    u = _xof_words(seed, stream_ids, _TAG_FALLBACK, 1)[:, 0].astype(np.float64) / float(_U64)
+    return np.minimum((u * n).astype(np.intp), n - 1)
 
 
 def sample_laplace(rng: RngStream, scale: float, size: int | None = None):
@@ -222,10 +228,7 @@ def sample_laplace(rng: RngStream, scale: float, size: int | None = None):
     if size is None:
         n = 1
     else:
-        try:
-            n = operator.index(size)
-        except TypeError:
-            raise ConfigError(f"size must be an integer, got {size!r}") from None
+        n = _integer("size", size)
         if n < 0:
             raise ConfigError(f"size must be non-negative, got {size}")
     words = _xof_words(rng.seed, [rng.stream_id], _TAG_LAPLACE, n)[0]

@@ -31,19 +31,19 @@ import numpy as np
 
 from .data import Dataset, ModelMask, _readonly, member_matrix, sufficient_stats
 from .enumeration import CandidateSet
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _real
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
     _gumbel_argmin_rows,
+    _laplace_rows,
     _noisy_argmin_rows,
-    _uniform_index,
-    sample_laplace,
+    _uniform_rows,
 )
 
-# The list-based mechanisms stay importable from this module, where
-# perfbench/bench_trace.py looks them up.
-from .mechanisms import exponential_mechanism, noisy_argmin  # noqa: F401
+# The list-based mechanisms and the one-stream Laplace draw stay
+# importable from this module, where perfbench/bench_trace.py looks them up.
+from .mechanisms import exponential_mechanism, noisy_argmin, sample_laplace  # noqa: F401
 from .solver import Fits, fit_masks, profile_neg2_loglik
 
 __all__ = [
@@ -77,10 +77,6 @@ class SelectionConfig:
         ``"noisy_argmin"`` adds Laplace noise to every score and takes the
         minimum; ``"exponential"`` samples from the softmax over negated
         scores.  Both satisfy the same budget.
-    response_bound
-        Public bound r on |y|.  ``None`` falls back to the bound carried
-        by the dataset, which may be data-dependent (and is flagged as
-        such in the report).
     stage1_fraction
         Share of the total ``2 * epsilon`` budget that ``pcpl_select``
         spends on its sensitivity measurement.
@@ -90,25 +86,22 @@ class SelectionConfig:
     penalty: float
     budget: PrivacyBudget
     mechanism: str = "noisy_argmin"
-    response_bound: float | None = None
     stage1_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        radius = _real("radius", self.radius)
+        if not (math.isfinite(radius) and radius > 0):
             raise ConfigError(f"radius must be a positive finite float, got {self.radius}")
-        if not (math.isfinite(self.penalty) and self.penalty >= 0):
+        penalty = _real("penalty", self.penalty)
+        if not (math.isfinite(penalty) and penalty >= 0):
             raise ConfigError(f"penalty must be a nonnegative finite float, got {self.penalty}")
+        if not isinstance(self.budget, PrivacyBudget):
+            raise ConfigError(f"budget must be a PrivacyBudget, got {self.budget!r}")
         if self.mechanism not in _MECHANISMS:
             raise ConfigError(
                 f"mechanism must be one of {_MECHANISMS}, got {self.mechanism!r}"
             )
-        if self.response_bound is not None and not (
-            math.isfinite(self.response_bound) and self.response_bound > 0
-        ):
-            raise ConfigError(
-                f"response_bound must be positive and finite, got {self.response_bound}"
-            )
-        if not 0.0 < self.stage1_fraction < 1.0:
+        if not 0.0 < _real("stage1_fraction", self.stage1_fraction) < 1.0:
             raise ConfigError(
                 f"stage1_fraction must lie strictly between 0 and 1, got {self.stage1_fraction}"
             )
@@ -129,6 +122,15 @@ def ls_sensitivity(response_bound: float, radius: float) -> float:
     return (response_bound + radius) ** 2
 
 
+def _check_delta(algorithm: str, delta: float) -> None:
+    """pcls spends a pure budget (delta = 0); pcpl spends its delta on
+    stage 1's safety margin, which needs 0 < delta < 1."""
+    if algorithm == "pcls" and delta != 0.0:
+        raise ConfigError(f"pcls spends a pure budget and needs delta == 0, got {delta}")
+    if algorithm == "pcpl" and not 0.0 < delta < 1.0:
+        raise ConfigError(f"pcpl needs delta strictly inside (0, 1), got {delta}")
+
+
 def _profile_sensitivity_value(
     min_loss: float,
     n_obs: int,
@@ -136,9 +138,10 @@ def _profile_sensitivity_value(
     radius: float,
     stage1_epsilon: float,
     delta: float,
-    laplace_unit: float,
-) -> float:
-    """Noisy upper bound on the profile score's local sensitivity.
+    laplace_units,
+) -> np.ndarray:
+    """Noisy upper bounds on the profile score's local sensitivity, one
+    per standard Laplace variate in the array ``laplace_units``.
 
     Starts from the deterministic bound ``n * w / (min_loss - w)`` with
     ``w = (r + R)**2``, then perturbs the denominator with calibrated
@@ -146,16 +149,16 @@ def _profile_sensitivity_value(
     released value is itself private and exceeds the true local
     sensitivity except with probability ``delta``.  A nonpositive
     denominator means the data fit too well for the bound to say anything;
-    the sentinel ``math.inf`` signals that.
+    the sentinel ``inf`` signals that.
     """
+    units = np.asarray(laplace_units, dtype=np.float64)
     width = (response_bound + radius) ** 2
-    shift = 0.0
+    shift = np.zeros(units.shape)
     if math.isfinite(stage1_epsilon):
-        shift = width * (laplace_unit - math.log(1.0 / (2.0 * delta))) / stage1_epsilon
+        shift = width * (units - math.log(1.0 / (2.0 * delta))) / stage1_epsilon
     denominator = min_loss - width + shift
-    if denominator <= 0.0:
-        return math.inf
-    return n_obs * width / denominator
+    out = np.full(units.shape, np.inf)
+    return np.divide(n_obs * width, denominator, out=out, where=denominator > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,22 +238,6 @@ class SelectionReport:
         return text + "\n"
 
 
-def _effective_bound(dataset: Dataset, config: SelectionConfig) -> tuple[float, bool]:
-    """Resolve the response bound used for sensitivity calibration.
-
-    A configured bound must dominate the bound the data was validated
-    against, otherwise the sensitivity argument would understate reality.
-    """
-    if config.response_bound is None:
-        return dataset.response_bound, dataset.bound_is_data_dependent
-    if config.response_bound < dataset.response_bound:
-        raise DataError(
-            f"configured response bound {config.response_bound} is below the "
-            f"dataset bound {dataset.response_bound}; sensitivity would be understated"
-        )
-    return config.response_bound, False
-
-
 class _Picks(NamedTuple):
     """One private selection per row of a score matrix."""
 
@@ -306,46 +293,42 @@ def _select_rows(
 
     Column ``j`` of ``clean`` scores candidate ``j`` of ``models``.
     ``config`` supplies the radius, budget, mechanism and stage-1 split;
-    its penalty is already inside ``clean``.  pcls calibrates every row to
-    ``(r + R)**2``.  pcpl draws each row's stage-1 Laplace variate as the
-    first word of the row's Laplace stream, releases the row's sensitivity
-    proxy with it, and falls back to a uniform pick on rows whose proxy is
-    degenerate; its noiseless limit (epsilon = inf) never falls back.
+    its penalty is already inside ``clean``.  Every row runs the configured
+    mechanism with its own sensitivity: ``(r + R)**2`` for pcls, and for
+    pcpl the proxy that stage 1 releases with the row's first Laplace
+    word.  A pcpl row whose proxy is degenerate falls back to a uniform
+    pick instead; its noiseless limit (epsilon = inf) never falls back.
     """
     if not np.isfinite(clean).all():
         raise DataError("candidate scores must be finite")
-    epsilon = config.budget.epsilon
+    rows = len(stream_ids)
     if algorithm == "pcls":
-        sensitivity = ls_sensitivity(bound, config.radius)
-        winners, noisy = _mechanism_rows(
-            clean, sensitivity, epsilon, config.mechanism, models, seed, stream_ids
+        epsilon, proxy = config.budget.epsilon, None
+        sensitivity = np.full(rows, ls_sensitivity(bound, config.radius))
+    else:
+        stage1_epsilon, epsilon = _stage_epsilons(config)
+        proxy = sensitivity = _profile_sensitivity_value(
+            float(fits.neg2_loglik.min()), n_obs, bound, config.radius, stage1_epsilon,
+            config.budget.delta, _laplace_rows(seed, stream_ids),
         )
-        return _Picks(winners, noisy, np.zeros(len(stream_ids), dtype=bool), None)
-
-    stage1_epsilon, stage2_epsilon = _stage_epsilons(config)
-    min_loss = float(fits.neg2_loglik.min())
-    proxy = np.array([
-        _profile_sensitivity_value(
-            min_loss, n_obs, bound, config.radius, stage1_epsilon, config.budget.delta,
-            float(sample_laplace(RngStream(seed, sid), 1.0)),
-        )
-        for sid in stream_ids
-    ])
-    fallback = np.isinf(proxy) & math.isfinite(epsilon)
-    winners = np.empty(len(stream_ids), dtype=np.intp)
-    for i in np.flatnonzero(fallback):
-        winners[i] = _uniform_index(RngStream(seed, stream_ids[i]), clean.shape[1])
-    kept = np.flatnonzero(~fallback)
+    fallback = np.isinf(sensitivity) & math.isfinite(epsilon)
+    kept = ~fallback
+    winners = np.empty(rows, dtype=np.intp)
+    kept_clean, kept_ids = clean, stream_ids
+    if fallback.any():
+        ids = np.asarray(stream_ids, dtype=np.uint64)
+        winners[fallback] = _uniform_rows(seed, ids[fallback].tolist(), clean.shape[1])
+        kept_clean, kept_ids = clean[kept], ids[kept].tolist()
     noisy = None
-    if kept.size:
-        kept_winners, kept_noisy = _mechanism_rows(
-            clean[kept], proxy[kept, None], stage2_epsilon, config.mechanism, models,
-            seed, [stream_ids[i] for i in kept],
+    if len(kept_ids):
+        winners[kept], noisy = _mechanism_rows(
+            kept_clean, sensitivity[kept, None], epsilon, config.mechanism, models, seed, kept_ids
         )
-        winners[kept] = kept_winners
-        if kept_noisy is not None:
-            noisy = np.full(clean.shape, np.nan)
-            noisy[kept] = kept_noisy
+    if noisy is not None and fallback.any():
+        # Fallback rows have no noisy scores.
+        full = np.full(clean.shape, np.nan)
+        full[kept] = noisy
+        noisy = full
     return _Picks(winners, noisy, fallback, proxy)
 
 
@@ -360,10 +343,11 @@ def _select_with_fits(
     # One row of the selection core, on fits that depend only on (data,
     # radius): the sweep harness reuses one batch of fits across its whole
     # penalty-by-budget grid.
-    bound, data_dependent = _effective_bound(dataset, config)
+    _check_delta(algorithm, config.budget.delta)
     clean = _score_matrix(algorithm, fits, dataset.n, [config.penalty], models.sizes)
     picks = _select_rows(
-        algorithm, fits, clean, bound, dataset.n, config, models, rng.seed, [rng.stream_id]
+        algorithm, fits, clean, dataset.response_bound, dataset.n, config, models,
+        rng.seed, [rng.stream_id],
     )
     if algorithm == "pcls":
         epsilon_total = config.budget.epsilon
@@ -381,8 +365,8 @@ def _select_with_fits(
         delta=config.budget.delta,
         radius=config.radius,
         penalty=config.penalty,
-        response_bound=bound,
-        response_bound_data_dependent=data_dependent,
+        response_bound=dataset.response_bound,
+        response_bound_data_dependent=dataset.bound_is_data_dependent,
         rng=rng,
         mechanism=config.mechanism,
         fallback_uniform=fallback,
@@ -419,8 +403,6 @@ def _pcls_with_fits(
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
-    if config.budget.delta != 0.0:
-        raise ConfigError("pure selection requires delta == 0; use the two-stage path for delta > 0")
     return _select_with_fits("pcls", dataset, models, fits, config, rng)
 
 
@@ -451,7 +433,4 @@ def _pcpl_with_fits(
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
-    delta = config.budget.delta
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"two-stage selection needs 0 < delta < 1, got {delta}")
     return _select_with_fits("pcpl", dataset, models, fits, config, rng)

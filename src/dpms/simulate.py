@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import struct
 import time
@@ -30,9 +29,9 @@ import numpy as np
 
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .mechanisms import PrivacyBudget, RngStream, _row_argmin
-from .selection import SelectionConfig, _Picks, _score_matrix, _select_rows
+from .selection import SelectionConfig, _check_delta, _Picks, _score_matrix, _select_rows
 from .solver import fit_masks
 
 # The one-cell selections stay importable from this module, where
@@ -92,6 +91,7 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n}")
         if not self.coefficients:
@@ -113,8 +113,7 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, ModelMask]:
 
     Draw order is fixed (covariate matrix first, then noise vector) so a
     stream replays identically.  The response bound is taken from the
-    realized data, so the resulting Dataset is flagged data-dependent;
-    supply a public bound at selection time to override it.
+    realized data, so the resulting Dataset is flagged data-dependent.
     """
     gen = spec.rng.generator()
     x = gen.uniform(-1.0, 1.0, size=(spec.n, spec.d))
@@ -132,13 +131,6 @@ def default_phi_grid(n: int) -> tuple[float, ...]:
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
     return (0.0,) + tuple(float(v) for v in np.geomspace(0.01 * n, 0.5 * n, 40))
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _dedup(name: str, values: Sequence) -> tuple:
@@ -196,12 +188,8 @@ class SweepGrid:
             raise ConfigError(f"replications must be at least 1, got {self.replications}")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
-        if self.algorithm == "pcls":
-            if any(v != 0.0 for v in self.delta_values):
-                raise ConfigError("pcls spends a pure budget; all delta values must be 0")
-        else:
-            if any(not 0.0 < v < 1.0 for v in self.delta_values):
-                raise ConfigError("pcpl needs delta values strictly inside (0, 1)")
+        for delta in self.delta_values:
+            _check_delta(self.algorithm, delta)
 
     def phis_for(self, n: int) -> tuple[float, ...]:
         return self.phi_values if self.phi_values is not None else default_phi_grid(n)

@@ -368,7 +368,6 @@ def test_c09_fallback_uniformity():
         radius=3.0,
         penalty=2.0,
         budget=PrivacyBudget(1.0, 1e-6),
-        response_bound=1.0,
     )
     # One fit; row i is pcpl_select(ds, fam, cfg, RngStream(MASTER,
     # 900_000 + i)).

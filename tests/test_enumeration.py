@@ -44,6 +44,15 @@ class TestAllSubsets:
         with pytest.raises(ConfigError):
             all_subsets(4, max_size=5)
 
+    def test_integer_arguments(self):
+        # max_size=2.5 used to keep the 10 models of size <= 2 at d=4, and
+        # a float d raised a bare TypeError.
+        with pytest.raises(ConfigError, match="max_size must be an integer"):
+            all_subsets(4, max_size=2.5)
+        with pytest.raises(ConfigError, match="d must be an integer"):
+            all_subsets(3.0)
+        assert len(all_subsets(np.int64(4), max_size=np.int64(2))) == 10
+
     def test_no_duplicates_and_consistent_d(self):
         fam = all_subsets(7)
         assert len({m.bits for m in fam}) == len(fam)

@@ -34,7 +34,7 @@ from dpms.mechanisms import (
     _laplace_from_u64_array,
     _noisy_argmin_rows,
     _row_argmin,
-    _uniform_index,
+    _uniform_rows,
 )
 
 
@@ -99,6 +99,15 @@ class TestPrivacyBudget:
         for delta in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
                 PrivacyBudget(1.0, delta)
+
+    def test_rejects_non_numbers(self):
+        # "abc" and None used to raise a bare ValueError and TypeError.
+        for eps in ("abc", None, "1.0"):
+            with pytest.raises(ConfigError, match="epsilon must be a real number"):
+                PrivacyBudget(eps)
+        with pytest.raises(ConfigError, match="delta must be a real number"):
+            PrivacyBudget(1.0, None)
+        assert PrivacyBudget(np.float32(0.5), np.float64(0.0)).epsilon == 0.5
 
 
 class TestLaplaceInverseMap:
@@ -217,7 +226,7 @@ class TestKeyedDraws:
             assert np.array_equal(sample_laplace(stream, 3.0, size=5), expected)
             assert sample_laplace(stream, 3.0) == expected[0]
             u = _reference_word(seed, 977, mechanisms._TAG_FALLBACK, 0) / 2**64
-            assert _uniform_index(stream, 1000) == int(u * 1000)
+            assert _uniform_rows(seed, [977], 1000).tolist() == [int(u * 1000)]
 
     def test_zero_word_takes_the_next_nonzero_spare(self, monkeypatch):
         # Six masks: rank 1 reads a zero word, so it takes the first
@@ -445,18 +454,16 @@ class TestExponentialMechanism:
 
 class TestUniformIndex:
     def test_deterministic_and_in_range(self):
-        v1 = _uniform_index(RngStream(3, 3), 7)
-        v2 = _uniform_index(RngStream(3, 3), 7)
-        assert v1 == v2
-        assert 0 <= v1 < 7
+        v1 = _uniform_rows(3, [3], 7)
+        v2 = _uniform_rows(3, [3], 7)
+        assert v1.tolist() == v2.tolist()
+        assert 0 <= v1[0] < 7
 
     def test_roughly_uniform(self):
         from scipy import stats
 
         n, trials = 7, 21_000
-        counts = np.zeros(n)
-        for i in range(trials):
-            counts[_uniform_index(RngStream(4, i), n)] += 1
+        counts = np.bincount(_uniform_rows(4, range(trials), n), minlength=n)
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 

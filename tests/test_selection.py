@@ -13,16 +13,20 @@ from dpms import (
     ModelMask,
     PrivacyBudget,
     RngStream,
+    ScoredCandidate,
     SelectionConfig,
     all_subsets,
+    exponential_mechanism,
     fit_masks,
     from_explicit,
     ls_sensitivity,
+    noisy_argmin,
     pcls_select,
     pcpl_select,
     sample_laplace,
     sufficient_stats,
 )
+from dpms.mechanisms import _uniform_rows
 from dpms.selection import _profile_sensitivity_value, _score_matrix, _select_rows
 
 
@@ -90,6 +94,19 @@ class TestProfileSensitivityValue:
         assert exact == pytest.approx(100 * 9.0 / (100.0 - 9.0), rel=1e-12)
 
 
+class TestSelectionConfig:
+    def test_rejects_wrong_types(self):
+        # A float budget used to be accepted and pcls_select then raised a
+        # bare AttributeError; a string radius and a None penalty raised a
+        # bare TypeError.
+        base = dict(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0))
+        for field, value in (("budget", 1.0), ("radius", "2"), ("penalty", None),
+                             ("stage1_fraction", "0.5")):
+            with pytest.raises(ConfigError, match=field):
+                SelectionConfig(**{**base, field: value})
+        assert SelectionConfig(radius=2, penalty=np.float64(0.0), budget=PrivacyBudget(1)).radius == 2
+
+
 class TestComputeGofD:
     def test_matches_manual_replay(self):
         # pcpl's released proxy; stage 1 spends 2 * 1.0 * 0.5 = 1.0.  The
@@ -109,6 +126,48 @@ class TestComputeGofD:
             oracle = n * width / denom if denom > 0 else math.inf
             assert math.isfinite(oracle) == (n == 2000)
             assert got == pytest.approx(oracle, rel=1e-12)
+
+    def test_block_matches_per_row_reference(self):
+        # One block of 1,200 streams (ids past 2^63) against one stage-1
+        # draw, proxy and pick per row.  At n=90 some rows' proxies are
+        # degenerate and fall back, the rest select with their proxy.
+        rng = np.random.default_rng(5)
+        n, radius, delta = 90, 1.0, 1e-3
+        ds = Dataset(rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, n), 1.0)
+        models = all_subsets(3)
+        fits = fit_masks(sufficient_stats(ds), models, radius)
+        clean = _score_matrix("pcpl", fits, n, [1.0], models.sizes)
+        min_loss = float(fits.neg2_loglik.min())
+        width = (1.0 + radius) ** 2
+        seed, streams = 2**100 + 3, [2**63 + 7 * i for i in range(1200)]
+        block = np.broadcast_to(clean, (len(streams), len(models)))
+        for mechanism in ("noisy_argmin", "exponential"):
+            # Stage 1 and stage 2 each spend 2 * 1.0 * 0.5 = 1.0.
+            budget = PrivacyBudget(1.0, delta)
+            cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
+            picks = _select_rows("pcpl", fits, block, 1.0, n, cfg, models, seed, streams)
+            assert 0 < picks.fallback.sum() < len(streams)
+            for i, sid in enumerate(streams):
+                stream = RngStream(seed, sid)
+                z = sample_laplace(stream, 1.0)
+                denom = min_loss - width + width * (z - math.log(1.0 / (2.0 * delta))) / 1.0
+                proxy = n * width / denom if denom > 0 else math.inf
+                assert picks.g_of_d[i] == proxy
+                assert picks.fallback[i] == math.isinf(proxy)
+                if math.isinf(proxy):
+                    assert picks.winners[i] == _uniform_rows(seed, [sid], len(models))[0]
+                    if mechanism == "noisy_argmin":
+                        assert np.isnan(picks.noisy[i]).all()
+                elif mechanism == "noisy_argmin":
+                    scale = 2.0 * proxy / 1.0
+                    cands = [ScoredCandidate(m, c, scale) for m, c in zip(models, clean[0])]
+                    chosen, noisy = noisy_argmin(cands, PrivacyBudget(1.0), stream)
+                    assert models[picks.winners[i]] == chosen
+                    assert np.array_equal(picks.noisy[i], noisy)
+                else:
+                    cands = [ScoredCandidate(m, c, 0.0) for m, c in zip(models, clean[0])]
+                    chosen, _ = exponential_mechanism(cands, proxy, PrivacyBudget(1.0), stream)
+                    assert models[picks.winners[i]] == chosen
 
     def test_requires_usable_delta(self):
         ds, _, _ = _dataset()
@@ -186,21 +245,17 @@ class TestPclsSelect:
         assert np.var(residuals) == pytest.approx(2.0 * scale**2, rel=0.1)
 
     def test_configured_bound_must_cover_data(self):
-        ds, _, _ = _dataset()
-        low = ds.response_bound * 0.5
-        cfg = SelectionConfig(
-            radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0), response_bound=low
-        )
+        # A public bound r lives on the Dataset, which refuses data above
+        # it: a bound below max|y| would understate the sensitivity.
+        ds, x, y = _dataset()
         with pytest.raises(DataError):
-            pcls_select(ds, all_subsets(4), cfg, RngStream(0, 0))
+            Dataset(x, y, ds.response_bound * 0.5)
 
     def test_configured_bound_is_reported_unflagged(self):
-        ds, _, _ = _dataset()
+        ds, x, y = _dataset()
         high = ds.response_bound * 2.0
-        cfg = SelectionConfig(
-            radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0), response_bound=high
-        )
-        report = pcls_select(ds, all_subsets(4), cfg, RngStream(0, 0))
+        cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0))
+        report = pcls_select(Dataset(x, y, high), all_subsets(4), cfg, RngStream(0, 0))
         assert report.response_bound == high
         assert report.response_bound_data_dependent is False
 

@@ -51,6 +51,15 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError):
             SyntheticSpec(n=5, coefficients=(1.0,), rng=RngStream(0, 0), noise_sd=-1.0)
 
+    def test_fractional_n_rejected(self):
+        # 100.5 used to be accepted, and generate then died with a bare
+        # numpy TypeError; True passed as n = 1.
+        for n in (100.5, True):
+            with pytest.raises(ConfigError, match="n must be an integer"):
+                SyntheticSpec(n=n, coefficients=(1.0,), rng=RngStream(0, 0))
+        spec = SyntheticSpec(n=np.int64(5), coefficients=(1.0,), rng=RngStream(0, 0))
+        assert type(spec.n) is int and generate(spec)[0].n == 5
+
 
 class TestGenerate:
     def test_shapes_bounds_and_truth(self):
