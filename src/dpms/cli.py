@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, load_csv, standardize
 from .enumeration import CandidateSet, all_subsets, from_explicit
-from .errors import ConfigError, DataError, DpmsError
+from .errors import ConfigError, DpmsError
 from .mechanisms import PrivacyBudget, RngStream
 from .selection import SelectionConfig, pcls_select, pcpl_select
 from .simulate import (
@@ -387,9 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DpmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

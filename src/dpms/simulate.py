@@ -6,6 +6,10 @@ cell: exact recovery of the generating model, agreement with the noiseless
 selector on the same data, and (two-stage only) how often the uniform
 fallback fired.
 
+A sweep is one pass: each replication range goes straight to its cell
+counters (``_sweep_chunk``), the chunks of every sample size run through
+one process pool, and the rows are the grid's cells in order.
+
 Reproducibility contract: every random draw is keyed by a stream id that
 hashes the cell coordinates and replication index under the template seed.
 Rows come out byte-identical across runs, process pools, and chunkings.
@@ -22,16 +26,18 @@ import os
 import struct
 import time
 import warnings
-from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import islice, product
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
-from .errors import ConfigError, _integer
+from .errors import ConfigError, _integer, _real
 from .mechanisms import PrivacyBudget, RngStream, _row_argmin
-from .selection import SelectionConfig, _check_delta, _Picks, _score_matrix, _select_rows
+from .selection import SelectionConfig, _check_delta, _score_matrix, _select_rows
 from .solver import fit_masks
 
 # The one-cell selections stay importable from this module, where
@@ -59,23 +65,6 @@ BUILTIN_MODELS: dict[str, tuple[float, ...]] = {
 
 _ALGORITHMS = ("pcls", "pcpl")
 
-CSV_COLUMNS = (
-    "n",
-    "d",
-    "model_id",
-    "R",
-    "phi",
-    "epsilon",
-    "delta",
-    "algorithm",
-    "replications",
-    "prop_correct",
-    "prop_agree",
-    "fallback_rate",
-    "mean_runtime_ms",
-)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Linear model with uniform covariates on [-1, 1] and Gaussian noise.
@@ -90,7 +79,10 @@ class SyntheticSpec:
     noise_sd: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        object.__setattr__(
+            self, "coefficients", tuple(_real("coefficients", c) for c in self.coefficients)
+        )
+        object.__setattr__(self, "noise_sd", _real("noise_sd", self.noise_sd))
         object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n}")
@@ -168,16 +160,14 @@ class SweepGrid:
             self, "n_values", _dedup("n", tuple(_integer("n", v) for v in self.n_values))
         )
         object.__setattr__(self, "replications", _integer("replications", self.replications))
-        for name in ("radius_values", "epsilon_values", "delta_values"):
-            object.__setattr__(
-                self, name, _dedup(name, tuple(float(v) for v in getattr(self, name)))
-            )
-        if self.phi_values is not None:
-            object.__setattr__(
-                self, "phi_values", _dedup("phi", tuple(float(v) for v in self.phi_values))
-            )
-            if any(not (np.isfinite(p) and p >= 0) for p in self.phi_values):
-                raise ConfigError("phi values must be nonnegative and finite")
+        for name in ("radius", "epsilon", "delta", "phi"):
+            values = getattr(self, f"{name}_values")
+            if values is not None:
+                object.__setattr__(
+                    self, f"{name}_values", _dedup(name, tuple(_real(name, v) for v in values))
+                )
+        if any(not (np.isfinite(p) and p >= 0) for p in self.phi_values or ()):
+            raise ConfigError("phi values must be nonnegative and finite")
         if any(v < 1 for v in self.n_values):
             raise ConfigError("n values must be at least 1")
         if any(not (np.isfinite(v) and v > 0) for v in self.radius_values):
@@ -214,6 +204,9 @@ class SweepRow:
     mean_runtime_ms: float
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
@@ -221,26 +214,18 @@ class SweepResult:
     def to_csv(self) -> str:
         """Deterministic CSV text (LF endings, repr-exact floats)."""
         lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                ",".join(str(getattr(row, col)) for col in CSV_COLUMNS)
-            )
+        lines += (",".join(str(getattr(row, col)) for col in CSV_COLUMNS) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         # JSON has no literal for an infinite budget; spell it "inf" as
         # the CSV does.
-        records = [
-            {
-                col: (
-                    "inf"
-                    if col == "epsilon" and math.isinf(getattr(row, col))
-                    else getattr(row, col)
-                )
-                for col in CSV_COLUMNS
-            }
-            for row in self.rows
-        ]
+        records = []
+        for row in self.rows:
+            record = {col: getattr(row, col) for col in CSV_COLUMNS}
+            if math.isinf(row.epsilon):
+                record["epsilon"] = "inf"
+            records.append(record)
         return json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
@@ -280,35 +265,57 @@ def _stream_id(*parts) -> int:
     return _id_of(_encode(*parts))
 
 
-class _Block(NamedTuple):
-    """One replication's picks at one (R, epsilon, delta), one row per phi."""
+def _cell_configs(grid: SweepGrid, mechanism: str) -> tuple[tuple[SelectionConfig, ...], ...]:
+    """One SelectionConfig per (R, epsilon, delta); entry [i] holds radius
+    i's configs in (epsilon, delta) order.  The penalties are rows of the
+    clean-score matrix, so every config's own penalty is zero."""
+    return tuple(
+        tuple(
+            SelectionConfig(
+                radius=R, penalty=0.0, budget=PrivacyBudget(eps, delta), mechanism=mechanism
+            )
+            for eps, delta in product(grid.epsilon_values, grid.delta_values)
+        )
+        for R in grid.radius_values
+    )
 
-    rep: int
-    cell: tuple[int, int, int]  # (R, epsilon, delta) positions in the grid
-    truth: int  # column of the generating model, -1 if not a candidate
-    picks: _Picks  # one row per phi
-    noiseless: np.ndarray  # noiseless winning column per phi
-    seconds: float  # selection wall time, when measured
 
-
-def _sweep_blocks(grid, template, model_id, mechanism, n, rep_lo, rep_hi, measure_runtime):
-    """Score each replication's phi x epsilon x delta grid as matrices.
+def _sweep_chunk(
+    grid: SweepGrid,
+    template: SyntheticSpec,
+    model_id: str,
+    configs: tuple[tuple[SelectionConfig, ...], ...],
+    measure_runtime: bool,
+    n: int,
+    rep_lo: int,
+    rep_hi: int,
+) -> np.ndarray:
+    """Per-cell counters of replications ``rep_lo`` to ``rep_hi - 1`` at
+    sample size ``n``.
 
     Each (replication, R) is fitted once; its clean scores form one
     (phi x model) matrix, whose noiseless winners are taken once per phi.
     Each (epsilon, delta) then runs the selection core on that matrix with
-    one stream per phi, keyed by the cell coordinates.
+    one stream per phi, keyed by the cell coordinates.  The result is
+    indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3, the
+    replications whose pick was correct, agreed with the noiseless pick
+    and fell back, and the summed selection time in ms (an (epsilon,
+    delta) block's time shared evenly across its phi cells).  Counters are
+    sums, so chunks merge into the same totals as a single pass.
     """
     models = all_subsets(template.d)
     phis = grid.phis_for(n)
     phi_codes = [_encode(phi) for phi in phis]
     seed = template.rng.seed
     coords_base = (model_id, template.coefficients, template.noise_sd, n)
+    shape = (len(grid.radius_values), len(phis), len(grid.epsilon_values), len(grid.delta_values))
+    counts = np.zeros(shape + (4,))
+    # A view with the (epsilon, delta) axes in one, in the order of configs[i].
+    cells = counts.reshape(shape[:2] + (-1, 4))
 
     for rep in range(rep_lo, rep_hi):
         data_stream = RngStream(seed, _stream_id("data", *coords_base, rep))
-        spec = replace(template, n=n, rng=data_stream)
-        dataset, truth = generate(spec)
+        dataset, truth = generate(replace(template, n=n, rng=data_stream))
         stats = sufficient_stats(dataset)
         hit = np.flatnonzero(models.bits == truth.bits)
         truth_column = int(hit[0]) if hit.size else -1
@@ -317,82 +324,24 @@ def _sweep_blocks(grid, template, model_id, mechanism, n, rep_lo, rep_hi, measur
             fits = fit_masks(stats, models, R)
             clean = _score_matrix(grid.algorithm, fits, dataset.n, phis, models.sizes)
             noiseless = _row_argmin(clean, models.sizes, models.bits)
-            for k, eps in enumerate(grid.epsilon_values):
-                for m, delta in enumerate(grid.delta_values):
-                    config = SelectionConfig(
-                        radius=R,
-                        penalty=0.0,  # the penalties are rows of clean
-                        budget=PrivacyBudget(eps, delta),
-                        mechanism=mechanism,
-                    )
-                    # _stream_id("select", *coords_base, R, phi, eps, delta,
-                    # algorithm, mechanism, rep), from pre-encoded parts.
-                    tail = _encode(eps, delta, grid.algorithm, mechanism, rep)
-                    stream_ids = [_id_of(head + code + tail) for code in phi_codes]
-                    started = time.perf_counter() if measure_runtime else 0.0
-                    picks = _select_rows(
-                        grid.algorithm, fits, clean, dataset.response_bound, dataset.n,
-                        config, models, seed, stream_ids,
-                    )
-                    elapsed = (time.perf_counter() - started) if measure_runtime else 0.0
-                    yield _Block(rep, (i, k, m), truth_column, picks, noiseless, elapsed)
-
-
-def _sweep_chunk(
-    grid: SweepGrid,
-    template: SyntheticSpec,
-    model_id: str,
-    mechanism: str,
-    n: int,
-    rep_lo: int,
-    rep_hi: int,
-    measure_runtime: bool,
-) -> np.ndarray:
-    """Accumulate per-cell counters over a contiguous replication range.
-
-    Returns an array indexed [R, phi, epsilon, delta, k] that holds, for
-    k = 0..3, the replications whose pick was correct, agreed with the
-    noiseless pick and fell back, and the summed selection time in ms; a
-    block's time is shared evenly across its phi cells.  Counters are
-    order-independent sums, so chunked execution merges into the same
-    totals as a single pass.
-    """
-    phis = grid.phis_for(n)
-    counts = np.zeros(
-        (len(grid.radius_values), len(phis), len(grid.epsilon_values),
-         len(grid.delta_values), 4)
-    )
-    for block in _sweep_blocks(
-        grid, template, model_id, mechanism, n, rep_lo, rep_hi, measure_runtime
-    ):
-        i, k, m = block.cell
-        cell = counts[i, :, k, m]
-        cell[:, 0] += block.picks.winners == block.truth
-        cell[:, 1] += block.picks.winners == block.noiseless
-        cell[:, 2] += block.picks.fallback
-        cell[:, 3] += 1000.0 * block.seconds / len(phis)
+            for c, config in enumerate(configs[i]):
+                # _stream_id("select", *coords_base, R, phi, eps, delta,
+                # algorithm, mechanism, rep), from pre-encoded parts.
+                budget = config.budget
+                tail = _encode(budget.epsilon, budget.delta, grid.algorithm, config.mechanism, rep)
+                stream_ids = [_id_of(head + code + tail) for code in phi_codes]
+                started = time.perf_counter() if measure_runtime else 0.0
+                picks = _select_rows(
+                    grid.algorithm, fits, clean, dataset.response_bound, dataset.n,
+                    config, models, seed, stream_ids,
+                )
+                seconds = (time.perf_counter() - started) if measure_runtime else 0.0
+                cell = cells[i, :, c]
+                cell[:, 0] += picks.winners == truth_column
+                cell[:, 1] += picks.winners == noiseless
+                cell[:, 2] += picks.fallback
+                cell[:, 3] += 1000.0 * seconds / len(phis)
     return counts
-
-
-def _chunk_payloads(grid, template, model_id, mechanism, n, workers, measure):
-    bounds = np.linspace(0, grid.replications, workers + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            yield (grid, template, model_id, mechanism, n, int(lo), int(hi), measure)
-
-
-def _run_chunk(payload) -> np.ndarray:
-    return _sweep_chunk(*payload)
-
-
-def _resolve_workers(max_workers: int | None) -> int:
-    cap = os.cpu_count() or 1
-    if max_workers is not None:
-        max_workers = _integer("max_workers", max_workers)
-        if max_workers < 1:
-            raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
-        cap = min(cap, max_workers)
-    return cap
 
 
 def run_sweep(
@@ -410,45 +359,35 @@ def run_sweep(
     derived streams.  Worker count is capped by ``max_workers`` and the
     CPU count; results do not depend on it.
     """
-    workers = _resolve_workers(max_workers)
-    d = template.d
+    configs = _cell_configs(grid, mechanism)
+    workers = os.cpu_count() or 1
+    if max_workers is not None:
+        max_workers = _integer("max_workers", max_workers)
+        if max_workers < 1:
+            raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
+        workers = min(workers, max_workers)
+    bounds = np.linspace(0, grid.replications, workers + 1).astype(int).tolist()
+    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    tasks = [(n, lo, hi) for n in grid.n_values for lo, hi in spans]
+    chunk = partial(_sweep_chunk, grid, template, model_id, configs, measure_runtime)
+    if len(spans) == 1:
+        partials = [chunk(*task) for task in tasks]
+    else:
+        # Imported lazily so single-worker runs never touch
+        # multiprocessing (it is unavailable in some sandboxes).
+        from concurrent.futures import ProcessPoolExecutor
 
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(chunk, *zip(*tasks)))
+
+    reps, d = grid.replications, template.d
+    chunks = iter(partials)
     rows: list[SweepRow] = []
     for n in grid.n_values:
-        payloads = list(
-            _chunk_payloads(grid, template, model_id, mechanism, n, workers, measure_runtime)
-        )
-        if len(payloads) <= 1:
-            partials = [_run_chunk(p) for p in payloads]
-        else:
-            # Imported lazily so single-worker runs never touch
-            # multiprocessing (it is unavailable in some sandboxes).
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(_run_chunk, payloads))
-        merged = sum(partials)
-        reps = grid.replications
-        for i, R in enumerate(grid.radius_values):
-            for j, phi in enumerate(grid.phis_for(n)):
-                for k, eps in enumerate(grid.epsilon_values):
-                    for m, delta in enumerate(grid.delta_values):
-                        correct, agree, fallback, runtime = merged[i, j, k, m].tolist()
-                        rows.append(
-                            SweepRow(
-                                n=n,
-                                d=d,
-                                model_id=model_id,
-                                R=R,
-                                phi=phi,
-                                epsilon=eps,
-                                delta=delta,
-                                algorithm=grid.algorithm,
-                                replications=reps,
-                                prop_correct=correct / reps,
-                                prop_agree=agree / reps,
-                                fallback_rate=fallback / reps,
-                                mean_runtime_ms=runtime / reps,
-                            )
-                        )
+        counts = sum(islice(chunks, len(spans))).reshape(-1, 4).tolist()
+        axes = (grid.radius_values, grid.phis_for(n), grid.epsilon_values, grid.delta_values)
+        rows += [
+            SweepRow(n, d, model_id, *cell, grid.algorithm, reps, *(c / reps for c in totals))
+            for cell, totals in zip(product(*axes), counts)
+        ]
     return SweepResult(tuple(rows))

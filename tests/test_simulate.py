@@ -1,5 +1,6 @@
 """Synthetic data generation and the Monte Carlo sweep harness."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -24,7 +25,8 @@ from dpms import (
     pcpl_select,
     run_sweep,
 )
-from dpms.simulate import CSV_COLUMNS, _stream_id, _sweep_blocks
+from dpms import simulate
+from dpms.simulate import CSV_COLUMNS, _stream_id
 
 
 def _template(n=100, coeffs=None, seed=7, sigma=1.0):
@@ -59,6 +61,18 @@ class TestSyntheticSpec:
                 SyntheticSpec(n=n, coefficients=(1.0,), rng=RngStream(0, 0))
         spec = SyntheticSpec(n=np.int64(5), coefficients=(1.0,), rng=RngStream(0, 0))
         assert type(spec.n) is int and generate(spec)[0].n == 5
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("noise_sd", "1"), ("coefficients", ("a",)), ("coefficients", (True,))],
+    )
+    def test_non_real_values_are_config_errors(self, field, value):
+        # A string used to raise a bare numpy TypeError or a ValueError,
+        # and True passed as the coefficient 1.0.
+        kwargs = dict(n=5, coefficients=(1.0,), rng=RngStream(0, 0))
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            SyntheticSpec(**kwargs)
 
 
 class TestGenerate:
@@ -166,6 +180,18 @@ class TestSweepGrid:
         grid = SweepGrid(n_values=(np.int64(100),), radius_values=(1.0,), epsilon_values=(1.0,))
         assert grid.n_values == (100,) and type(grid.n_values[0]) is int
 
+    @pytest.mark.parametrize(
+        "axis,value",
+        [("radius", "abc"), ("radius", True), ("delta", "x"), ("epsilon", None), ("phi", [1])],
+    )
+    def test_non_real_axis_values_are_config_errors(self, axis, value):
+        # These used to raise a bare ValueError or TypeError, and True
+        # passed as the radius 1.0 (SelectionConfig rejects it).
+        kwargs = dict(n_values=(100,), radius_values=(1.0,), epsilon_values=(1.0,))
+        kwargs[f"{axis}_values"] = (value,)
+        with pytest.raises(ConfigError, match=f"{axis} must be a real number"):
+            SweepGrid(**kwargs)
+
     def test_phi_default_depends_on_n(self):
         grid = SweepGrid(n_values=(100, 1000), radius_values=(1.0,), epsilon_values=(1.0,))
         assert grid.phis_for(100)[1] == pytest.approx(1.0)
@@ -223,10 +249,35 @@ class TestRunSweep:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        grid = self._small_grid()
+        # Two sample sizes, so several workers share one pool across n.
+        grid = self._small_grid(n_values=(60, 80))
         solo = run_sweep(grid, _template(), model_id="1", max_workers=1)
         duo = run_sweep(grid, _template(), model_id="1", max_workers=3)
         assert solo.to_csv() == duo.to_csv()
+
+    def test_one_process_pool_per_sweep(self, monkeypatch):
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        run_sweep(
+            self._small_grid(n_values=(60, 80, 100), replications=4, epsilon_values=(1.0,)),
+            _template(), model_id="1", max_workers=2,
+        )
+        assert len(pools) == 1
+
+    def test_unknown_mechanism_fails_before_any_data(self, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("generate called before the mechanism was checked")
+
+        monkeypatch.setattr(simulate, "generate", no_data)
+        with pytest.raises(ConfigError, match="mechanism"):
+            run_sweep(self._small_grid(), _template(), model_id="1", mechanism="bogus")
 
     def test_rejects_fewer_than_one_worker(self):
         # 0 and negative caps used to run one worker without a word.
@@ -325,35 +376,67 @@ class TestGoldenSweeps:
     @pytest.mark.parametrize(
         "algorithm,mechanism", [("pcls", "noisy_argmin"), ("pcpl", "exponential")]
     )
-    def test_every_cell_picks_what_the_one_cell_selector_picks(self, algorithm, mechanism):
+    def test_every_cell_picks_what_the_one_cell_selector_picks(
+        self, algorithm, mechanism, monkeypatch
+    ):
+        # Record every selection-core call and noiseless pick that one chunk
+        # makes; the chunk makes them replication by replication, R by R.
+        selects, noiseless_picks = [], []
+
+        def recorded(function, calls):
+            def wrapper(*args):
+                out = function(*args)
+                calls.append((args, out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(simulate, "_select_rows", recorded(simulate._select_rows, selects))
+        monkeypatch.setattr(
+            simulate, "_row_argmin", recorded(simulate._row_argmin, noiseless_picks)
+        )
         grid = _golden_grid(algorithm)
         template = _template(n=200, coeffs=BUILTIN_MODELS["2"], seed=11)
+        configs = simulate._cell_configs(grid, mechanism)
+        simulate._sweep_chunk(grid, template, "2", configs, False, 200, 0, 3)
+
         models = all_subsets(template.d)
         select = pcls_select if algorithm == "pcls" else pcpl_select
         coords = ("2", template.coefficients, template.noise_sd, 200)
         phis = grid.phis_for(200)
-        blocks = _sweep_blocks(grid, template, "2", mechanism, 200, 0, 3, False)
+        selects, noiseless_picks = iter(selects), iter(noiseless_picks)
         cells = 0
-        for block in blocks:
-            data_stream = RngStream(11, _stream_id("data", *coords, block.rep))
+        for rep in range(3):
+            data_stream = RngStream(11, _stream_id("data", *coords, rep))
             dataset, _ = generate(replace(template, rng=data_stream))
-            i, k, m = block.cell
-            R, eps = grid.radius_values[i], grid.epsilon_values[k]
-            delta = grid.delta_values[m]
-            for j, phi in enumerate(phis):
-                config = SelectionConfig(
-                    radius=R, penalty=phi, budget=PrivacyBudget(eps, delta), mechanism=mechanism
-                )
-                stream_id = _stream_id(
-                    "select", *coords, R, phi, eps, delta, algorithm, mechanism, block.rep
-                )
-                report = select(dataset, models, config, RngStream(11, stream_id))
-                assert models[block.picks.winners[j]] == report.chosen
-                assert block.picks.fallback[j] == report.fallback_uniform
-                noiseless = min(
-                    range(len(models)),
-                    key=lambda c: (report.clean_scores[c], models.sizes[c], models.bits[c]),
-                )
-                assert models[block.noiseless[j]] == models[noiseless]
-                cells += 1
+            for R in grid.radius_values:
+                _, noiseless = next(noiseless_picks)
+                for eps in grid.epsilon_values:
+                    for delta in grid.delta_values:
+                        args, picks = next(selects)
+                        stream_ids = [
+                            _stream_id(
+                                "select", *coords, R, phi, eps, delta, algorithm, mechanism, rep
+                            )
+                            for phi in phis
+                        ]
+                        assert args[-1] == stream_ids
+                        for j, phi in enumerate(phis):
+                            config = SelectionConfig(
+                                radius=R, penalty=phi, budget=PrivacyBudget(eps, delta),
+                                mechanism=mechanism,
+                            )
+                            report = select(
+                                dataset, models, config, RngStream(11, stream_ids[j])
+                            )
+                            assert models[picks.winners[j]] == report.chosen
+                            assert picks.fallback[j] == report.fallback_uniform
+                            expected = min(
+                                range(len(models)),
+                                key=lambda c: (
+                                    report.clean_scores[c], models.sizes[c], models.bits[c]
+                                ),
+                            )
+                            assert models[noiseless[j]] == models[expected]
+                            cells += 1
+        assert next(selects, None) is None and next(noiseless_picks, None) is None
         assert cells == 3 * len(grid.radius_values) * len(phis) * len(grid.epsilon_values)
