@@ -8,6 +8,7 @@ other DpmsError (SolverError included) -> 1.
 
 import numbers
 import operator
+from collections.abc import Iterable
 
 
 class DpmsError(Exception):
@@ -23,9 +24,9 @@ class ConfigError(DpmsError):
 
 
 class SolverError(DpmsError):
-    """The constrained least-squares solver broke its own invariant (an
-    objective increase under the 1/L step), so its losses are not to be
-    trusted."""
+    """The constrained least-squares solver could not certify a fit within
+    its step budget, or broke its own invariant (an objective increase
+    under the 1/L step), so its losses are not to be trusted."""
 
 
 def _integer(name: str, value) -> int:
@@ -43,3 +44,10 @@ def _real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _values(name: str, values) -> tuple:
+    """``values`` as a tuple; a scalar or a string raise ConfigError."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ConfigError(f"{name} must be a sequence, got {values!r}")
+    return tuple(values)

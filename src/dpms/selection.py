@@ -5,7 +5,9 @@ data, score it, and let a mechanism pick a winner.
 
 * :func:`pcls_select` scores by penalized constrained squared error and
   pays ``epsilon`` of pure differential privacy.  The score's sensitivity
-  is the global bound ``(r + R)**2``, which no dataset can exceed.
+  is the global bound ``(r + R)**2`` on the exact loss, plus the public
+  bound ``tau`` (:func:`~dpms.solver.loss_slack`) on how far a certified
+  fit may sit above it; no dataset can exceed the sum.
 * :func:`pcpl_select` scores by the penalized profile likelihood, whose
   global sensitivity is unbounded.  It spends half its budget measuring a
   data-dependent sensitivity proxy and the other half selecting with it,
@@ -44,7 +46,7 @@ from .mechanisms import (
 # The list-based mechanisms and the one-stream Laplace draw stay
 # importable from this module, where perfbench/bench_trace.py looks them up.
 from .mechanisms import exponential_mechanism, noisy_argmin, sample_laplace  # noqa: F401
-from .solver import Fits, fit_masks, profile_neg2_loglik
+from .solver import Fits, fit_masks, loss_slack, profile_neg2_loglik
 
 __all__ = [
     "SelectionConfig",
@@ -144,19 +146,22 @@ def _profile_sensitivity_value(
     per standard Laplace variate in the array ``laplace_units``.
 
     Starts from the deterministic bound ``n * w / (min_loss - w)`` with
-    ``w = (r + R)**2``, then perturbs the denominator with calibrated
-    Laplace noise plus a ``log(1 / (2 * delta))`` safety margin so the
-    released value is itself private and exceeds the true local
-    sensitivity except with probability ``delta``.  A nonpositive
-    denominator means the data fit too well for the bound to say anything;
-    the sentinel ``inf`` signals that.
+    ``w = (r + R)**2 + tau`` and the certified minimum lowered by ``tau``,
+    ``tau`` the public bound (:func:`~dpms.solver.loss_slack`) on how far
+    a certified loss sits above the exact one.  It then perturbs the
+    denominator with Laplace noise calibrated to ``w`` plus a
+    ``log(1 / (2 * delta))`` safety margin so the released value is itself
+    private and exceeds the true local sensitivity except with probability
+    ``delta``.  A nonpositive denominator means the data fit too well for
+    the bound to say anything; the sentinel ``inf`` signals that.
     """
     units = np.asarray(laplace_units, dtype=np.float64)
-    width = (response_bound + radius) ** 2
+    slack = loss_slack(n_obs, response_bound)
+    width = (response_bound + radius) ** 2 + slack
     shift = np.zeros(units.shape)
     if math.isfinite(stage1_epsilon):
         shift = width * (units - math.log(1.0 / (2.0 * delta))) / stage1_epsilon
-    denominator = min_loss - width + shift
+    denominator = (min_loss - slack) - width + shift
     out = np.full(units.shape, np.inf)
     return np.divide(n_obs * width, denominator, out=out, where=denominator > 0.0)
 
@@ -294,17 +299,19 @@ def _select_rows(
     Column ``j`` of ``clean`` scores candidate ``j`` of ``models``.
     ``config`` supplies the radius, budget, mechanism and stage-1 split;
     its penalty is already inside ``clean``.  Every row runs the configured
-    mechanism with its own sensitivity: ``(r + R)**2`` for pcls, and for
-    pcpl the proxy that stage 1 releases with the row's first Laplace
-    word.  A pcpl row whose proxy is degenerate falls back to a uniform
-    pick instead; its noiseless limit (epsilon = inf) never falls back.
+    mechanism with its own sensitivity: ``(r + R)**2`` plus the solver's
+    public ``loss_slack`` for pcls, and for pcpl the proxy that stage 1
+    releases with the row's first Laplace word.  A pcpl row whose proxy is
+    degenerate falls back to a uniform pick instead; its noiseless limit
+    (epsilon = inf) never falls back.
     """
     if not np.isfinite(clean).all():
         raise DataError("candidate scores must be finite")
     rows = len(stream_ids)
     if algorithm == "pcls":
         epsilon, proxy = config.budget.epsilon, None
-        sensitivity = np.full(rows, ls_sensitivity(bound, config.radius))
+        width = ls_sensitivity(bound, config.radius) + loss_slack(n_obs, bound)
+        sensitivity = np.full(rows, width)
     else:
         stage1_epsilon, epsilon = _stage_epsilons(config)
         proxy = sensitivity = _profile_sensitivity_value(
@@ -387,9 +394,9 @@ def pcls_select(
 
     Costs ``config.budget.epsilon`` of pure differential privacy (the
     budget must carry ``delta == 0``).  Scores are ``loss + penalty *
-    |model|`` where the loss is the constrained residual sum of squares;
-    both mechanisms are calibrated to the row-swap sensitivity
-    ``(r + R)**2``.
+    |model|`` where the loss is the certified constrained residual sum of
+    squares; both mechanisms are calibrated to the row-swap sensitivity
+    ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, r)``.
     """
     stats = sufficient_stats(dataset)
     fits = fit_masks(stats, models, config.radius)

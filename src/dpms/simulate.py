@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
-from .errors import ConfigError, _integer, _real
+from .errors import ConfigError, _integer, _real, _values
 from .mechanisms import PrivacyBudget, RngStream, _row_argmin
 from .selection import SelectionConfig, _check_delta, _score_matrix, _select_rows
 from .solver import fit_masks
@@ -80,7 +80,8 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "coefficients", tuple(_real("coefficients", c) for c in self.coefficients)
+            self, "coefficients",
+            tuple(_real("coefficients", c) for c in _values("coefficients", self.coefficients)),
         )
         object.__setattr__(self, "noise_sd", _real("noise_sd", self.noise_sd))
         object.__setattr__(self, "n", _integer("n", self.n))
@@ -157,14 +158,16 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "n_values", _dedup("n", tuple(_integer("n", v) for v in self.n_values))
+            self, "n_values",
+            _dedup("n", tuple(_integer("n", v) for v in _values("n_values", self.n_values))),
         )
         object.__setattr__(self, "replications", _integer("replications", self.replications))
         for name in ("radius", "epsilon", "delta", "phi"):
             values = getattr(self, f"{name}_values")
             if values is not None:
                 object.__setattr__(
-                    self, f"{name}_values", _dedup(name, tuple(_real(name, v) for v in values))
+                    self, f"{name}_values",
+                    _dedup(name, tuple(_real(name, v) for v in _values(f"{name}_values", values))),
                 )
         if any(not (np.isfinite(p) and p >= 0) for p in self.phi_values or ()):
             raise ConfigError("phi values must be nonnegative and finite")

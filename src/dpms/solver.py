@@ -1,18 +1,36 @@
-"""Constrained least squares over sufficient statistics.
+"""Constrained least squares over sufficient statistics, with certificates.
 
 For a candidate model M the score is the squared-error loss
 ``min ||y - X beta||^2`` over ``{beta : beta_j = 0 for j not in M,
-||beta||_1 <= radius}``.  The minimizer is found by projected gradient
-descent on the quadratic ``yty - 2 b.beta + beta.A.beta`` (A = X'X,
-b = X'y), with exact sort-based projection onto the l1 ball.  The step is
-1/L with L the largest eigenvalue of the restricted A, computed exactly by
-one batched symmetric eigensolve per model size.
+||beta||_1 <= radius}``, a quadratic ``yty - 2 b.beta + beta.A.beta``
+(A = X'X, b = X'y) on the masked l1 ball.
+
+Every fit is exact and certified by its Frank-Wolfe duality gap
+``2 (g.beta + radius ||g||_inf)``, g = A beta - b on the mask, which bounds
+how far the fit's loss sits above the constrained minimum:
+
+1. Each group of masks of one size k goes through one batched
+   normal-equation solve on its compact k x k restrictions.  A row whose
+   solution lies in the ball with a gap of at most ``tau`` (a slack mask)
+   is done.
+2. The remaining rows (binding masks, and rank-deficient ones whose solve
+   is singular) start from the projection of their solution onto the
+   ball, or from zero when there is none.  At the start and every few steps after, each row's support and
+   signs give a KKT candidate, the exact minimum if that support is right.
+   In between, projected gradient steps 1/L, L the exact top eigenvalue
+   of the restricted A, which only rows still live after the first
+   candidate compute.  A row leaves the batch as soon as its iterate or
+   its candidate is certified.
+3. A row still uncertified after ``max_iterations`` steps raises
+   :class:`~dpms.errors.SolverError`; no uncertified loss is returned.
+
+``tau`` is ``tolerance * max(1, yty)``.  With ``|y_i| <= r`` that is at
+most the public bound ``tolerance * max(1, n r^2)`` of
+:func:`loss_slack`, which the selectors add to their sensitivities.
 
 Every restricted problem is embedded in the full coordinate space with the
-excluded rows/columns zeroed: a zero start then keeps excluded coordinates
-exactly zero through every gradient and projection step, so whole families
-of masks are solved as one stacked batch with identical semantics to
-one-at-a-time solves.
+excluded rows/columns zeroed, so whole families of masks are solved as one
+stacked batch with identical semantics to one-at-a-time solves.
 """
 
 from __future__ import annotations
@@ -32,16 +50,25 @@ __all__ = [
     "Fits",
     "project_l1",
     "fit_masks",
+    "loss_slack",
     "profile_neg2_loglik",
 ]
 
+# Projected-gradient steps between two KKT candidates of a binding row.
+_POLISH_EVERY = 4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and stopping rule for the projected gradient loop.
+    """Certificate and step budget of every fit.
 
-    The loop stops when the relative objective decrease falls below
-    ``tolerance`` or after ``max_iterations`` steps.  Every step is 1/L,
-    L the exact largest eigenvalue of the restricted X'X.
+    A fit is accepted once its Frank-Wolfe duality gap is at most
+    ``tolerance * max(1, yty)``, so its loss exceeds the constrained
+    minimum by no more than that.  A binding or rank-deficient mask may
+    take up to ``max_iterations`` projected-gradient steps to get there;
+    past that, :class:`~dpms.errors.SolverError`.  The gap cannot fall
+    much below the round-off of ``X'X beta``, about ``1e-15`` of the
+    scale, so a far smaller tolerance only buys that error.
     """
 
     max_iterations: int = 10_000
@@ -52,8 +79,8 @@ class SolverConfig:
             raise ConfigError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +89,9 @@ class FitResult:
 
     beta is a full-length vector with exact zeros outside the mask and
     ``||beta||_1`` within round-off of the radius at most; neg2_loglik is
-    the squared-error loss at beta (>= 0).
+    the squared-error loss at beta (>= 0).  iterations counts the
+    projected-gradient steps the fit took (0 for a slack mask), and
+    converged is True: an uncertified fit raises instead.
     """
 
     beta: np.ndarray
@@ -101,6 +130,17 @@ class Fits:
         )
 
 
+def loss_slack(n_obs: int, response_bound: float, config: SolverConfig | None = None) -> float:
+    """Public bound on how far a certified loss sits above its minimum.
+
+    A fit is certified to ``tolerance * max(1, yty)``, and ``yty <= n r^2``
+    for responses bounded by r, so ``tolerance * max(1, n r^2)`` bounds it
+    on every dataset of that size and bound.
+    """
+    config = config or SolverConfig()
+    return config.tolerance * max(1.0, n_obs * response_bound**2)
+
+
 def project_l1(v, radius: float) -> np.ndarray:
     """Euclidean projection of a vector onto ``{u : ||u||_1 <= radius}``.
 
@@ -134,21 +174,138 @@ def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
     return v
 
 
+def _size_groups(member: np.ndarray):
+    """Rows of ``member`` grouped by size k > 0: yields each group's row
+    indices and their (rows, k) column positions."""
+    sizes = member.sum(axis=1)
+    for k in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == k)
+        yield rows, np.nonzero(member[rows])[1].reshape(len(rows), int(k))
+
+
 def _masked_top_eigenvalue(a: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each restriction ``a[S, S]``, S a row of ``member``.
 
-    Exact: masks are grouped by size k and each group's compact k x k
-    restricted matrices go through one batched symmetric eigensolve.  The
-    empty mask keeps 0.
+    Exact: one batched symmetric eigensolve per mask size on the compact
+    k x k restricted matrices.  The empty mask keeps 0.
     """
-    sizes = member.sum(axis=1)
     lam = np.zeros(member.shape[0])
-    for k in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == k)
-        idx = np.nonzero(member[rows])[1].reshape(len(rows), int(k))
-        sub = a[idx[:, :, None], idx[:, None, :]]
-        lam[rows] = np.linalg.eigvalsh(sub)[:, -1]
+    for rows, idx in _size_groups(member):
+        lam[rows] = np.linalg.eigvalsh(a[idx[:, :, None], idx[:, None, :]])[:, -1]
     return np.maximum(lam, 0.0)
+
+
+def _masked_solve(a: np.ndarray, member: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``a[S, S] x = rhs[S]`` for each row's mask S, one batched
+    solve per mask size; ``rhs`` is (m, d, c) and so is the answer, zero
+    outside each mask.  A row whose restriction is singular comes back NaN.
+    """
+    out = np.zeros(rhs.shape)
+    for rows, idx in _size_groups(member):
+        sub = a[idx[:, :, None], idx[:, None, :]]
+        out[rows[:, None], idx] = _solve_or_nan(sub, rhs[rows[:, None], idx])
+    return out
+
+
+def _solve_or_nan(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(sub, rhs)
+    except np.linalg.LinAlgError:
+        # One singular matrix fails the whole batch: solve the group one
+        # matrix at a time and leave only the singular ones NaN.
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(sub)):
+            try:
+                out[i] = np.linalg.solve(sub[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _gap(grad: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
+    """Frank-Wolfe gap of each row, ``grad`` the half gradient A beta - b
+    on the mask: an upper bound on loss - min loss for feasible beta."""
+    return 2.0 * (_rowdot(grad, beta) + radius * np.abs(grad).max(axis=1, initial=0.0))
+
+
+def _certified(a, member, bvec, beta, radius, tau) -> np.ndarray:
+    """Rows of ``beta`` that lie in the ball (to round-off) with a gap of
+    at most ``tau``; a NaN row never is."""
+    gap = _gap((beta @ a) * member - bvec, beta, radius)
+    with np.errstate(invalid="ignore"):
+        return (gap <= tau) & (np.abs(beta).sum(axis=1) <= radius * (1.0 + 1e-12))
+
+
+def _kkt_candidates(a, bvec, beta, radius) -> np.ndarray:
+    """The minimum over each row's current support S and signs s, on the
+    sphere: ``beta_S = A_S^-1 (b_S - mu s)`` with ``mu = (s.A_S^-1 b - R) /
+    (s.A_S^-1 s)`` (no lower than 0, the interior case).  It is the
+    constrained minimum whenever S and s are right; singular or empty
+    supports come back NaN."""
+    signs = np.sign(beta)
+    uv = _masked_solve(a, beta != 0.0, np.stack([bvec, signs], axis=2))
+    u, v = uv[..., 0], uv[..., 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mu = np.maximum((_rowdot(signs, u) - radius) / _rowdot(signs, v), 0.0)
+    return u - mu[:, None] * v
+
+
+def _step_sizes(a: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Projected-gradient step 1/L of each row, L the exact top eigenvalue
+    of its restricted A.  A numerically zero restriction has no curvature
+    to step along (PSD forces the matching X'y entries toward zero as
+    well), so its row keeps its start and the certificate judges it."""
+    lam = _masked_top_eigenvalue(a, member)
+    diag_scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
+    flat = lam <= 1e-14 * diag_scale
+    return np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, lam))
+
+
+def _descend(a, yty, member, bvec, start, radius, tau, config):
+    """Projected gradient from ``start`` until every row is certified.
+
+    Rows leave the batch once their iterate, or the KKT candidate on its
+    support taken at the start and every ``_POLISH_EVERY`` steps after, is
+    certified; only rows still live after the first candidate pay for
+    their step size.  Returns (beta, iterations).
+    """
+    m, d = member.shape
+    beta_out = np.zeros((m, d))
+    iterations = np.zeros(m, dtype=np.int64)
+    live = np.arange(m)
+    beta, mem, b, step = start, member, bvec, None
+    obj = np.full(m, np.inf)
+    for it in range(config.max_iterations + 1):
+        grad = (beta @ a) * mem - b
+        new_obj = yty + _rowdot(beta, grad - b)
+        if np.any(new_obj > obj + 1e-9 * np.maximum(1.0, np.abs(obj))):
+            raise SolverError("projected gradient objective increased; step size rule broke")
+        done = _gap(grad, beta, radius) <= tau
+        if it % _POLISH_EVERY == 0:
+            kkt = _kkt_candidates(a, b, beta, radius)
+            polished = ~done & _certified(a, mem, b, kkt, radius, tau)
+            beta[polished] = kkt[polished]
+            done |= polished
+        beta_out[live[done]] = beta[done]
+        iterations[live[done]] = it
+        keep = ~done
+        live, beta, mem, b, obj, grad = (
+            live[keep], beta[keep], mem[keep], b[keep], new_obj[keep], grad[keep]
+        )
+        if not live.size:
+            return beta_out, iterations
+        if it == config.max_iterations:
+            break
+        step = _step_sizes(a, mem) if step is None else step[keep]
+        beta = _project_rows(beta - step[:, None] * grad, radius)
+    raise SolverError(
+        f"{live.size} fit(s) not certified after {config.max_iterations} projected-gradient "
+        f"steps (duality gap above {tau:.3g})"
+    )
 
 
 def _fit_batch(
@@ -163,46 +320,21 @@ def _fit_batch(
     """
     a = stats.xtx
     yty = stats.yty
-    m, d = member.shape
     bvec = member * stats.xty
+    tau = config.tolerance * max(1.0, yty)
 
-    lam = _masked_top_eigenvalue(a, member)
-    diag_scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    flat = lam <= 1e-14 * diag_scale
-    # A numerically zero restricted matrix means the masked columns carry
-    # no signal (PSD forces the matching X'y entries toward zero as well):
-    # the zero fit is the answer and needs no iterations.
-    step = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, lam))
-
-    beta = np.zeros((m, d))
-    obj = np.full(m, yty)
-    iterations = np.zeros(m, dtype=np.int64)
-    converged = flat.copy()
-
-    for it in range(1, config.max_iterations + 1):
-        grad = (beta @ a) * member - bvec
-        cand = _project_rows(beta - step[:, None] * grad, radius)
-        cand_w = (cand @ a) * member
-        cand_obj = yty - 2.0 * np.einsum("ij,ij->i", cand, bvec) + np.einsum(
-            "ij,ij->i", cand, cand_w
+    beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
+    iterations = np.zeros(member.shape[0], dtype=np.int64)
+    rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
+    if rest.size:
+        # Binding rows start from their projected solution, singular ones
+        # from zero.
+        start = np.where(np.isfinite(beta[rest]).all(axis=1)[:, None], beta[rest], 0.0)
+        beta[rest], iterations[rest] = _descend(
+            a, yty, member[rest], bvec[rest], _project_rows(start, radius), radius, tau, config
         )
-        slack = 1e-9 * np.maximum(1.0, np.abs(obj))
-        if np.any(cand_obj > obj + slack):
-            raise SolverError(
-                "projected gradient objective increased; step size rule broke"
-            )
-        decrease = obj - cand_obj
-        just_done = (~converged) & (
-            decrease <= config.tolerance * np.maximum(obj, 1e-300)
-        )
-        iterations[just_done] = it
-        converged |= just_done
-        beta, obj = cand, np.maximum(cand_obj, 0.0)
-        if converged.all():
-            break
-
-    iterations[~converged] = config.max_iterations
-    return beta, obj, iterations, converged
+    obj = yty - 2.0 * _rowdot(beta, bvec) + _rowdot(beta, (beta @ a) * member)
+    return beta, np.maximum(obj, 0.0), iterations, np.ones(member.shape[0], dtype=bool)
 
 
 def fit_masks(
@@ -212,7 +344,8 @@ def fit_masks(
     config: SolverConfig | None = None,
 ) -> Fits:
     """Fit every model of the family against the same statistics in one
-    stacked solve.  Output order matches family order."""
+    stacked solve.  Output order matches family order, and every fit is
+    certified (see :class:`SolverConfig`)."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):

@@ -103,14 +103,16 @@ class TestSelect:
         assert "row" in capsys.readouterr().err
 
     def test_solver_failure_is_error_exit(self, demo_csv, capsys, monkeypatch):
-        # A step of 4/L makes the objective rise; the CLI reports it.
+        # A step of 4/L makes the objective rise; the CLI reports it.  Only
+        # binding masks whose first KKT candidate is not certified take
+        # projected-gradient steps, and R = 0.2 leaves some.
         from dpms import solver
 
         exact = solver._masked_top_eigenvalue
         monkeypatch.setattr(
             solver, "_masked_top_eigenvalue", lambda a, member: exact(a, member) / 4.0
         )
-        code = main(_select_args(demo_csv))
+        code = main(_select_args(demo_csv, "--R", "0.2"))
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "objective increased" in err

@@ -64,11 +64,13 @@ class TestLsSensitivity:
 class TestProfileSensitivityValue:
     def test_worked_example(self):
         # Independent recomputation: n=100, min loss 100, r=2, R=1,
-        # stage epsilon 1, delta 0.05, zero noise draw.  The width is 9,
-        # the margin log(1/(2 delta)) = log(10), so the value must be
-        # 900 / (91 - 9 ln 10).
+        # stage epsilon 1, delta 0.05, zero noise draw.  The certificate
+        # slack is 1e-10 * n r^2 = 4e-8, so the width is w = 9 + 4e-8 and
+        # the minimum 100 - 4e-8; the margin log(1/(2 delta)) = log(10),
+        # so the value must be 100 w / (100 - 4e-8 - w - w ln 10).
         got = _profile_sensitivity_value(100.0, 100, 2.0, 1.0, 1.0, 0.05, 0.0)
-        oracle = 900.0 / (91.0 - 9.0 * math.log(10.0))
+        w = 9.0 + 4e-8
+        oracle = 100.0 * w / (100.0 - 4e-8 - w - w * math.log(10.0))
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(12.8065, abs=5e-4)
 
@@ -91,7 +93,8 @@ class TestProfileSensitivityValue:
 
     def test_infinite_stage_epsilon_drops_noise_term(self):
         exact = _profile_sensitivity_value(100.0, 100, 2.0, 1.0, math.inf, 0.05, 123.0)
-        assert exact == pytest.approx(100 * 9.0 / (100.0 - 9.0), rel=1e-12)
+        w = 9.0 + 4e-8
+        assert exact == pytest.approx(100 * w / (100.0 - 4e-8 - w), rel=1e-12)
 
 
 class TestSelectionConfig:
@@ -121,8 +124,9 @@ class TestComputeGofD:
             fits = fit_masks(sufficient_stats(ds), models, 1.5)
             min_loss = min(f.neg2_loglik for f in fits)
             z = sample_laplace(RngStream(42, 7), 1.0)
-            width = (ds.response_bound + 1.5) ** 2
-            denom = min_loss - width + width * (z - math.log(1.0 / (2.0 * 1e-4))) / 1.0
+            slack = 1e-10 * n * ds.response_bound**2
+            width = (ds.response_bound + 1.5) ** 2 + slack
+            denom = min_loss - slack - width + width * (z - math.log(1.0 / (2.0 * 1e-4))) / 1.0
             oracle = n * width / denom if denom > 0 else math.inf
             assert math.isfinite(oracle) == (n == 2000)
             assert got == pytest.approx(oracle, rel=1e-12)
@@ -137,8 +141,11 @@ class TestComputeGofD:
         models = all_subsets(3)
         fits = fit_masks(sufficient_stats(ds), models, radius)
         clean = _score_matrix("pcpl", fits, n, [1.0], models.sizes)
-        min_loss = float(fits.neg2_loglik.min())
-        width = (1.0 + radius) ** 2
+        # The certificate slack 1e-10 * n r^2 widens the bound and lowers
+        # the minimum.
+        slack = 1e-10 * n
+        min_loss = float(fits.neg2_loglik.min()) - slack
+        width = (1.0 + radius) ** 2 + slack
         seed, streams = 2**100 + 3, [2**63 + 7 * i for i in range(1200)]
         block = np.broadcast_to(clean, (len(streams), len(models)))
         for mechanism in ("noisy_argmin", "exponential"):
@@ -175,6 +182,47 @@ class TestComputeGofD:
         cfg = SelectionConfig(radius=1.0, penalty=0.0, budget=PrivacyBudget(1.0, 0.0))
         with pytest.raises(ConfigError):
             pcpl_select(ds, models, cfg, RngStream(0, 0))
+
+
+class TestCertificateSlack:
+    def test_both_noise_scales_carry_the_slack(self, monkeypatch):
+        # A certified loss sits at most tau = 1e-10 * max(1, n r^2) above
+        # the exact one, so pcls calibrates to (r + R)^2 + tau, and pcpl
+        # widens its bound to w = (r + R)^2 + tau and lowers the minimum
+        # by tau.  Here n = 200 and r = max|y|.
+        from dpms import selection
+
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        models = all_subsets(4)
+        r, tau = ds.response_bound, 1e-10 * 200 * ds.response_bound**2
+        seen = {}
+
+        def spy(name, function):
+            def wrapper(*args):
+                seen[name] = args
+                return function(*args)
+            monkeypatch.setattr(selection, name, wrapper)
+
+        spy("_noisy_argmin_rows", selection._noisy_argmin_rows)
+        spy("_gumbel_argmin_rows", selection._gumbel_argmin_rows)
+        cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(0.5))
+        pcls_select(ds, models, cfg, RngStream(3, 1))
+        scale = seen["_noisy_argmin_rows"][1]
+        assert scale.tolist() == [[2.0 * ((r + 2.0) ** 2 + tau) / 0.5]]
+        assert scale[0, 0] - 2.0 * (r + 2.0) ** 2 / 0.5 == pytest.approx(4.0 * tau, rel=1e-6)
+
+        cfg = SelectionConfig(
+            radius=1.0, penalty=3.0, budget=PrivacyBudget(5.0, 1e-3), mechanism="exponential"
+        )
+        report = pcpl_select(ds, models, cfg, RngStream(3, 1))
+        min_loss = float(fit_masks(sufficient_stats(ds), models, 1.0).neg2_loglik.min())
+        w = (r + 1.0) ** 2 + tau
+        z = sample_laplace(RngStream(3, 1), 1.0)
+        # Stage 1 spends 2 * 5 * 0.5 = 5 of the budget.
+        proxy = 200 * w / ((min_loss - tau) - w + w * (z - math.log(1.0 / 2e-3)) / 5.0)
+        assert report.g_of_d == proxy
+        assert seen["_gumbel_argmin_rows"][2].tolist() == [[proxy]]
+        assert report.g_of_d == pytest.approx(22.9602574475271, rel=1e-12)
 
 
 class TestPclsSelect:
@@ -480,11 +528,12 @@ class TestReportArrays:
 
 # sha256 of to_json(include_clean_scores=True), pinned so that a change to
 # how families, fits or draws are passed around cannot move a single byte
-# of a report.
+# of a report.  Re-pinned once when fits became exact and certified and the
+# certificate slack entered the calibration.
 REPORT_SHA256 = {
-    "pcls-all": "b3933c71a48872d28d3f35177dec9a5f352aa9d7da092171ff3228677446c0fa",
-    "pcls-reversed": "b59c9b3d78ca5d5e6faaa06cdd4817a3ec469f43b11de50af2c13bb79fd63609",
-    "pcpl-exponential": "6cce1f26e8d118c83447e8530c73738d1de377b7925864811c50e0febeb58162",
+    "pcls-all": "0fe213378b4897ad01b579c23998d800f6175cc422ce3a6d15980aa5816aa977",
+    "pcls-reversed": "9bf1a64f34ba43c28191d5a13a357cc5b357810c8380cb7540fb336e60a74f09",
+    "pcpl-exponential": "31006809435be597b886e927fbeae040ae6ce8aa23579526e55898f912f6f122",
 }
 
 

@@ -74,6 +74,12 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError, match=f"{field} must be a real number"):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", (5, 1.5, "15"))
+    def test_scalar_coefficients_are_config_errors(self, value):
+        # A scalar used to raise a bare TypeError ("not iterable").
+        with pytest.raises(ConfigError, match="coefficients must be a sequence"):
+            SyntheticSpec(n=5, coefficients=value, rng=RngStream(0, 0))
+
 
 class TestGenerate:
     def test_shapes_bounds_and_truth(self):
@@ -190,6 +196,18 @@ class TestSweepGrid:
         kwargs = dict(n_values=(100,), radius_values=(1.0,), epsilon_values=(1.0,))
         kwargs[f"{axis}_values"] = (value,)
         with pytest.raises(ConfigError, match=f"{axis} must be a real number"):
+            SweepGrid(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_values", 100), ("radius_values", 1.0), ("epsilon_values", 1.0),
+         ("delta_values", 0.0), ("phi_values", 2.0), ("radius_values", "1.0")],
+    )
+    def test_scalar_axes_are_config_errors(self, field, value):
+        # A scalar used to raise a bare TypeError ("not iterable").
+        kwargs = dict(n_values=(100,), radius_values=(1.0,), epsilon_values=(1.0,))
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be a sequence"):
             SweepGrid(**kwargs)
 
     def test_phi_default_depends_on_n(self):
@@ -339,12 +357,13 @@ class TestRunSweep:
 
 # sha256 of run_sweep(...).to_csv() on _golden_grid, pinned from the
 # SHAKE-256 keyed draws.  Scoring a replication's grid as a matrix must
-# replay every cell exactly, for any worker count.
+# replay every cell exactly, for any worker count.  Re-pinned once when fits
+# became exact and certified.
 GOLDEN_SWEEP_SHA256 = {
-    ("pcls", "noisy_argmin"): "f68102ca8c02bf2670f1f44bf54b5b29693399dcfa4f7134acbbb3c58a0b4a95",
-    ("pcls", "exponential"): "beb83cc4d9b99aa25817449bdba74db17829d71638a96f0005cf7cc6600b17bf",
-    ("pcpl", "noisy_argmin"): "764ddeb4a0c25ff6d53ed5715bfc291291da35da75fed34a9d174a3384c8715f",
-    ("pcpl", "exponential"): "99da569bd94b1e7c37611631dbcd69a46c065b3fb8f59873d70ad3926c7d204f",
+    ("pcls", "noisy_argmin"): "75a7ebf554a97d7260158b0590163c163981f883375009451bb9752a9058a781",
+    ("pcls", "exponential"): "11944bdb553952887bb3f94440ec66427092fb99439e065b239f37d22322078c",
+    ("pcpl", "noisy_argmin"): "416143a9af61c50c9a6aeae1d7db3b61f42f35c4b3df13c8222f5f7d401ae89f",
+    ("pcpl", "exponential"): "85cfe83492adeba4058217113d3a6201a87807e500223655743c892e2ef01d6b",
 }
 
 

@@ -1,5 +1,7 @@
-"""Constrained least squares: projection, descent, and accuracy oracles."""
+"""Constrained least squares: projection, exact fits, certificates and
+accuracy oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,10 +25,11 @@ from dpms import (
     sufficient_stats,
 )
 
-# Tight settings used whenever a test compares against a closed form; the
-# default tolerance is meant for selection work, not 1e-6 coefficient
-# recovery.
-TIGHT = SolverConfig(max_iterations=200_000, tolerance=1e-16)
+# A certificate a thousand times tighter than the default, used whenever a
+# test compares against a closed form.  The duality gap cannot fall much
+# below the round-off of X'X beta (~1e-15 of the scale), so a tolerance
+# near that could not be certified.
+TIGHT = SolverConfig(tolerance=1e-13)
 
 
 def _family(masks):
@@ -182,8 +185,8 @@ class TestFitAgainstNormalEquations:
 
 class TestDescentMechanics:
     def test_iterates_stay_feasible(self):
-        # The returned fit is the last iterate; an objective increase on
-        # the way there raises SolverError (see below).
+        # The returned fit is an exact solve, a KKT candidate or a certified
+        # projected-gradient iterate; each must lie in the ball.
         ds, _, _ = _uniform_dataset(60, 4, 4)
         stats = sufficient_stats(ds)
         for radius in (0.7, 0.8):
@@ -230,14 +233,18 @@ class TestDescentMechanics:
         assert np.array_equal(one.beta, two.beta)
         assert one.neg2_loglik == two.neg2_loglik
 
-    def test_unconverged_flag_when_budget_tiny(self):
-        ds, _, _ = _uniform_dataset(60, 4, 19)
-        stats = sufficient_stats(ds)
-        fit = _fit_one(
-            stats, ModelMask.full(4), 0.9, SolverConfig(max_iterations=2, tolerance=0.0)
-        )
-        assert not fit.converged
-        assert fit.iterations == 2
+    def test_uncertified_fit_raises_solver_error(self):
+        # Two identical columns make the full mask singular, so it has no
+        # exact solve and no KKT candidate: projected gradient needs ~40
+        # steps to certify it, and a budget of 5 must raise, not return.
+        rng = np.random.default_rng(17)
+        col = rng.uniform(-1, 1, 50)
+        x = np.stack([col, col, rng.uniform(-1, 1, 50)], axis=1)
+        y = col * 0.8 + rng.normal(0, 0.1, 50)
+        stats = sufficient_stats(Dataset(x, y / np.max(np.abs(y)), 1.0))
+        assert _fit_one(stats, ModelMask.full(3), 2.0).iterations > 5
+        with pytest.raises(SolverError, match="not certified"):
+            _fit_one(stats, ModelMask.full(3), 2.0, SolverConfig(max_iterations=5))
 
     def test_input_validation(self):
         ds, _, _ = _uniform_dataset(20, 3, 23)
@@ -248,10 +255,14 @@ class TestDescentMechanics:
             _fit_one(stats, ModelMask.full(3), -1.0)
         with pytest.raises(ConfigError):
             SolverConfig(max_iterations=0)
+        with pytest.raises(ConfigError):
+            SolverConfig(tolerance=0.0)
 
     def test_objective_increase_raises_solver_error(self, monkeypatch):
-        # A step of 4/L overshoots: the first move from zero already raises
-        # the objective, which must surface as a DpmsError, not an assert.
+        # A step of 4/L overshoots, and the rising objective must surface
+        # as a DpmsError, not an assert.  Only binding masks whose first KKT
+        # candidate is not certified take steps; at R = 0.1 the projected
+        # solution's support is wrong, so this one does.
         from dpms import solver
 
         exact = solver._masked_top_eigenvalue
@@ -260,7 +271,7 @@ class TestDescentMechanics:
         )
         ds, _, _ = _uniform_dataset(60, 4, 31)
         with pytest.raises(SolverError):
-            fit_masks(sufficient_stats(ds), _family([ModelMask.full(4)]), 50.0)
+            fit_masks(sufficient_stats(ds), _family([ModelMask.full(4)]), 0.1)
 
 
 class TestExactStep:
@@ -298,6 +309,68 @@ class TestExactStep:
             g = 2.0 * (stats.xtx[np.ix_(cols, cols)] @ beta - stats.xty[cols])
             gap = float(g @ beta + radius * np.max(np.abs(g)))
             assert gap <= 1e-5 * max(fit.neg2_loglik, 1.0)
+
+
+def _kkt_oracle(a, b, yty, cols, radius):
+    """Constrained minimum by enumeration: every support T in the mask
+    with a nonsingular A_T, unconstrained (mu = 0) or on the sphere with
+    each sign vector s, keeping only feasible, sign-consistent points.
+    Some minimizer has such a support, so the least objective is the
+    minimum."""
+    best = yty
+    for k in range(1, len(cols) + 1):
+        for t in itertools.combinations(cols, k):
+            sub = a[np.ix_(t, t)]
+            if np.linalg.matrix_rank(sub) < k:
+                continue
+            u = np.linalg.solve(sub, b[list(t)])
+            points = [u] if np.abs(u).sum() <= radius else []
+            for signs in itertools.product((-1.0, 1.0), repeat=k):
+                s = np.array(signs)
+                v = np.linalg.solve(sub, s)
+                mu = (s @ u - radius) / (s @ v)
+                beta = u - mu * v
+                if mu >= 0 and np.array_equal(np.sign(beta), s):
+                    points.append(beta)
+            for beta in points:
+                best = min(best, yty - 2.0 * beta @ b[list(t)] + beta @ sub @ beta)
+    return best
+
+
+class TestCertifiedFits:
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_losses_match_the_kkt_oracle_and_every_fit_is_certified(self, seed):
+        # Columns 1-4 are random, column 5 is zero and column 6 copies
+        # column 2, so the family of all masks up to size 4 mixes slack,
+        # binding, zero-column and exactly collinear masks at every radius.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 200))
+        x = np.zeros((n, 6))
+        x[:, :4] = rng.uniform(-1, 1, (n, 4))
+        x[:, 5] = x[:, 1]
+        y = x[:, :3] @ rng.normal(0, 1, 3) + rng.normal(0, 0.3, n)
+        stats = sufficient_stats(Dataset(x, y, float(np.max(np.abs(y)))))
+        a, b = stats.xtx, stats.xty
+        family = CandidateSet(
+            [sum(1 << j for j in c) for k in range(1, 5) for c in itertools.combinations(range(6), k)],
+            6,
+        )
+        tau = SolverConfig().tolerance * max(1.0, stats.yty)
+        for radius in (0.2, 1.0, 3.0, 50.0):
+            fits = fit_masks(stats, family, radius)
+            for mask, fit in zip(family, fits):
+                cols = mask.column_positions().tolist()
+                oracle = _kkt_oracle(a, b, stats.yty, cols, radius)
+                assert fit.neg2_loglik == pytest.approx(oracle, rel=1e-9)
+                g = a @ fit.beta - b
+                gap = 2.0 * (g[cols] @ fit.beta[cols] + radius * np.max(np.abs(g[cols])))
+                assert fit.converged and gap <= tau
+                assert np.abs(fit.beta).sum() <= radius * (1.0 + 1e-12)
+                singular = 4 in cols or {1, 5} <= set(cols)
+                if radius == 50.0 and not singular:
+                    # A slack mask is solved exactly, even when a singular
+                    # mask shares its size group.
+                    assert fit.iterations == 0
 
 
 class TestEquivalenceRadius:
