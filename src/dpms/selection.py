@@ -7,7 +7,7 @@ data, score it, and let a mechanism pick a winner.
   pays ``epsilon`` of pure differential privacy.  The score's sensitivity
   is the global bound ``(r + R)**2`` on the exact loss, plus the public
   bound ``tau`` (:func:`~dpms.solver.loss_slack`) on how far a certified
-  fit may sit above it; no dataset can exceed the sum.
+  fit may sit from it; no dataset can exceed the sum.
 * :func:`pcpl_select` scores by the penalized profile likelihood, whose
   global sensitivity is unbounded.  It spends half its budget measuring a
   data-dependent sensitivity proxy and the other half selecting with it,
@@ -136,6 +136,7 @@ def _check_delta(algorithm: str, delta: float) -> None:
 def _profile_sensitivity_value(
     min_loss: float,
     n_obs: int,
+    d: int,
     response_bound: float,
     radius: float,
     stage1_epsilon: float,
@@ -148,7 +149,7 @@ def _profile_sensitivity_value(
     Starts from the deterministic bound ``n * w / (min_loss - w)`` with
     ``w = (r + R)**2 + tau`` and the certified minimum lowered by ``tau``,
     ``tau`` the public bound (:func:`~dpms.solver.loss_slack`) on how far
-    a certified loss sits above the exact one.  It then perturbs the
+    a certified loss can sit from the exact one.  It then perturbs the
     denominator with Laplace noise calibrated to ``w`` plus a
     ``log(1 / (2 * delta))`` safety margin so the released value is itself
     private and exceeds the true local sensitivity except with probability
@@ -156,7 +157,7 @@ def _profile_sensitivity_value(
     the bound to say anything; the sentinel ``inf`` signals that.
     """
     units = np.asarray(laplace_units, dtype=np.float64)
-    slack = loss_slack(n_obs, response_bound)
+    slack = loss_slack(n_obs, d, response_bound, radius)
     width = (response_bound + radius) ** 2 + slack
     shift = np.zeros(units.shape)
     if math.isfinite(stage1_epsilon):
@@ -310,13 +311,15 @@ def _select_rows(
     rows = len(stream_ids)
     if algorithm == "pcls":
         epsilon, proxy = config.budget.epsilon, None
-        width = ls_sensitivity(bound, config.radius) + loss_slack(n_obs, bound)
+        width = ls_sensitivity(bound, config.radius) + loss_slack(
+            n_obs, models.d, bound, config.radius
+        )
         sensitivity = np.full(rows, width)
     else:
         stage1_epsilon, epsilon = _stage_epsilons(config)
         proxy = sensitivity = _profile_sensitivity_value(
-            float(fits.neg2_loglik.min()), n_obs, bound, config.radius, stage1_epsilon,
-            config.budget.delta, _laplace_rows(seed, stream_ids),
+            float(fits.neg2_loglik.min()), n_obs, models.d, bound, config.radius,
+            stage1_epsilon, config.budget.delta, _laplace_rows(seed, stream_ids),
         )
     fallback = np.isinf(sensitivity) & math.isfinite(epsilon)
     kept = ~fallback
@@ -396,7 +399,7 @@ def pcls_select(
     budget must carry ``delta == 0``).  Scores are ``loss + penalty *
     |model|`` where the loss is the certified constrained residual sum of
     squares; both mechanisms are calibrated to the row-swap sensitivity
-    ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, r)``.
+    ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, d, r, R)``.
     """
     stats = sufficient_stats(dataset)
     fits = fit_masks(stats, models, config.radius)

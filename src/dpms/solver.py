@@ -14,19 +14,27 @@ how far the fit's loss sits above the constrained minimum:
    solution lies in the ball with a gap of at most ``tau`` (a slack mask)
    is done.
 2. The remaining rows (binding masks, and rank-deficient ones whose solve
-   is singular) start from the projection of their solution onto the
-   ball, or from zero when there is none.  At the start and every few steps after, each row's support and
-   signs give a KKT candidate, the exact minimum if that support is right.
-   In between, projected gradient steps 1/L, L the exact top eigenvalue
-   of the restricted A, which only rows still live after the first
-   candidate compute.  A row leaves the batch as soon as its iterate or
-   its candidate is certified.
-3. A row still uncertified after ``max_iterations`` steps raises
+   is singular) try one KKT candidate: the minimum on the sphere over the
+   support and signs of their projected solution (zero when there is
+   none), exact whenever that support is right.
+3. Rows it does not settle follow the lasso path from zero out to the
+   radius, one batched solve per breakpoint, which ends on the exact
+   minimum; its end point and the KKT candidate on its support are
+   certified.
+4. What is left, in practice masks with exactly identical columns whose
+   path meets a singular system, runs projected gradient with step
+   1/L, L the exact top eigenvalue of the restricted A, and a KKT
+   candidate every few steps.  A row still uncertified after
+   ``max_iterations`` steps, or whose gap has stopped falling, raises
    :class:`~dpms.errors.SolverError`; no uncertified loss is returned.
 
-``tau`` is ``tolerance * max(1, yty)``.  With ``|y_i| <= r`` that is at
-most the public bound ``tolerance * max(1, n r^2)`` of
-:func:`loss_slack`, which the selectors add to their sensitivities.
+``tau`` is ``tolerance * max(1, yty)`` plus a round-off allowance, a
+small multiple of ``eps * d`` times the loss's scale ``yty + 2 R ||b||_inf
++ R^2 max A_jj``, below which no computed gap can be trusted.  With
+``|x_ij| <= 1`` and ``|y_i| <= r`` both parts have public bounds;
+:func:`loss_slack` adds them up, with the allowance doubled for the
+round-off of the loss itself, and the selectors add it to their
+sensitivities.
 
 Every restricted problem is embedded in the full coordinate space with the
 excluded rows/columns zeroed, so whole families of masks are solved as one
@@ -57,18 +65,28 @@ __all__ = [
 # Projected-gradient steps between two KKT candidates of a binding row.
 _POLISH_EVERY = 4
 
+# Round-off allowance of a certificate, per coordinate and per unit of the
+# loss's scale: the gap and the loss are sums of at most d products, each
+# term bounded by that scale.
+_ROUNDOFF = 64 * np.finfo(np.float64).eps
+
+# A live row whose lowest gap has not fallen by 1% in this many steps has
+# reached its round-off floor and cannot be certified.
+_STALL_STEPS = 500
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Certificate and step budget of every fit.
 
     A fit is accepted once its Frank-Wolfe duality gap is at most
-    ``tolerance * max(1, yty)``, so its loss exceeds the constrained
-    minimum by no more than that.  A binding or rank-deficient mask may
+    ``tolerance * max(1, yty)`` plus the round-off allowance (see the
+    module notes), so its loss exceeds the constrained minimum by no more
+    than that; a tolerance far below ``1e-15`` certifies to the allowance.
+    A mask that neither its KKT candidate nor the lasso path settles may
     take up to ``max_iterations`` projected-gradient steps to get there;
-    past that, :class:`~dpms.errors.SolverError`.  The gap cannot fall
-    much below the round-off of ``X'X beta``, about ``1e-15`` of the
-    scale, so a far smaller tolerance only buys that error.
+    past that, or once its gap has stopped falling,
+    :class:`~dpms.errors.SolverError`.
     """
 
     max_iterations: int = 10_000
@@ -79,8 +97,8 @@ class SolverConfig:
             raise ConfigError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +108,9 @@ class FitResult:
     beta is a full-length vector with exact zeros outside the mask and
     ``||beta||_1`` within round-off of the radius at most; neg2_loglik is
     the squared-error loss at beta (>= 0).  iterations counts the
-    projected-gradient steps the fit took (0 for a slack mask), and
-    converged is True: an uncertified fit raises instead.
+    projected-gradient steps the fit took (0 unless the exact solve, the
+    KKT candidate and the lasso path all fell short), and converged is
+    True: an uncertified fit raises instead.
     """
 
     beta: np.ndarray
@@ -130,15 +149,30 @@ class Fits:
         )
 
 
-def loss_slack(n_obs: int, response_bound: float, config: SolverConfig | None = None) -> float:
-    """Public bound on how far a certified loss sits above its minimum.
+def _tau(stats: SufficientStats, radius: float, tolerance: float) -> float:
+    """Certificate level of one dataset: the tolerance plus the round-off
+    allowance on the loss's scale."""
+    scale = (
+        stats.yty
+        + 2.0 * radius * float(np.max(np.abs(stats.xty), initial=0.0))
+        + radius**2 * float(np.max(np.diag(stats.xtx), initial=0.0))
+    )
+    return tolerance * max(1.0, stats.yty) + _ROUNDOFF * stats.d * scale
 
-    A fit is certified to ``tolerance * max(1, yty)``, and ``yty <= n r^2``
-    for responses bounded by r, so ``tolerance * max(1, n r^2)`` bounds it
-    on every dataset of that size and bound.
+
+def loss_slack(n_obs: int, d: int, response_bound: float, radius: float) -> float:
+    """Public bound on how far a certified loss can sit from its minimum.
+
+    With ``|x_ij| <= 1`` and ``|y_i| <= r``, ``yty <= n r^2``,
+    ``|X'y|_j <= n r`` and ``(X'X)_jj <= n``, so a certificate level is at
+    most ``tolerance * max(1, n r^2) + allowance * d * n (r + R)^2``.  The
+    allowance is counted twice: once in the certificate, once for the
+    round-off of the loss and of the gap themselves.
     """
-    config = config or SolverConfig()
-    return config.tolerance * max(1.0, n_obs * response_bound**2)
+    scale = n_obs * (response_bound + radius) ** 2
+    return SolverConfig().tolerance * max(1.0, n_obs * response_bound**2) + (
+        2.0 * _ROUNDOFF * d * scale
+    )
 
 
 def project_l1(v, radius: float) -> np.ndarray:
@@ -170,7 +204,12 @@ def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
     # threshold; radius > 0 guarantees at least the first position.
     rho = np.sum(u * ranks > css, axis=1)
     theta = css[np.arange(len(rho)), rho - 1] / rho
-    v[over] = np.sign(v[over]) * np.maximum(absv[over] - theta[:, None], 0.0)
+    w = np.sign(v[over]) * np.maximum(absv[over] - theta[:, None], 0.0)
+    # Thresholding a large entry loses its low digits: rescale what
+    # round-off leaves outside the ball onto its surface.
+    l1 = np.abs(w).sum(axis=1)
+    w[l1 > radius] *= (radius / l1[l1 > radius])[:, None]
+    v[over] = w
     return v
 
 
@@ -233,36 +272,109 @@ def _gap(grad: np.ndarray, beta: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _certified(a, member, bvec, beta, radius, tau) -> np.ndarray:
-    """Rows of ``beta`` that lie in the ball (to round-off) with a gap of
-    at most ``tau``; a NaN row never is."""
-    gap = _gap((beta @ a) * member - bvec, beta, radius)
+    """Rows of ``beta`` that lie in the ball with a gap of at most ``tau``;
+    a NaN row never does.  A row outside the ball by round-off only (up to
+    1e-12 relative) is first scaled onto its surface, in place, and judged
+    there, so no accepted fit overshoots the ball."""
     with np.errstate(invalid="ignore"):
-        return (gap <= tau) & (np.abs(beta).sum(axis=1) <= radius * (1.0 + 1e-12))
+        l1 = np.abs(beta).sum(axis=1)
+        inside = l1 <= radius * (1.0 + 1e-12)
+        over = inside & (l1 > radius)
+        beta[over] *= (radius / l1[over])[:, None]
+        return inside & (_gap((beta @ a) * member - bvec, beta, radius) <= tau)
 
 
 def _kkt_candidates(a, bvec, beta, radius) -> np.ndarray:
     """The minimum over each row's current support S and signs s, on the
-    sphere: ``beta_S = A_S^-1 (b_S - mu s)`` with ``mu = (s.A_S^-1 b - R) /
-    (s.A_S^-1 s)`` (no lower than 0, the interior case).  It is the
-    constrained minimum whenever S and s are right; singular or empty
-    supports come back NaN."""
+    sphere: the solution of ``A_S beta_S + mu s = b_S``, ``s.beta_S = R``,
+    one batched bordered solve per support size.  It is the constrained
+    minimum whenever S and s are right, and the border keeps it accurate
+    when A_S is nearly singular along a direction s does not ignore.
+    Singular systems and empty supports come back NaN."""
     signs = np.sign(beta)
-    uv = _masked_solve(a, beta != 0.0, np.stack([bvec, signs], axis=2))
-    u, v = uv[..., 0], uv[..., 1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mu = np.maximum((_rowdot(signs, u) - radius) / _rowdot(signs, v), 0.0)
-    return u - mu[:, None] * v
+    out = np.zeros(beta.shape)
+    out[~signs.any(axis=1)] = np.nan
+    for rows, idx in _size_groups(signs != 0.0):
+        k = idx.shape[1]
+        s = signs[rows[:, None], idx]
+        kkt = np.zeros((len(rows), k + 1, k + 1))
+        kkt[:, :k, :k] = a[idx[:, :, None], idx[:, None, :]]
+        kkt[:, :k, k] = kkt[:, k, :k] = s
+        rhs = np.concatenate([bvec[rows[:, None], idx], np.full((len(rows), 1), radius)], axis=1)
+        out[rows[:, None], idx] = _solve_or_nan(kkt, rhs[:, :, None])[:, :k, 0]
+    return out
+
+
+def _homotopy(a, member, bvec, radius, max_steps):
+    """The lasso path of each row from beta = 0 out to the l1 radius.
+
+    Along the path the active set S with signs s keeps
+    ``A_S beta_S = b_S - lam s``, lam the common size of the active
+    correlations ``c = b - A beta``; beta moves along ``w = A_S^-1 s`` as
+    lam falls.  A free coordinate joins when its correlation reaches
+    ``+-lam`` and an active one leaves when it reaches zero.  A row stops on
+    the sphere, or at lam = 0 (an interior minimum), exact up to the drift
+    of the updates; a row whose system turns singular or that runs out of
+    steps stops where it is, inside the ball.  Returns beta.
+    """
+    m, d = member.shape
+    beta = np.zeros((m, d))
+    lam = np.abs(bvec).max(axis=1, initial=0.0)
+    active = np.zeros((m, d), dtype=bool)
+    active[np.arange(m), np.abs(bvec).argmax(axis=1)] = True
+    signs = np.where(active, np.sign(bvec), 0.0)
+    # The sign a coordinate had when it left on the last step: it sits at
+    # c = lam * sign, and must not rejoin with that sign on round-off.
+    left = np.zeros((m, d))
+    live = np.flatnonzero(lam > 0.0)
+    for _ in range(max_steps):
+        if not live.size:
+            break
+        r = np.arange(live.size)
+        act, sg, bt, lm = active[live], signs[live], beta[live], lam[live]
+        w = _masked_solve(a, act, sg[:, :, None])[:, :, 0]
+        aw = (w @ a) * member[live]
+        c = bvec[live] - (bt @ a) * member[live]
+        free = (member[live] > 0) & ~act
+        floor = 1e-12 * lm[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            up = (lm[:, None] - c) / (1.0 - aw)
+            down = (lm[:, None] + c) / (1.0 + aw)
+            up = np.where(free & (left[live] <= 0.0) & (up > floor), up, np.inf)
+            down = np.where(free & (left[live] >= 0.0) & (down > floor), down, np.inf)
+            drops = np.where(act & (-bt / w > floor), -bt / w, np.inf)
+            to_sphere = (radius - _rowdot(sg, bt)) / _rowdot(sg, w)
+        joins = np.minimum(up, down)
+        j_join, j_drop = joins.argmin(axis=1), drops.argmin(axis=1)
+        gamma = np.minimum(
+            np.minimum(joins[r, j_join], drops[r, j_drop]), np.minimum(to_sphere, lm)
+        )
+        broken = ~np.isfinite(gamma) | ~np.isfinite(w).all(axis=1)
+        gamma = np.where(broken, 0.0, gamma)
+        beta[live] = bt + gamma[:, None] * np.nan_to_num(w)
+        lam[live] = lm - gamma
+        ends = broken | (gamma == to_sphere) | (gamma == lm)
+        join = ~ends & (gamma == joins[r, j_join])
+        drop = ~ends & ~join
+        left[live] = 0.0
+        jr, jj = live[join], j_join[join]
+        active[jr, jj] = True
+        signs[jr, jj] = np.where(up[join, jj] <= down[join, jj], 1.0, -1.0)
+        dr, jd = live[drop], j_drop[drop]
+        left[dr, jd] = signs[dr, jd]
+        active[dr, jd] = False
+        signs[dr, jd] = 0.0
+        beta[dr, jd] = 0.0
+        live = live[~ends]
+    return beta
 
 
 def _step_sizes(a: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Projected-gradient step 1/L of each row, L the exact top eigenvalue
-    of its restricted A.  A numerically zero restriction has no curvature
-    to step along (PSD forces the matching X'y entries toward zero as
-    well), so its row keeps its start and the certificate judges it."""
+    of its restricted A; 0 for a zero restriction, whose X'y entries are
+    zero too, so its start is already the minimum."""
     lam = _masked_top_eigenvalue(a, member)
-    diag_scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    flat = lam <= 1e-14 * diag_scale
-    return np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, lam))
+    return np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
 
 
 def _descend(a, yty, member, bvec, start, radius, tau, config):
@@ -271,7 +383,9 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
     Rows leave the batch once their iterate, or the KKT candidate on its
     support taken at the start and every ``_POLISH_EVERY`` steps after, is
     certified; only rows still live after the first candidate pay for
-    their step size.  Returns (beta, iterations).
+    their step size.  A row that cannot move, or whose lowest gap has not
+    fallen by 1% in ``_STALL_STEPS`` steps, raises at once.  Returns
+    (beta, iterations).
     """
     m, d = member.shape
     beta_out = np.zeros((m, d))
@@ -279,12 +393,14 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
     live = np.arange(m)
     beta, mem, b, step = start, member, bvec, None
     obj = np.full(m, np.inf)
+    best_gap, best_at = np.full(m, np.inf), np.zeros(m, dtype=np.int64)
     for it in range(config.max_iterations + 1):
         grad = (beta @ a) * mem - b
         new_obj = yty + _rowdot(beta, grad - b)
         if np.any(new_obj > obj + 1e-9 * np.maximum(1.0, np.abs(obj))):
             raise SolverError("projected gradient objective increased; step size rule broke")
-        done = _gap(grad, beta, radius) <= tau
+        gap = _gap(grad, beta, radius)
+        done = gap <= tau
         if it % _POLISH_EVERY == 0:
             kkt = _kkt_candidates(a, b, beta, radius)
             polished = ~done & _certified(a, mem, b, kkt, radius, tau)
@@ -292,15 +408,24 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
             done |= polished
         beta_out[live[done]] = beta[done]
         iterations[live[done]] = it
+        falling = gap < 0.99 * best_gap
+        best_gap[falling], best_at[falling] = gap[falling], it
         keep = ~done
-        live, beta, mem, b, obj, grad = (
-            live[keep], beta[keep], mem[keep], b[keep], new_obj[keep], grad[keep]
+        live, beta, mem, b, obj, grad, best_gap, best_at = (
+            live[keep], beta[keep], mem[keep], b[keep], new_obj[keep], grad[keep],
+            best_gap[keep], best_at[keep],
         )
         if not live.size:
             return beta_out, iterations
         if it == config.max_iterations:
             break
         step = _step_sizes(a, mem) if step is None else step[keep]
+        stuck = (step == 0.0) | (it - best_at >= _STALL_STEPS)
+        if stuck.any():
+            raise SolverError(
+                f"{int(stuck.sum())} fit(s) stopped short of certification after {it} "
+                f"projected-gradient steps (duality gap above {tau:.3g})"
+            )
         beta = _project_rows(beta - step[:, None] * grad, radius)
     raise SolverError(
         f"{live.size} fit(s) not certified after {config.max_iterations} projected-gradient "
@@ -321,17 +446,28 @@ def _fit_batch(
     a = stats.xtx
     yty = stats.yty
     bvec = member * stats.xty
-    tau = config.tolerance * max(1.0, yty)
+    tau = _tau(stats, radius, config.tolerance)
 
     beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
     iterations = np.zeros(member.shape[0], dtype=np.int64)
     rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
     if rest.size:
-        # Binding rows start from their projected solution, singular ones
+        # Binding rows start from their projected solution; singular ones,
+        # and those too large for the projection to resolve the radius,
         # from zero.
-        start = np.where(np.isfinite(beta[rest]).all(axis=1)[:, None], beta[rest], 0.0)
+        solved = np.abs(beta[rest]).sum(axis=1) < radius / np.finfo(np.float64).eps
+        start = np.where(solved[:, None], beta[rest], 0.0)
+        start = _project_rows(start, radius)
+        kkt = _kkt_candidates(a, bvec[rest], start, radius)
+        ok = _certified(a, member[rest], bvec[rest], kkt, radius, tau)
+        beta[rest[ok]] = kkt[ok]
+        rest = rest[~ok]
+    if rest.size:
+        # A path has about one breakpoint per column; 4d + 8 leaves room
+        # for coordinates that leave and join again.
+        path = _homotopy(a, member[rest], bvec[rest], radius, 4 * member.shape[1] + 8)
         beta[rest], iterations[rest] = _descend(
-            a, yty, member[rest], bvec[rest], _project_rows(start, radius), radius, tau, config
+            a, yty, member[rest], bvec[rest], _project_rows(path, radius), radius, tau, config
         )
     obj = yty - 2.0 * _rowdot(beta, bvec) + _rowdot(beta, (beta @ a) * member)
     return beta, np.maximum(obj, 0.0), iterations, np.ones(member.shape[0], dtype=bool)

@@ -117,9 +117,7 @@ def test_c03_unconstrained_equivalence():
     # With the radius at r*sqrt(d/kappa0) the constraint never binds, so
     # every masked fit must land on the normal-equation solution.
     rng = np.random.default_rng(MASTER + 3)
-    # A certificate a thousand times tighter than the default; one near
-    # round-off (1e-16) could not be certified.
-    tight = SolverConfig(tolerance=1e-13)
+    tight = SolverConfig(max_iterations=200_000, tolerance=1e-16)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(80, 241))

@@ -104,10 +104,12 @@ class TestSelect:
 
     def test_solver_failure_is_error_exit(self, demo_csv, capsys, monkeypatch):
         # A step of 4/L makes the objective rise; the CLI reports it.  Only
-        # binding masks whose first KKT candidate is not certified take
-        # projected-gradient steps, and R = 0.2 leaves some.
+        # binding masks that neither their first KKT candidate nor the
+        # lasso path settle take projected-gradient steps: R = 0.2 leaves
+        # some once the path is switched off.
         from dpms import solver
 
+        monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
         exact = solver._masked_top_eigenvalue
         monkeypatch.setattr(
             solver, "_masked_top_eigenvalue", lambda a, member: exact(a, member) / 4.0

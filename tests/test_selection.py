@@ -30,6 +30,13 @@ from dpms.mechanisms import _uniform_rows
 from dpms.selection import _profile_sensitivity_value, _score_matrix, _select_rows
 
 
+def _slack(n, d, r, radius):
+    """Public certificate slack, recomputed: the level 1e-10 * max(1, n r^2)
+    plus twice the round-off allowance, 64 eps per coordinate on the loss
+    scale n (r + R)^2."""
+    return 1e-10 * max(1.0, n * r * r) + 2 * 64 * np.finfo(float).eps * d * n * (r + radius) ** 2
+
+
 def _dataset(n=120, d=4, seed=0, beta=(0.9, -0.7, 0.0, 0.0), noise=0.4):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (n, d))
@@ -63,38 +70,41 @@ class TestLsSensitivity:
 
 class TestProfileSensitivityValue:
     def test_worked_example(self):
-        # Independent recomputation: n=100, min loss 100, r=2, R=1,
+        # Independent recomputation: n=100, d=4, min loss 100, r=2, R=1,
         # stage epsilon 1, delta 0.05, zero noise draw.  The certificate
-        # slack is 1e-10 * n r^2 = 4e-8, so the width is w = 9 + 4e-8 and
-        # the minimum 100 - 4e-8; the margin log(1/(2 delta)) = log(10),
-        # so the value must be 100 w / (100 - 4e-8 - w - w ln 10).
-        got = _profile_sensitivity_value(100.0, 100, 2.0, 1.0, 1.0, 0.05, 0.0)
-        w = 9.0 + 4e-8
-        oracle = 100.0 * w / (100.0 - 4e-8 - w - w * math.log(10.0))
+        # slack t is 1e-10 * n r^2 = 4e-8 plus 2 * 64 eps * d * n * 9, so
+        # the width is w = 9 + t and the minimum 100 - t; the margin
+        # log(1/(2 delta)) = log(10), so the value must be
+        # 100 w / (100 - t - w - w ln 10).
+        got = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, 1.0, 0.05, 0.0)
+        t = 4e-8 + 128 * np.finfo(float).eps * 4 * 100 * 9
+        w = 9.0 + t
+        oracle = 100.0 * w / (100.0 - t - w - w * math.log(10.0))
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(12.8065, abs=5e-4)
 
     def test_sentinel_on_small_loss(self):
         # Fit too good: denominator dies, sentinel comes back.
-        assert math.isinf(_profile_sensitivity_value(5.0, 100, 2.0, 1.0, 1.0, 0.05, 0.0))
+        assert math.isinf(_profile_sensitivity_value(5.0, 100, 4, 2.0, 1.0, 1.0, 0.05, 0.0))
 
     def test_monotone_in_min_loss(self):
         values = [
-            _profile_sensitivity_value(loss, 100, 2.0, 1.0, 1.0, 0.05, 0.0)
+            _profile_sensitivity_value(loss, 100, 4, 2.0, 1.0, 1.0, 0.05, 0.0)
             for loss in (80.0, 120.0, 200.0)
         ]
         assert values[0] > values[1] > values[2] > 0
 
     def test_noise_draw_shifts_value(self):
-        lo = _profile_sensitivity_value(100.0, 100, 2.0, 1.0, 1.0, 0.05, -1.0)
-        hi = _profile_sensitivity_value(100.0, 100, 2.0, 1.0, 1.0, 0.05, +1.0)
+        lo = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, 1.0, 0.05, -1.0)
+        hi = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, 1.0, 0.05, +1.0)
         # A larger draw inflates the denominator and so shrinks the bound.
         assert hi < lo
 
     def test_infinite_stage_epsilon_drops_noise_term(self):
-        exact = _profile_sensitivity_value(100.0, 100, 2.0, 1.0, math.inf, 0.05, 123.0)
-        w = 9.0 + 4e-8
-        assert exact == pytest.approx(100 * w / (100.0 - 4e-8 - w), rel=1e-12)
+        exact = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, math.inf, 0.05, 123.0)
+        t = _slack(100, 4, 2.0, 1.0)
+        w = 9.0 + t
+        assert exact == pytest.approx(100 * w / (100.0 - t - w), rel=1e-12)
 
 
 class TestSelectionConfig:
@@ -124,7 +134,7 @@ class TestComputeGofD:
             fits = fit_masks(sufficient_stats(ds), models, 1.5)
             min_loss = min(f.neg2_loglik for f in fits)
             z = sample_laplace(RngStream(42, 7), 1.0)
-            slack = 1e-10 * n * ds.response_bound**2
+            slack = _slack(n, 4, ds.response_bound, 1.5)
             width = (ds.response_bound + 1.5) ** 2 + slack
             denom = min_loss - slack - width + width * (z - math.log(1.0 / (2.0 * 1e-4))) / 1.0
             oracle = n * width / denom if denom > 0 else math.inf
@@ -141,9 +151,8 @@ class TestComputeGofD:
         models = all_subsets(3)
         fits = fit_masks(sufficient_stats(ds), models, radius)
         clean = _score_matrix("pcpl", fits, n, [1.0], models.sizes)
-        # The certificate slack 1e-10 * n r^2 widens the bound and lowers
-        # the minimum.
-        slack = 1e-10 * n
+        # The certificate slack widens the bound and lowers the minimum.
+        slack = _slack(n, 3, 1.0, radius)
         min_loss = float(fits.neg2_loglik.min()) - slack
         width = (1.0 + radius) ** 2 + slack
         seed, streams = 2**100 + 3, [2**63 + 7 * i for i in range(1200)]
@@ -186,15 +195,15 @@ class TestComputeGofD:
 
 class TestCertificateSlack:
     def test_both_noise_scales_carry_the_slack(self, monkeypatch):
-        # A certified loss sits at most tau = 1e-10 * max(1, n r^2) above
-        # the exact one, so pcls calibrates to (r + R)^2 + tau, and pcpl
+        # A certified loss sits within the public slack tau of the exact
+        # one (see _slack), so pcls calibrates to (r + R)^2 + tau, and pcpl
         # widens its bound to w = (r + R)^2 + tau and lowers the minimum
-        # by tau.  Here n = 200 and r = max|y|.
+        # by tau.  Here n = 200, d = 4 and r = max|y|.
         from dpms import selection
 
         ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
         models = all_subsets(4)
-        r, tau = ds.response_bound, 1e-10 * 200 * ds.response_bound**2
+        r = ds.response_bound
         seen = {}
 
         def spy(name, function):
@@ -207,6 +216,7 @@ class TestCertificateSlack:
         spy("_gumbel_argmin_rows", selection._gumbel_argmin_rows)
         cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(0.5))
         pcls_select(ds, models, cfg, RngStream(3, 1))
+        tau = _slack(200, 4, r, 2.0)
         scale = seen["_noisy_argmin_rows"][1]
         assert scale.tolist() == [[2.0 * ((r + 2.0) ** 2 + tau) / 0.5]]
         assert scale[0, 0] - 2.0 * (r + 2.0) ** 2 / 0.5 == pytest.approx(4.0 * tau, rel=1e-6)
@@ -216,13 +226,14 @@ class TestCertificateSlack:
         )
         report = pcpl_select(ds, models, cfg, RngStream(3, 1))
         min_loss = float(fit_masks(sufficient_stats(ds), models, 1.0).neg2_loglik.min())
+        tau = _slack(200, 4, r, 1.0)
         w = (r + 1.0) ** 2 + tau
         z = sample_laplace(RngStream(3, 1), 1.0)
         # Stage 1 spends 2 * 5 * 0.5 = 5 of the budget.
         proxy = 200 * w / ((min_loss - tau) - w + w * (z - math.log(1.0 / 2e-3)) / 5.0)
         assert report.g_of_d == proxy
         assert seen["_gumbel_argmin_rows"][2].tolist() == [[proxy]]
-        assert report.g_of_d == pytest.approx(22.9602574475271, rel=1e-12)
+        assert report.g_of_d == pytest.approx(22.960257448247336, rel=1e-12)
 
 
 class TestPclsSelect:
@@ -531,9 +542,9 @@ class TestReportArrays:
 # of a report.  Re-pinned once when fits became exact and certified and the
 # certificate slack entered the calibration.
 REPORT_SHA256 = {
-    "pcls-all": "0fe213378b4897ad01b579c23998d800f6175cc422ce3a6d15980aa5816aa977",
-    "pcls-reversed": "9bf1a64f34ba43c28191d5a13a357cc5b357810c8380cb7540fb336e60a74f09",
-    "pcpl-exponential": "31006809435be597b886e927fbeae040ae6ce8aa23579526e55898f912f6f122",
+    "pcls-all": "b53eeec3743a3e9b3e229b24c8e39bacdf300e3d4e3ec243cfee924fe763d499",
+    "pcls-reversed": "03bda14a7859a576cee3dd92589beff70b7c28392a1f32d0d464199daa26216f",
+    "pcpl-exponential": "d7815d743863a113ee12438ae56b81ca3710d57d110c471aef97dcdc5e8a7e62",
 }
 
 

@@ -25,11 +25,10 @@ from dpms import (
     sufficient_stats,
 )
 
-# A certificate a thousand times tighter than the default, used whenever a
-# test compares against a closed form.  The duality gap cannot fall much
-# below the round-off of X'X beta (~1e-15 of the scale), so a tolerance
-# near that could not be certified.
-TIGHT = SolverConfig(tolerance=1e-13)
+# Tight settings used whenever a test compares against a closed form; the
+# default tolerance is meant for selection work, not 1e-6 coefficient
+# recovery.
+TIGHT = SolverConfig(max_iterations=200_000, tolerance=1e-16)
 
 
 def _family(masks):
@@ -83,6 +82,15 @@ def _ols_restricted(x, y, mask):
 
 
 class TestProjectL1:
+    def test_large_entries_stay_in_the_ball(self):
+        # Thresholding entries near 1e6 down to a radius of 0.01 loses
+        # their low digits, which must not leave the output outside.
+        from dpms import project_l1
+
+        for seed in range(10):
+            v = 1e6 + np.random.default_rng(seed).uniform(0, 1e-3, 8)
+            assert np.abs(project_l1(v, 0.01)).sum() <= 0.01 * (1.0 + 1e-15)
+
     def test_frozen_examples(self):
         from dpms import project_l1
 
@@ -233,10 +241,14 @@ class TestDescentMechanics:
         assert np.array_equal(one.beta, two.beta)
         assert one.neg2_loglik == two.neg2_loglik
 
-    def test_uncertified_fit_raises_solver_error(self):
-        # Two identical columns make the full mask singular, so it has no
-        # exact solve and no KKT candidate: projected gradient needs ~40
-        # steps to certify it, and a budget of 5 must raise, not return.
+    def test_uncertified_fit_raises_solver_error(self, monkeypatch):
+        # With the lasso path switched off, the binding full mask of two
+        # identical columns has no exact solve and no KKT candidate, so
+        # projected gradient needs ~40 steps to certify it; a budget of 5
+        # must raise, not return.
+        from dpms import solver
+
+        monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
         rng = np.random.default_rng(17)
         col = rng.uniform(-1, 1, 50)
         x = np.stack([col, col, rng.uniform(-1, 1, 50)], axis=1)
@@ -245,6 +257,22 @@ class TestDescentMechanics:
         assert _fit_one(stats, ModelMask.full(3), 2.0).iterations > 5
         with pytest.raises(SolverError, match="not certified"):
             _fit_one(stats, ModelMask.full(3), 2.0, SolverConfig(max_iterations=5))
+
+    def test_stalled_fit_raises_at_once(self, monkeypatch):
+        # Without the round-off allowance and with a tolerance far below
+        # round-off, no gap can be certified.  Projected gradient must give
+        # up once its gap stops falling, long before a budget of 10^6.
+        from dpms import solver
+
+        monkeypatch.setattr(solver, "_ROUNDOFF", 0.0)
+        monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
+        ds, _, _ = _uniform_dataset(60, 4, 31)
+        with pytest.raises(SolverError, match=r"stopped short of certification after (\d+) ") as err:
+            fit_masks(
+                sufficient_stats(ds), _family([ModelMask.full(4)]), 0.1,
+                SolverConfig(max_iterations=10**6, tolerance=1e-300),
+            )
+        assert int(err.value.args[0].split(" after ")[1].split()[0]) < 2_000
 
     def test_input_validation(self):
         ds, _, _ = _uniform_dataset(20, 3, 23)
@@ -255,16 +283,16 @@ class TestDescentMechanics:
             _fit_one(stats, ModelMask.full(3), -1.0)
         with pytest.raises(ConfigError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ConfigError):
-            SolverConfig(tolerance=0.0)
 
     def test_objective_increase_raises_solver_error(self, monkeypatch):
         # A step of 4/L overshoots, and the rising objective must surface
-        # as a DpmsError, not an assert.  Only binding masks whose first KKT
-        # candidate is not certified take steps; at R = 0.1 the projected
-        # solution's support is wrong, so this one does.
+        # as a DpmsError, not an assert.  Only binding masks that neither
+        # their first KKT candidate nor the lasso path settle take steps;
+        # at R = 0.1 the projected solution's support is wrong, and the
+        # path is switched off.
         from dpms import solver
 
+        monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
         exact = solver._masked_top_eigenvalue
         monkeypatch.setattr(
             solver, "_masked_top_eigenvalue", lambda a, member: exact(a, member) / 4.0
@@ -337,7 +365,45 @@ def _kkt_oracle(a, b, yty, cols, radius):
     return best
 
 
+def _certificate_level(stats, radius):
+    """tolerance * max(1, yty) plus the round-off allowance, 64 eps per
+    coordinate on the loss scale yty + 2 R |X'y|_inf + R^2 max (X'X)_jj."""
+    scale = (
+        stats.yty + 2 * radius * np.abs(stats.xty).max() + radius**2 * np.diag(stats.xtx).max()
+    )
+    return 1e-10 * max(1.0, stats.yty) + 64 * np.finfo(float).eps * stats.d * scale
+
+
+def _assert_certified(stats, fit, cols, radius, tau):
+    """Frank-Wolfe gap at most tau, recomputed, and beta in the ball to
+    round-off of its sum."""
+    g = stats.xtx @ fit.beta - stats.xty
+    gap = 2.0 * (g[cols] @ fit.beta[cols] + radius * np.max(np.abs(g[cols])))
+    assert fit.converged and gap <= tau
+    assert np.abs(fit.beta).sum() <= radius * (1.0 + 1e-14)
+
+
 class TestCertifiedFits:
+    def test_fit_just_outside_the_ball_is_judged_on_it(self):
+        # A candidate that overshoots the ball by round-off is scaled onto
+        # it before its gap is taken, so a certified loss never undercuts
+        # the constrained minimum; one further out is rejected.
+        from dpms.data import member_matrix
+        from dpms.solver import _certified
+
+        ds, _, _ = _uniform_dataset(200, 4, 5)
+        stats = sufficient_stats(ds)
+        member = member_matrix(np.array([0b1111]), 4)
+        bvec = member * stats.xty
+        exact = fit_masks(stats, _family([ModelMask.full(4)]), 0.5).beta
+        assert np.abs(exact).sum() == pytest.approx(0.5, rel=1e-14)
+        tau = _certificate_level(stats, 0.5)
+        near = exact * (1.0 + 1e-13)
+        assert _certified(stats.xtx, member, bvec, near, 0.5, tau).all()
+        assert np.abs(near).sum() <= 0.5 * (1.0 + 1e-15)
+        far = exact * (1.0 + 1e-11)
+        assert not _certified(stats.xtx, member, bvec, far, 0.5, tau).any()
+
     @pytest.mark.parametrize("seed", (0, 1, 2))
     def test_losses_match_the_kkt_oracle_and_every_fit_is_certified(self, seed):
         # Columns 1-4 are random, column 5 is zero and column 6 copies
@@ -355,22 +421,67 @@ class TestCertifiedFits:
             [sum(1 << j for j in c) for k in range(1, 5) for c in itertools.combinations(range(6), k)],
             6,
         )
-        tau = SolverConfig().tolerance * max(1.0, stats.yty)
         for radius in (0.2, 1.0, 3.0, 50.0):
             fits = fit_masks(stats, family, radius)
+            tau = _certificate_level(stats, radius)
             for mask, fit in zip(family, fits):
                 cols = mask.column_positions().tolist()
                 oracle = _kkt_oracle(a, b, stats.yty, cols, radius)
                 assert fit.neg2_loglik == pytest.approx(oracle, rel=1e-9)
-                g = a @ fit.beta - b
-                gap = 2.0 * (g[cols] @ fit.beta[cols] + radius * np.max(np.abs(g[cols])))
-                assert fit.converged and gap <= tau
-                assert np.abs(fit.beta).sum() <= radius * (1.0 + 1e-12)
+                _assert_certified(stats, fit, cols, radius, tau)
                 singular = 4 in cols or {1, 5} <= set(cols)
                 if radius == 50.0 and not singular:
                     # A slack mask is solved exactly, even when a singular
                     # mask shares its size group.
                     assert fit.iterations == 0
+
+
+    @pytest.mark.parametrize("spread", (1e-2, 1e-3))
+    def test_correlated_designs_are_exact_without_descent(self, spread):
+        # Columns 2 and 4 sit within `spread` of columns 1 and 3.  Projected
+        # gradient crawls along such near-flat directions and its iterates
+        # rarely show the right support, so these fits once ran out of
+        # steps; the lasso path reaches every minimum exactly.
+        rng = np.random.default_rng(7)
+        n = 300
+        x = rng.uniform(-1, 1, (n, 5))
+        for j in (1, 3):
+            x[:, j] = np.clip(x[:, j - 1] + spread * rng.uniform(-1, 1, n), -1, 1)
+        y = x @ rng.normal(0, 1, 5) + rng.normal(0, 0.3, n)
+        stats = sufficient_stats(Dataset(x, y, float(np.max(np.abs(y)))))
+        family = all_subsets(5)
+        for radius in (0.3, 1.0, 3.0):
+            fits = fit_masks(stats, family, radius)
+            tau = _certificate_level(stats, radius)
+            for mask, fit in zip(family, fits):
+                cols = mask.column_positions().tolist()
+                oracle = _kkt_oracle(stats.xtx, stats.xty, stats.yty, cols, radius)
+                assert fit.neg2_loglik == pytest.approx(oracle, rel=1e-9)
+                _assert_certified(stats, fit, cols, radius, tau)
+            assert fits.iterations.max() == 0
+
+    @pytest.mark.parametrize("radius", (10.0, 500.0))
+    def test_large_radius_next_to_a_small_response(self, radius):
+        # r ~ 0.02 and columns 1 and 2 nearly equal: at R = 10 the pair's
+        # masks bind far from the origin, and at R = 500 every mask is
+        # slack, but the gap's R |g|_inf term scales the round-off of
+        # X'X beta by R.  Every fit must still be certified by its exact
+        # solve or KKT point, inside the ball.
+        rng = np.random.default_rng(11)
+        n = 2000
+        x = rng.uniform(-1, 1, (n, 4))
+        x[:, 1] = x[:, 0] + 1e-4 * rng.uniform(-1, 1, n)
+        y = 0.01 * (x[:, 1] - x[:, 0]) * 1e4 * 0.3 + 0.005 * x[:, 2] + 0.002 * rng.normal(size=n)
+        stats = sufficient_stats(Dataset(x, y, float(np.max(np.abs(y)))))
+        assert radius / float(np.max(np.abs(y))) > 300
+        family = all_subsets(4)
+        fits = fit_masks(stats, family, radius)
+        tau = _certificate_level(stats, radius)
+        for mask, fit in zip(family, fits):
+            _assert_certified(stats, fit, mask.column_positions().tolist(), radius, tau)
+        assert fits.iterations.max() == 0
+        if radius == 10.0:
+            assert np.abs(fits.beta).sum(axis=1).max() == pytest.approx(radius, rel=1e-14)
 
 
 class TestEquivalenceRadius:
