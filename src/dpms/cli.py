@@ -81,7 +81,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="candidate family: all | all-nonempty | size<=K | @file.json",
     )
     sel.add_argument("--mechanism", choices=("noisy_argmin", "exponential"), default="noisy_argmin")
-    sel.add_argument("--seed", type=int, help="master seed for all noise")
+    sel.add_argument(
+        "--seed",
+        type=int,
+        help="128-bit key for all noise; replays a run (default: a fresh key from the OS)",
+    )
     sel.add_argument("--stream-id", type=int, default=0, help="noise stream under the seed")
     sel.add_argument("--r", type=float, default=None, help="public bound on |response|")
     sel.add_argument(
@@ -245,7 +249,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     _require(
         args,
         [("--input", "input"), ("--response", "response"), ("--R", "R"),
-         ("--phi", "phi"), ("--epsilon", "epsilon"), ("--seed", "seed")],
+         ("--phi", "phi"), ("--epsilon", "epsilon")],
     )
     dataset, names = _load_dataset(args)
     models = _parse_models(args.models, dataset.d)
@@ -256,7 +260,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
         mechanism=args.mechanism,
         stage1_fraction=args.stage1_fraction,
     )
-    rng = RngStream(args.seed, args.stream_id)
+    seed = args.seed
+    if seed is None:
+        # Imported here so that `import dpms.cli` stays as cheap as it was.
+        from secrets import randbits
+
+        seed = randbits(128)
+    rng = RngStream(seed, args.stream_id)
     select = pcls_select if args.algorithm == "pcls" else pcpl_select
     report = select(dataset, models, config, rng)
     text = report.to_json(include_clean_scores=args.debug_unsafe)

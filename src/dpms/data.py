@@ -12,6 +12,7 @@ candidate model.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,46 +322,79 @@ def load_csv(path, response: str, include_intercept: bool = True):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if response not in header:
-            raise ConfigError(
-                f"response column {response!r} not found; "
-                f"available columns: {', '.join(header)}"
-            )
-        y_pos = header.index(response)
-        cov_names = [h for i, h in enumerate(header) if i != y_pos]
-        if not cov_names:
-            raise DataError(f"{path} has no covariate columns besides {response!r}")
-        xs: list[list[float]] = []
-        ys: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(
-                    f"data row {row_no} has {len(row)} cells, expected "
-                    f"{len(header)}"
-                )
-            vals = []
-            for cell, name in zip(row, header):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {cell.strip()!r} at data row "
-                        f"{row_no}, column {name!r}"
-                    ) from None
-            ys.append(vals[y_pos])
-            del vals[y_pos]
-            xs.append(vals)
-    if not xs:
+        text = fh.read()
+    lines = io.StringIO(text, newline="")
+    try:
+        header = next(csv.reader(lines))
+    except StopIteration:
+        raise DataError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    if response not in header:
+        raise ConfigError(
+            f"response column {response!r} not found; "
+            f"available columns: {', '.join(header)}"
+        )
+    y_pos = header.index(response)
+    cov_names = [h for i, h in enumerate(header) if i != y_pos]
+    if not cov_names:
+        raise DataError(f"{path} has no covariate columns besides {response!r}")
+    body = lines.read()
+    cells = _parse_rows_fast(body, len(header))
+    if cells is None:
+        cells = _parse_rows(body, header)
+    if not len(cells):
         raise DataError(f"{path} has a header but no data rows")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
+    y = cells[:, y_pos].copy()
+    x = np.delete(cells, y_pos, axis=1)
     if include_intercept:
         x = np.hstack([np.ones((x.shape[0], 1)), x])
         cov_names = ["intercept"] + cov_names
     return x, y, cov_names
+
+
+def _parse_rows_fast(body: str, width: int) -> np.ndarray | None:
+    """The data rows as one (rows, width) array from ``np.loadtxt``, or
+    None when :func:`_parse_rows` must decide.
+
+    ``loadtxt`` reads numbers with the same routine as ``float()``, so the
+    arrays agree bit for bit.  It skips blank lines, which the csv rules
+    count as (bad) rows, so a result is kept only with one row per line.
+    """
+    if not body.strip() or body.count("\r") > body.count("\r\n"):
+        # No data, or a bare carriage return: it ends a csv row but not a
+        # counted line.
+        return None
+    try:
+        cells = np.loadtxt(
+            io.StringIO(body, newline=""), dtype=np.float64, delimiter=",", quotechar='"',
+            comments=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    lines = body.count("\n") + (not body.endswith("\n"))
+    if cells.shape != (lines, width):
+        return None
+    return cells
+
+
+def _parse_rows(body: str, header: list[str]) -> np.ndarray:
+    """The data rows by the csv rules, one ``float()`` per cell; a bad row
+    raises a ``DataError`` that names it."""
+    rows: list[list[float]] = []
+    for row_no, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=1):
+        if len(row) != len(header):
+            raise DataError(
+                f"data row {row_no} has {len(row)} cells, expected "
+                f"{len(header)}"
+            )
+        vals = []
+        for cell, name in zip(row, header):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {cell.strip()!r} at data row "
+                    f"{row_no}, column {name!r}"
+                ) from None
+        rows.append(vals)
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))

@@ -24,6 +24,7 @@ penalty grid per fit through it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -169,7 +170,7 @@ def _profile_sensitivity_value(
 
 @dataclass(frozen=True, eq=False)
 class SelectionReport:
-    """Everything a run releases, plus replay metadata.
+    """Everything a run releases, plus what only a debug report prints.
 
     ``g_of_d`` is ``None`` on the pure path, the released sensitivity
     proxy on the two-stage path, and ``math.inf`` when that proxy was
@@ -177,11 +178,10 @@ class SelectionReport:
     was drawn uniformly).
 
     Entry ``j`` of the read-only ``clean_scores`` and ``noisy_scores``
-    scores candidate ``j`` of ``models``.  ``clean_scores`` are NOT
-    privatized: they exist for debugging and for noiseless-agreement
-    bookkeeping, and serialization drops them unless explicitly told
-    otherwise.  ``noisy_scores`` is ``None`` when the winner came from the
-    exponential mechanism or the uniform fallback, which have no
+    scores candidate ``j`` of ``models``.  Neither is released: the budget
+    pays for the winner's index alone (Report Noisy Max), and ``rng``
+    rebuilds every draw.  ``noisy_scores`` is ``None`` when the winner came
+    from the exponential mechanism or the uniform fallback, which have no
     per-candidate noisy score.
     """
 
@@ -201,14 +201,19 @@ class SelectionReport:
     noisy_scores: np.ndarray | None
 
     def to_json_dict(self, include_clean_scores: bool = False) -> dict:
-        """Schema-stable dict.  Clean scores are redacted by default.
+        """Schema-stable dict: the release by default, the debug dump on request.
 
-        ``g_of_d`` appears only for two-stage runs; a degenerate proxy
-        serializes as JSON null.  ``seed`` is always the two-element pair
-        ``[seed, stream_id]``.  A noiseless run's infinite budget has no
-        JSON number, so it serializes as the string "inf".
+        The release holds the winner, the privacy ledger, the public family
+        size ``n_models`` and a commitment to the key: ``key_sha256`` hashes
+        the 16-byte little-endian key, and ``stream_id`` is printed in
+        clear.  ``include_clean_scores`` instead returns the NON-PRIVATE
+        debug dump: the ``[seed, stream_id]`` pair and every model's mask,
+        noisy score and clean score.  ``g_of_d`` appears only for
+        two-stage runs; a degenerate proxy serializes as JSON null.  A
+        noiseless run's infinite budget has no JSON number, so it
+        serializes as the string "inf".
         """
-        out: dict = {
+        head = {
             "chosen": list(self.chosen.indices()),
             "epsilon_total": self.epsilon_total if math.isfinite(self.epsilon_total) else "inf",
             "delta": self.delta,
@@ -216,12 +221,20 @@ class SelectionReport:
             "phi_n": self.penalty,
             "r": self.response_bound,
             "r_data_dependent": self.response_bound_data_dependent,
-            "seed": [self.rng.seed, self.rng.stream_id],
-            "mechanism": self.mechanism,
-            "fallback_uniform": self.fallback_uniform,
         }
+        # The debug dump keeps the key order of earlier releases, which
+        # put "seed" between head and tail.
+        tail: dict = {"mechanism": self.mechanism, "fallback_uniform": self.fallback_uniform}
         if self.g_of_d is not None:
-            out["g_of_d"] = None if math.isinf(self.g_of_d) else self.g_of_d
+            tail["g_of_d"] = None if math.isinf(self.g_of_d) else self.g_of_d
+        if not include_clean_scores:
+            key = self.rng.seed.to_bytes(16, "little")
+            return {
+                **head, **tail,
+                "n_models": len(self.models),
+                "key_sha256": hashlib.sha256(key).hexdigest(),
+                "stream_id": self.rng.stream_id,
+            }
         # Every mask's 1-based indices, cut from one flat list of the
         # membership matrix's columns.
         columns = (np.nonzero(member_matrix(self.models.bits, self.models.d))[1] + 1).tolist()
@@ -229,11 +242,10 @@ class SelectionReport:
         masks = [columns[end - size:end] for end, size in zip(ends, self.models.sizes.tolist())]
         noisy = [None] * len(masks) if self.noisy_scores is None else self.noisy_scores.tolist()
         rows = zip(masks, noisy, self.clean_scores.tolist())
-        if include_clean_scores:
-            out["models"] = [{"mask": m, "noisy_score": ns, "clean_score": cs} for m, ns, cs in rows]
-        else:
-            out["models"] = [{"mask": m, "noisy_score": ns} for m, ns, _ in rows]
-        return out
+        return {
+            **head, "seed": [self.rng.seed, self.rng.stream_id], **tail,
+            "models": [{"mask": m, "noisy_score": ns, "clean_score": cs} for m, ns, cs in rows],
+        }
 
     def to_json(self, include_clean_scores: bool = False) -> str:
         text = json.dumps(

@@ -198,13 +198,19 @@ def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
     if not over.any():
         return v
     u = np.sort(absv[over], axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - radius
-    ranks = np.arange(1, v.shape[1] + 1, dtype=np.float64)
-    # Largest prefix where the sorted entry still exceeds the running
-    # threshold; radius > 0 guarantees at least the first position.
-    rho = np.sum(u * ranks > css, axis=1)
-    theta = css[np.arange(len(rho)), rho - 1] / rho
-    w = np.sign(v[over]) * np.maximum(absv[over] - theta[:, None], 0.0)
+    # s[k-1] = sum over j <= k of (u_j - u_k), a running sum of the
+    # nonnegative terms m * (u_m - u_{m+1}): no large sum minus radius.
+    ranks = np.arange(1, v.shape[1], dtype=np.float64)
+    s = np.zeros(u.shape)
+    np.cumsum(ranks * (u[:, :-1] - u[:, 1:]), axis=1, out=s[:, 1:])
+    # The support is the largest prefix with s < radius; s[0] = 0 keeps
+    # at least the first position.
+    rho = np.sum(s < radius, axis=1)
+    last = np.arange(len(rho)), rho - 1
+    # Entry i of the support maps to (u_i - u_rho) + (radius - s_rho) / rho,
+    # a sum of two nonnegative terms; the threshold itself is never formed.
+    lift = (radius - s[last]) / rho
+    w = np.sign(v[over]) * np.maximum((absv[over] - u[last][:, None]) + lift[:, None], 0.0)
     # Thresholding a large entry loses its low digits: rescale what
     # round-off leaves outside the ball onto its surface.
     l1 = np.abs(w).sum(axis=1)

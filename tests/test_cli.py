@@ -1,5 +1,6 @@
 """Command line behavior: flags, exit codes, config files, outputs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -30,15 +31,35 @@ def _select_args(demo_csv, *extra):
     ]
 
 
+def _commitment(seed):
+    return hashlib.sha256(seed.to_bytes(16, "little")).hexdigest()
+
+
 class TestSelect:
     def test_writes_json_to_stdout(self, demo_csv, capsys):
         assert main(_select_args(demo_csv)) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["seed"] == [11, 0]
+        assert doc["key_sha256"] == _commitment(11) and doc["stream_id"] == 0
         assert doc["mechanism"] == "noisy_argmin"
         assert doc["R"] == 2.0
         # intercept prepended: 4 covariates, nonempty family
-        assert len(doc["models"]) == 2**4 - 1
+        assert doc["n_models"] == 2**4 - 1
+
+    def test_default_report_is_index_only(self, demo_csv, capsys):
+        assert main(_select_args(demo_csv)) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert "seed" not in doc and "models" not in doc
+        assert "noisy_score" not in text and "clean_score" not in text
+
+    def test_keyless_runs_draw_fresh_keys(self, demo_csv, capsys):
+        args = [a for a in _select_args(demo_csv) if a not in ("--seed", "11")]
+        docs = []
+        for _ in range(2):
+            assert main(args) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["key_sha256"] != docs[1]["key_sha256"]
+        assert docs[0]["n_models"] == docs[1]["n_models"] == 2**4 - 1
 
     def test_out_file_and_summary(self, demo_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -64,6 +85,8 @@ class TestSelect:
 
     def test_size_capped_family(self, demo_csv, capsys):
         assert main(_select_args(demo_csv, "--models", "size<=2")) == 0
+        assert json.loads(capsys.readouterr().out)["n_models"] == 4 + 6
+        assert main(_select_args(demo_csv, "--models", "size<=2", "--debug-unsafe")) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(len(m["mask"]) <= 2 for m in doc["models"])
         assert len(doc["models"]) == 4 + 6
@@ -71,7 +94,7 @@ class TestSelect:
     def test_explicit_family_file(self, demo_csv, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         fam.write_text("[[1], [1, 2], [1, 2, 3]]", encoding="utf-8")
-        assert main(_select_args(demo_csv, "--models", f"@{fam}")) == 0
+        assert main(_select_args(demo_csv, "--models", f"@{fam}", "--debug-unsafe")) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [m["mask"] for m in doc["models"]] == [[1], [1, 2], [1, 2, 3]]
 
@@ -79,11 +102,12 @@ class TestSelect:
         assert main(_select_args(demo_csv, "--debug-unsafe")) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all("clean_score" in m for m in doc["models"])
+        assert doc["seed"] == [11, 0]
 
     def test_no_intercept(self, demo_csv, capsys):
         assert main(_select_args(demo_csv, "--no-include-intercept")) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(doc["models"]) == 2**3 - 1
+        assert doc["n_models"] == 2**3 - 1
 
     def test_pcpl_path(self, demo_csv, capsys):
         args = _select_args(demo_csv, "--algorithm", "pcpl", "--delta", "1e-6")
@@ -187,7 +211,7 @@ class TestConfigFile:
         )
         assert main(["select", "--config", str(cfg)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["phi_n"] == 9.0 and doc["seed"] == [3, 0]
+        assert doc["phi_n"] == 9.0 and doc["key_sha256"] == _commitment(3)
 
         assert main(["select", "--config", str(cfg), "--phi", "1.5"]) == 0
         doc = json.loads(capsys.readouterr().out)

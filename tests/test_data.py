@@ -1,5 +1,7 @@
 """Data contracts: masks, bounded datasets, sufficient statistics, CSV."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,88 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv", "y")
+
+
+class TestLoadCsvFormats:
+    """What the csv rules accept and reject, pinned cell for cell, and the
+    exact message of each rejection."""
+
+    def _load(self, tmp_path, text, response="y"):
+        p = tmp_path / "f.csv"
+        p.write_bytes(text.encode("utf-8"))
+        return load_csv(p, response, include_intercept=False)
+
+    def _fails(self, tmp_path, text, error, message):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            self._load(tmp_path, text)
+
+    @pytest.mark.parametrize("text", [
+        "y,a\n1,2\n\n3,4\n",  # blank line between rows
+        "y,a\n1,2\n\n",  # blank line at the end
+    ])
+    def test_blank_line_is_a_row_without_cells(self, tmp_path, text):
+        self._fails(tmp_path, text, DataError, "data row 2 has 0 cells, expected 2")
+
+    def test_quoted_cells(self, tmp_path):
+        x, y, names = self._load(tmp_path, '"y","a"\n"1.5","-2"\n3,"4e-1"\n')
+        assert names == ["a"]
+        assert y.tolist() == [1.5, 3.0] and x[:, 0].tolist() == [-2.0, 0.4]
+
+    def test_spaces_around_numbers(self, tmp_path):
+        x, y, _ = self._load(tmp_path, "y, a\n 1.5 ,2\t\n-3,  0.25 \n")
+        assert y.tolist() == [1.5, -3.0] and x[:, 0].tolist() == [2.0, 0.25]
+
+    def test_nan_and_inf_parse_as_floats(self, tmp_path):
+        # Non-finite values load; Dataset validation rejects them next.
+        x, y, _ = self._load(tmp_path, "y,a\nnan,inf\n-Infinity,NaN\n")
+        assert np.isnan(y[0]) and y[1] == -np.inf
+        assert x[0, 0] == np.inf and np.isnan(x[1, 0])
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_carriage_return_line_endings(self, tmp_path, end):
+        x, y, names = self._load(tmp_path, end.join(["y,a", "1,2", "3,4", ""]))
+        assert names == ["a"]
+        assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
+
+    def test_missing_final_newline(self, tmp_path):
+        x, y, _ = self._load(tmp_path, "y,a\n1,2\n3,4")
+        assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
+
+    def test_single_row(self, tmp_path):
+        x, y, _ = self._load(tmp_path, "a,y,b\n0.5,7,0.25\n")
+        assert x.shape == (1, 2) and x.tolist() == [[0.5, 0.25]] and y.tolist() == [7.0]
+
+    def test_ragged_row_message(self, tmp_path):
+        self._fails(tmp_path, "y,a,b\n1,2,3\n4,5\n", DataError, "data row 2 has 2 cells, expected 3")
+
+    def test_non_numeric_message(self, tmp_path):
+        self._fails(tmp_path, "y,a\n1.0,0.2\n2.0, oops \n", DataError,
+                    "non-numeric value 'oops' at data row 2, column 'a'")
+        self._fails(tmp_path, "y,a\n1.0,\n", DataError,
+                    "non-numeric value '' at data row 1, column 'a'")
+
+    def test_empty_header_only_and_missing_response_messages(self, tmp_path):
+        p = tmp_path / "f.csv"
+        self._fails(tmp_path, "", DataError, f"{p} is empty")
+        self._fails(tmp_path, "y,a\n", DataError, f"{p} has a header but no data rows")
+        self._fails(tmp_path, "y,a", DataError, f"{p} has a header but no data rows")
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                "response column 'z' not found; available columns: y, a") + "$"):
+            self._load(tmp_path, "y,a\n1,2\n", response="z")
+
+    def test_fast_parse_matches_the_csv_rules_bit_for_bit(self, tmp_path):
+        from dpms.data import _parse_rows, _parse_rows_fast
+
+        rng = np.random.default_rng(3)
+        values = np.column_stack([rng.uniform(-1, 1, (300, 12)), rng.normal(0, 1, 300)])
+        values[::7, 3] *= 1e-300
+        p = tmp_path / "big.csv"
+        header = ",".join([f"x{j}" for j in range(12)] + ["y"])
+        np.savetxt(p, values, fmt="%.17g", delimiter=",", header=header, comments="")
+        body = p.read_text(encoding="utf-8").split("\n", 1)[1]
+        fast = _parse_rows_fast(body, 13)
+        assert fast is not None
+        slow = _parse_rows(body, header.split(","))
+        assert fast.tobytes() == slow.tobytes() == values.tobytes()
+        x, y, _ = load_csv(p, "y", include_intercept=False)
+        assert x.tobytes() == values[:, :12].tobytes() and y.tobytes() == values[:, 12].tobytes()

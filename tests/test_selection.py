@@ -1,5 +1,6 @@
 """Selection paths: scoring, budgets, sensitivity proxy, serialization."""
 
+import hashlib
 import json
 import math
 
@@ -451,13 +452,27 @@ class TestReportSerialization:
         doc = json.loads(report.to_json())
         assert list(doc.keys()) == [
             "chosen", "epsilon_total", "delta", "R", "phi_n", "r",
+            "r_data_dependent", "mechanism", "fallback_uniform",
+            "n_models", "key_sha256", "stream_id",
+        ]
+        assert doc["key_sha256"] == hashlib.sha256((12).to_bytes(16, "little")).hexdigest()
+        assert doc["stream_id"] == 34
+        assert doc["R"] == 2.0 and doc["phi_n"] == 1.5
+        assert doc["r_data_dependent"] is True
+        assert doc["n_models"] == 15
+
+    def test_debug_schema_keys_and_order_pcls(self):
+        ds, _, _ = _dataset()
+        cfg = SelectionConfig(radius=2.0, penalty=1.5, budget=PrivacyBudget(1.0))
+        report = pcls_select(ds, all_subsets(4), cfg, RngStream(12, 34))
+        doc = json.loads(report.to_json(include_clean_scores=True))
+        assert list(doc.keys()) == [
+            "chosen", "epsilon_total", "delta", "R", "phi_n", "r",
             "r_data_dependent", "seed", "mechanism", "fallback_uniform", "models",
         ]
         assert doc["seed"] == [12, 34]
-        assert doc["R"] == 2.0 and doc["phi_n"] == 1.5
-        assert doc["r_data_dependent"] is True
         assert len(doc["models"]) == 15
-        assert all(set(m) == {"mask", "noisy_score"} for m in doc["models"])
+        assert all(set(m) == {"mask", "noisy_score", "clean_score"} for m in doc["models"])
 
     def test_gofd_key_only_on_two_stage_path(self):
         ds, _, _ = _dataset(n=2000, noise=1.0)
@@ -511,6 +526,55 @@ class TestReportSerialization:
         assert doc["chosen"] == list(report.chosen.indices())
 
 
+def _keys(node):
+    """Every key of a parsed JSON document, at any depth."""
+    if isinstance(node, dict):
+        return set(node) | {k for v in node.values() for k in _keys(v)}
+    if isinstance(node, list):
+        return {k for v in node for k in _keys(v)}
+    return set()
+
+
+class TestReleaseHoldsOnlyTheIndex:
+    # The budget pays for the winner's index alone: a default report must
+    # not carry the key, the (seed, stream) pair or any per-model score.
+    KEY = 2**100 + 12345
+
+    @pytest.mark.parametrize("case", ("pcls", "pcpl", "fallback"))
+    def test_default_report_has_no_key_and_no_scores(self, case, monkeypatch):
+        if case == "pcls":
+            ds, select = _dataset()[0], pcls_select
+            cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0))
+        elif case == "pcpl":
+            ds, select = _dataset(n=2000, noise=1.0)[0], pcpl_select
+            cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0, 1e-6))
+        else:
+            ds, select = _dataset(n=50)[0], pcpl_select
+            cfg = SelectionConfig(radius=3.0, penalty=1.0, budget=PrivacyBudget(1.0, 1e-6))
+        family = all_subsets(4)
+        report = select(ds, family, cfg, RngStream(self.KEY, 4))
+        assert report.fallback_uniform == (case == "fallback")
+        # The release never lays out the family it does not print.
+        monkeypatch.setattr("dpms.selection.member_matrix", None)
+        text = report.to_json()
+        doc = json.loads(text)
+        assert "seed" not in doc
+        assert not _keys(doc) & {"models", "mask", "noisy_score", "clean_score"}
+        assert str(self.KEY) not in text
+        assert doc["n_models"] == len(family) == 15
+        assert doc["stream_id"] == 4
+
+    def test_commitment_binds_the_key(self):
+        ds, _, _ = _dataset()
+        cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0))
+        a, b, c = (
+            json.loads(pcls_select(ds, all_subsets(4), cfg, rng).to_json())
+            for rng in (RngStream(self.KEY, 0), RngStream(self.KEY, 1), RngStream(self.KEY + 1, 0))
+        )
+        assert a["key_sha256"] == b["key_sha256"] != c["key_sha256"]
+        assert len(a["key_sha256"]) == 64
+
+
 class TestReportArrays:
     def test_select_builds_at_most_the_winning_mask(self, monkeypatch):
         # Scores stay arrays from the fits to the JSON text; the one
@@ -551,8 +615,6 @@ REPORT_SHA256 = {
 class TestReportDigests:
     @pytest.mark.parametrize("case", sorted(REPORT_SHA256))
     def test_report_digest_is_pinned(self, case):
-        import hashlib
-
         ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
         family = all_subsets(4)
         if case == "pcls-reversed":

@@ -3,6 +3,7 @@ accuracy oracles."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ class TestProjectL1:
         for seed in range(10):
             v = 1e6 + np.random.default_rng(seed).uniform(0, 1e-3, 8)
             assert np.abs(project_l1(v, 0.01)).sum() <= 0.01 * (1.0 + 1e-15)
+
+    def test_huge_entry_keeps_its_share_of_the_radius(self):
+        # An entry 1e20 times the radius: summing the sorted entries and
+        # subtracting the radius would round the radius away.
+        from dpms import project_l1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert project_l1(np.array([1e20, 0.0]), 1.0).tolist() == [1.0, 0.0]
+            assert project_l1(np.array([0.0, -1e20, 3.0]), 2.0).tolist() == [0.0, -2.0, 0.0]
+            out = project_l1(np.array([1e20, 1e20 + 2**17]), 1.0)
+        # The two entries differ by 2**17, far beyond the radius.
+        assert out.tolist() == [0.0, 1.0]
 
     def test_frozen_examples(self):
         from dpms import project_l1
@@ -259,18 +273,18 @@ class TestDescentMechanics:
             _fit_one(stats, ModelMask.full(3), 2.0, SolverConfig(max_iterations=5))
 
     def test_stalled_fit_raises_at_once(self, monkeypatch):
-        # Without the round-off allowance and with a tolerance far below
-        # round-off, no gap can be certified.  Projected gradient must give
-        # up once its gap stops falling, long before a budget of 10^6.
+        # With a negative certificate level no gap can be certified, even
+        # one that round-off brings to exactly 0.  Projected gradient must
+        # give up once its gap stops falling, long before a budget of 10^6.
         from dpms import solver
 
-        monkeypatch.setattr(solver, "_ROUNDOFF", 0.0)
+        monkeypatch.setattr(solver, "_tau", lambda stats, radius, tolerance: -1.0)
         monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
         ds, _, _ = _uniform_dataset(60, 4, 31)
         with pytest.raises(SolverError, match=r"stopped short of certification after (\d+) ") as err:
             fit_masks(
                 sufficient_stats(ds), _family([ModelMask.full(4)]), 0.1,
-                SolverConfig(max_iterations=10**6, tolerance=1e-300),
+                SolverConfig(max_iterations=10**6),
             )
         assert int(err.value.args[0].split(" after ")[1].split()[0]) < 2_000
 
