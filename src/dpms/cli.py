@@ -262,10 +262,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
     )
     seed = args.seed
     if seed is None:
-        # Imported here so that `import dpms.cli` stays as cheap as it was.
-        from secrets import randbits
+        # A fresh 128-bit key from the OS's random source; os is loaded at
+        # interpreter start, where the secrets module would cost ~1 ms.
+        from os import urandom
 
-        seed = randbits(128)
+        seed = int.from_bytes(urandom(16), "little")
     rng = RngStream(seed, args.stream_id)
     select = pcls_select if args.algorithm == "pcls" else pcpl_select
     report = select(dataset, models, config, rng)

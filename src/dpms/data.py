@@ -323,9 +323,9 @@ def load_csv(path, response: str, include_intercept: bool = True):
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         text = fh.read()
-    lines = io.StringIO(text, newline="")
+    stream = io.StringIO(text, newline="")
     try:
-        header = next(csv.reader(lines))
+        header = next(csv.reader(stream))
     except StopIteration:
         raise DataError(f"{path} is empty") from None
     header = [h.strip() for h in header]
@@ -338,7 +338,7 @@ def load_csv(path, response: str, include_intercept: bool = True):
     cov_names = [h for i, h in enumerate(header) if i != y_pos]
     if not cov_names:
         raise DataError(f"{path} has no covariate columns besides {response!r}")
-    body = lines.read()
+    body = stream.read()
     cells = _parse_rows_fast(body, len(header))
     if cells is None:
         cells = _parse_rows(body, header)

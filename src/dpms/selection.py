@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -192,13 +192,15 @@ class SelectionReport:
     penalty: float
     response_bound: float
     response_bound_data_dependent: bool
-    rng: RngStream
+    # Left out of repr(), so that printing or logging a report shows no
+    # more than to_json() releases.
+    rng: RngStream = field(repr=False)
     mechanism: str
     fallback_uniform: bool
     g_of_d: float | None
     models: CandidateSet
-    clean_scores: np.ndarray
-    noisy_scores: np.ndarray | None
+    clean_scores: np.ndarray = field(repr=False)
+    noisy_scores: np.ndarray | None = field(repr=False)
 
     def to_json_dict(self, include_clean_scores: bool = False) -> dict:
         """Schema-stable dict: the release by default, the debug dump on request.

@@ -326,10 +326,6 @@ class TestLoadCsvFormats:
         x, y, _ = self._load(tmp_path, "y,a\n1,2\n3,4")
         assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
 
-    def test_single_row(self, tmp_path):
-        x, y, _ = self._load(tmp_path, "a,y,b\n0.5,7,0.25\n")
-        assert x.shape == (1, 2) and x.tolist() == [[0.5, 0.25]] and y.tolist() == [7.0]
-
     def test_ragged_row_message(self, tmp_path):
         self._fails(tmp_path, "y,a,b\n1,2,3\n4,5\n", DataError, "data row 2 has 2 cells, expected 3")
 

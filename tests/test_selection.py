@@ -461,19 +461,6 @@ class TestReportSerialization:
         assert doc["r_data_dependent"] is True
         assert doc["n_models"] == 15
 
-    def test_debug_schema_keys_and_order_pcls(self):
-        ds, _, _ = _dataset()
-        cfg = SelectionConfig(radius=2.0, penalty=1.5, budget=PrivacyBudget(1.0))
-        report = pcls_select(ds, all_subsets(4), cfg, RngStream(12, 34))
-        doc = json.loads(report.to_json(include_clean_scores=True))
-        assert list(doc.keys()) == [
-            "chosen", "epsilon_total", "delta", "R", "phi_n", "r",
-            "r_data_dependent", "seed", "mechanism", "fallback_uniform", "models",
-        ]
-        assert doc["seed"] == [12, 34]
-        assert len(doc["models"]) == 15
-        assert all(set(m) == {"mask", "noisy_score", "clean_score"} for m in doc["models"])
-
     def test_gofd_key_only_on_two_stage_path(self):
         ds, _, _ = _dataset(n=2000, noise=1.0)
         pure = pcls_select(
@@ -563,6 +550,10 @@ class TestReleaseHoldsOnlyTheIndex:
         assert str(self.KEY) not in text
         assert doc["n_models"] == len(family) == 15
         assert doc["stream_id"] == 4
+        # Printing the report object shows no more than its release.
+        shown = repr(report)
+        assert str(self.KEY) not in shown and "RngStream" not in shown
+        assert "clean_scores" not in shown and "noisy_scores" not in shown
 
     def test_commitment_binds_the_key(self):
         ds, _, _ = _dataset()
