@@ -16,8 +16,9 @@ metric a change claims to improve.
 
 The output, in the working directory, follows ``BENCH_solver.json``: per
 workload and metric, the median over the seeds of each side next to every
-run's value; for the claim, both sides' runs, medians and quartiles, and
-the number of pairs the change won.  The file is rewritten after every
+run's value; for the claim, both sides' runs, medians and quartiles, the
+number of pairs the change won, and whether that meets the rule for
+claiming a gain (``meets_rule``).  The file is rewritten after every
 pair, so an interrupted session keeps what it measured.  Every run must
 print ``correct: true``; ``all_runs_correct`` says whether they did.
 """
@@ -115,21 +116,32 @@ def _correct(runs: dict[str, list[dict]]) -> bool:
 
 
 def claim_block(pairs: list[dict[str, dict]], metric: str, better: str) -> dict:
-    """Both sides' runs, medians and quartiles, and the pairs the change won."""
+    """Both sides' runs, medians and quartiles, the pairs the change won,
+    and ``meets_rule``: whether the change won at least nine tenths of the
+    pairs (ties count for neither side) and its median beats the parent's
+    by more than the parent's interquartile range."""
     value = {side: [p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
     sign = 1.0 if better == "higher" else -1.0
     out: dict = {"unit": pairs[0]["parent"]["metrics"][metric]["unit"], "better": better}
     for side in SIDES:
         out[f"{side}_runs"] = [_round(v) for v in value[side]]
+    median = {side: statistics.median(value[side]) for side in SIDES}
+    spread = 0.0
     for side in SIDES:
-        out[f"{side}_median"] = _round(statistics.median(value[side]))
+        out[f"{side}_median"] = _round(median[side])
         if len(pairs) > 1:
             q1, _, q3 = statistics.quantiles(value[side], n=4, method="inclusive")
             out[f"{side}_quartiles"] = [_round(q1), _round(q3)]
+            if side == "parent":
+                spread = q3 - q1
     ratio = out["change_median"] / out["parent_median"]
     out["pairs_won"] = sum(sign * (c - p) > 0 for p, c in zip(value["parent"], value["change"]))
     out["pairs"] = len(pairs)
     out["gain"] = round(ratio - 1.0 if better == "higher" else 1.0 - ratio, 3)
+    out["meets_rule"] = (
+        10 * out["pairs_won"] >= 9 * len(pairs)
+        and sign * (median["change"] - median["parent"]) > spread
+    )
     out["all_runs_correct"] = _correct({side: [p[side] for p in pairs] for side in SIDES})
     return out
 

@@ -91,12 +91,17 @@ def all_subsets(
         raise ConfigError(f"max_size must be in [0, {d}], got {max_size}")
     if cap == 0 and not include_empty:
         raise ConfigError("max_size=0 without include_empty leaves no candidates")
-    values = np.arange(1 << d, dtype=np.uint32)
-    sizes = np.bitwise_count(values)
-    lo = 0 if include_empty else 1
-    keep = (sizes >= lo) & (sizes <= cap)
-    values, sizes = values[keep], sizes[keep]
-    return CandidateSet(values[np.lexsort((values, sizes))], d)
+    # Level k in value order from level k - 1: for each top bit t in turn,
+    # the masks of level k - 1 below 2^t (a prefix), plus bit t.
+    tops = np.uint64(1) << np.arange(d, dtype=np.uint64)
+    levels = [np.zeros(1, dtype=np.uint64)]
+    for _ in range(cap):
+        prev = levels[-1]
+        cuts = np.searchsorted(prev, tops)
+        ends = np.cumsum(cuts)
+        within = np.arange(ends[-1]) - np.repeat(ends - cuts, cuts)
+        levels.append(prev[within] | np.repeat(tops, cuts))
+    return CandidateSet(np.concatenate(levels[0 if include_empty else 1:]), d)
 
 
 def from_explicit(index_sets, d: int) -> CandidateSet:

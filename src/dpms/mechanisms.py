@@ -258,43 +258,64 @@ def _row_argmin(keys: np.ndarray, sizes: np.ndarray, bits: np.ndarray) -> np.nda
     return order[np.argmin(keys[:, order], axis=1)]
 
 
-def _noisy_argmin_rows(scores, scales, sizes, bits, seed: int, stream_ids):
-    """Report-noisy-argmin on each row of a score matrix.
+def _noisy_keys(scales, sizes, bits, seed: int, stream_ids):
+    """Report-noisy-argmin's keys as a function of the scores.
 
     Row ``i`` perturbs every score by its own Laplace draw keyed by
     ``(seed, stream_ids[i])`` and the column's canonical rank, scaled by
-    ``scales``.  ``scores`` and ``scales`` broadcast against the
-    (rows x masks) matrix; an all-zero scale is the noiseless limit and
-    draws nothing.  Returns (winning column per row, noisy scores).
+    ``scales``, which broadcasts against the (rows x masks) matrix; an
+    all-zero scale is the noiseless limit and draws nothing.  Returns
+    ``keys(scores, base)``: the noisy scores, a nondecreasing function of
+    each score (``base`` is unused).
     """
+    shape = (len(stream_ids), len(bits))
     if np.any(scales):
         words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, sizes, bits)
-        noisy = scores + scales * _laplace_from_u64_array(words)
+        noise = scales * _laplace_from_u64_array(words)
     else:
-        noisy = scores + np.zeros((len(stream_ids), len(bits)))
+        noise = np.zeros(shape)
+    return lambda scores, base: scores + noise
+
+
+def _gumbel_keys(epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids):
+    """The exponential mechanism's keys as a function of the scores.
+
+    Row ``i`` draws one Gumbel variate per column keyed like
+    :func:`_noisy_keys` (under its own tag).  ``keys(scores, base)`` is
+    ``-(log-weight + Gumbel)`` with log-weight
+    ``-epsilon * (score - low) / (2 * sensitivity)``, ``low`` the smallest
+    entry of each row of ``base`` (the scores themselves, or a bound on
+    them) and ``sensitivity`` one value per row (or one for all); its
+    argmin is an exact sample with probability proportional to
+    ``exp(-epsilon * score / (2 * sensitivity))``.  Subtracting ``low``
+    gives the best candidate the weight exp(0) = 1: no normalization and
+    no underflow.  A key is nondecreasing in its score and nonincreasing
+    in ``low``.  ``epsilon = inf`` keys by the scores themselves.
+    """
+    if math.isinf(epsilon):
+        zeros = np.zeros((len(stream_ids), len(bits)))
+        return lambda scores, base: scores + zeros
+    words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, sizes, bits)
+    gumbel = _gumbel_from_u64_array(words)
+
+    def keys(scores, base):
+        low = base.min(axis=1, keepdims=True)
+        return -(-epsilon * (scores - low) / (2.0 * sensitivity) + gumbel)
+
+    return keys
+
+
+def _noisy_argmin_rows(scores, scales, sizes, bits, seed: int, stream_ids):
+    """Report-noisy-argmin on each row of a score matrix (see
+    :func:`_noisy_keys`).  Returns (winning column per row, noisy scores)."""
+    noisy = _noisy_keys(scales, sizes, bits, seed, stream_ids)(scores, None)
     return _row_argmin(noisy, sizes, bits), noisy
 
 
 def _gumbel_argmin_rows(scores, epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids):
-    """Exponential-mechanism sample on each row of a score matrix.
-
-    Row ``i`` draws one Gumbel variate per column keyed like
-    :func:`_noisy_argmin_rows` (under its own tag) and returns the argmin
-    of ``-(log-weight + Gumbel)``, an exact sample with probability
-    proportional to ``exp(-epsilon * score / (2 * sensitivity))``.
-    ``scores`` broadcasts against the (rows x masks) matrix and
-    ``sensitivity`` may hold one value per row.  ``epsilon = inf`` keys by
-    the scores themselves.  Returns (winning column per row, keys).
-    """
-    if math.isinf(epsilon):
-        keys = scores + np.zeros((len(stream_ids), len(bits)))
-    else:
-        # Subtracting each row's minimum gives the best candidate the
-        # weight exp(0) = 1: no normalization and no underflow.
-        low = scores.min(axis=1, keepdims=True)
-        logw = -epsilon * (scores - low) / (2.0 * sensitivity)
-        words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, sizes, bits)
-        keys = -(logw + _gumbel_from_u64_array(words))
+    """Exponential-mechanism sample on each row of a score matrix (see
+    :func:`_gumbel_keys`).  Returns (winning column per row, keys)."""
+    keys = _gumbel_keys(epsilon, sensitivity, sizes, bits, seed, stream_ids)(scores, scores)
     return _row_argmin(keys, sizes, bits), keys
 
 

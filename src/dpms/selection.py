@@ -27,7 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,16 +40,19 @@ from .errors import ConfigError, DataError, _real
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
-    _gumbel_argmin_rows,
+    _gumbel_keys,
     _laplace_rows,
-    _noisy_argmin_rows,
+    _noisy_keys,
+    _row_argmin,
     _uniform_rows,
 )
 
-# The list-based mechanisms and the one-stream Laplace draw stay
-# importable from this module, where perfbench/bench_trace.py looks them up.
+# The list-based mechanisms, the one-stream Laplace draw and fit_masks
+# stay importable from this module, where perfbench/bench_trace.py looks
+# them up.
 from .mechanisms import exponential_mechanism, noisy_argmin, sample_laplace  # noqa: F401
-from .solver import Fits, fit_masks, loss_slack, profile_neg2_loglik
+from .solver import Fits, LossBounds, bound_masks, loss_slack, profile_neg2_loglik
+from .solver import fit_masks  # noqa: F401
 
 __all__ = [
     "SelectionConfig",
@@ -182,7 +187,9 @@ class SelectionReport:
     pays for the winner's index alone (Report Noisy Max), and ``rng``
     rebuilds every draw.  ``noisy_scores`` is ``None`` when the winner came
     from the exponential mechanism or the uniform fallback, which have no
-    per-candidate noisy score.
+    per-candidate noisy score.  A select settles only the fits its release
+    can depend on; ``settle_scores`` settles the rest and builds both
+    arrays on first access.
     """
 
     chosen: ModelMask
@@ -199,8 +206,19 @@ class SelectionReport:
     fallback_uniform: bool
     g_of_d: float | None
     models: CandidateSet
-    clean_scores: np.ndarray = field(repr=False)
-    noisy_scores: np.ndarray | None = field(repr=False)
+    settle_scores: Callable[[], tuple[np.ndarray, np.ndarray | None]] = field(repr=False)
+
+    @cached_property
+    def _scores(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return self.settle_scores()
+
+    @property
+    def clean_scores(self) -> np.ndarray:
+        return self._scores[0]
+
+    @property
+    def noisy_scores(self) -> np.ndarray | None:
+        return self._scores[1]
 
     def to_json_dict(self, include_clean_scores: bool = False) -> dict:
         """Schema-stable dict: the release by default, the debug dump on request.
@@ -262,18 +280,19 @@ class _Picks(NamedTuple):
     """One private selection per row of a score matrix."""
 
     winners: np.ndarray  # winning column of each row
-    noisy: np.ndarray | None  # noisy scores (noisy_argmin only); NaN on fallback rows
+    # noisy scores (noisy_argmin on settled fits only); NaN on fallback rows
+    noisy: np.ndarray | None
     fallback: np.ndarray  # True where pcpl's uniform fallback picked the winner
     g_of_d: np.ndarray | None  # pcpl's released sensitivity proxy of each row
 
 
-def _score_matrix(algorithm: str, fits: Fits, n_obs: int, penalties, sizes: np.ndarray) -> np.ndarray:
+def _score_matrix(algorithm: str, losses, n_obs: int, penalties, sizes: np.ndarray) -> np.ndarray:
     """Clean scores, one row per penalty phi: the constrained loss (pcls)
-    or the profile score (pcpl) of each fit, plus ``phi * |model|``."""
+    or the profile score (pcpl) of each loss, plus ``phi * |model|``."""
     if algorithm == "pcls":
-        base = fits.neg2_loglik
+        base = losses
     else:
-        base = profile_neg2_loglik(fits.neg2_loglik, n_obs)
+        base = profile_neg2_loglik(losses, n_obs)
     return base + np.asarray(penalties, dtype=np.float64)[:, None] * sizes
 
 
@@ -287,20 +306,92 @@ def _stage_epsilons(config: SelectionConfig) -> tuple[float, float]:
     return stage1_epsilon, epsilon_total - stage1_epsilon
 
 
-def _mechanism_rows(clean, sensitivity, epsilon, mechanism, models, seed, stream_ids):
+def _loss_bounds(fits: Fits | LossBounds):
+    """(lower, upper, exact) losses of every fit; ``exact`` is None when
+    every fit is settled, as in a :class:`~dpms.solver.Fits`."""
+    if isinstance(fits, Fits) or fits.exact.all():
+        losses = fits.neg2_loglik if isinstance(fits, Fits) else fits.upper
+        return losses, losses, None
+    return fits.lower, fits.upper, fits.exact
+
+
+def _min_loss(fits: Fits | LossBounds) -> float:
+    """The smallest certified loss, bit for bit: every fit that could
+    reach it is settled first, and only a settlement of the whole family
+    reproduces a fit's last bits, so an unsettled candidate settles all."""
+    lower, upper, exact = _loss_bounds(fits)
+    if exact is not None and not exact[lower <= upper.min()].all():
+        lower = upper = fits.fits().neg2_loglik
+    return float(upper.min())
+
+
+def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
+    """Lower and upper clean-score matrices and the exact columns (None
+    when every column is exact, and then lower is upper)."""
+    lower, upper, exact = _loss_bounds(fits)
+    lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
+    if exact is None:
+        return lo, lo, None
+    if algorithm == "pcpl":
+        # math.log is monotone only to within an ulp; a relative margin
+        # of 1e-12 keeps the profile of every loss in the interval inside
+        # the profiles of its ends.
+        lower = np.where(exact, lower, lower - 1e-12 * np.abs(lower))
+        upper = np.where(exact, upper, upper + 1e-12 * np.abs(upper))
+        lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
+    return lo, _score_matrix(algorithm, upper, n_obs, penalties, sizes), exact
+
+
+def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
+                    seed, stream_ids):
+    """Winner of each row and, for noisy_argmin on settled fits, its noisy
+    scores.
+
+    A key is monotone in its clean score (and, for the exponential
+    mechanism, in the row's smallest score), and so is its rounding, so
+    bounds on the scores bound the keys.  A column whose key cannot reach
+    the row's smallest upper key cannot win.  A row is decided once the
+    columns that can win are all settled, or only one is left; otherwise
+    the unsettled ones (and, for the exponential mechanism, those that can
+    reach the row's smallest score) are settled, first as a batch of their
+    own, which narrows them to the certificate's width, and, if that does
+    not decide, with the whole family.  Either way the winner is the one
+    that fully settled fits give, ties and all.
+    """
     sizes, bits = models.sizes, models.bits
     if mechanism == "noisy_argmin":
         scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
-        return _noisy_argmin_rows(clean, scale, sizes, bits, seed, stream_ids)
-    winners, _keys = _gumbel_argmin_rows(clean, epsilon, sensitivity, sizes, bits, seed, stream_ids)
-    # Softmax sampling has no per-candidate noisy score to report.
-    return winners, None
+        keys = _noisy_keys(scale, sizes, bits, seed, stream_ids)
+    else:
+        keys = _gumbel_keys(epsilon, sensitivity, sizes, bits, seed, stream_ids)
+    asked = np.zeros(len(bits), dtype=bool)
+    while True:
+        lo, hi, exact = _score_bounds(algorithm, fits, n_obs, penalties, sizes)
+        key_hi = keys(hi, lo)
+        if exact is None:
+            break
+        reach = keys(lo, hi) <= key_hi.min(axis=1, keepdims=True)
+        undecided = (reach & ~exact).any(axis=1) & (reach.sum(axis=1) > 1)
+        if not undecided.any():
+            break
+        if mechanism == "exponential":
+            # Every key moves with the row's smallest score: settle the
+            # columns that can reach it too.
+            reach |= lo <= hi.min(axis=1, keepdims=True)
+        want = np.flatnonzero((reach & ~exact)[undecided].any(axis=0))
+        if asked[want].all():
+            fits.fits()
+        else:
+            fits.settle(want[~asked[want]])
+            asked[want] = True
+    noisy = key_hi if mechanism == "noisy_argmin" and exact is None else None
+    return _row_argmin(key_hi, sizes, bits), noisy
 
 
 def _select_rows(
     algorithm: str,
-    fits: Fits,
-    clean: np.ndarray,
+    fits: Fits | LossBounds,
+    penalties,
     bound: float,
     n_obs: int,
     config: SelectionConfig,
@@ -308,20 +399,25 @@ def _select_rows(
     seed: int,
     stream_ids,
 ) -> _Picks:
-    """The selection core: row ``i`` of ``clean`` is released under
+    """The selection core: row ``i`` scores each candidate of ``models``
+    with penalty ``penalties[i]`` and is released under
     ``RngStream(seed, stream_ids[i])``.
 
-    Column ``j`` of ``clean`` scores candidate ``j`` of ``models``.
-    ``config`` supplies the radius, budget, mechanism and stage-1 split;
-    its penalty is already inside ``clean``.  Every row runs the configured
+    ``fits`` holds one fit per candidate: settled :class:`Fits`, or the
+    :class:`LossBounds` of a first pass, of which only the fits the
+    release can depend on get settled.  ``config`` supplies the radius,
+    budget, mechanism and stage-1 split.  Every row runs the configured
     mechanism with its own sensitivity: ``(r + R)**2`` plus the solver's
     public ``loss_slack`` for pcls, and for pcpl the proxy that stage 1
     releases with the row's first Laplace word.  A pcpl row whose proxy is
     degenerate falls back to a uniform pick instead; its noiseless limit
-    (epsilon = inf) never falls back.
+    (epsilon = inf) never falls back.  ``noisy`` is None unless every fit
+    ended up settled.
     """
-    if not np.isfinite(clean).all():
+    lower, upper, _ = _loss_bounds(fits)
+    if not (np.isfinite(lower).all() and (upper is lower or np.isfinite(upper).all())):
         raise DataError("candidate scores must be finite")
+    penalties = np.asarray(penalties, dtype=np.float64)
     rows = len(stream_ids)
     if algorithm == "pcls":
         epsilon, proxy = config.budget.epsilon, None
@@ -332,25 +428,26 @@ def _select_rows(
     else:
         stage1_epsilon, epsilon = _stage_epsilons(config)
         proxy = sensitivity = _profile_sensitivity_value(
-            float(fits.neg2_loglik.min()), n_obs, models.d, bound, config.radius,
+            _min_loss(fits), n_obs, models.d, bound, config.radius,
             stage1_epsilon, config.budget.delta, _laplace_rows(seed, stream_ids),
         )
     fallback = np.isinf(sensitivity) & math.isfinite(epsilon)
     kept = ~fallback
     winners = np.empty(rows, dtype=np.intp)
-    kept_clean, kept_ids = clean, stream_ids
+    kept_ids = stream_ids
     if fallback.any():
         ids = np.asarray(stream_ids, dtype=np.uint64)
-        winners[fallback] = _uniform_rows(seed, ids[fallback].tolist(), clean.shape[1])
-        kept_clean, kept_ids = clean[kept], ids[kept].tolist()
+        winners[fallback] = _uniform_rows(seed, ids[fallback].tolist(), len(models))
+        kept_ids = ids[kept].tolist()
     noisy = None
     if len(kept_ids):
         winners[kept], noisy = _mechanism_rows(
-            kept_clean, sensitivity[kept, None], epsilon, config.mechanism, models, seed, kept_ids
+            algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon,
+            config.mechanism, models, seed, kept_ids,
         )
     if noisy is not None and fallback.any():
         # Fallback rows have no noisy scores.
-        full = np.full(clean.shape, np.nan)
+        full = np.full((rows, len(models)), np.nan)
         full[kept] = noisy
         noisy = full
     return _Picks(winners, noisy, fallback, proxy)
@@ -360,19 +457,14 @@ def _select_with_fits(
     algorithm: str,
     dataset: Dataset,
     models: CandidateSet,
-    fits: Fits,
+    fits: LossBounds,
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
-    # One row of the selection core, on fits that depend only on (data,
-    # radius): the sweep harness reuses one batch of fits across its whole
-    # penalty-by-budget grid.
+    # One row of the selection core, on the first pass of the fits.
     _check_delta(algorithm, config.budget.delta)
-    clean = _score_matrix(algorithm, fits, dataset.n, [config.penalty], models.sizes)
-    picks = _select_rows(
-        algorithm, fits, clean, dataset.response_bound, dataset.n, config, models,
-        rng.seed, [rng.stream_id],
-    )
+    args = (dataset.response_bound, dataset.n, config, models, rng.seed, [rng.stream_id])
+    picks = _select_rows(algorithm, fits, [config.penalty], *args)
     if algorithm == "pcls":
         epsilon_total = config.budget.epsilon
         g_of_d = None
@@ -383,6 +475,16 @@ def _select_with_fits(
         epsilon_total = stage1_epsilon + stage2_epsilon
         g_of_d = float(picks.g_of_d[0])
     fallback = bool(picks.fallback[0])
+
+    def scores():
+        # Only a debug report reads every score: settle every fit and
+        # replay the release on them.
+        settled = fits.fits()
+        clean = _score_matrix(algorithm, settled.neg2_loglik, dataset.n, [config.penalty],
+                              models.sizes)
+        noisy = _select_rows(algorithm, settled, [config.penalty], *args).noisy
+        return _readonly(clean[0]), None if noisy is None or fallback else _readonly(noisy[0])
+
     return SelectionReport(
         chosen=models[picks.winners[0]],
         epsilon_total=epsilon_total,
@@ -396,8 +498,7 @@ def _select_with_fits(
         fallback_uniform=fallback,
         g_of_d=g_of_d,
         models=models,
-        clean_scores=_readonly(clean[0]),
-        noisy_scores=None if picks.noisy is None or fallback else _readonly(picks.noisy[0]),
+        settle_scores=scores,
     )
 
 
@@ -416,14 +517,14 @@ def pcls_select(
     ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, d, r, R)``.
     """
     stats = sufficient_stats(dataset)
-    fits = fit_masks(stats, models, config.radius)
+    fits = bound_masks(stats, models, config.radius)
     return _pcls_with_fits(dataset, models, fits, config, rng)
 
 
 def _pcls_with_fits(
     dataset: Dataset,
     models: CandidateSet,
-    fits: Fits,
+    fits: LossBounds,
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
@@ -446,14 +547,14 @@ def pcpl_select(
     the candidates, reported via ``fallback_uniform``.
     """
     stats = sufficient_stats(dataset)
-    fits = fit_masks(stats, models, config.radius)
+    fits = bound_masks(stats, models, config.radius)
     return _pcpl_with_fits(dataset, models, fits, config, rng)
 
 
 def _pcpl_with_fits(
     dataset: Dataset,
     models: CandidateSet,
-    fits: Fits,
+    fits: LossBounds,
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:

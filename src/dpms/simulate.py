@@ -325,7 +325,7 @@ def _sweep_chunk(
         for i, R in enumerate(grid.radius_values):
             head = _encode("select", *coords_base, R)
             fits = fit_masks(stats, models, R)
-            clean = _score_matrix(grid.algorithm, fits, dataset.n, phis, models.sizes)
+            clean = _score_matrix(grid.algorithm, fits.neg2_loglik, dataset.n, phis, models.sizes)
             noiseless = _row_argmin(clean, models.sizes, models.bits)
             for c, config in enumerate(configs[i]):
                 # _stream_id("select", *coords_base, R, phi, eps, delta,
@@ -335,7 +335,7 @@ def _sweep_chunk(
                 stream_ids = [_id_of(head + code + tail) for code in phi_codes]
                 started = time.perf_counter() if measure_runtime else 0.0
                 picks = _select_rows(
-                    grid.algorithm, fits, clean, dataset.response_bound, dataset.n,
+                    grid.algorithm, fits, phis, dataset.response_bound, dataset.n,
                     config, models, seed, stream_ids,
                 )
                 seconds = (time.perf_counter() - started) if measure_runtime else 0.0

@@ -19,14 +19,20 @@ how far the fit's loss sits above the constrained minimum:
    none), exact whenever that support is right.
 3. Rows it does not settle follow the lasso path from zero out to the
    radius, one batched solve per breakpoint, which ends on the exact
-   minimum; its end point and the KKT candidate on its support are
-   certified.
-4. What is left, in practice masks with exactly identical columns whose
-   path meets a singular system, runs projected gradient with step
-   1/L, L the exact top eigenvalue of the restricted A, and a KKT
-   candidate every few steps.  A row still uncertified after
-   ``max_iterations`` steps, or whose gap has stopped falling, raises
-   :class:`~dpms.errors.SolverError`; no uncertified loss is returned.
+   minimum; a path end that is certified as it is is done.  A join
+   whose denominator is at round-off (a copy of an active column) is
+   skipped, so identical columns stay on the path too.
+4. What is left runs projected gradient with step 1/L, L the exact top
+   eigenvalue of the restricted A, and a KKT candidate every few steps.
+   A row still uncertified after ``max_iterations`` steps, or whose gap
+   has stopped falling, raises :class:`~dpms.errors.SolverError`; no
+   uncertified loss is returned.
+
+Step 1 is the first pass; steps 2-4 settle the rows they are given.
+:func:`fit_masks` settles every row.  :func:`bound_masks` stops after the
+first pass and gives each unsettled mask a certified loss interval
+(:class:`LossBounds`), so a selection can settle only the masks its
+release can depend on.
 
 ``tau`` is ``tolerance * max(1, yty)`` plus a round-off allowance, a
 small multiple of ``eps * d`` times the loss's scale ``yty + 2 R ||b||_inf
@@ -56,7 +62,9 @@ __all__ = [
     "SolverConfig",
     "FitResult",
     "Fits",
+    "LossBounds",
     "project_l1",
+    "bound_masks",
     "fit_masks",
     "loss_slack",
     "profile_neg2_loglik",
@@ -69,6 +77,10 @@ _POLISH_EVERY = 4
 # loss's scale: the gap and the loss are sums of at most d products, each
 # term bounded by that scale.
 _ROUNDOFF = 64 * np.finfo(np.float64).eps
+
+# A lasso-path join whose denominator 1 -+ (A w)_j is this close to 0 is
+# round-off: the column copies an active one.
+_JOIN_FLOOR = 1e-9
 
 # A live row whose lowest gap has not fallen by 1% in this many steps has
 # reached its round-off floor and cannot be certified.
@@ -149,15 +161,20 @@ class Fits:
         )
 
 
-def _tau(stats: SufficientStats, radius: float, tolerance: float) -> float:
-    """Certificate level of one dataset: the tolerance plus the round-off
-    allowance on the loss's scale."""
-    scale = (
+def _scale(stats: SufficientStats, radius: float) -> float:
+    """Bound on every term of the loss and of the gap over the ball:
+    ``yty + 2 R ||b||_inf + R^2 max A_jj``."""
+    return (
         stats.yty
         + 2.0 * radius * float(np.max(np.abs(stats.xty), initial=0.0))
         + radius**2 * float(np.max(np.diag(stats.xtx), initial=0.0))
     )
-    return tolerance * max(1.0, stats.yty) + _ROUNDOFF * stats.d * scale
+
+
+def _tau(stats: SufficientStats, radius: float, tolerance: float) -> float:
+    """Certificate level of one dataset: the tolerance plus the round-off
+    allowance on the loss's scale."""
+    return tolerance * max(1.0, stats.yty) + _ROUNDOFF * stats.d * _scale(stats, radius)
 
 
 def loss_slack(n_obs: int, d: int, response_bound: float, radius: float) -> float:
@@ -343,11 +360,16 @@ def _homotopy(a, member, bvec, radius, max_steps):
         c = bvec[live] - (bt @ a) * member[live]
         free = (member[live] > 0) & ~act
         floor = 1e-12 * lm[:, None]
+        # A join whose denominator is at round-off is a copy of an active
+        # column (its correlation moves with lam exactly): joining it would
+        # make the next system singular, and skipping it loses nothing.
+        up_ok = free & (left[live] <= 0.0) & (np.abs(1.0 - aw) > _JOIN_FLOOR)
+        down_ok = free & (left[live] >= 0.0) & (np.abs(1.0 + aw) > _JOIN_FLOOR)
         with np.errstate(invalid="ignore", divide="ignore"):
             up = (lm[:, None] - c) / (1.0 - aw)
             down = (lm[:, None] + c) / (1.0 + aw)
-            up = np.where(free & (left[live] <= 0.0) & (up > floor), up, np.inf)
-            down = np.where(free & (left[live] >= 0.0) & (down > floor), down, np.inf)
+            up = np.where(up_ok & (up > floor), up, np.inf)
+            down = np.where(down_ok & (down > floor), down, np.inf)
             drops = np.where(act & (-bt / w > floor), -bt / w, np.inf)
             to_sphere = (radius - _rowdot(sg, bt)) / _rowdot(sg, w)
         joins = np.minimum(up, down)
@@ -439,44 +461,146 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
     )
 
 
-def _fit_batch(
-    stats: SufficientStats,
-    member: np.ndarray,
-    radius: float,
-    config: SolverConfig,
-):
-    """Solve every masked problem in ``member`` (m, d) jointly.
+def _objective(yty, a, member, bvec, beta) -> np.ndarray:
+    """Loss of each row of ``beta``, floored at 0 against round-off."""
+    obj = yty - 2.0 * _rowdot(beta, bvec) + _rowdot(beta, (beta @ a) * member)
+    return np.maximum(obj, 0.0)
 
-    Returns (beta (m, d), objective (m,), iterations (m,), converged (m,)).
+
+def _settle(a, yty, member, bvec, start, radius, tau, config):
+    """Certified fits of the rows given, from their projected starts.
+
+    Each row tries one KKT candidate on the support and signs of its start;
+    rows it does not settle follow the lasso path, and only path ends that
+    are not certified as they are run projected gradient.  Returns (beta,
+    iterations).
     """
-    a = stats.xtx
-    yty = stats.yty
-    bvec = member * stats.xty
-    tau = _tau(stats, radius, config.tolerance)
-
-    beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
-    iterations = np.zeros(member.shape[0], dtype=np.int64)
+    beta = _kkt_candidates(a, bvec, start, radius)
+    iterations = np.zeros(len(start), dtype=np.int64)
     rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
-    if rest.size:
-        # Binding rows start from their projected solution; singular ones,
-        # and those too large for the projection to resolve the radius,
-        # from zero.
-        solved = np.abs(beta[rest]).sum(axis=1) < radius / np.finfo(np.float64).eps
-        start = np.where(solved[:, None], beta[rest], 0.0)
-        start = _project_rows(start, radius)
-        kkt = _kkt_candidates(a, bvec[rest], start, radius)
-        ok = _certified(a, member[rest], bvec[rest], kkt, radius, tau)
-        beta[rest[ok]] = kkt[ok]
-        rest = rest[~ok]
     if rest.size:
         # A path has about one breakpoint per column; 4d + 8 leaves room
         # for coordinates that leave and join again.
         path = _homotopy(a, member[rest], bvec[rest], radius, 4 * member.shape[1] + 8)
-        beta[rest], iterations[rest] = _descend(
-            a, yty, member[rest], bvec[rest], _project_rows(path, radius), radius, tau, config
+        beta[rest] = path = _project_rows(path, radius)
+        # Checked on a copy: a certified end keeps the exact bits that
+        # projected gradient would return for it at step 0.
+        slow = ~_certified(a, member[rest], bvec[rest], path.copy(), radius, tau)
+        if slow.any():
+            rows = rest[slow]
+            beta[rows], iterations[rows] = _descend(
+                a, yty, member[rows], bvec[rows], path[slow], radius, tau, config
+            )
+    return beta, iterations
+
+
+class LossBounds:
+    """Certified loss intervals of a family's fits, settled on demand.
+
+    The first pass runs one batched exact solve per model size.  A slack
+    mask is certified there: ``exact`` is True, and its interval is the
+    point that :func:`fit_masks` returns.  Every other mask keeps the
+    interval ``[f(x) - gap(x) - s, f(x) + s]`` at its projected start x,
+    where ``gap`` is the Frank-Wolfe gap (a lower bound by convexity) and
+    ``s`` the certificate level plus three round-off allowances, for the
+    gap and for the two losses compared.  That interval holds the loss of
+    any certified fit of the mask, whichever rows it was settled with.
+
+    :meth:`settle` narrows given masks to width ``2 s`` around their
+    certified fits; :meth:`fits` settles every mask as :func:`fit_masks`
+    does, bit for bit, and makes every interval exact.
+    """
+
+    def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float,
+                 config: SolverConfig) -> None:
+        a = stats.xtx
+        bvec = member * stats.xty
+        tau = _tau(stats, radius, config.tolerance)
+        beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
+        rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
+        if rest.size:
+            # Binding rows start from their projected solution; singular
+            # ones, and those too large for the projection to resolve the
+            # radius, from zero.
+            solved = np.abs(beta[rest]).sum(axis=1) < radius / np.finfo(np.float64).eps
+            beta[rest] = _project_rows(np.where(solved[:, None], beta[rest], 0.0), radius)
+        self._stats, self._radius, self._tau, self._config = stats, radius, tau, config
+        self._member, self._bvec, self._beta, self._rest = member, bvec, beta, rest
+        self.exact = np.ones(len(member), dtype=bool)
+        self.exact[rest] = False
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self._fits: Fits | None = None
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self._interval()[0]
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self._interval()[1]
+
+    def _interval(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._bounds is None:
+            stats, radius, rest = self._stats, self._radius, self._rest
+            self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * _scale(stats, radius)
+            x = self._beta[rest]
+            gap = _gap((x @ stats.xtx) * self._member[rest] - self._bvec[rest], x, radius)
+            upper = self._loss(self._beta, slice(None))
+            lower = upper.copy()
+            lower[rest] -= gap + self._slack
+            upper[rest] += self._slack
+            self._bounds = lower, upper
+        return self._bounds
+
+    def _loss(self, beta: np.ndarray, rows) -> np.ndarray:
+        stats = self._stats
+        return _objective(stats.yty, stats.xtx, self._member[rows], self._bvec[rows], beta)
+
+    def _settle(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        return _settle(
+            self._stats.xtx, self._stats.yty, self._member[rows], self._bvec[rows],
+            self._beta[rows], self._radius, self._tau, self._config,
         )
-    obj = yty - 2.0 * _rowdot(beta, bvec) + _rowdot(beta, (beta @ a) * member)
-    return beta, np.maximum(obj, 0.0), iterations, np.ones(member.shape[0], dtype=bool)
+
+    def settle(self, rows) -> None:
+        """Narrow the intervals of ``rows`` (unsettled masks) to their
+        certified fits, settled as a batch of their own."""
+        lower, upper = self._interval()
+        loss = self._loss(self._settle(rows)[0], rows)
+        lower[rows] = loss - self._slack
+        upper[rows] = loss + self._slack
+
+    def fits(self) -> Fits:
+        """Every fit settled, as :func:`fit_masks` returns them."""
+        if self._fits is None:
+            rest, beta = self._rest, self._beta
+            iterations = np.zeros(len(beta), dtype=np.int64)
+            if rest.size:
+                beta[rest], iterations[rest] = self._settle(rest)
+            loss = self._loss(beta, slice(None))
+            arrays = (beta, loss, iterations, np.ones(len(beta), dtype=bool))
+            for array in arrays:
+                array.setflags(write=False)
+            self._fits = Fits(*arrays)
+            self._bounds = loss, loss
+            self.exact[:] = True
+        return self._fits
+
+
+def bound_masks(
+    stats: SufficientStats,
+    models: CandidateSet,
+    radius: float,
+    config: SolverConfig | None = None,
+) -> LossBounds:
+    """The first pass of :func:`fit_masks`: every slack mask settled, and a
+    certified loss interval for each of the others (see
+    :class:`LossBounds`)."""
+    if models.d != stats.d:
+        raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DataError(f"radius must be positive and finite, got {radius}")
+    return LossBounds(stats, member_matrix(models.bits, stats.d), radius, config or SolverConfig())
 
 
 def fit_masks(
@@ -488,16 +612,7 @@ def fit_masks(
     """Fit every model of the family against the same statistics in one
     stacked solve.  Output order matches family order, and every fit is
     certified (see :class:`SolverConfig`)."""
-    if models.d != stats.d:
-        raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise DataError(f"radius must be positive and finite, got {radius}")
-    config = config or SolverConfig()
-    member = member_matrix(models.bits, stats.d)
-    arrays = _fit_batch(stats, member, radius, config)
-    for a in arrays:
-        a.setflags(write=False)
-    return Fits(*arrays)
+    return bound_masks(stats, models, radius, config).fits()
 
 
 def profile_neg2_loglik(losses, n_obs: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from dpms import (
     sufficient_stats,
 )
 from dpms.mechanisms import _gumbel_argmin_rows, _noisy_argmin_rows
-from dpms.selection import _score_matrix, _select_rows
+from dpms.selection import _select_rows
 from dpms.simulate import _stream_id
 
 MASTER = 20260822
@@ -373,10 +373,9 @@ def test_c09_fallback_uniformity():
     # 900_000 + i)).
     trials = 10_000
     fits = fit_masks(sufficient_stats(ds), fam, cfg.radius)
-    clean = _score_matrix("pcpl", fits, ds.n, [cfg.penalty], fam.sizes)
     picks = _select_rows(
-        "pcpl", fits, np.broadcast_to(clean, (trials, len(fam))), 1.0, ds.n, cfg, fam,
-        MASTER, range(900_000, 900_000 + trials),
+        "pcpl", fits, [cfg.penalty] * trials, 1.0, ds.n, cfg, fam, MASTER,
+        range(900_000, 900_000 + trials),
     )
     fallbacks = int(np.count_nonzero(picks.fallback & np.isinf(picks.g_of_d)))
     observed = np.bincount(picks.winners, minlength=len(fam)).astype(float)

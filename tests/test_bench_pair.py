@@ -44,3 +44,27 @@ def test_claim_counts_pairs_won_by_direction(better, won, gain):
     assert block["all_runs_correct"]
     pairs[0]["change"] = _run(20.0, correct=False)
     assert not bench_pair.claim_block(pairs, "selects_per_s", better)["all_runs_correct"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_meets_rule_needs_nine_in_ten_pairs_and_a_gap_beyond_the_quartiles(better):
+    parent = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # quartiles 12.25 and 16.75
+    step = 1.0 if better == "higher" else -1.0
+
+    def block(change):
+        pairs = [{"parent": _run(p), "change": _run(c)} for p, c in zip(parent, change)]
+        return bench_pair.claim_block(pairs, "selects_per_s", better)
+
+    # Every pair won by 5: the median moves by 5, more than the spread 4.5.
+    assert block([p + 5 * step for p in parent])["meets_rule"]
+    # Every pair won by 4: the median moves by less than the spread.
+    assert not block([p + 4 * step for p in parent])["meets_rule"]
+    # A wide gap, but two pairs lost: 8 of 10 is below nine tenths.
+    change = [p + 10 * step for p in parent]
+    change[0] = change[1] = parent[0] - step
+    assert block(change)["pairs_won"] == 8
+    assert not block(change)["meets_rule"]
+    # One pair tied still leaves nine won.
+    change = [p + 10 * step for p in parent]
+    change[0] = parent[0]
+    assert block(change)["meets_rule"]

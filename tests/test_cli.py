@@ -130,7 +130,8 @@ class TestSelect:
         # A step of 4/L makes the objective rise; the CLI reports it.  Only
         # binding masks that neither their first KKT candidate nor the
         # lasso path settle take projected-gradient steps: R = 0.2 leaves
-        # some once the path is switched off.
+        # some once the path is switched off.  A default select settles
+        # only the fits that can win; the debug report settles them all.
         from dpms import solver
 
         monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
@@ -138,7 +139,7 @@ class TestSelect:
         monkeypatch.setattr(
             solver, "_masked_top_eigenvalue", lambda a, member: exact(a, member) / 4.0
         )
-        code = main(_select_args(demo_csv, "--R", "0.2"))
+        code = main(_select_args(demo_csv, "--R", "0.2", "--debug-unsafe"))
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "objective increased" in err

@@ -1,5 +1,8 @@
 """Candidate family enumeration: counts, order, explicit lists."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,3 +120,34 @@ class TestCandidateSet:
         assert not fam.bits.flags.writeable and not fam.sizes.flags.writeable
         assert fam[0] == ModelMask.from_indices([2, 3], 3)
         assert list(fam) == [fam[0], fam[1]]
+
+
+class TestLevelByLevel:
+    @staticmethod
+    def _scan(d, include_empty, cap):
+        # Reference: every one of the 2^d patterns, sorted by (size, value).
+        values = np.arange(1 << d, dtype=np.uint64)
+        sizes = np.bitwise_count(values)
+        keep = (sizes >= (0 if include_empty else 1)) & (sizes <= cap)
+        return values[keep][np.lexsort((values[keep], sizes[keep]))]
+
+    @pytest.mark.parametrize(
+        "d, cap, include_empty",
+        [(20, 3, False), (12, 12, False), (16, 4, False), (18, 2, False), (5, 5, True),
+         (1, 1, False), (6, 0, True), (10, 3, True)],
+    )
+    def test_order_matches_a_scan_of_every_pattern(self, d, cap, include_empty):
+        family = all_subsets(d, include_empty=include_empty, max_size=cap)
+        assert np.array_equal(family.bits, self._scan(d, include_empty, cap))
+
+    def test_small_family_of_a_wide_lattice_allocates_only_itself(self):
+        # 300 masks out of 2^24 patterns: a scan would allocate 2^24 words.
+        tracemalloc.start()
+        try:
+            family = all_subsets(24, max_size=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        pairs = sorted((1 << i) | (1 << j) for i, j in itertools.combinations(range(24), 2))
+        assert family.bits.tolist() == [1 << i for i in range(24)] + pairs

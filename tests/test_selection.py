@@ -151,18 +151,19 @@ class TestComputeGofD:
         ds = Dataset(rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, n), 1.0)
         models = all_subsets(3)
         fits = fit_masks(sufficient_stats(ds), models, radius)
-        clean = _score_matrix("pcpl", fits, n, [1.0], models.sizes)
+        clean = _score_matrix("pcpl", fits.neg2_loglik, n, [1.0], models.sizes)
         # The certificate slack widens the bound and lowers the minimum.
         slack = _slack(n, 3, 1.0, radius)
         min_loss = float(fits.neg2_loglik.min()) - slack
         width = (1.0 + radius) ** 2 + slack
         seed, streams = 2**100 + 3, [2**63 + 7 * i for i in range(1200)]
-        block = np.broadcast_to(clean, (len(streams), len(models)))
         for mechanism in ("noisy_argmin", "exponential"):
             # Stage 1 and stage 2 each spend 2 * 1.0 * 0.5 = 1.0.
             budget = PrivacyBudget(1.0, delta)
             cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
-            picks = _select_rows("pcpl", fits, block, 1.0, n, cfg, models, seed, streams)
+            picks = _select_rows(
+                "pcpl", fits, [1.0] * len(streams), 1.0, n, cfg, models, seed, streams
+            )
             assert 0 < picks.fallback.sum() < len(streams)
             for i, sid in enumerate(streams):
                 stream = RngStream(seed, sid)
@@ -213,12 +214,12 @@ class TestCertificateSlack:
                 return function(*args)
             monkeypatch.setattr(selection, name, wrapper)
 
-        spy("_noisy_argmin_rows", selection._noisy_argmin_rows)
-        spy("_gumbel_argmin_rows", selection._gumbel_argmin_rows)
+        spy("_noisy_keys", selection._noisy_keys)
+        spy("_gumbel_keys", selection._gumbel_keys)
         cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(0.5))
         pcls_select(ds, models, cfg, RngStream(3, 1))
         tau = _slack(200, 4, r, 2.0)
-        scale = seen["_noisy_argmin_rows"][1]
+        scale = seen["_noisy_keys"][0]
         assert scale.tolist() == [[2.0 * ((r + 2.0) ** 2 + tau) / 0.5]]
         assert scale[0, 0] - 2.0 * (r + 2.0) ** 2 / 0.5 == pytest.approx(4.0 * tau, rel=1e-6)
 
@@ -233,7 +234,7 @@ class TestCertificateSlack:
         # Stage 1 spends 2 * 5 * 0.5 = 5 of the budget.
         proxy = 200 * w / ((min_loss - tau) - w + w * (z - math.log(1.0 / 2e-3)) / 5.0)
         assert report.g_of_d == proxy
-        assert seen["_gumbel_argmin_rows"][2].tolist() == [[proxy]]
+        assert seen["_gumbel_keys"][1].tolist() == [[proxy]]
         assert report.g_of_d == pytest.approx(22.960257448247336, rel=1e-12)
 
 
@@ -290,10 +291,10 @@ class TestPclsSelect:
         scale = 2.0 * (ds.response_bound + 1.0) ** 2 / eps
         trials = 3000
         fits = fit_masks(sufficient_stats(ds), models, cfg.radius)
-        clean = _score_matrix("pcls", fits, ds.n, [cfg.penalty], models.sizes)
+        clean = _score_matrix("pcls", fits.neg2_loglik, ds.n, [cfg.penalty], models.sizes)
         picks = _select_rows(
-            "pcls", fits, np.broadcast_to(clean, (trials, len(models))), ds.response_bound,
-            ds.n, cfg, models, 77, range(trials),
+            "pcls", fits, [cfg.penalty] * trials, ds.response_bound, ds.n, cfg, models, 77,
+            range(trials),
         )
         for i in (0, 1, 1234, trials - 1):
             report = pcls_select(ds, models, cfg, RngStream(77, i))
@@ -622,3 +623,102 @@ class TestReportDigests:
         report = select(ds, family, cfg, RngStream(3, 1))
         text = report.to_json(include_clean_scores=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[case]
+
+
+def _duplicate_column_dataset(seed, n=200):
+    # Column 2 copies column 1, so masks that swap one copy for the other
+    # tie exactly; with epsilon = inf the tie rule decides between them.
+    rng = np.random.default_rng([31, seed])
+    x = rng.uniform(-1, 1, (n, 5))
+    x[:, 1] = x[:, 0]
+    y = x @ np.array([0.9, 0.0, -0.6, 0.3, 0.0]) + rng.normal(0, 0.5, n)
+    return Dataset(x, np.clip(y, -2, 2), 2.0)
+
+
+class TestPrunedSelection:
+    # A select settles only the fits its release can depend on.  Its
+    # winner, released proxy and fallback flag must be those of fully
+    # settled fits, and its debug scores must be theirs too.
+    CASES = [
+        (alg, mechanism, eps)
+        for alg in ("pcls", "pcpl")
+        for mechanism in ("noisy_argmin", "exponential")
+        for eps in (0.5, 5.0, math.inf)
+    ]
+
+    @staticmethod
+    def _datasets():
+        for seed in range(4):
+            yield _dataset(n=200, d=5, seed=seed, beta=(1.2, -0.8, 0.5, 0.0, 0.0))[0], 1.0
+        for seed in range(3):
+            yield _duplicate_column_dataset(seed), 0.8
+        # n = 40: pcpl's stage 1 often falls back to a uniform pick.
+        yield _dataset(n=40, d=5, seed=9, beta=(1.2, -0.8, 0.5, 0.0, 0.0))[0], 2.0
+
+    @pytest.mark.parametrize("algorithm, mechanism, eps", CASES)
+    def test_winner_equals_the_fully_settled_winner(self, algorithm, mechanism, eps):
+        family = all_subsets(5)
+        select = pcls_select if algorithm == "pcls" else pcpl_select
+        budget = PrivacyBudget(eps, 1e-4 if algorithm == "pcpl" else 0.0)
+        fallbacks = 0
+        for ds, radius in self._datasets():
+            cfg = SelectionConfig(radius=radius, penalty=2.0, budget=budget, mechanism=mechanism)
+            fits = fit_masks(sufficient_stats(ds), family, radius)
+            streams = list(range(12))
+            full = _select_rows(
+                algorithm, fits, [cfg.penalty] * len(streams), ds.response_bound, ds.n, cfg,
+                family, 99, streams,
+            )
+            for i, sid in enumerate(streams):
+                report = select(ds, family, cfg, RngStream(99, sid))
+                assert report.chosen == family[full.winners[i]]
+                assert report.fallback_uniform == full.fallback[i]
+                if algorithm == "pcpl":
+                    assert report.g_of_d == full.g_of_d[i]
+                fallbacks += report.fallback_uniform
+        assert (fallbacks > 0) == (algorithm == "pcpl" and math.isfinite(eps))
+
+    @pytest.mark.parametrize("algorithm, mechanism, eps", CASES[::2])
+    def test_debug_scores_equal_the_fully_settled_scores(self, algorithm, mechanism, eps):
+        family = all_subsets(5)
+        select = pcls_select if algorithm == "pcls" else pcpl_select
+        budget = PrivacyBudget(eps, 1e-4 if algorithm == "pcpl" else 0.0)
+        ds, _, _ = _dataset(n=200, d=5, seed=1, beta=(1.2, -0.8, 0.5, 0.0, 0.0))
+        cfg = SelectionConfig(radius=1.0, penalty=2.0, budget=budget, mechanism=mechanism)
+        fits = fit_masks(sufficient_stats(ds), family, 1.0)
+        clean = _score_matrix(algorithm, fits.neg2_loglik, ds.n, [cfg.penalty], family.sizes)
+        for sid in range(3):
+            full = _select_rows(
+                algorithm, fits, [cfg.penalty], ds.response_bound, ds.n, cfg, family, 5, [sid]
+            )
+            report = select(ds, family, cfg, RngStream(5, sid))
+            assert np.array_equal(report.clean_scores, clean[0])
+            if full.noisy is None or report.fallback_uniform:
+                assert report.noisy_scores is None
+            else:
+                assert np.array_equal(report.noisy_scores, full.noisy[0])
+                assert report.chosen == family[int(np.argmin(report.noisy_scores))]
+
+    def test_default_select_settles_few_binding_masks(self, monkeypatch):
+        # Of the ~1000 masks of a d = 10 family, hundreds bind at R = 0.5
+        # and need more than the exact solve; a default release settles
+        # only the ones that could still win.
+        from dpms import solver
+
+        settled = []
+        settle = solver._settle
+
+        def counted(a, yty, member, *rest):
+            settled.append(len(member))
+            return settle(a, yty, member, *rest)
+
+        ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
+        family = all_subsets(10)
+        binding = int((~solver.bound_masks(sufficient_stats(ds), family, 0.5).exact).sum())
+        assert binding > 300
+        monkeypatch.setattr(solver, "_settle", counted)
+        cfg = SelectionConfig(radius=0.5, penalty=3.0, budget=PrivacyBudget(1.0))
+        for sid in range(5):
+            settled.clear()
+            json.loads(pcls_select(ds, family, cfg, RngStream(6, sid)).to_json())
+            assert sum(settled) < 10

@@ -571,3 +571,88 @@ class TestFitsArrays:
             assert fit.iterations == fits.iterations[j]
             assert fit.converged == fits.converged[j]
         assert [f.neg2_loglik for f in fits] == fits.neg2_loglik.tolist()
+
+
+def _select_d9(seed, n=500):
+    """Data of the select benchmark at d = 9: y = 1.5 x1 + x2 + 0.5 x3 +
+    N(0, 1), an intercept column first, clipped to r = 4."""
+    rng = np.random.default_rng([7, 7, seed])
+    x = rng.uniform(-1, 1, (n, 8))
+    y = x[:, :3] @ np.array([1.5, 1.0, 0.5]) + rng.normal(0, 1, n)
+    return Dataset(np.column_stack([np.ones(n), x]), np.clip(y, -4, 4), 4.0)
+
+
+class TestSettleStep:
+    def test_certified_path_ends_skip_projected_gradient(self, monkeypatch):
+        # Every binding mask that its KKT candidate misses follows the
+        # lasso path; an end that is certified as it is never reaches
+        # projected gradient, and its fit is the path end itself.
+        from dpms import solver
+
+        rows = {"path": 0, "descend": 0}
+        homotopy, descend = solver._homotopy, solver._descend
+
+        def on_path(a, member, *rest):
+            rows["path"] += len(member)
+            return homotopy(a, member, *rest)
+
+        def on_descend(a, yty, member, *rest):
+            rows["descend"] += len(member)
+            return descend(a, yty, member, *rest)
+
+        monkeypatch.setattr(solver, "_homotopy", on_path)
+        monkeypatch.setattr(solver, "_descend", on_descend)
+        fits = fit_masks(sufficient_stats(_select_d9(0)), all_subsets(9), 1.0)
+        assert rows["path"] == 63
+        assert rows["descend"] == 0
+        assert fits.iterations.max() == 0
+
+    def test_duplicate_column_stays_on_the_lasso_path(self):
+        # Column 2 copies column 1.  Once one copy is active, the other's
+        # join event is round-off over round-off; joining it made the next
+        # path system singular and left mask {1, 2, 3, 5} to 36 steps of
+        # projected gradient.  Skipping that join keeps every mask exact.
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-1, 1, (300, 6))
+        x[:, 1] = x[:, 0]
+        y = x @ rng.normal(0, 1, 6) + rng.normal(0, 0.5, 300)
+        stats = sufficient_stats(Dataset(x, y / np.max(np.abs(y)), 1.0))
+        family = all_subsets(6)
+        fits = fit_masks(stats, family, 1.0)
+        mask = int(np.flatnonzero(family.bits == ModelMask.from_indices([1, 2, 3, 5], 6).bits)[0])
+        assert fits.iterations[mask] == 0
+        assert fits.iterations.max() == 0
+        tau = _certificate_level(stats, 1.0)
+        for m, fit in zip(family, fits):
+            _assert_certified(stats, fit, m.column_positions().tolist(), 1.0, tau)
+
+
+class TestLossBounds:
+    @pytest.mark.parametrize("seed, radius", [(0, 1.0), (2, 2.5), (3, 0.3)])
+    def test_bounds_hold_the_settled_loss_and_settling_them_all_is_fit_masks(self, seed, radius):
+        from dpms.solver import bound_masks
+
+        stats = sufficient_stats(_select_d9(seed))
+        family = all_subsets(9)
+        full = fit_masks(stats, family, radius)
+        bounds = bound_masks(stats, family, radius)
+        lower, upper, exact = bounds.lower.copy(), bounds.upper.copy(), bounds.exact.copy()
+        loss = full.neg2_loglik
+        assert 0 < (~exact).sum() < len(family)
+        assert np.array_equal(lower[exact], loss[exact])
+        assert np.array_equal(upper[exact], loss[exact])
+        assert np.all(lower <= loss) and np.all(loss <= upper)
+        # Settling the three widest narrows them around their certified loss.
+        some = np.argsort(upper - lower)[-3:]
+        bounds.settle(some)
+        width = bounds.upper[some] - bounds.lower[some]
+        assert np.all(width < upper[some] - lower[some])
+        assert np.all(bounds.lower[some] <= loss[some])
+        assert np.all(loss[some] <= bounds.upper[some])
+        assert not bounds.exact[some].any()
+        # Settling everything reproduces fit_masks bit for bit.
+        fits = bounds.fits()
+        for name in ("beta", "neg2_loglik", "iterations", "converged"):
+            assert np.array_equal(getattr(fits, name), getattr(full, name))
+        assert bounds.exact.all() and np.array_equal(bounds.lower, loss)
+        assert bounds.fits() is fits
