@@ -268,12 +268,11 @@ def _noisy_keys(scales, sizes, bits, seed: int, stream_ids):
     ``keys(scores, base)``: the noisy scores, a nondecreasing function of
     each score (``base`` is unused).
     """
-    shape = (len(stream_ids), len(bits))
     if np.any(scales):
         words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, sizes, bits)
         noise = scales * _laplace_from_u64_array(words)
     else:
-        noise = np.zeros(shape)
+        noise = np.zeros((len(stream_ids), len(bits)))
     return lambda scores, base: scores + noise
 
 

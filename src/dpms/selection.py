@@ -316,9 +316,10 @@ def _loss_bounds(fits: Fits | LossBounds):
 
 
 def _min_loss(fits: Fits | LossBounds) -> float:
-    """The smallest certified loss, bit for bit: every fit that could
-    reach it is settled first, and only a settlement of the whole family
-    reproduces a fit's last bits, so an unsettled candidate settles all."""
+    """The smallest loss, bit for bit as fully settled fits give it.  A
+    fit settled in a batch of its own can differ from that in its last
+    bits, so when an unsettled fit could reach the minimum, the whole
+    family is settled."""
     lower, upper, exact = _loss_bounds(fits)
     if exact is not None and not exact[lower <= upper.min()].all():
         lower = upper = fits.fits().neg2_loglik

@@ -298,8 +298,8 @@ def _sweep_chunk(
 
     Each (replication, R) is fitted once; its clean scores form one
     (phi x model) matrix, whose noiseless winners are taken once per phi.
-    Each (epsilon, delta) then runs the selection core on that matrix with
-    one stream per phi, keyed by the cell coordinates.  The result is
+    Each (epsilon, delta) then runs the selection core on those fits with
+    one row and one stream per phi, keyed by the cell coordinates.  The result is
     indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3, the
     replications whose pick was correct, agreed with the noiseless pick
     and fell back, and the summed selection time in ms (an (epsilon,
