@@ -14,6 +14,7 @@ or configuration problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -382,12 +383,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser of every run without ``--config``, built on first use.
+
+    Parsing leaves a parser as it was, so one serves every later call of
+    :func:`main` in the process.  A ``--config`` run sets defaults, so it
+    builds a parser of its own instead.
+    """
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
     try:
         config_path = _peek_config(argv)
-        if config_path is not None:
+        if config_path is None:
+            parser, _ = _shared_parser()
+        else:
+            parser, subparsers = _build_parser()
             command = argv[0] if argv and argv[0] in subparsers else None
             if command is None:
                 raise ConfigError("--config requires a subcommand")

@@ -312,34 +312,47 @@ def load_csv(path, response: str, include_intercept: bool = True):
     """Read a delimited file into raw (x, y, names).
 
     The header row names the columns; ``response`` picks the y column and
-    every other column becomes a covariate in file order.  With
-    ``include_intercept`` an all-ones column named "intercept" is placed
-    first and participates in model enumeration like any other covariate.
-    Returns raw arrays: standardization/bounds are the caller's next step.
+    every other column becomes a covariate in file order.  Names are
+    stripped of surrounding spaces and must be distinct.  A leading UTF-8
+    byte order mark is dropped, and rows may end in LF, CRLF or a bare CR.
+    With ``include_intercept`` an all-ones column named "intercept" is
+    placed first and participates in model enumeration like any other
+    covariate.  Returns raw arrays: standardization/bounds are the caller's
+    next step.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         text = fh.read()
+    # The header is one csv record, which a quoted name can stretch over
+    # several lines; the stream's offset after it is where the body starts.
     stream = io.StringIO(text, newline="")
     try:
         header = next(csv.reader(stream))
     except StopIteration:
         raise DataError(f"{path} is empty") from None
+    body = text[stream.tell():]
     header = [h.strip() for h in header]
-    if response not in header:
+    first_seen: dict[str, int] = {}
+    for col, name in enumerate(header, start=1):
+        if name in first_seen:
+            raise DataError(
+                f"{path} names column {name!r} twice, at columns "
+                f"{first_seen[name]} and {col}"
+            )
+        first_seen[name] = col
+    if response not in first_seen:
         raise ConfigError(
             f"response column {response!r} not found; "
             f"available columns: {', '.join(header)}"
         )
-    y_pos = header.index(response)
+    y_pos = first_seen[response] - 1
     cov_names = [h for i, h in enumerate(header) if i != y_pos]
     if not cov_names:
         raise DataError(f"{path} has no covariate columns besides {response!r}")
-    body = stream.read()
-    cells = _parse_rows_fast(body, len(header))
+    cells = _loadtxt_rows(body, len(header))
     if cells is None:
         cells = _parse_rows(body, header)
     if not len(cells):
@@ -352,27 +365,29 @@ def load_csv(path, response: str, include_intercept: bool = True):
     return x, y, cov_names
 
 
-def _parse_rows_fast(body: str, width: int) -> np.ndarray | None:
+def _loadtxt_rows(body: str, width: int) -> np.ndarray | None:
     """The data rows as one (rows, width) array from ``np.loadtxt``, or
     None when :func:`_parse_rows` must decide.
 
-    ``loadtxt`` reads numbers with the same routine as ``float()``, so the
-    arrays agree bit for bit.  It skips blank lines, which the csv rules
-    count as (bad) rows, so a result is kept only with one row per line.
+    ``loadtxt`` and ``float()`` give the same bits for every cell both
+    accept.  ``loadtxt`` gets the body as a list of lines, and a CRLF
+    line's carriage return ends its row.  It skips blank lines, which the
+    csv rules count as (bad) rows, and joins a quoted cell across lines,
+    so a result is kept only with one row per line.
     """
-    if not body.strip() or body.count("\r") > body.count("\r\n"):
-        # No data, or a bare carriage return: it ends a csv row but not a
-        # counted line.
+    if not body or body.isspace():
         return None
+    if "\r" in body and body.count("\r") != body.count("\r\n"):
+        # A bare carriage return ends a csv row but not a line.
+        return None
+    lines = body.split("\n")
     try:
         cells = np.loadtxt(
-            io.StringIO(body, newline=""), dtype=np.float64, delimiter=",", quotechar='"',
-            comments=None, ndmin=2,
+            lines, dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2,
         )
     except ValueError:
         return None
-    lines = body.count("\n") + (not body.endswith("\n"))
-    if cells.shape != (lines, width):
+    if cells.shape != (len(lines) - (not lines[-1]), width):
         return None
     return cells
 

@@ -218,6 +218,25 @@ class TestConfigFile:
         doc = json.loads(capsys.readouterr().out)
         assert doc["phi_n"] == 1.5  # command line beats the file
 
+    def test_config_defaults_do_not_outlive_their_run(self, demo_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input = {demo_csv}\nresponse = y\nR = 2.0\nphi = 9.0\nepsilon = 2.0\n"
+            "seed = 3\ndebug_unsafe = true\n",
+            encoding="utf-8",
+        )
+        assert main(["select", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["phi_n"] == 9.0
+
+        assert main(_select_args(demo_csv)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["phi_n"] == 2.0 and doc["key_sha256"] == _commitment(11)
+        assert "models" not in doc  # debug_unsafe came from the file only
+
+        assert main(["select", "--input", str(demo_csv), "--response", "y",
+                     "--phi", "2.0", "--epsilon", "2.0"]) == 2
+        assert "missing required option(s): --R" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, demo_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("banana = 3\n", encoding="utf-8")

@@ -322,6 +322,11 @@ class TestLoadCsvFormats:
         assert names == ["a"]
         assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
 
+    def test_bare_carriage_return_before_a_blank_line(self, tmp_path):
+        # The "\r" ends a csv row inside the first "\n" line, so a count of
+        # lines matches a count of rows that skips the blank one.
+        self._fails(tmp_path, "y,a\n1,2\r3,4\n\n", DataError, "data row 3 has 0 cells, expected 2")
+
     def test_missing_final_newline(self, tmp_path):
         x, y, _ = self._load(tmp_path, "y,a\n1,2\n3,4")
         assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
@@ -344,8 +349,23 @@ class TestLoadCsvFormats:
                 "response column 'z' not found; available columns: y, a") + "$"):
             self._load(tmp_path, "y,a\n1,2\n", response="z")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+        x, y, names = self._load(tmp_path, "\ufeffy,a\r\n1,2\r\n3,4\r\n")
+        assert names == ["a"]
+        assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("text, name, first, second", [
+        ("y,a,y\n1,2,3\n", "y", 1, 3),
+        ("y, a ,b,a\n1,2,3,4\n", "a", 2, 4),
+    ])
+    def test_duplicate_column_name_message(self, tmp_path, text, name, first, second):
+        p = tmp_path / "f.csv"
+        self._fails(tmp_path, text, DataError,
+                    f"{p} names column {name!r} twice, at columns {first} and {second}")
+
     def test_fast_parse_matches_the_csv_rules_bit_for_bit(self, tmp_path):
-        from dpms.data import _parse_rows, _parse_rows_fast
+        from dpms.data import _loadtxt_rows, _parse_rows
 
         rng = np.random.default_rng(3)
         values = np.column_stack([rng.uniform(-1, 1, (300, 12)), rng.normal(0, 1, 300)])
@@ -354,9 +374,75 @@ class TestLoadCsvFormats:
         header = ",".join([f"x{j}" for j in range(12)] + ["y"])
         np.savetxt(p, values, fmt="%.17g", delimiter=",", header=header, comments="")
         body = p.read_text(encoding="utf-8").split("\n", 1)[1]
-        fast = _parse_rows_fast(body, 13)
+        fast = _loadtxt_rows(body, 13)
         assert fast is not None
         slow = _parse_rows(body, header.split(","))
         assert fast.tobytes() == slow.tobytes() == values.tobytes()
         x, y, _ = load_csv(p, "y", include_intercept=False)
         assert x.tobytes() == values[:, :12].tobytes() and y.tobytes() == values[:, 12].tobytes()
+
+    def test_load_csv_matches_the_csv_rules_on_random_texts(self, tmp_path):
+        """Differential test: ``load_csv`` against ``_parse_rows`` on texts
+        that mix line endings, quoting, spacing and number spellings.  An
+        accepted text must give the same bytes; a rejected one the same
+        message."""
+        from dpms.data import _loadtxt_rows, _parse_rows
+
+        rng = np.random.default_rng(14)
+        specials = ["nan", "NaN", "-nan", "inf", "-inf", "+Inf", "Infinity", "-INFINITY"]
+
+        def spell(v):
+            kind = rng.integers(6)
+            if kind == 0:
+                return specials[rng.integers(len(specials))]
+            if kind == 1:
+                return f"{v:.6e}".replace("e", "eE"[rng.integers(2)])
+            if kind == 2:
+                return repr(float(v) * 1e-310)  # subnormal
+            return f"{v:.17g}"
+
+        def dress(cell):
+            cell = " " * rng.integers(3) + cell + "\t" * rng.integers(2)
+            return f'"{cell}"' if rng.random() < 0.2 else cell
+
+        fast_taken = checked = 0
+        for case in range(300):
+            width, rows = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+            eol = ("\n", "\r\n", "\r")[rng.choice(3, p=[0.45, 0.45, 0.1])]
+            names = [f"c{j}" for j in range(width)]
+            y_col = int(rng.integers(width))
+            names[y_col] = "y"
+            if rng.random() < 0.2:  # a quoted header name that spans a line
+                names[(y_col + 1) % width] = f"a{eol}b"
+            header = ",".join(f'"{n}"' for n in names)
+            lines = [",".join(dress(spell(v)) for v in rng.normal(0, 1, width)) for _ in range(rows)]
+            if rng.random() < 0.15:
+                lines.insert(int(rng.integers(rows + 1)), "")  # blank line
+            if rng.random() < 0.1:
+                lines.insert(int(rng.integers(rows + 1)), "  ")  # whitespace-only line
+            if rng.random() < 0.1:
+                lines[-1] += ",1"  # ragged row
+            if rng.random() < 0.1:
+                lines[0] = lines[0].rsplit(",", 1)[0] + f',"1.5{eol}"'  # quoted cell over a line
+            ends = [eol] * len(lines)
+            if rng.random() < 0.3:  # mixed line endings
+                ends[int(rng.integers(len(lines)))] = ("\n", "\r\n", "\r")[rng.integers(3)]
+            body = "".join(map(str.__add__, lines, ends))
+            if rng.random() < 0.3:
+                body = body[: len(body) - len(ends[-1])]  # no final line end
+            p = tmp_path / f"r{case}.csv"
+            p.write_bytes((header + eol + body).encode("utf-8"))
+            try:
+                want = _parse_rows(body, names)
+            except DataError as exc:
+                with pytest.raises(DataError, match="^" + re.escape(str(exc)) + "$"):
+                    load_csv(p, "y", include_intercept=False)
+                continue
+            x, y, got_names = load_csv(p, "y", include_intercept=False)
+            assert got_names == [n for j, n in enumerate(names) if j != y_col]
+            assert y.tobytes() == want[:, y_col].tobytes(), case
+            assert x.tobytes() == np.delete(want, y_col, axis=1).tobytes(), case
+            checked += 1
+            fast_taken += _loadtxt_rows(body, width) is not None
+        # Both routes were compared, not just the csv rules with themselves.
+        assert checked > 150 and fast_taken > 100
