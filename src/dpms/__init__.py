@@ -26,7 +26,6 @@ from .mechanisms import (
 from .selection import (
     SelectionConfig,
     SelectionReport,
-    ls_sensitivity,
     pcls_select,
     pcpl_select,
 )
@@ -43,10 +42,8 @@ from .simulate import (
 from .solver import (
     FitResult,
     Fits,
-    SolverConfig,
     fit_masks,
     profile_neg2_loglik,
-    project_l1,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +64,6 @@ __all__ = [
     "ScoredCandidate",
     "SelectionConfig",
     "SelectionReport",
-    "SolverConfig",
     "SolverError",
     "SufficientStats",
     "SweepGrid",
@@ -81,12 +77,10 @@ __all__ = [
     "from_explicit",
     "generate",
     "load_csv",
-    "ls_sensitivity",
     "noisy_argmin",
     "pcls_select",
     "pcpl_select",
     "profile_neg2_loglik",
-    "project_l1",
     "run_sweep",
     "sample_laplace",
     "standardize",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,11 +322,10 @@ def load_csv(path, response: str, include_intercept: bool = True):
     next step.
     """
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        text = fh.read()
     # The header is one csv record, which a quoted name can stretch over
     # several lines; the stream's offset after it is where the body starts.
     stream = io.StringIO(text, newline="")
@@ -365,6 +365,14 @@ def load_csv(path, response: str, include_intercept: bool = True):
     return x, y, cov_names
 
 
+# The four ASCII separator controls: str.isspace() holds for them, but
+# float() rejects them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# Leading or trailing spaces of a cell, the separators kept.
+_SPACES = re.compile(rf"^[^\S{_SEPARATORS}]+|[^\S{_SEPARATORS}]+\Z")
+
+
 def _loadtxt_rows(body: str, width: int) -> np.ndarray | None:
     """The data rows as one (rows, width) array from ``np.loadtxt``, or
     None when :func:`_parse_rows` must decide.
@@ -373,9 +381,11 @@ def _loadtxt_rows(body: str, width: int) -> np.ndarray | None:
     accept.  ``loadtxt`` gets the body as a list of lines, and a CRLF
     line's carriage return ends its row.  It skips blank lines, which the
     csv rules count as (bad) rows, and joins a quoted cell across lines,
-    so a result is kept only with one row per line.
+    so a result is kept only with one row per line.  It also strips the
+    separator controls U+001C to U+001F from a cell, where ``float()``
+    rejects them.
     """
-    if not body or body.isspace():
+    if not body or body.isspace() or any(c in body for c in _SEPARATORS):
         return None
     if "\r" in body and body.count("\r") != body.count("\r\n"):
         # A bare carriage return ends a csv row but not a line.
@@ -408,7 +418,7 @@ def _parse_rows(body: str, header: list[str]) -> np.ndarray:
                 vals.append(float(cell))
             except ValueError:
                 raise DataError(
-                    f"non-numeric value {cell.strip()!r} at data row "
+                    f"non-numeric value {_SPACES.sub('', cell)!r} at data row "
                     f"{row_no}, column {name!r}"
                 ) from None
         rows.append(vals)

@@ -57,7 +57,6 @@ from .solver import fit_masks  # noqa: F401
 __all__ = [
     "SelectionConfig",
     "SelectionReport",
-    "ls_sensitivity",
     "pcls_select",
     "pcpl_select",
 ]
@@ -115,19 +114,16 @@ class SelectionConfig:
             )
 
 
-def ls_sensitivity(response_bound: float, radius: float) -> float:
-    """Worst-case change of the constrained squared error under one row swap.
+def _score_width(n_obs: int, d: int, response_bound: float, radius: float) -> float:
+    """How far one row swap can move a certified constrained loss.
 
     A single row contributes ``(y_i - x_i @ beta)**2`` to the loss, and with
     |y| <= r, |x| <= 1 (entrywise) and |beta|_1 <= R the residual magnitude
-    is at most ``r + R``.  Replacing one row therefore moves the loss by at
-    most ``(r + R)**2``, whatever the rest of the data looks like.
+    is at most ``r + R``, so replacing it moves the exact loss by at most
+    ``(r + R)**2``.  A certified fit may sit up to the public
+    ``loss_slack`` from the exact loss, which the width adds.
     """
-    if not (math.isfinite(response_bound) and response_bound > 0):
-        raise ConfigError(f"response_bound must be positive and finite, got {response_bound}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ConfigError(f"radius must be positive and finite, got {radius}")
-    return (response_bound + radius) ** 2
+    return (response_bound + radius) ** 2 + loss_slack(n_obs, d, response_bound, radius)
 
 
 def _check_delta(algorithm: str, delta: float) -> None:
@@ -164,7 +160,7 @@ def _profile_sensitivity_value(
     """
     units = np.asarray(laplace_units, dtype=np.float64)
     slack = loss_slack(n_obs, d, response_bound, radius)
-    width = (response_bound + radius) ** 2 + slack
+    width = _score_width(n_obs, d, response_bound, radius)
     shift = np.zeros(units.shape)
     if math.isfinite(stage1_epsilon):
         shift = width * (units - math.log(1.0 / (2.0 * delta))) / stage1_epsilon
@@ -422,10 +418,7 @@ def _select_rows(
     rows = len(stream_ids)
     if algorithm == "pcls":
         epsilon, proxy = config.budget.epsilon, None
-        width = ls_sensitivity(bound, config.radius) + loss_slack(
-            n_obs, models.d, bound, config.radius
-        )
-        sensitivity = np.full(rows, width)
+        sensitivity = np.full(rows, _score_width(n_obs, models.d, bound, config.radius))
     else:
         stage1_epsilon, epsilon = _stage_epsilons(config)
         proxy = sensitivity = _profile_sensitivity_value(

@@ -24,7 +24,7 @@ how far the fit's loss sits above the constrained minimum:
    skipped, so identical columns stay on the path too.
 4. What is left runs projected gradient with step 1/L, L the exact top
    eigenvalue of the restricted A, and a KKT candidate every few steps.
-   A row still uncertified after ``max_iterations`` steps, or whose gap
+   A row still uncertified after ``_MAX_ITERATIONS`` steps, or whose gap
    has stopped falling, raises :class:`~dpms.errors.SolverError`; no
    uncertified loss is returned.
 
@@ -34,7 +34,7 @@ first pass and gives each unsettled mask a certified loss interval
 (:class:`LossBounds`), so a selection can settle only the masks its
 release can depend on.
 
-``tau`` is ``tolerance * max(1, yty)`` plus a round-off allowance, a
+``tau`` is ``_TOLERANCE * max(1, yty)`` plus a round-off allowance, a
 small multiple of ``eps * d`` times the loss's scale ``yty + 2 R ||b||_inf
 + R^2 max A_jj``, below which no computed gap can be trusted.  With
 ``|x_ij| <= 1`` and ``|y_i| <= r`` both parts have public bounds;
@@ -56,19 +56,26 @@ import numpy as np
 
 from .data import SufficientStats, member_matrix
 from .enumeration import CandidateSet
-from .errors import ConfigError, DataError, SolverError
+from .errors import DataError, SolverError
 
 __all__ = [
-    "SolverConfig",
     "FitResult",
     "Fits",
     "LossBounds",
-    "project_l1",
     "bound_masks",
     "fit_masks",
     "loss_slack",
     "profile_neg2_loglik",
 ]
+
+# A fit is accepted once its Frank-Wolfe duality gap is at most
+# _TOLERANCE * max(1, yty) plus the round-off allowance, so its loss exceeds
+# the constrained minimum by no more than that.  The selectors calibrate
+# their noise to the same level (loss_slack), so it is fixed.
+_TOLERANCE = 1e-10
+
+# Projected-gradient steps a fit may take before SolverError.
+_MAX_ITERATIONS = 10_000
 
 # Projected-gradient steps between two KKT candidates of a binding row.
 _POLISH_EVERY = 4
@@ -85,32 +92,6 @@ _JOIN_FLOOR = 1e-9
 # A live row whose lowest gap has not fallen by 1% in this many steps has
 # reached its round-off floor and cannot be certified.
 _STALL_STEPS = 500
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Certificate and step budget of every fit.
-
-    A fit is accepted once its Frank-Wolfe duality gap is at most
-    ``tolerance * max(1, yty)`` plus the round-off allowance (see the
-    module notes), so its loss exceeds the constrained minimum by no more
-    than that; a tolerance far below ``1e-15`` certifies to the allowance.
-    A mask that neither its KKT candidate nor the lasso path settles may
-    take up to ``max_iterations`` projected-gradient steps to get there;
-    past that, or once its gap has stopped falling,
-    :class:`~dpms.errors.SolverError`.
-    """
-
-    max_iterations: int = 10_000
-    tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +152,10 @@ def _scale(stats: SufficientStats, radius: float) -> float:
     )
 
 
-def _tau(stats: SufficientStats, radius: float, tolerance: float) -> float:
+def _tau(stats: SufficientStats, radius: float) -> float:
     """Certificate level of one dataset: the tolerance plus the round-off
     allowance on the loss's scale."""
-    return tolerance * max(1.0, stats.yty) + _ROUNDOFF * stats.d * _scale(stats, radius)
+    return _TOLERANCE * max(1.0, stats.yty) + _ROUNDOFF * stats.d * _scale(stats, radius)
 
 
 def loss_slack(n_obs: int, d: int, response_bound: float, radius: float) -> float:
@@ -182,30 +163,14 @@ def loss_slack(n_obs: int, d: int, response_bound: float, radius: float) -> floa
 
     With ``|x_ij| <= 1`` and ``|y_i| <= r``, ``yty <= n r^2``,
     ``|X'y|_j <= n r`` and ``(X'X)_jj <= n``, so a certificate level is at
-    most ``tolerance * max(1, n r^2) + allowance * d * n (r + R)^2``.  The
+    most ``_TOLERANCE * max(1, n r^2) + allowance * d * n (r + R)^2``.  The
     allowance is counted twice: once in the certificate, once for the
     round-off of the loss and of the gap themselves.
     """
     scale = n_obs * (response_bound + radius) ** 2
-    return SolverConfig().tolerance * max(1.0, n_obs * response_bound**2) + (
+    return _TOLERANCE * max(1.0, n_obs * response_bound**2) + (
         2.0 * _ROUNDOFF * d * scale
     )
-
-
-def project_l1(v, radius: float) -> np.ndarray:
-    """Euclidean projection of a vector onto ``{u : ||u||_1 <= radius}``.
-
-    Feasible input is returned unchanged (no drift on repeated calls);
-    infeasible input is soft-thresholded at the exact level found by the
-    sort-and-scan rule, so the output lands on the ball's surface.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DataError(f"project_l1 expects a vector, got shape {v.shape}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise DataError(f"radius must be positive and finite, got {radius}")
-    out = _project_rows(v[None, :].copy(), radius)
-    return out[0]
 
 
 def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
@@ -405,7 +370,7 @@ def _step_sizes(a: np.ndarray, member: np.ndarray) -> np.ndarray:
     return np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
 
 
-def _descend(a, yty, member, bvec, start, radius, tau, config):
+def _descend(a, yty, member, bvec, start, radius, tau):
     """Projected gradient from ``start`` until every row is certified.
 
     Rows leave the batch once their iterate, or the KKT candidate on its
@@ -422,7 +387,7 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
     beta, mem, b, step = start, member, bvec, None
     obj = np.full(m, np.inf)
     best_gap, best_at = np.full(m, np.inf), np.zeros(m, dtype=np.int64)
-    for it in range(config.max_iterations + 1):
+    for it in range(_MAX_ITERATIONS + 1):
         grad = (beta @ a) * mem - b
         new_obj = yty + _rowdot(beta, grad - b)
         if np.any(new_obj > obj + 1e-9 * np.maximum(1.0, np.abs(obj))):
@@ -445,7 +410,7 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
         )
         if not live.size:
             return beta_out, iterations
-        if it == config.max_iterations:
+        if it == _MAX_ITERATIONS:
             break
         step = _step_sizes(a, mem) if step is None else step[keep]
         stuck = (step == 0.0) | (it - best_at >= _STALL_STEPS)
@@ -456,7 +421,7 @@ def _descend(a, yty, member, bvec, start, radius, tau, config):
             )
         beta = _project_rows(beta - step[:, None] * grad, radius)
     raise SolverError(
-        f"{live.size} fit(s) not certified after {config.max_iterations} projected-gradient "
+        f"{live.size} fit(s) not certified after {_MAX_ITERATIONS} projected-gradient "
         f"steps (duality gap above {tau:.3g})"
     )
 
@@ -467,7 +432,7 @@ def _objective(yty, a, member, bvec, beta) -> np.ndarray:
     return np.maximum(obj, 0.0)
 
 
-def _settle(a, yty, member, bvec, start, radius, tau, config):
+def _settle(a, yty, member, bvec, start, radius, tau):
     """Certified fits of the rows given, from their projected starts.
 
     Each row tries one KKT candidate on the support and signs of its start;
@@ -489,7 +454,7 @@ def _settle(a, yty, member, bvec, start, radius, tau, config):
         if slow.any():
             rows = rest[slow]
             beta[rows], iterations[rows] = _descend(
-                a, yty, member[rows], bvec[rows], path[slow], radius, tau, config
+                a, yty, member[rows], bvec[rows], path[slow], radius, tau
             )
     return beta, iterations
 
@@ -511,11 +476,10 @@ class LossBounds:
     does, bit for bit, and makes every interval exact.
     """
 
-    def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float,
-                 config: SolverConfig) -> None:
+    def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float) -> None:
         a = stats.xtx
         bvec = member * stats.xty
-        tau = _tau(stats, radius, config.tolerance)
+        tau = _tau(stats, radius)
         beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
         rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
         if rest.size:
@@ -524,7 +488,7 @@ class LossBounds:
             # radius, from zero.
             solved = np.abs(beta[rest]).sum(axis=1) < radius / np.finfo(np.float64).eps
             beta[rest] = _project_rows(np.where(solved[:, None], beta[rest], 0.0), radius)
-        self._stats, self._radius, self._tau, self._config = stats, radius, tau, config
+        self._stats, self._radius, self._tau = stats, radius, tau
         self._member, self._bvec, self._beta, self._rest = member, bvec, beta, rest
         self.exact = np.ones(len(member), dtype=bool)
         self.exact[rest] = False
@@ -559,7 +523,7 @@ class LossBounds:
     def _settle(self, rows) -> tuple[np.ndarray, np.ndarray]:
         return _settle(
             self._stats.xtx, self._stats.yty, self._member[rows], self._bvec[rows],
-            self._beta[rows], self._radius, self._tau, self._config,
+            self._beta[rows], self._radius, self._tau,
         )
 
     def settle(self, rows) -> None:
@@ -587,12 +551,7 @@ class LossBounds:
         return self._fits
 
 
-def bound_masks(
-    stats: SufficientStats,
-    models: CandidateSet,
-    radius: float,
-    config: SolverConfig | None = None,
-) -> LossBounds:
+def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> LossBounds:
     """The first pass of :func:`fit_masks`: every slack mask settled, and a
     certified loss interval for each of the others (see
     :class:`LossBounds`)."""
@@ -600,19 +559,14 @@ def bound_masks(
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):
         raise DataError(f"radius must be positive and finite, got {radius}")
-    return LossBounds(stats, member_matrix(models.bits, stats.d), radius, config or SolverConfig())
+    return LossBounds(stats, member_matrix(models.bits, stats.d), radius)
 
 
-def fit_masks(
-    stats: SufficientStats,
-    models: CandidateSet,
-    radius: float,
-    config: SolverConfig | None = None,
-) -> Fits:
+def fit_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> Fits:
     """Fit every model of the family against the same statistics in one
     stacked solve.  Output order matches family order, and every fit is
-    certified (see :class:`SolverConfig`)."""
-    return bound_masks(stats, models, radius, config).fits()
+    certified (see the module notes)."""
+    return bound_masks(stats, models, radius).fits()
 
 
 def profile_neg2_loglik(losses, n_obs: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from dpms import (
     PrivacyBudget,
     RngStream,
     SelectionConfig,
-    SolverConfig,
     SweepGrid,
     SyntheticSpec,
     all_subsets,
@@ -35,7 +34,6 @@ from dpms import (
     fit_masks,
     from_explicit,
     generate,
-    ls_sensitivity,
     run_sweep,
     sample_laplace,
     sufficient_stats,
@@ -51,8 +49,6 @@ AUDIT_D = 4
 AUDIT_R = 1.0
 AUDIT_RADIUS = 2.0
 AUDIT_WIDTH = (AUDIT_R + AUDIT_RADIUS) ** 2
-# Solved far past the 1e-6 audit slack so solver error cannot mask a breach.
-AUDIT_SOLVER = SolverConfig(max_iterations=100_000, tolerance=1e-14)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -73,7 +69,7 @@ def adjacent_losses():
 
     def losses(x, y):
         st = sufficient_stats(Dataset.from_arrays(x, y, response_bound=AUDIT_R))
-        return fit_masks(st, masks, radius=AUDIT_RADIUS, config=AUDIT_SOLVER).neg2_loglik
+        return fit_masks(st, masks, radius=AUDIT_RADIUS).neg2_loglik
 
     pairs = []
     for _ in range(250):
@@ -117,7 +113,6 @@ def test_c03_unconstrained_equivalence():
     # With the radius at r*sqrt(d/kappa0) the constraint never binds, so
     # every masked fit must land on the normal-equation solution.
     rng = np.random.default_rng(MASTER + 3)
-    tight = SolverConfig(max_iterations=200_000, tolerance=1e-16)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(80, 241))
@@ -135,7 +130,7 @@ def test_c03_unconstrained_equivalence():
                 m = ModelMask.from_indices(pick, d)
                 if all(m.bits != f.bits for f in fam):
                     fam.append(m)
-        fits = fit_masks(st, CandidateSet([m.bits for m in fam], d), radius=radius, config=tight)
+        fits = fit_masks(st, CandidateSet([m.bits for m in fam], d), radius=radius)
         for mask, beta in zip(fam, fits.beta):
             cols = mask.column_positions()
             xm = x[:, cols]
@@ -324,13 +319,12 @@ def test_c07_radius_below_signal_norm(model1_props):
 
 
 def test_c08_privacy_log_ratio():
-    sens = ls_sensitivity(AUDIT_R, AUDIT_RADIUS)
     family = from_explicit([[1], [2]], 2)
     trials = 1_000_000
     parts = []
     ok = True
     for k, eps in enumerate((0.5, 1.0)):
-        scale = 2.0 * sens / eps
+        scale = 2.0 * AUDIT_WIDTH / eps
         first = 80_000_000 + k * 2_000_000
         # Two score vectors one row swap apart in the worst case: every
         # candidate's score moves by exactly the global sensitivity.  Each
@@ -344,7 +338,7 @@ def test_c08_privacy_log_ratio():
                 )[0],
                 minlength=2,
             )
-            for side in ((0.0, sens), (sens, 0.0))
+            for side in ((0.0, AUDIT_WIDTH), (AUDIT_WIDTH, 0.0))
         ]
         worst = max(abs(math.log(counts[0][j] / counts[1][j])) for j in range(2))
         parts.append(f"eps={eps}: log-ratio {worst:.3f} <= {eps + 0.05:.2f}")

@@ -158,6 +158,16 @@ class TestSelect:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        # Excel's plain "CSV" export writes cp1252: an accented cell is one
+        # byte that is not UTF-8.
+        path = tmp_path / "latin.csv"
+        path.write_bytes("y,a\n1,0.5\n2,caf\u00e9\n".encode("cp1252"))
+        code = main(_select_args(path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+
     def test_pcpl_without_delta_is_usage_error(self, demo_csv, capsys):
         code = main(_select_args(demo_csv, "--algorithm", "pcpl"))
         assert code == 2

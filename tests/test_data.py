@@ -355,6 +355,24 @@ class TestLoadCsvFormats:
         assert names == ["a"]
         assert y.tolist() == [1.0, 3.0] and x[:, 0].tolist() == [2.0, 4.0]
 
+    def test_non_utf8_file_message(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"y,a\n1,\xe9\n")
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"cannot read {p}: 'utf-8' codec can't decode byte 0xe9 in position 6: "
+                "invalid continuation byte") + "$"):
+            load_csv(p, "y")
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_controls_are_rejected_and_shown(self, tmp_path, sep):
+        # np.loadtxt strips these four controls from a cell, as it does
+        # spaces, but float() rejects them: the csv rules decide, and the
+        # message keeps the control that str.strip() would hide.
+        self._fails(tmp_path, f"y,a\n1{sep},0.5\n2,0.1\n", DataError,
+                    f"non-numeric value {'1' + sep!r} at data row 1, column 'y'")
+        self._fails(tmp_path, f"y,a\n1,0.5\n2, 0.1{sep} \n", DataError,
+                    f"non-numeric value {'0.1' + sep!r} at data row 2, column 'a'")
+
     @pytest.mark.parametrize("text, name, first, second", [
         ("y,a,y\n1,2,3\n", "y", 1, 3),
         ("y, a ,b,a\n1,2,3,4\n", "a", 2, 4),

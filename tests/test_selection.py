@@ -20,7 +20,6 @@ from dpms import (
     exponential_mechanism,
     fit_masks,
     from_explicit,
-    ls_sensitivity,
     noisy_argmin,
     pcls_select,
     pcpl_select,
@@ -52,21 +51,6 @@ def _ols_rss(x, y, mask):
     sub = x[:, cols]
     beta = np.linalg.lstsq(sub, y, rcond=None)[0]
     return float(np.sum((y - sub @ beta) ** 2))
-
-
-class TestLsSensitivity:
-    def test_frozen_value(self):
-        assert ls_sensitivity(2.0, 1.0) == 9.0
-
-    def test_grows_with_both_arguments(self):
-        assert ls_sensitivity(3.0, 1.0) > ls_sensitivity(2.0, 1.0)
-        assert ls_sensitivity(2.0, 2.0) > ls_sensitivity(2.0, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ls_sensitivity(0.0, 1.0)
-        with pytest.raises(ConfigError):
-            ls_sensitivity(1.0, math.inf)
 
 
 class TestProfileSensitivityValue:

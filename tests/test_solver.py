@@ -10,14 +10,12 @@ import pytest
 
 from dpms import (
     CandidateSet,
-    ConfigError,
     DataError,
     Dataset,
     ModelMask,
     PrivacyBudget,
     RngStream,
     SelectionConfig,
-    SolverConfig,
     SolverError,
     all_subsets,
     fit_masks,
@@ -26,19 +24,22 @@ from dpms import (
     sufficient_stats,
 )
 
-# Tight settings used whenever a test compares against a closed form; the
-# default tolerance is meant for selection work, not 1e-6 coefficient
-# recovery.
-TIGHT = SolverConfig(max_iterations=200_000, tolerance=1e-16)
-
 
 def _family(masks):
     return CandidateSet([m.bits for m in masks], masks[0].d)
 
 
-def _fit_one(stats, mask, radius, config=None):
+def _fit_one(stats, mask, radius):
     """Constrained least squares for one candidate model."""
-    return fit_masks(stats, _family([mask]), radius, config)[0]
+    return fit_masks(stats, _family([mask]), radius)[0]
+
+
+def _project_one(v, radius):
+    """Euclidean projection of one vector onto the l1 ball, by the row-wise
+    projection every binding fit runs."""
+    from dpms.solver import _project_rows
+
+    return _project_rows(np.array(v, dtype=np.float64)[None, :], radius)[0]
 
 
 def _project_l1_bisection(v, radius):
@@ -86,70 +87,48 @@ class TestProjectL1:
     def test_large_entries_stay_in_the_ball(self):
         # Thresholding entries near 1e6 down to a radius of 0.01 loses
         # their low digits, which must not leave the output outside.
-        from dpms import project_l1
-
         for seed in range(10):
             v = 1e6 + np.random.default_rng(seed).uniform(0, 1e-3, 8)
-            assert np.abs(project_l1(v, 0.01)).sum() <= 0.01 * (1.0 + 1e-15)
+            assert np.abs(_project_one(v, 0.01)).sum() <= 0.01 * (1.0 + 1e-15)
 
     def test_huge_entry_keeps_its_share_of_the_radius(self):
         # An entry 1e20 times the radius: summing the sorted entries and
         # subtracting the radius would round the radius away.
-        from dpms import project_l1
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert project_l1(np.array([1e20, 0.0]), 1.0).tolist() == [1.0, 0.0]
-            assert project_l1(np.array([0.0, -1e20, 3.0]), 2.0).tolist() == [0.0, -2.0, 0.0]
-            out = project_l1(np.array([1e20, 1e20 + 2**17]), 1.0)
+            assert _project_one(np.array([1e20, 0.0]), 1.0).tolist() == [1.0, 0.0]
+            assert _project_one(np.array([0.0, -1e20, 3.0]), 2.0).tolist() == [0.0, -2.0, 0.0]
+            out = _project_one(np.array([1e20, 1e20 + 2**17]), 1.0)
         # The two entries differ by 2**17, far beyond the radius.
         assert out.tolist() == [0.0, 1.0]
 
     def test_frozen_examples(self):
-        from dpms import project_l1
-
-        assert project_l1(np.array([3.0, 0.0, 0.0]), 1.0).tolist() == [1.0, 0.0, 0.0]
-        assert np.allclose(project_l1(np.array([2.0, 2.0]), 2.0), [1.0, 1.0])
-        assert np.allclose(project_l1(np.array([-2.0, 2.0]), 2.0), [-1.0, 1.0])
+        assert _project_one(np.array([3.0, 0.0, 0.0]), 1.0).tolist() == [1.0, 0.0, 0.0]
+        assert np.allclose(_project_one(np.array([2.0, 2.0]), 2.0), [1.0, 1.0])
+        assert np.allclose(_project_one(np.array([-2.0, 2.0]), 2.0), [-1.0, 1.0])
 
     def test_feasible_points_untouched(self):
-        from dpms import project_l1
-
         v = np.array([0.3, -0.4, 0.1])
-        assert project_l1(v, 1.0).tolist() == v.tolist()
+        assert _project_one(v, 1.0).tolist() == v.tolist()
         # boundary point: still untouched
-        assert project_l1(np.array([0.5, -0.5]), 1.0).tolist() == [0.5, -0.5]
+        assert _project_one(np.array([0.5, -0.5]), 1.0).tolist() == [0.5, -0.5]
 
     def test_matches_bisection_oracle(self):
-        from dpms import project_l1
-
         rng = np.random.default_rng(7)
         for _ in range(200):
             dim = int(rng.integers(1, 12))
             v = rng.normal(0, 3, dim)
             radius = float(rng.uniform(0.1, 4.0))
-            mine = project_l1(v, radius)
+            mine = _project_one(v, radius)
             oracle = _project_l1_bisection(v, radius)
             assert np.allclose(mine, oracle, atol=1e-9)
             assert np.abs(mine).sum() <= radius + 1e-9
 
     def test_projection_is_idempotent(self):
-        from dpms import project_l1
-
         rng = np.random.default_rng(8)
         v = rng.normal(0, 3, 6)
-        once = project_l1(v, 1.5)
-        assert np.array_equal(project_l1(once, 1.5), once)
-
-    def test_rejects_bad_inputs(self):
-        from dpms import project_l1
-
-        with pytest.raises(DataError):
-            project_l1(np.zeros((2, 2)), 1.0)
-        with pytest.raises(DataError):
-            project_l1(np.zeros(2), 0.0)
-        with pytest.raises(DataError):
-            project_l1(np.zeros(2), math.inf)
+        once = _project_one(v, 1.5)
+        assert np.array_equal(_project_one(once, 1.5), once)
 
 
 class TestFitAgainstNormalEquations:
@@ -162,7 +141,7 @@ class TestFitAgainstNormalEquations:
             mask = ModelMask.full(4)
             oracle = _ols_restricted(x, y, mask)
             radius = float(np.abs(oracle).sum()) * 4.0 + 1.0
-            fit = _fit_one(stats, mask, radius, TIGHT)
+            fit = _fit_one(stats, mask, radius)
             assert fit.converged
             assert np.max(np.abs(fit.beta - oracle)) < 1e-6
             assert fit.neg2_loglik == pytest.approx(float(np.sum((y - x @ oracle) ** 2)), rel=1e-9)
@@ -174,7 +153,7 @@ class TestFitAgainstNormalEquations:
             mask = ModelMask(bits, 5)
             oracle = _ols_restricted(x, y, mask)
             radius = float(np.abs(oracle).sum()) * 3.0 + 1.0
-            fit = _fit_one(stats, mask, radius, TIGHT)
+            fit = _fit_one(stats, mask, radius)
             assert np.max(np.abs(fit.beta - oracle)) < 1e-6
             # coordinates outside the mask are exactly zero, not small
             outside = ~mask.member_row()
@@ -186,7 +165,7 @@ class TestFitAgainstNormalEquations:
         mask = ModelMask.full(3)
         ols = _ols_restricted(x, y, mask)
         radius = float(np.abs(ols).sum()) / 2.0
-        fit = _fit_one(stats, mask, radius, TIGHT)
+        fit = _fit_one(stats, mask, radius)
         assert np.abs(fit.beta).sum() == pytest.approx(radius, rel=1e-8)
         assert fit.neg2_loglik >= float(np.sum((y - x @ ols) ** 2))
 
@@ -196,7 +175,7 @@ class TestFitAgainstNormalEquations:
         ds, x, y = _uniform_dataset(80, 3, 9, beta=np.array([1.5, -1.0, 2.0]))
         stats = sufficient_stats(ds)
         radius = 1.0
-        fit = _fit_one(stats, ModelMask.full(3), radius, TIGHT)
+        fit = _fit_one(stats, ModelMask.full(3), radius)
         rng = np.random.default_rng(0)
         for _ in range(500):
             raw = rng.normal(0, 1, 3)
@@ -220,9 +199,9 @@ class TestDescentMechanics:
         ds, _, _ = _uniform_dataset(90, 5, 11)
         stats = sufficient_stats(ds)
         masks = [ModelMask(b, 5) for b in (0b00111, 0b11000, 0b11111, 0b00100)]
-        batch = fit_masks(stats, _family(masks), 1.2, TIGHT)
+        batch = fit_masks(stats, _family(masks), 1.2)
         for mask, joint in zip(masks, batch):
-            solo = _fit_one(stats, mask, 1.2, TIGHT)
+            solo = _fit_one(stats, mask, 1.2)
             assert np.allclose(joint.beta, solo.beta, atol=1e-8)
             assert joint.neg2_loglik == pytest.approx(solo.neg2_loglik, rel=1e-10, abs=1e-10)
 
@@ -269,8 +248,9 @@ class TestDescentMechanics:
         y = col * 0.8 + rng.normal(0, 0.1, 50)
         stats = sufficient_stats(Dataset(x, y / np.max(np.abs(y)), 1.0))
         assert _fit_one(stats, ModelMask.full(3), 2.0).iterations > 5
-        with pytest.raises(SolverError, match="not certified"):
-            _fit_one(stats, ModelMask.full(3), 2.0, SolverConfig(max_iterations=5))
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 5)
+        with pytest.raises(SolverError, match="not certified after 5 "):
+            _fit_one(stats, ModelMask.full(3), 2.0)
 
     def test_stalled_fit_raises_at_once(self, monkeypatch):
         # With a negative certificate level no gap can be certified, even
@@ -278,14 +258,12 @@ class TestDescentMechanics:
         # give up once its gap stops falling, long before a budget of 10^6.
         from dpms import solver
 
-        monkeypatch.setattr(solver, "_tau", lambda stats, radius, tolerance: -1.0)
+        monkeypatch.setattr(solver, "_tau", lambda stats, radius: -1.0)
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 10**6)
         monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
         ds, _, _ = _uniform_dataset(60, 4, 31)
         with pytest.raises(SolverError, match=r"stopped short of certification after (\d+) ") as err:
-            fit_masks(
-                sufficient_stats(ds), _family([ModelMask.full(4)]), 0.1,
-                SolverConfig(max_iterations=10**6),
-            )
+            fit_masks(sufficient_stats(ds), _family([ModelMask.full(4)]), 0.1)
         assert int(err.value.args[0].split(" after ")[1].split()[0]) < 2_000
 
     def test_input_validation(self):
@@ -295,8 +273,6 @@ class TestDescentMechanics:
             fit_masks(stats, all_subsets(2), 1.0)
         with pytest.raises(DataError):
             _fit_one(stats, ModelMask.full(3), -1.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(max_iterations=0)
 
     def test_objective_increase_raises_solver_error(self, monkeypatch):
         # A step of 4/L overshoots, and the rising objective must surface
@@ -449,6 +425,42 @@ class TestCertifiedFits:
                     # mask shares its size group.
                     assert fit.iterations == 0
 
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_one_hot_set_beside_the_intercept_is_certified_by_descent(self, seed, monkeypatch):
+        # An intercept and a full one-hot set of three levels: the four
+        # columns are exactly dependent, so a binding mask that holds them
+        # all has a singular system on its path.  Projected gradient must
+        # run on such masks of its own accord and certify them at the
+        # constrained minimum.
+        from dpms import solver
+
+        rows = []
+        descend = solver._descend
+
+        def on_descend(a, yty, member, *rest):
+            rows.append(len(member))
+            return descend(a, yty, member, *rest)
+
+        monkeypatch.setattr(solver, "_descend", on_descend)
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = np.column_stack([np.ones(n), np.eye(3)[rng.integers(0, 3, n)], rng.uniform(-1, 1, (n, 2))])
+        y = x @ np.array([0.5, 1.0, -0.5, 0.2, 0.8, 0.0]) + rng.normal(0, 0.5, n)
+        stats = sufficient_stats(Dataset(x, y / np.max(np.abs(y)), 1.0))
+        family = all_subsets(6)
+        stepped = 0
+        for radius in (2.0, 5.0):
+            fits = fit_masks(stats, family, radius)
+            tau = _certificate_level(stats, radius)
+            for mask, fit in zip(family, fits):
+                cols = mask.column_positions().tolist()
+                oracle = _kkt_oracle(stats.xtx, stats.xty, stats.yty, cols, radius)
+                assert fit.neg2_loglik == pytest.approx(oracle, rel=1e-9)
+                _assert_certified(stats, fit, cols, radius, tau)
+            stepped += int((fits.iterations > 0).sum())
+            # Only masks holding all four dependent columns need descent.
+            assert np.all(family.bits[fits.iterations > 0] & 0b1111 == 0b1111)
+        assert rows and stepped > 0
 
     @pytest.mark.parametrize("spread", (1e-2, 1e-3))
     def test_correlated_designs_are_exact_without_descent(self, spread):
@@ -498,6 +510,30 @@ class TestCertifiedFits:
             assert np.abs(fits.beta).sum(axis=1).max() == pytest.approx(radius, rel=1e-14)
 
 
+class TestCalibration:
+    @pytest.mark.parametrize("n", (1, 7, 200))
+    @pytest.mark.parametrize("d", (1, 3, 8))
+    def test_every_certificate_level_is_within_the_public_slack(self, n, d):
+        # The selectors calibrate to loss_slack(n, d, r, R); it must cover
+        # the level that certifies the fits of every dataset with |x| <= 1
+        # and |y| <= r, corner rows x in {-1, 1}^d, y = +-r included.
+        from dpms.solver import _tau, loss_slack
+
+        rng = np.random.default_rng([n, d])
+        for r in (1e-3, 0.5, 1.0, 7.0):
+            signs = rng.choice([-1.0, 1.0], (n, d + 1))
+            designs = [
+                (rng.uniform(-1, 1, (n, d)), rng.uniform(-r, r, n)),
+                (signs[:, :d], r * signs[:, d]),
+                (np.ones((n, d)), np.full(n, r)),
+                (-np.ones((n, d)), np.full(n, r)),
+            ]
+            for x, y in designs:
+                stats = sufficient_stats(Dataset(x, y, r))
+                for radius in (0.1, 1.0, 50.0):
+                    assert _tau(stats, radius) <= loss_slack(n, d, r, radius)
+
+
 class TestEquivalenceRadius:
     def test_loose_radius_rule_makes_all_masks_unconstrained(self):
         # If R >= r * sqrt(k / kappa0) with kappa0 the smallest restricted
@@ -516,7 +552,7 @@ class TestEquivalenceRadius:
         stats = sufficient_stats(ds)
         for bits in range(1, 1 << d):
             mask = ModelMask(bits, d)
-            fit = _fit_one(stats, mask, radius, TIGHT)
+            fit = _fit_one(stats, mask, radius)
             oracle = _ols_restricted(x, y, mask)
             assert np.max(np.abs(fit.beta - oracle)) < 1e-6
 
