@@ -125,7 +125,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     swp.add_argument("--algorithm", choices=("pcls", "pcpl"), default="pcls")
     swp.add_argument("--mechanism", choices=("noisy_argmin", "exponential"), default="noisy_argmin")
     swp.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
-    swp.add_argument("--seed", type=int, help="master seed")
+    swp.add_argument("--seed", type=int,
+                     help="master seed (default: a fresh 128-bit key, printed to stderr)")
     swp.add_argument("--timing", action="store_true",
                      help="measure mean_runtime_ms (makes that column non-reproducible)")
     swp.add_argument("--threads", type=int, default=None,
@@ -261,13 +262,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         mechanism=args.mechanism,
         stage1_fraction=args.stage1_fraction,
     )
-    seed = args.seed
-    if seed is None:
-        # A fresh 128-bit key from the OS's random source; os is loaded at
-        # interpreter start, where the secrets module would cost ~1 ms.
-        from os import urandom
-
-        seed = int.from_bytes(urandom(16), "little")
+    seed = _fresh_key() if args.seed is None else args.seed
     rng = RngStream(seed, args.stream_id)
     select = pcls_select if args.algorithm == "pcls" else pcpl_select
     report = select(dataset, models, config, rng)
@@ -282,11 +277,18 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fresh_key() -> int:
+    """A fresh 128-bit key from the OS's random source; os is loaded at
+    interpreter start, where the secrets module would cost ~1 ms."""
+    from os import urandom
+
+    return int.from_bytes(urandom(16), "little")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(
         args,
-        [("--n", "n_values"), ("--R", "radius_values"),
-         ("--eps", "epsilon_values"), ("--seed", "seed")],
+        [("--n", "n_values"), ("--R", "radius_values"), ("--eps", "epsilon_values")],
     )
     if args.beta0 is not None:
         coefficients = args.beta0
@@ -310,10 +312,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         replications=args.replications,
         algorithm=args.algorithm,
     )
+    seed = args.seed
+    if seed is None:
+        # The data are synthetic, so the key is no secret: print it, so the
+        # run can be replayed.
+        seed = _fresh_key()
+        print(f"sweep key: {seed} (replay with --seed {seed})", file=sys.stderr)
     template = SyntheticSpec(
         n=grid.n_values[0],
         coefficients=coefficients,
-        rng=RngStream(args.seed, 0),
+        rng=RngStream(seed, 0),
         noise_sd=args.sigma,
     )
     result = run_sweep(

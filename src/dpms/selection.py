@@ -183,8 +183,8 @@ class SelectionReport:
     pays for the winner's index alone (Report Noisy Max), and ``rng``
     rebuilds every draw.  ``noisy_scores`` is ``None`` when the winner came
     from the exponential mechanism or the uniform fallback, which have no
-    per-candidate noisy score.  A select settles only the fits its release
-    can depend on; ``settle_scores`` settles the rest and builds both
+    per-candidate noisy score.  A select solves only the fits its release
+    can depend on; ``settle_scores`` settles every fit and builds both
     arrays on first access.
     """
 
@@ -302,41 +302,38 @@ def _stage_epsilons(config: SelectionConfig) -> tuple[float, float]:
     return stage1_epsilon, epsilon_total - stage1_epsilon
 
 
-def _loss_bounds(fits: Fits | LossBounds):
-    """(lower, upper, exact) losses of every fit; ``exact`` is None when
-    every fit is settled, as in a :class:`~dpms.solver.Fits`."""
-    if isinstance(fits, Fits) or fits.exact.all():
-        losses = fits.neg2_loglik if isinstance(fits, Fits) else fits.upper
-        return losses, losses, None
-    return fits.lower, fits.upper, fits.exact
+def _loss_bounds(fits: Fits | LossBounds) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) losses of every fit: one array when every fit is
+    settled, as in a :class:`~dpms.solver.Fits`."""
+    if isinstance(fits, Fits):
+        return fits.neg2_loglik, fits.neg2_loglik
+    return fits.lower, fits.upper
 
 
 def _min_loss(fits: Fits | LossBounds) -> float:
-    """The smallest loss, bit for bit as fully settled fits give it.  A
-    fit settled in a batch of its own can differ from that in its last
-    bits, so when an unsettled fit could reach the minimum, the whole
-    family is settled."""
-    lower, upper, exact = _loss_bounds(fits)
-    if exact is not None and not exact[lower <= upper.min()].all():
-        lower = upper = fits.fits().neg2_loglik
-    return float(upper.min())
+    """The smallest loss, bit for bit as fully settled fits give it.  Only
+    the family's own batch gives those bits, and any fit that is not yet
+    settled in it could hold the minimum, so the whole family is settled."""
+    if isinstance(fits, LossBounds):
+        fits = fits.fits()
+    return float(fits.neg2_loglik.min())
 
 
 def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
-    """Lower and upper clean-score matrices and the exact columns (None
-    when every column is exact, and then lower is upper)."""
-    lower, upper, exact = _loss_bounds(fits)
-    lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
-    if exact is None:
-        return lo, lo, None
+    """Lower and upper clean-score matrices: one matrix when every fit is
+    settled."""
+    lower, upper = _loss_bounds(fits)
+    if lower is upper:
+        lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
+        return lo, lo
     if algorithm == "pcpl":
         # math.log is monotone only to within an ulp; a relative margin
         # of 1e-12 keeps the profile of every loss in the interval inside
         # the profiles of its ends.
-        lower = np.where(exact, lower, lower - 1e-12 * np.abs(lower))
-        upper = np.where(exact, upper, upper + 1e-12 * np.abs(upper))
-        lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
-    return lo, _score_matrix(algorithm, upper, n_obs, penalties, sizes), exact
+        lower = lower - 1e-12 * np.abs(lower)
+        upper = upper + 1e-12 * np.abs(upper)
+    return (_score_matrix(algorithm, lower, n_obs, penalties, sizes),
+            _score_matrix(algorithm, upper, n_obs, penalties, sizes))
 
 
 def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
@@ -347,13 +344,16 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     A key is monotone in its clean score (and, for the exponential
     mechanism, in the row's smallest score), and so is its rounding, so
     bounds on the scores bound the keys.  A column whose key cannot reach
-    the row's smallest upper key cannot win.  A row is decided once the
-    columns that can win are all settled, or only one is left; otherwise
-    the unsettled ones (and, for the exponential mechanism, those that can
-    reach the row's smallest score) are settled, first as a batch of their
-    own, which narrows them to the certificate's width, and, if that does
-    not decide, with the whole family.  Either way the winner is the one
-    that fully settled fits give, ties and all.
+    the row's smallest upper key cannot win, and a row is decided once
+    only one column can.  The noise does not depend on the scores, so it
+    is drawn first.  Before any mask is solved, each row solves the one
+    with its smallest lower key.  Then, while a row is undecided, the
+    masks that can win it (and, for the exponential mechanism, those that
+    can reach its smallest score) are solved, and once all of them are,
+    the binding ones among them are settled in a batch of their own, which
+    narrows them to the certificate's width.  If that does not decide,
+    the whole family is settled.  Either way the winner is the one that
+    fully settled fits give, ties and all.
     """
     sizes, bits = models.sizes, models.bits
     if mechanism == "noisy_argmin":
@@ -361,27 +361,33 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
         keys = _noisy_keys(scale, sizes, bits, seed, stream_ids)
     else:
         keys = _gumbel_keys(epsilon, sensitivity, sizes, bits, seed, stream_ids)
-    asked = np.zeros(len(bits), dtype=bool)
     while True:
-        lo, hi, exact = _score_bounds(algorithm, fits, n_obs, penalties, sizes)
+        lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, sizes)
         key_hi = keys(hi, lo)
-        if exact is None:
+        if lo is hi:
             break
         reach = keys(lo, hi) <= key_hi.min(axis=1, keepdims=True)
-        undecided = (reach & ~exact).any(axis=1) & (reach.sum(axis=1) > 1)
+        undecided = reach.sum(axis=1) > 1
         if not undecided.any():
             break
+        unsolved = np.isinf(fits.upper)
+        if unsolved.all():
+            # Each row's smallest lower key; a key's order within its row
+            # does not depend on the row's smallest score.
+            fits.first_pass(np.unique(keys(lo, lo)[undecided].argmin(axis=1)))
+            continue
         if mechanism == "exponential":
-            # Every key moves with the row's smallest score: settle the
+            # Every key moves with the row's smallest score: solve the
             # columns that can reach it too.
             reach |= lo <= hi.min(axis=1, keepdims=True)
-        want = np.flatnonzero((reach & ~exact)[undecided].any(axis=0))
-        if asked[want].all():
-            fits.fits()
+        want = reach[undecided].any(axis=0)
+        if (want & unsolved).any():
+            fits.first_pass(np.flatnonzero(want & unsolved))
+        elif (want & ~fits.certified).any():
+            fits.settle(np.flatnonzero(want & ~fits.certified))
         else:
-            fits.settle(want[~asked[want]])
-            asked[want] = True
-    noisy = key_hi if mechanism == "noisy_argmin" and exact is None else None
+            fits.fits()
+    noisy = key_hi if mechanism == "noisy_argmin" and lo is hi else None
     return _row_argmin(key_hi, sizes, bits), noisy
 
 
@@ -400,9 +406,9 @@ def _select_rows(
     with penalty ``penalties[i]`` and is released under
     ``RngStream(seed, stream_ids[i])``.
 
-    ``fits`` holds one fit per candidate: settled :class:`Fits`, or the
-    :class:`LossBounds` of a first pass, of which only the fits the
-    release can depend on get settled.  ``config`` supplies the radius,
+    ``fits`` holds one fit per candidate: settled :class:`Fits`, or
+    :class:`LossBounds`, of which only the fits the release can depend on
+    get solved.  ``config`` supplies the radius,
     budget, mechanism and stage-1 split.  Every row runs the configured
     mechanism with its own sensitivity: ``(r + R)**2`` plus the solver's
     public ``loss_slack`` for pcls, and for pcpl the proxy that stage 1
@@ -411,8 +417,8 @@ def _select_rows(
     (epsilon = inf) never falls back.  ``noisy`` is None unless every fit
     ended up settled.
     """
-    lower, upper, _ = _loss_bounds(fits)
-    if not (np.isfinite(lower).all() and (upper is lower or np.isfinite(upper).all())):
+    # A LossBounds' losses come from validated, finite statistics.
+    if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
         raise DataError("candidate scores must be finite")
     penalties = np.asarray(penalties, dtype=np.float64)
     rows = len(stream_ids)
@@ -455,7 +461,7 @@ def _select_with_fits(
     config: SelectionConfig,
     rng: RngStream,
 ) -> SelectionReport:
-    # One row of the selection core, on the first pass of the fits.
+    # One row of the selection core, on the loss bounds of the fits.
     _check_delta(algorithm, config.budget.delta)
     args = (dataset.response_bound, dataset.n, config, models, rng.seed, [rng.stream_id])
     picks = _select_rows(algorithm, fits, [config.penalty], *args)

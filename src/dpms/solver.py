@@ -29,10 +29,10 @@ how far the fit's loss sits above the constrained minimum:
    uncertified loss is returned.
 
 Step 1 is the first pass; steps 2-4 settle the rows they are given.
-:func:`fit_masks` settles every row.  :func:`bound_masks` stops after the
-first pass and gives each unsettled mask a certified loss interval
-(:class:`LossBounds`), so a selection can settle only the masks its
-release can depend on.
+:func:`fit_masks` settles every row.  :func:`bound_masks` solves nothing
+up front: it bounds every mask's loss from below by the fits of a few
+supersets, and solves and settles masks on demand (:class:`LossBounds`),
+so a selection solves only the masks its release can depend on.
 
 ``tau`` is ``_TOLERANCE * max(1, yty)`` plus a round-off allowance, a
 small multiple of ``eps * d`` times the loss's scale ``yty + 2 R ||b||_inf
@@ -459,85 +459,135 @@ def _settle(a, yty, member, bvec, start, radius, tau):
     return beta, iterations
 
 
+def _first_pass(a, member, bvec, radius, tau):
+    """One batched exact solve per model size.  Returns the solutions and
+    the rows that are not slack (see :func:`_certified`), which start from
+    their projected solution instead; singular ones, and those too large
+    for the projection to resolve the radius, start from zero."""
+    beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
+    rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
+    if rest.size:
+        solved = np.abs(beta[rest]).sum(axis=1) < radius / np.finfo(np.float64).eps
+        beta[rest] = _project_rows(np.where(solved[:, None], beta[rest], 0.0), radius)
+    return beta, rest
+
+
 class LossBounds:
-    """Certified loss intervals of a family's fits, settled on demand.
+    """Certified loss intervals of a family's fits, solved on demand.
 
-    The first pass runs one batched exact solve per model size.  A slack
-    mask is certified there: ``exact`` is True, and its interval is the
-    point that :func:`fit_masks` returns.  Every other mask keeps the
-    interval ``[f(x) - gap(x) - s, f(x) + s]`` at its projected start x,
-    where ``gap`` is the Frank-Wolfe gap (a lower bound by convexity) and
+    Nothing is solved at first.  A mask's feasible set lies inside that of
+    every superset of its columns, so a lower bound on a superset's loss
+    bounds the mask's loss from below (Furnival & Wilson's leaps and
+    bounds).  The d + 1 supersets {all columns} and {all but column j} are
+    settled as one batch of their own, whether or not the family holds
+    them, and an unsolved mask M has the interval ``[lower_M, +inf)``,
+    ``lower_M`` the largest ``f_S - gap_S - s`` over those supersets S of
+    M.  ``gap`` is the Frank-Wolfe gap (a lower bound by convexity) and
     ``s`` the certificate level plus three round-off allowances, for the
-    gap and for the two losses compared.  That interval holds the loss of
-    any certified fit of the mask, whichever rows it was settled with.
+    gap and for the two losses compared.
 
-    :meth:`settle` narrows given masks to width ``2 s`` around their
-    certified fits; :meth:`fits` settles every mask as :func:`fit_masks`
-    does, bit for bit, and makes every interval exact.
+    :meth:`first_pass` solves given masks exactly, as one batch: a slack
+    mask's interval becomes ``[f - gap - s, f + s]`` at its certified fit,
+    and a binding mask's the same at its projected start x.
+    :meth:`settle` narrows binding masks to width ``2 s`` around their
+    certified fits.  Every interval holds the loss of any certified fit of
+    the mask, whichever rows it was solved with; ``certified`` marks the
+    intervals of certified fits, which a batch of their own cannot narrow.
+    :meth:`fits` settles every mask as :func:`fit_masks` does, bit for
+    bit, in one batch: only then is an interval a point, and ``lower`` is
+    ``upper``.
     """
 
     def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float) -> None:
-        a = stats.xtx
-        bvec = member * stats.xty
-        tau = _tau(stats, radius)
-        beta = _masked_solve(a, member, bvec[:, :, None])[:, :, 0]
-        rest = np.flatnonzero(~_certified(a, member, bvec, beta, radius, tau))
-        if rest.size:
-            # Binding rows start from their projected solution; singular
-            # ones, and those too large for the projection to resolve the
-            # radius, from zero.
-            solved = np.abs(beta[rest]).sum(axis=1) < radius / np.finfo(np.float64).eps
-            beta[rest] = _project_rows(np.where(solved[:, None], beta[rest], 0.0), radius)
-        self._stats, self._radius, self._tau = stats, radius, tau
-        self._member, self._bvec, self._beta, self._rest = member, bvec, beta, rest
-        self.exact = np.ones(len(member), dtype=bool)
-        self.exact[rest] = False
-        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self._stats, self._member, self._radius = stats, member, radius
+        self._tau = _tau(stats, radius)
+        self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * _scale(stats, radius)
+        self._beta = np.zeros(member.shape)
+        self._lower: np.ndarray | None = None
+        self._upper = np.full(len(member), np.inf)
+        self.certified = np.zeros(len(member), dtype=bool)
         self._fits: Fits | None = None
 
     @property
     def lower(self) -> np.ndarray:
-        return self._interval()[0]
+        if self._lower is None:
+            self._lower = self._superset_lower()
+        return self._lower
 
     @property
     def upper(self) -> np.ndarray:
-        return self._interval()[1]
+        return self._upper
 
-    def _interval(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._bounds is None:
-            stats, radius, rest = self._stats, self._radius, self._rest
-            self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * _scale(stats, radius)
-            x = self._beta[rest]
-            gap = _gap((x @ stats.xtx) * self._member[rest] - self._bvec[rest], x, radius)
-            upper = self._loss(self._beta, slice(None))
-            lower = upper.copy()
-            lower[rest] -= gap + self._slack
-            upper[rest] += self._slack
-            self._bounds = lower, upper
-        return self._bounds
+    def _superset_lower(self) -> np.ndarray:
+        """Each mask's largest lower bound over the supersets {all columns}
+        and {all but column j}, j not in the mask."""
+        stats, radius, d = self._stats, self._radius, self._stats.d
+        a = stats.xtx
+        member = np.ones((d + 1, d), dtype=bool)
+        member[np.arange(1, d + 1), np.arange(d)] = False
+        bvec = member * stats.xty
+        beta, rest = _first_pass(a, member, bvec, radius, self._tau)
+        if rest.size:
+            try:
+                beta[rest] = _settle(a, stats.yty, member[rest], bvec[rest], beta[rest],
+                                     radius, self._tau)[0]
+            except SolverError:
+                # The bound holds at any feasible point: a superset that
+                # cannot be certified keeps its projected start.
+                pass
+        gap = _gap((beta @ a) * member - bvec, beta, radius)
+        bound = _objective(stats.yty, a, member, bvec, beta) - gap - self._slack
+        # Reduced across the d rows of the transposed membership, which is
+        # several times faster than across each mask's d columns.
+        left_out = np.where(np.ascontiguousarray(self._member.T), -np.inf, bound[1:, None])
+        return np.maximum(bound[0], left_out.max(axis=0, initial=-np.inf))
+
+    def _bvec(self, rows) -> np.ndarray:
+        return self._member[rows] * self._stats.xty
 
     def _loss(self, beta: np.ndarray, rows) -> np.ndarray:
         stats = self._stats
-        return _objective(stats.yty, stats.xtx, self._member[rows], self._bvec[rows], beta)
+        return _objective(stats.yty, stats.xtx, self._member[rows], self._bvec(rows), beta)
 
     def _settle(self, rows) -> tuple[np.ndarray, np.ndarray]:
         return _settle(
-            self._stats.xtx, self._stats.yty, self._member[rows], self._bvec[rows],
+            self._stats.xtx, self._stats.yty, self._member[rows], self._bvec(rows),
             self._beta[rows], self._radius, self._tau,
         )
 
+    def first_pass(self, rows) -> None:
+        """Solve ``rows`` (unsolved masks) exactly, as a batch of their own:
+        slack ones are certified, binding ones get the interval at their
+        projected start."""
+        lower = self.lower
+        member, bvec = self._member[rows], self._bvec(rows)
+        beta, rest = _first_pass(self._stats.xtx, member, bvec, self._radius, self._tau)
+        gap = _gap((beta @ self._stats.xtx) * member - bvec, beta, self._radius)
+        loss = self._loss(beta, rows)
+        self._beta[rows] = beta
+        lower[rows] = np.maximum(lower[rows], loss - gap - self._slack)
+        self._upper[rows] = loss + self._slack
+        slack = np.ones(len(beta), dtype=bool)
+        slack[rest] = False
+        self.certified[rows] = slack
+
     def settle(self, rows) -> None:
-        """Narrow the intervals of ``rows`` (unsettled masks) to their
+        """Narrow the intervals of ``rows`` (solved binding masks) to their
         certified fits, settled as a batch of their own."""
-        lower, upper = self._interval()
+        lower = self.lower
         loss = self._loss(self._settle(rows)[0], rows)
-        lower[rows] = loss - self._slack
-        upper[rows] = loss + self._slack
+        lower[rows] = np.maximum(lower[rows], loss - self._slack)
+        self._upper[rows] = loss + self._slack
+        self.certified[rows] = True
 
     def fits(self) -> Fits:
-        """Every fit settled, as :func:`fit_masks` returns them."""
+        """Every fit settled, as :func:`fit_masks` returns them: one exact
+        first pass over the whole family, then one settle of its binding
+        masks."""
         if self._fits is None:
-            rest, beta = self._rest, self._beta
+            member, bvec = self._member, self._bvec(slice(None))
+            beta, rest = _first_pass(self._stats.xtx, member, bvec, self._radius, self._tau)
+            self._beta = beta
             iterations = np.zeros(len(beta), dtype=np.int64)
             if rest.size:
                 beta[rest], iterations[rest] = self._settle(rest)
@@ -546,14 +596,13 @@ class LossBounds:
             for array in arrays:
                 array.setflags(write=False)
             self._fits = Fits(*arrays)
-            self._bounds = loss, loss
-            self.exact[:] = True
+            self._lower = self._upper = loss
+            self.certified[:] = True
         return self._fits
 
 
 def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> LossBounds:
-    """The first pass of :func:`fit_masks`: every slack mask settled, and a
-    certified loss interval for each of the others (see
+    """The loss bounds of a family, with no mask solved yet (see
     :class:`LossBounds`)."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,17 @@ class TestSweep:
         ]
         assert main(args) == 2
         assert "max_workers must be at least 1" in capsys.readouterr().err
+
+    def test_without_seed_prints_a_key_that_replays_the_run(self, tmp_path, capsys):
+        args = [
+            "sweep", "--model-id", "1", "--n", "40", "--eps", "2", "--R", "2.0",
+            "--phi", "0,3", "--replications", "2", "--threads", "1",
+        ]
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        key = int(re.search(r"replay with --seed (\d+)", capsys.readouterr().err).group(1))
+        assert key.bit_length() > 64
+        assert main(args + ["--seed", str(key), "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_reproducible_across_thread_counts(self, tmp_path):
         outs = []

@@ -690,19 +690,133 @@ class TestPrunedSelection:
         from dpms import solver
 
         settled = []
-        settle = solver._settle
+        settle = solver.LossBounds._settle
 
-        def counted(a, yty, member, *rest):
-            settled.append(len(member))
-            return settle(a, yty, member, *rest)
+        def counted(self, rows):
+            settled.append(len(rows))
+            return settle(self, rows)
 
         ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
         family = all_subsets(10)
-        binding = int((~solver.bound_masks(sufficient_stats(ds), family, 0.5).exact).sum())
-        assert binding > 300
-        monkeypatch.setattr(solver, "_settle", counted)
+        monkeypatch.setattr(solver.LossBounds, "_settle", counted)
+        fit_masks(sufficient_stats(ds), family, 0.5)
+        assert settled == [settled[0]] and settled[0] > 300
         cfg = SelectionConfig(radius=0.5, penalty=3.0, budget=PrivacyBudget(1.0))
         for sid in range(5):
             settled.clear()
             json.loads(pcls_select(ds, family, cfg, RngStream(6, sid)).to_json())
             assert sum(settled) < 10
+
+    @pytest.mark.parametrize("mechanism", ["noisy_argmin", "exponential"])
+    def test_pcpl_computes_the_family_objective_once(self, monkeypatch, mechanism):
+        # pcpl's proxy reads the smallest loss bit for bit, which only the
+        # fully settled family gives; no bound computed on the way may
+        # evaluate the whole family's objective a second time.
+        from dpms import solver
+
+        family = all_subsets(5)
+        calls = []
+        objective = solver._objective
+
+        def counted(yty, a, member, *rest):
+            calls.append(len(member))
+            return objective(yty, a, member, *rest)
+
+        monkeypatch.setattr(solver, "_objective", counted)
+        cfg = SelectionConfig(radius=1.0, penalty=2.0, budget=PrivacyBudget(1.0, 1e-4),
+                              mechanism=mechanism)
+        for seed in range(3):
+            ds, _, _ = _dataset(n=200, d=5, seed=seed, beta=(1.2, -0.8, 0.5, 0.0, 0.0))
+            calls.clear()
+            pcpl_select(ds, family, cfg, RngStream(8, seed))
+            assert calls.count(len(family)) == 1
+
+    def test_default_select_solves_few_masks(self, monkeypatch):
+        # A default release solves the masks whose lower key can reach the
+        # winner, and the d + 1 supersets that bound the others: under 5%
+        # of the family's exact solves.  Solves inside the settle step
+        # (the lasso path's) are not first passes and are not counted.
+        from dpms import solver
+
+        solved, settling = [], []
+        masked_solve, settle = solver._masked_solve, solver._settle
+
+        def counted_solve(a, member, rhs):
+            if not settling:
+                solved.append(len(member))
+            return masked_solve(a, member, rhs)
+
+        def flagged_settle(*args):
+            settling.append(True)
+            try:
+                return settle(*args)
+            finally:
+                settling.pop()
+
+        ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
+        family = all_subsets(10)
+        monkeypatch.setattr(solver, "_masked_solve", counted_solve)
+        monkeypatch.setattr(solver, "_settle", flagged_settle)
+        cfg = SelectionConfig(radius=0.5, penalty=3.0, budget=PrivacyBudget(1.0))
+        for sid in range(5):
+            solved.clear()
+            json.loads(pcls_select(ds, family, cfg, RngStream(6, sid)).to_json())
+            assert 0 < sum(solved) < 0.05 * len(family)
+
+
+def _corner_dataset(seed, n=200, corners=8):
+    """A bounded dataset whose first rows sit on corners: x in {-1, 1}^d,
+    y = +-r, the rows that move a loss the most."""
+    rng = np.random.default_rng([47, seed])
+    x = rng.uniform(-1, 1, (n, 5))
+    y = np.clip(x @ np.array([1.1, -0.6, 0.0, 0.4, 0.0]) + rng.normal(0, 0.5, n), -2.5, 2.5)
+    x[:corners] = rng.choice([-1.0, 1.0], (corners, 5))
+    y[:corners] = rng.choice([-2.5, 2.5], corners)
+    return Dataset(x, y, 2.5)
+
+
+class TestSupersetBounds:
+    # An unsolved mask's lower bound comes from the fits of the supersets
+    # {all columns} and {all but column j}.  It must hold every certified
+    # loss, and a lazy select must release what fully settled fits give.
+    FAMILIES = [all_subsets(5), all_subsets(5, max_size=2)]
+
+    @staticmethod
+    def _datasets():
+        for seed in range(2):
+            yield _dataset(n=200, d=5, seed=seed, beta=(1.2, -0.8, 0.5, 0.0, 0.0))[0]
+            yield _corner_dataset(seed)
+            yield _duplicate_column_dataset(seed)
+
+    @pytest.mark.parametrize("radius", [0.3, 6.0])
+    def test_every_certified_loss_is_above_its_superset_bound(self, radius):
+        from dpms.solver import bound_masks
+
+        binding = 0
+        for ds in self._datasets():
+            stats = sufficient_stats(ds)
+            for family in self.FAMILIES:
+                lower = bound_masks(stats, family, radius).lower
+                fits = fit_masks(stats, family, radius)
+                assert np.all(fits.neg2_loglik >= lower)
+                binding += int((np.abs(fits.beta).sum(axis=1) > radius * (1 - 1e-9)).sum())
+        # R = 0.3 binds most masks, and R = 6 leaves them slack.
+        assert (binding > 100) == (radius < 1.0)
+
+    @pytest.mark.parametrize("mechanism", ["noisy_argmin", "exponential"])
+    @pytest.mark.parametrize("eps", [1.0, math.inf])
+    @pytest.mark.parametrize("radius", [0.3, 6.0])
+    def test_winner_equals_the_fully_settled_winner(self, mechanism, eps, radius):
+        budget = PrivacyBudget(eps)
+        cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
+        streams = list(range(6))
+        for ds in self._datasets():
+            for family in self.FAMILIES:
+                fits = fit_masks(sufficient_stats(ds), family, radius)
+                full = _select_rows(
+                    "pcls", fits, [cfg.penalty] * len(streams), ds.response_bound, ds.n, cfg,
+                    family, 23, streams,
+                )
+                for i, sid in enumerate(streams):
+                    report = pcls_select(ds, family, cfg, RngStream(23, sid))
+                    assert report.chosen == family[full.winners[i]]

@@ -671,24 +671,34 @@ class TestLossBounds:
         stats = sufficient_stats(_select_d9(seed))
         family = all_subsets(9)
         full = fit_masks(stats, family, radius)
-        bounds = bound_masks(stats, family, radius)
-        lower, upper, exact = bounds.lower.copy(), bounds.upper.copy(), bounds.exact.copy()
         loss = full.neg2_loglik
-        assert 0 < (~exact).sum() < len(family)
-        assert np.array_equal(lower[exact], loss[exact])
-        assert np.array_equal(upper[exact], loss[exact])
+        bounds = bound_masks(stats, family, radius)
+        # Nothing is solved yet: every interval is [superset bound, inf).
+        assert np.all(np.isinf(bounds.upper)) and not bounds.certified.any()
+        assert np.all(bounds.lower <= loss)
+        # A first pass over every other mask certifies the slack ones and
+        # bounds the binding ones at their projected starts.
+        some = np.arange(0, len(family), 2)
+        bounds.first_pass(some)
+        lower, upper = bounds.lower.copy(), bounds.upper.copy()
+        certified = bounds.certified.copy()
+        assert 0 < certified.sum() < len(some) and not np.delete(certified, some).any()
+        assert np.all(np.isfinite(upper[some])) and np.all(np.isinf(np.delete(upper, some)))
         assert np.all(lower <= loss) and np.all(loss <= upper)
-        # Settling the three widest narrows them around their certified loss.
-        some = np.argsort(upper - lower)[-3:]
-        bounds.settle(some)
-        width = bounds.upper[some] - bounds.lower[some]
-        assert np.all(width < upper[some] - lower[some])
-        assert np.all(bounds.lower[some] <= loss[some])
-        assert np.all(loss[some] <= bounds.upper[some])
-        assert not bounds.exact[some].any()
+        # Settling the three widest binding ones narrows them around their
+        # certified loss.
+        binding = some[~certified[some]]
+        widest = binding[np.argsort((upper - lower)[binding])[-3:]]
+        bounds.settle(widest)
+        width = bounds.upper[widest] - bounds.lower[widest]
+        assert np.all(width < upper[widest] - lower[widest])
+        assert np.all(bounds.lower[widest] <= loss[widest])
+        assert np.all(loss[widest] <= bounds.upper[widest])
+        assert bounds.certified[widest].all()
         # Settling everything reproduces fit_masks bit for bit.
         fits = bounds.fits()
         for name in ("beta", "neg2_loglik", "iterations", "converged"):
             assert np.array_equal(getattr(fits, name), getattr(full, name))
-        assert bounds.exact.all() and np.array_equal(bounds.lower, loss)
+        assert bounds.certified.all() and bounds.lower is bounds.upper
+        assert np.array_equal(bounds.lower, loss)
         assert bounds.fits() is fits
