@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Time ``pcls_select`` in process, parent against change, and write
+``BENCH_routes.json``.
+
+    python3 scripts/bench_routes.py --parent ../dpms-parent --change . --rounds 5
+
+``bound_masks`` bounds a family by the fits of its d + 1 supersets only
+when they cost less than one first pass over the family (see
+``dpms.solver``).  The workloads sit on both sides of that choice: full
+families, size-capped ones up to d = 20, and a collinear design (an
+intercept beside a full one-hot set, so the full superset is
+rank-deficient).  Each run imports one side's ``src/`` in a subprocess of
+its own and times ``--reps`` selects, cycling through 8 datasets and
+noise streams, five times over; the run's value is the best of the five,
+in ms per select.  The sides alternate, and the one that runs first
+alternates from one round to the next, so a drift of the host's speed
+falls on both alike.  The output, in the working directory, lists every
+run and each side's median over the rounds; the file is rewritten after
+every round.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+SIDES = ("parent", "change")
+DATASETS = 8
+RADIUS, PHI, EPSILON, RESPONSE_BOUND, N = 2.5, 50.0, 1.0, 4.0, 1000
+
+# name: (design, covariates, size cap or None, mechanism).  "signal" is
+# the benchmark's select data, y = 1.5 x1 + x2 + 0.5 x3 + N(0, 1) with
+# x uniform on [-1, 1], beside an intercept; "onehot" adds a one-hot set
+# of 6 levels (effects -0.8 .. 0.8).
+WORKLOADS = {
+    "d4-full": ("signal", 3, None, "noisy_argmin"),
+    "d9-full": ("signal", 8, None, "noisy_argmin"),
+    "d10-full": ("signal", 9, None, "noisy_argmin"),
+    "d11-full": ("signal", 10, None, "noisy_argmin"),
+    "d12-full": ("signal", 11, None, "noisy_argmin"),
+    "d12-size3": ("signal", 11, 3, "noisy_argmin"),
+    "d12-size4": ("signal", 11, 4, "noisy_argmin"),
+    "d16-size4": ("signal", 15, 4, "noisy_argmin"),
+    "d16-size5": ("signal", 15, 5, "noisy_argmin"),
+    "d20-size2": ("signal", 19, 2, "noisy_argmin"),
+    "d20-size3": ("signal", 19, 3, "noisy_argmin"),
+    "d20-size3-exponential": ("signal", 19, 3, "exponential"),
+    "d20-size4": ("signal", 19, 4, "noisy_argmin"),
+    "d20-size5": ("signal", 19, 5, "noisy_argmin"),
+    "onehot-d10-full": ("onehot", 3, None, "noisy_argmin"),
+    "onehot-d10-size3": ("onehot", 3, 3, "noisy_argmin"),
+    "onehot-d12-full": ("onehot", 5, None, "noisy_argmin"),
+}
+
+
+def _dataset(design: str, covariates: int, k: int):
+    import numpy as np
+
+    from dpms.data import standardize
+
+    rng = np.random.default_rng([7, covariates, k])
+    x = rng.uniform(-1.0, 1.0, size=(N, covariates))
+    y = x[:, :3] @ np.array([1.5, 1.0, 0.5]) + rng.normal(0.0, 1.0, size=N)
+    columns = [np.ones(N), x]
+    if design == "onehot":
+        level = rng.integers(0, 6, N)
+        y = y + np.linspace(-0.8, 0.8, 6)[level]
+        columns.append(np.eye(6)[level])
+    return standardize(np.column_stack(columns), y, "clip", response_bound=RESPONSE_BOUND)
+
+
+def side_run(name: str, reps: int) -> dict:
+    """One side's run of one workload, in this process."""
+    from dpms import RngStream
+    from dpms.data import sufficient_stats
+    from dpms.enumeration import all_subsets
+    from dpms.selection import PrivacyBudget, SelectionConfig, pcls_select
+    from dpms.solver import bound_masks
+
+    design, covariates, cap, mechanism = WORKLOADS[name]
+    datasets = [_dataset(design, covariates, k) for k in range(DATASETS)]
+    family = all_subsets(datasets[0].d, max_size=cap)
+    config = SelectionConfig(radius=RADIUS, penalty=PHI, budget=PrivacyBudget(EPSILON),
+                             mechanism=mechanism)
+    ops = itertools.count()
+
+    def select():
+        op = next(ops)
+        pcls_select(datasets[op % DATASETS], family, config, RngStream(7, op))
+
+    for _ in range(DATASETS):
+        select()
+    best = min(timeit.repeat(select, number=reps, repeat=5)) / reps
+    # The parent has no choice of route; it reads None.
+    route = getattr(bound_masks(sufficient_stats(datasets[0]), family, RADIUS), "_supersets", None)
+    return {"ms_per_select": round(1e3 * best, 4), "models": len(family), "d": family.d,
+            "supersets": route}
+
+
+def _run(checkout: Path, name: str, reps: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1")
+    cmd = [sys.executable, __file__, "--side-run", name, "--reps", str(reps)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{name} on {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, help="checkout of the change")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--reps", type=int, default=20, help="selects per timed repeat")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--side-run", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.side_run:
+        print(json.dumps(side_run(args.side_run, args.reps)))
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+    dirs = {"parent": args.parent, "change": args.change}
+    names = args.workloads.split(",")
+    runs = {name: {side: [] for side in SIDES} for name in names}
+    doc: dict = {
+        "method": (f"pcls_select in process, best of 5 repeats of {args.reps} selects "
+                   f"per run, {args.rounds} rounds alternating sides; n={N}, R={RADIUS}, "
+                   f"phi={PHI}, epsilon={EPSILON}, r={RESPONSE_BOUND}, OMP_NUM_THREADS=1"),
+        "cpus": os.cpu_count(),
+        "workloads": {},
+    }
+    out = Path("BENCH_routes.json")
+    for i in range(args.rounds):
+        for name in names:
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            results = {side: _run(dirs[side], name, args.reps) for side in order}
+            for side in SIDES:
+                runs[name][side].append(results[side]["ms_per_select"])
+            median = {side: statistics.median(runs[name][side]) for side in SIDES}
+            doc["workloads"][name] = {
+                "models": results["change"]["models"],
+                "d": results["change"]["d"],
+                "change_route": ("supersets" if results["change"]["supersets"]
+                                 else "first pass"),
+                **{f"{side}_median_ms": round(median[side], 4) for side in SIDES},
+                "change_over_parent": round(median["change"] / median["parent"], 3),
+                **{f"{side}_runs_ms": runs[name][side] for side in SIDES},
+            }
+            print(f"round {i}: {name}: parent {results['parent']['ms_per_select']} ms, "
+                  f"change {results['change']['ms_per_select']} ms", file=sys.stderr, flush=True)
+        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -683,29 +683,31 @@ class TestPrunedSelection:
                 assert np.array_equal(report.noisy_scores, full.noisy[0])
                 assert report.chosen == family[int(np.argmin(report.noisy_scores))]
 
-    def test_default_select_settles_few_binding_masks(self, monkeypatch):
-        # Of the ~1000 masks of a d = 10 family, hundreds bind at R = 0.5
-        # and need more than the exact solve; a default release settles
-        # only the ones that could still win.
+    @pytest.mark.parametrize("d", [10, 12])
+    def test_default_select_settles_few_binding_masks(self, monkeypatch, d):
+        # Of the 1,023 masks at d = 10 (and 4,095 at d = 12), hundreds
+        # bind at R = 0.5 and need more than the exact solve; a default
+        # release settles only the ones that could still win, besides the
+        # d + 1 supersets that bound the others at d = 12.
         from dpms import solver
 
         settled = []
-        settle = solver.LossBounds._settle
+        settle = solver._settle
 
-        def counted(self, rows):
-            settled.append(len(rows))
-            return settle(self, rows)
+        def counted(a, yty, member, *rest):
+            settled.append(len(member))
+            return settle(a, yty, member, *rest)
 
-        ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
-        family = all_subsets(10)
-        monkeypatch.setattr(solver.LossBounds, "_settle", counted)
+        ds, _, _ = _dataset(n=300, d=d, beta=(0.9, -0.7) + (0.0,) * (d - 2))
+        family = all_subsets(d)
+        monkeypatch.setattr(solver, "_settle", counted)
         fit_masks(sufficient_stats(ds), family, 0.5)
         assert settled == [settled[0]] and settled[0] > 300
         cfg = SelectionConfig(radius=0.5, penalty=3.0, budget=PrivacyBudget(1.0))
         for sid in range(5):
             settled.clear()
             json.loads(pcls_select(ds, family, cfg, RngStream(6, sid)).to_json())
-            assert sum(settled) < 10
+            assert sum(settled) < 10 + (d + 1)
 
     @pytest.mark.parametrize("mechanism", ["noisy_argmin", "exponential"])
     def test_pcpl_computes_the_family_objective_once(self, monkeypatch, mechanism):
@@ -731,19 +733,18 @@ class TestPrunedSelection:
             pcpl_select(ds, family, cfg, RngStream(8, seed))
             assert calls.count(len(family)) == 1
 
-    def test_default_select_solves_few_masks(self, monkeypatch):
-        # A default release solves the masks whose lower key can reach the
-        # winner, and the d + 1 supersets that bound the others: under 5%
-        # of the family's exact solves.  Solves inside the settle step
-        # (the lasso path's) are not first passes and are not counted.
+    @staticmethod
+    def _first_passed(monkeypatch) -> list:
+        """Records the membership of every batch that ``_masked_solve``
+        gets outside the settle step (the lasso path's solves)."""
         from dpms import solver
 
-        solved, settling = [], []
+        batches, settling = [], []
         masked_solve, settle = solver._masked_solve, solver._settle
 
         def counted_solve(a, member, rhs):
             if not settling:
-                solved.append(len(member))
+                batches.append(member)
             return masked_solve(a, member, rhs)
 
         def flagged_settle(*args):
@@ -753,15 +754,36 @@ class TestPrunedSelection:
             finally:
                 settling.pop()
 
-        ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
-        family = all_subsets(10)
         monkeypatch.setattr(solver, "_masked_solve", counted_solve)
         monkeypatch.setattr(solver, "_settle", flagged_settle)
+        return batches
+
+    def test_default_select_solves_few_masks(self, monkeypatch):
+        # At d = 12 a default release solves the masks whose lower key can
+        # reach the winner, and the d + 1 supersets that bound the others:
+        # under 5% of the family's exact solves.
+        ds, _, _ = _dataset(n=300, d=12, beta=(0.9, -0.7) + (0.0,) * 10)
+        family = all_subsets(12)
+        batches = self._first_passed(monkeypatch)
         cfg = SelectionConfig(radius=0.5, penalty=3.0, budget=PrivacyBudget(1.0))
         for sid in range(5):
-            solved.clear()
+            batches.clear()
             json.loads(pcls_select(ds, family, cfg, RngStream(6, sid)).to_json())
-            assert 0 < sum(solved) < 0.05 * len(family)
+            assert 0 < sum(map(len, batches)) < 0.05 * len(family)
+
+    def test_size_capped_select_solves_the_family_not_its_supersets(self, monkeypatch):
+        # The 78 masks of size <= 2 at d = 12 cost less to solve than the
+        # lasso paths of the 13 supersets of 11 and 12 columns: a select
+        # first-passes the family as one batch and solves no superset.
+        ds, _, _ = _dataset(n=300, d=12, beta=(0.9, -0.7) + (0.0,) * 10)
+        family = all_subsets(12, max_size=2)
+        batches = self._first_passed(monkeypatch)
+        cfg = SelectionConfig(radius=0.5, penalty=3.0, budget=PrivacyBudget(1.0))
+        for sid in range(3):
+            batches.clear()
+            json.loads(pcls_select(ds, family, cfg, RngStream(6, sid)).to_json())
+            assert [len(member) for member in batches] == [len(family)]
+            assert batches[0].sum(axis=1).max() == 2
 
 
 def _corner_dataset(seed, n=200, corners=8):
@@ -778,8 +800,16 @@ def _corner_dataset(seed, n=200, corners=8):
 class TestSupersetBounds:
     # An unsolved mask's lower bound comes from the fits of the supersets
     # {all columns} and {all but column j}.  It must hold every certified
-    # loss, and a lazy select must release what fully settled fits give.
+    # loss, and a select must release what fully settled fits give, on
+    # either route: superset bounds or one first pass over the family.
     FAMILIES = [all_subsets(5), all_subsets(5, max_size=2)]
+
+    @staticmethod
+    def _bounds(stats, family, radius, supersets):
+        from dpms.data import member_matrix
+        from dpms.solver import LossBounds
+
+        return LossBounds(stats, member_matrix(family.bits, family.d), radius, supersets)
 
     @staticmethod
     def _datasets():
@@ -790,13 +820,11 @@ class TestSupersetBounds:
 
     @pytest.mark.parametrize("radius", [0.3, 6.0])
     def test_every_certified_loss_is_above_its_superset_bound(self, radius):
-        from dpms.solver import bound_masks
-
         binding = 0
         for ds in self._datasets():
             stats = sufficient_stats(ds)
             for family in self.FAMILIES:
-                lower = bound_masks(stats, family, radius).lower
+                lower = self._bounds(stats, family, radius, supersets=True).lower
                 fits = fit_masks(stats, family, radius)
                 assert np.all(fits.neg2_loglik >= lower)
                 binding += int((np.abs(fits.beta).sum(axis=1) > radius * (1 - 1e-9)).sum())
@@ -807,16 +835,23 @@ class TestSupersetBounds:
     @pytest.mark.parametrize("eps", [1.0, math.inf])
     @pytest.mark.parametrize("radius", [0.3, 6.0])
     def test_winner_equals_the_fully_settled_winner(self, mechanism, eps, radius):
+        from dpms.selection import _pcls_with_fits
+
         budget = PrivacyBudget(eps)
         cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
         streams = list(range(6))
         for ds in self._datasets():
+            stats = sufficient_stats(ds)
             for family in self.FAMILIES:
-                fits = fit_masks(sufficient_stats(ds), family, radius)
+                fits = fit_masks(stats, family, radius)
                 full = _select_rows(
                     "pcls", fits, [cfg.penalty] * len(streams), ds.response_bound, ds.n, cfg,
                     family, 23, streams,
                 )
                 for i, sid in enumerate(streams):
-                    report = pcls_select(ds, family, cfg, RngStream(23, sid))
-                    assert report.chosen == family[full.winners[i]]
+                    assert pcls_select(ds, family, cfg, RngStream(23, sid)).chosen == (
+                        family[full.winners[i]])
+                    for supersets in (True, False):
+                        bounds = self._bounds(stats, family, radius, supersets)
+                        report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(23, sid))
+                        assert report.chosen == family[full.winners[i]]

@@ -666,13 +666,14 @@ class TestSettleStep:
 class TestLossBounds:
     @pytest.mark.parametrize("seed, radius", [(0, 1.0), (2, 2.5), (3, 0.3)])
     def test_bounds_hold_the_settled_loss_and_settling_them_all_is_fit_masks(self, seed, radius):
-        from dpms.solver import bound_masks
+        from dpms.data import member_matrix
+        from dpms.solver import LossBounds
 
         stats = sufficient_stats(_select_d9(seed))
         family = all_subsets(9)
         full = fit_masks(stats, family, radius)
         loss = full.neg2_loglik
-        bounds = bound_masks(stats, family, radius)
+        bounds = LossBounds(stats, member_matrix(family.bits, 9), radius, supersets=True)
         # Nothing is solved yet: every interval is [superset bound, inf).
         assert np.all(np.isinf(bounds.upper)) and not bounds.certified.any()
         assert np.all(bounds.lower <= loss)
@@ -702,3 +703,29 @@ class TestLossBounds:
         assert bounds.certified.all() and bounds.lower is bounds.upper
         assert np.array_equal(bounds.lower, loss)
         assert bounds.fits() is fits
+
+    @pytest.mark.parametrize("seed, radius", [(0, 1.0), (3, 0.3)])
+    def test_a_size_capped_family_starts_from_its_own_first_pass(self, seed, radius):
+        # At d = 9, the 45 masks of size <= 2 cost less to solve than the
+        # supersets: the intervals start from one first pass over the
+        # family, and settling them all reuses that pass bit for bit.
+        from dpms.solver import bound_masks
+
+        stats = sufficient_stats(_select_d9(seed))
+        family = all_subsets(9, max_size=2)
+        full = fit_masks(stats, family, radius)
+        loss = full.neg2_loglik
+        bounds = bound_masks(stats, family, radius)
+        lower, upper = bounds.lower.copy(), bounds.upper.copy()
+        assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+        assert np.all(lower <= loss) and np.all(loss <= upper)
+        # The slack masks are certified by the first pass, and their
+        # intervals are the points fit_masks returns; the binding ones are
+        # left to settle.
+        slack = bounds.certified
+        assert 0 < slack.sum() < len(family)
+        assert np.array_equal(lower[slack], loss[slack]) and np.array_equal(upper[slack], loss[slack])
+        fits = bounds.fits()
+        for name in ("beta", "neg2_loglik", "iterations", "converged"):
+            assert np.array_equal(getattr(fits, name), getattr(full, name))
+        assert bounds.lower is bounds.upper
