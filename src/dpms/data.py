@@ -95,9 +95,10 @@ class ModelMask:
 
 
 def member_matrix(bits, d: int) -> np.ndarray:
-    """Boolean (m, d) membership rows for a sequence of m bit-sets."""
-    words = np.asarray(bits, dtype=np.uint64)
-    return ((words[:, None] >> np.arange(d, dtype=np.uint64)) & 1).astype(bool)
+    """Boolean (m, d) membership rows for a sequence of m bit-sets: the
+    first d bits of each word's little-endian bytes, low bit first."""
+    words = np.asarray(bits, dtype="<u8").reshape(-1, 1).view(np.uint8)
+    return np.unpackbits(words, axis=1, count=d, bitorder="little").view(bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

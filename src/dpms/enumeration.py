@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class CandidateSet:
     ``bits[j]`` is the bit-set of candidate ``j`` (the encoding of
     :class:`~dpms.data.ModelMask`) and ``sizes[j]`` its cardinality; both
     are read-only arrays.  Indexing and iteration build ``ModelMask``
-    objects on demand.
+    objects on demand.  ``canonical_order`` sorts the family by size, then
+    by bit value, the order that keys its noise and breaks its ties.
     """
 
     bits: np.ndarray
@@ -63,6 +65,19 @@ class CandidateSet:
         sizes.setflags(write=False)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "sizes", sizes)
+
+    @cached_property
+    def canonical_order(self) -> np.ndarray | None:
+        """Positions of the candidates by size, then by bit value; None
+        when the family is in that order already, as every
+        :func:`all_subsets` family is.  Computed once per family."""
+        sizes, bits = self.sizes, self.bits
+        grows = sizes[1:] > sizes[:-1]
+        if np.all(grows | ((sizes[1:] == sizes[:-1]) & (bits[1:] > bits[:-1]))):
+            return None
+        order = np.lexsort((bits, sizes))
+        order.setflags(write=False)
+        return order
 
     def __len__(self) -> int:
         return self.bits.size

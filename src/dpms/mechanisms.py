@@ -150,11 +150,6 @@ def _gumbel_from_u64_array(k: np.ndarray) -> np.ndarray:
     return -np.log(e)
 
 
-def _canonical_order(sizes: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Column positions of a family sorted by size, then by bit value."""
-    return np.lexsort((bits, sizes))
-
-
 def _xof_words(seed: int, stream_ids, tag: int, count: int) -> np.ndarray:
     """Uniform nonzero 64-bit words, ``count`` per stream, one read each.
 
@@ -185,7 +180,7 @@ def _xof_words(seed: int, stream_ids, tag: int, count: int) -> np.ndarray:
     return words
 
 
-def _keyed_u64_block(seed: int, stream_ids, tag: int, sizes, bits) -> np.ndarray:
+def _keyed_u64_block(seed: int, stream_ids, tag: int, models: CandidateSet) -> np.ndarray:
     """Uniform nonzero 64-bit integers keyed by (stream, tag, candidate rank).
 
     Entry ``[i, j]`` is word ``r`` of row ``i``'s stream
@@ -193,8 +188,10 @@ def _keyed_u64_block(seed: int, stream_ids, tag: int, sizes, bits) -> np.ndarray
     family's canonical order; reordering the columns reorders the entries
     with them.
     """
-    order = _canonical_order(sizes, bits)
-    words = _xof_words(seed, stream_ids, tag, len(order))
+    words = _xof_words(seed, stream_ids, tag, len(models))
+    order = models.canonical_order
+    if order is None:
+        return words
     out = np.empty(words.shape, dtype=np.uint64)
     out[:, order] = words
     return out
@@ -248,17 +245,20 @@ def _candidate_family(candidates) -> tuple[list[ScoredCandidate], CandidateSet]:
     return cands, CandidateSet([c.mask.bits for c in cands], d)
 
 
-def _row_argmin(keys: np.ndarray, sizes: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Column of the smallest key in each row of ``keys``.
+def _row_argmin(keys: np.ndarray, models: CandidateSet) -> np.ndarray:
+    """Column of the smallest key in each row of ``keys``, one column per
+    candidate of ``models``.
 
     Exact ties go to the smallest model, then the smallest bit value, so
     the winner does not depend on the column order.
     """
-    order = _canonical_order(sizes, bits)
+    order = models.canonical_order
+    if order is None:
+        return np.argmin(keys, axis=1)
     return order[np.argmin(keys[:, order], axis=1)]
 
 
-def _noisy_keys(scales, sizes, bits, seed: int, stream_ids):
+def _noisy_keys(scales, models: CandidateSet, seed: int, stream_ids):
     """Report-noisy-argmin's keys as a function of the scores.
 
     Row ``i`` perturbs every score by its own Laplace draw keyed by
@@ -269,14 +269,14 @@ def _noisy_keys(scales, sizes, bits, seed: int, stream_ids):
     each score (``base`` is unused).
     """
     if np.any(scales):
-        words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, sizes, bits)
+        words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, models)
         noise = scales * _laplace_from_u64_array(words)
     else:
-        noise = np.zeros((len(stream_ids), len(bits)))
+        noise = np.zeros((len(stream_ids), len(models)))
     return lambda scores, base: scores + noise
 
 
-def _gumbel_keys(epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids):
+def _gumbel_keys(epsilon: float, sensitivity, models: CandidateSet, seed: int, stream_ids):
     """The exponential mechanism's keys as a function of the scores.
 
     Row ``i`` draws one Gumbel variate per column keyed like
@@ -292,9 +292,9 @@ def _gumbel_keys(epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids
     in ``low``.  ``epsilon = inf`` keys by the scores themselves.
     """
     if math.isinf(epsilon):
-        zeros = np.zeros((len(stream_ids), len(bits)))
+        zeros = np.zeros((len(stream_ids), len(models)))
         return lambda scores, base: scores + zeros
-    words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, sizes, bits)
+    words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, models)
     gumbel = _gumbel_from_u64_array(words)
 
     def keys(scores, base):
@@ -304,18 +304,19 @@ def _gumbel_keys(epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids
     return keys
 
 
-def _noisy_argmin_rows(scores, scales, sizes, bits, seed: int, stream_ids):
+def _noisy_argmin_rows(scores, scales, models: CandidateSet, seed: int, stream_ids):
     """Report-noisy-argmin on each row of a score matrix (see
     :func:`_noisy_keys`).  Returns (winning column per row, noisy scores)."""
-    noisy = _noisy_keys(scales, sizes, bits, seed, stream_ids)(scores, None)
-    return _row_argmin(noisy, sizes, bits), noisy
+    noisy = _noisy_keys(scales, models, seed, stream_ids)(scores, None)
+    return _row_argmin(noisy, models), noisy
 
 
-def _gumbel_argmin_rows(scores, epsilon: float, sensitivity, sizes, bits, seed: int, stream_ids):
+def _gumbel_argmin_rows(scores, epsilon: float, sensitivity, models: CandidateSet, seed: int,
+                        stream_ids):
     """Exponential-mechanism sample on each row of a score matrix (see
     :func:`_gumbel_keys`).  Returns (winning column per row, keys)."""
-    keys = _gumbel_keys(epsilon, sensitivity, sizes, bits, seed, stream_ids)(scores, scores)
-    return _row_argmin(keys, sizes, bits), keys
+    keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)(scores, scores)
+    return _row_argmin(keys, models), keys
 
 
 def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
@@ -333,9 +334,7 @@ def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
     cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
     scales = np.array([[c.noise_scale for c in cands]], dtype=np.float64)
-    winners, noisy = _noisy_argmin_rows(
-        scores, scales, family.sizes, family.bits, rng.seed, [rng.stream_id]
-    )
+    winners, noisy = _noisy_argmin_rows(scores, scales, family, rng.seed, [rng.stream_id])
     return cands[winners[0]].mask, noisy[0]
 
 
@@ -355,7 +354,7 @@ def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget,
     cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
     winners, keys = _gumbel_argmin_rows(
-        scores, budget.epsilon, sensitivity, family.sizes, family.bits, rng.seed, [rng.stream_id]
+        scores, budget.epsilon, sensitivity, family, rng.seed, [rng.stream_id]
     )
     return cands[winners[0]].mask, keys[0]
 

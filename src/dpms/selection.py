@@ -337,7 +337,7 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
 
 
 def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
-                    seed, stream_ids):
+                    seed, stream_ids, clean=None):
     """Winner of each row and, for noisy_argmin on settled fits, its noisy
     scores.
 
@@ -353,16 +353,21 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     the binding ones among them are settled in a batch of their own, which
     narrows them to the certificate's width.  If that does not decide,
     the whole family is settled.  Either way the winner is the one that
-    fully settled fits give, ties and all.
+    fully settled fits give, ties and all.  ``clean``, when given, is the
+    clean-score matrix of settled ``fits``.
     """
-    sizes, bits = models.sizes, models.bits
+    sizes = models.sizes
     if mechanism == "noisy_argmin":
         scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
-        keys = _noisy_keys(scale, sizes, bits, seed, stream_ids)
+        keys = _noisy_keys(scale, models, seed, stream_ids)
     else:
-        keys = _gumbel_keys(epsilon, sensitivity, sizes, bits, seed, stream_ids)
+        keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)
+    pick = True
     while True:
-        lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, sizes)
+        if clean is None:
+            lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, sizes)
+        else:
+            lo = hi = clean
         key_hi = keys(hi, lo)
         if lo is hi:
             break
@@ -371,24 +376,31 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
         if not undecided.any():
             break
         unsolved = np.isinf(fits.upper)
-        if unsolved.all():
-            # Each row's smallest lower key; a key's order within its row
-            # does not depend on the row's smallest score.
-            fits.first_pass(np.unique(keys(lo, lo)[undecided].argmin(axis=1)))
+        if pick and unsolved.any():
+            # Each row's smallest lower key among the unsolved masks; a
+            # key's order within its row does not depend on the row's
+            # smallest score.
+            pick = False
+            lower_keys = np.where(unsolved, keys(lo, lo), np.inf)
+            fits.first_pass(np.unique(lower_keys[undecided].argmin(axis=1)))
             continue
         if mechanism == "exponential":
             # Every key moves with the row's smallest score: solve the
             # columns that can reach it too.
             reach |= lo <= hi.min(axis=1, keepdims=True)
         want = reach[undecided].any(axis=0)
-        if (want & unsolved).any():
+        if (want & unsolved).sum() > models.d + 1 and fits.settle_supersets():
+            # Settled supersets bound the unsolved masks more tightly: pick
+            # again before solving many of them.
+            pick = True
+        elif (want & unsolved).any():
             fits.first_pass(np.flatnonzero(want & unsolved))
         elif (want & ~fits.certified).any():
             fits.settle(np.flatnonzero(want & ~fits.certified))
         else:
             fits.fits()
     noisy = key_hi if mechanism == "noisy_argmin" and lo is hi else None
-    return _row_argmin(key_hi, sizes, bits), noisy
+    return _row_argmin(key_hi, models), noisy
 
 
 def _select_rows(
@@ -401,6 +413,7 @@ def _select_rows(
     models: CandidateSet,
     seed: int,
     stream_ids,
+    clean: np.ndarray | None = None,
 ) -> _Picks:
     """The selection core: row ``i`` scores each candidate of ``models``
     with penalty ``penalties[i]`` and is released under
@@ -415,7 +428,9 @@ def _select_rows(
     releases with the row's first Laplace word.  A pcpl row whose proxy is
     degenerate falls back to a uniform pick instead; its noiseless limit
     (epsilon = inf) never falls back.  ``noisy`` is None unless every fit
-    ended up settled.
+    ended up settled.  A caller that has built the clean-score matrix of
+    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
+    not built again.
     """
     # A LossBounds' losses come from validated, finite statistics.
     if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
@@ -443,7 +458,7 @@ def _select_rows(
     if len(kept_ids):
         winners[kept], noisy = _mechanism_rows(
             algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon,
-            config.mechanism, models, seed, kept_ids,
+            config.mechanism, models, seed, kept_ids, None if clean is None else clean[kept],
         )
     if noisy is not None and fallback.any():
         # Fallback rows have no noisy scores.

@@ -298,8 +298,9 @@ def _sweep_chunk(
 
     Each (replication, R) is fitted once; its clean scores form one
     (phi x model) matrix, whose noiseless winners are taken once per phi.
-    Each (epsilon, delta) then runs the selection core on those fits with
-    one row and one stream per phi, keyed by the cell coordinates.  The result is
+    Each (epsilon, delta) then runs the selection core on those fits and
+    that matrix, with one row and one stream per phi, keyed by the cell
+    coordinates.  The result is
     indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3, the
     replications whose pick was correct, agreed with the noiseless pick
     and fell back, and the summed selection time in ms (an (epsilon,
@@ -326,7 +327,7 @@ def _sweep_chunk(
             head = _encode("select", *coords_base, R)
             fits = fit_masks(stats, models, R)
             clean = _score_matrix(grid.algorithm, fits.neg2_loglik, dataset.n, phis, models.sizes)
-            noiseless = _row_argmin(clean, models.sizes, models.bits)
+            noiseless = _row_argmin(clean, models)
             for c, config in enumerate(configs[i]):
                 # _stream_id("select", *coords_base, R, phi, eps, delta,
                 # algorithm, mechanism, rep), from pre-encoded parts.
@@ -336,7 +337,7 @@ def _sweep_chunk(
                 started = time.perf_counter() if measure_runtime else 0.0
                 picks = _select_rows(
                     grid.algorithm, fits, phis, dataset.response_bound, dataset.n,
-                    config, models, seed, stream_ids,
+                    config, models, seed, stream_ids, clean=clean,
                 )
                 seconds = (time.perf_counter() - started) if measure_runtime else 0.0
                 cell = cells[i, :, c]

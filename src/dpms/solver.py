@@ -95,6 +95,10 @@ _JOIN_FLOOR = 1e-9
 # reached its round-off floor and cannot be certified.
 _STALL_STEPS = 500
 
+# bound_masks bounds a family by its supersets once a first pass over the
+# family would solve more than this many unknowns per superset unknown.
+_SUPERSET_COST = 10
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -522,6 +526,10 @@ class LossBounds:
         self.certified = np.zeros(len(member), dtype=bool)
         self._family_pass: tuple[np.ndarray, np.ndarray] | None = None
         self._fits: Fits | None = None
+        # The supersets' (membership, X'y, projected starts, bounds), and
+        # the binding ones whose bounds come from unsettled points.
+        self._superset: tuple[np.ndarray, ...] | None = None
+        self._supersets_open = np.zeros(0, dtype=np.intp)
 
     @property
     def lower(self) -> np.ndarray:
@@ -540,27 +548,79 @@ class LossBounds:
 
     def _superset_lower(self) -> np.ndarray:
         """Each mask's largest lower bound over the supersets {all columns}
-        and {all but column j}, j not in the mask."""
+        and {all but column j}, j not in the mask.
+
+        A slack superset is bounded at its exact solve, and a binding one
+        by the larger bound at its projected start and at one KKT
+        candidate on that start's support and signs; :meth:`settle_supersets`
+        settles those on demand.  A singular superset has no such bound
+        worth keeping, so when X'X is singular to round-off, or a binding
+        superset's solve failed (its start is zero), every binding superset
+        is settled at once: the lasso path costs one batched step per
+        breakpoint, whatever its number of rows."""
         stats, radius, d = self._stats, self._radius, self._stats.d
-        a = stats.xtx
         member = np.ones((d + 1, d), dtype=bool)
         member[np.arange(1, d + 1), np.arange(d)] = False
         bvec = member * stats.xty
-        beta, rest = _first_pass(a, member, bvec, radius, self._tau)
-        if rest.size:
-            try:
-                beta[rest] = _settle(a, stats.yty, member[rest], bvec[rest], beta[rest],
-                                     radius, self._tau)[0]
-            except SolverError:
-                # The bound holds at any feasible point: a superset that
-                # cannot be certified keeps its projected start.
-                pass
-        gap = _gap((beta @ a) * member - bvec, beta, radius)
-        bound = _objective(stats.yty, a, member, bvec, beta) - gap - self._slack
+        start, rest = _first_pass(stats.xtx, member, bvec, radius, self._tau)
+        bound = self._gap_bound(member, bvec, start)
+        self._superset = member, bvec, start, bound
+        if not rest.size:
+            return self._superset_bounds()
+        # Every superset's restriction of X'X has its eigenvalues between
+        # the extremes of the full matrix's (Cauchy interlacing).
+        eig = np.linalg.eigvalsh(stats.xtx)
+        if eig[0] <= _ROUNDOFF * d * eig[-1] or not start[rest].any(axis=1).all():
+            self._settle_supersets(rest)
+        else:
+            self._supersets_open = rest
+            kkt = _kkt_candidates(stats.xtx, bvec[rest], start[rest], radius)
+            found = np.isfinite(kkt).all(axis=1)
+            rows = rest[found]
+            x = _project_rows(kkt[found], radius)
+            bound[rows] = np.maximum(bound[rows], self._gap_bound(member[rows], bvec[rows], x))
+        return self._superset_bounds()
+
+    def _gap_bound(self, member, bvec, beta) -> np.ndarray:
+        """``f - gap - s`` at each row of ``beta`` (on its mask): a lower
+        bound on the mask's loss, and so on that of each of its subsets."""
+        a = self._stats.xtx
+        gap = _gap((beta @ a) * member - bvec, beta, self._radius)
+        return _objective(self._stats.yty, a, member, bvec, beta) - gap - self._slack
+
+    def _settle_supersets(self, rows) -> None:
+        """Raise the bounds of superset ``rows`` to those of their settled
+        fits.  The bound holds at any feasible point, so a superset that
+        cannot be certified keeps the bound it has."""
+        if not rows.size:
+            return
+        member, bvec, start, bound = self._superset
+        try:
+            beta = _settle(self._stats.xtx, self._stats.yty, member[rows], bvec[rows],
+                           start[rows], self._radius, self._tau)[0]
+        except SolverError:
+            return
+        bound[rows] = np.maximum(bound[rows], self._gap_bound(member[rows], bvec[rows], beta))
+
+    def _superset_bounds(self) -> np.ndarray:
+        """Each family mask's largest superset bound."""
+        bound = self._superset[3]
         # Reduced across the d rows of the transposed membership, which is
         # several times faster than across each mask's d columns.
         left_out = np.where(np.ascontiguousarray(self._member.T), -np.inf, bound[1:, None])
         return np.maximum(bound[0], left_out.max(axis=0, initial=-np.inf))
+
+    def settle_supersets(self) -> bool:
+        """Settle the binding supersets that are bounded at unsettled points,
+        and raise every mask's lower bound to their settled fits' bounds.
+        Returns False, and does nothing, when none is left to settle."""
+        rows = self._supersets_open
+        if not rows.size or self._fits is not None:
+            return False
+        self._supersets_open = rows[:0]
+        self._settle_supersets(rows)
+        np.maximum(self._lower, self._superset_bounds(), out=self._lower)
+        return True
 
     def _bvec(self, rows) -> np.ndarray:
         return self._member[rows] * self._stats.xty
@@ -657,7 +717,7 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> 
     if not (math.isfinite(radius) and radius > 0):
         raise DataError(f"radius must be positive and finite, got {radius}")
     d = stats.d
-    supersets = int(models.sizes.sum()) > (d + 1) * d * _path_steps(d)
+    supersets = int(models.sizes.sum()) > _SUPERSET_COST * (d + 1) * d
     return LossBounds(stats, member_matrix(models.bits, d), radius, supersets)
 
 

@@ -153,11 +153,10 @@ def test_c04_mechanism_distributions():
     scores = (0.0, 0.4, 0.9, 1.6, 2.3, 3.1, 4.0)
     eps = 2.0
     trials = 100_000
-    sizes, bits = masks.sizes, masks.bits
     # One block of trials: row i is exponential_mechanism at sensitivity 1
     # under RngStream(MASTER, 42_000_000 + i).
     chosen, _ = _gumbel_argmin_rows(
-        np.array([scores]), eps, 1.0, sizes, bits, MASTER, range(42_000_000, 42_000_000 + trials)
+        np.array([scores]), eps, 1.0, masks, MASTER, range(42_000_000, 42_000_000 + trials)
     )
     weights = np.exp(-eps * np.array(scores) / 2.0)
     probs = weights / weights.sum()
@@ -333,8 +332,7 @@ def test_c08_privacy_log_ratio():
         counts = [
             np.bincount(
                 _noisy_argmin_rows(
-                    np.array([side]), scale, family.sizes, family.bits, MASTER,
-                    range(first, first + trials),
+                    np.array([side]), scale, family, MASTER, range(first, first + trials),
                 )[0],
                 minlength=2,
             )

@@ -38,10 +38,9 @@ from dpms.mechanisms import (
 )
 
 
-def _arrays(cands):
-    """(sizes, bits) of the candidates' masks, in list order."""
-    family = CandidateSet([c.mask.bits for c in cands], cands[0].mask.d)
-    return family.sizes, family.bits
+def _family(cands):
+    """The candidates' masks as a family, in list order."""
+    return CandidateSet([c.mask.bits for c in cands], cands[0].mask.d)
 
 
 def _cands(scores, scale, d=None):
@@ -201,8 +200,7 @@ class TestKeyedDraws:
     BITS = [2**64 - 1, 6, 0, 2**40 + 5, 1, 12]
 
     def _block(self, seed, streams, tag, bits):
-        family = CandidateSet(bits, 64)
-        return _keyed_u64_block(seed, streams, tag, family.sizes, family.bits)
+        return _keyed_u64_block(seed, streams, tag, CandidateSet(bits, 64))
 
     def test_block_matches_per_entry_reference(self):
         ranks = _ranks(self.BITS)
@@ -265,8 +263,8 @@ class TestKeyedDraws:
         family = all_subsets(5)
         perm = np.random.default_rng(3).permutation(len(family))
         for tag in (1, 2):
-            block = _keyed_u64_block(7, [0, 5], tag, family.sizes, family.bits)
-            shuffled = _keyed_u64_block(7, [0, 5], tag, family.sizes[perm], family.bits[perm])
+            block = _keyed_u64_block(7, [0, 5], tag, family)
+            shuffled = _keyed_u64_block(7, [0, 5], tag, CandidateSet(family.bits[perm], 5))
             assert np.array_equal(shuffled, block[:, perm])
 
     def test_wide_seed_draws_differently_from_its_low_half(self):
@@ -298,7 +296,6 @@ class TestKeyedDraws:
 
     def test_row_tie_rule_ignores_column_order(self):
         bits = np.array([0b0111, 0b1000, 0b0001, 0b0011, 0b0100], dtype=np.uint64)
-        sizes = np.bitwise_count(bits).astype(np.int64)
         keys = np.array([
             [1.0, 1.0, 1.0, 1.0, 2.0],  # three sizes tie: size 1, bits 1 wins
             [0.5, 3.0, 3.0, 0.5, 3.0],  # sizes 3 and 2 tie: bits 3 wins
@@ -307,16 +304,16 @@ class TestKeyedDraws:
         expected = [0b0001, 0b0011, 0b0100]
         for perm in itertools.permutations(range(len(bits))):
             perm = list(perm)
-            winners = _row_argmin(keys[:, perm], sizes[perm], bits[perm])
+            winners = _row_argmin(keys[:, perm], CandidateSet(bits[perm], 4))
             assert bits[perm][winners].tolist() == expected
 
     def test_list_mechanisms_equal_their_block_row(self):
         cands = _cands([3.0, 1.0, 4.0, 1.5, 0.2], 2.0, d=4)
-        sizes, bits = _arrays(cands)
+        family = _family(cands)
         scores = np.array([[c.score for c in cands]])
         streams = [11, 12, 13]
-        winners, noisy_rows = _noisy_argmin_rows(scores, 2.0, sizes, bits, 77, streams)
-        key_winners, key_rows = _gumbel_argmin_rows(scores, 0.7, 1.5, sizes, bits, 77, streams)
+        winners, noisy_rows = _noisy_argmin_rows(scores, 2.0, family, 77, streams)
+        key_winners, key_rows = _gumbel_argmin_rows(scores, 0.7, 1.5, family, 77, streams)
         for row, stream in enumerate(streams):
             mask, noisy = noisy_argmin(cands, PrivacyBudget(1.0), RngStream(77, stream))
             assert mask == cands[winners[row]].mask
@@ -371,12 +368,10 @@ class TestNoisyArgmin:
         assert flip_oracle == pytest.approx(closed_form, abs=1e-9)
 
         trials = 120_000
-        sizes, bits = _arrays(_cands([0.0, margin], b))
+        family = _family(_cands([0.0, margin], b))
         # All trials in one block: row i is noisy_argmin on these two
         # candidates at scale b under RngStream(1000, i).
-        winners, _ = _noisy_argmin_rows(
-            np.array([[0.0, margin]]), b, sizes, bits, 1000, range(trials)
-        )
+        winners, _ = _noisy_argmin_rows(np.array([[0.0, margin]]), b, family, 1000, range(trials))
         rate = np.count_nonzero(winners == 1) / trials
         sigma = math.sqrt(flip_oracle * (1 - flip_oracle) / trials)
         assert abs(rate - flip_oracle) < 4 * sigma
@@ -409,10 +404,10 @@ class TestExponentialMechanism:
         weights = np.exp([-eps * s / (2 * sens) for s in scores])
         probs = weights / weights.sum()
         trials = 30_000
-        sizes, bits = _arrays(_cands(scores, 0.0))
+        family = _family(_cands(scores, 0.0))
         # Row i is exponential_mechanism(..., RngStream(2000, i)).
         winners, _ = _gumbel_argmin_rows(
-            np.array([scores]), eps, sens, sizes, bits, 2000, range(trials)
+            np.array([scores]), eps, sens, family, 2000, range(trials)
         )
         counts = np.bincount(winners, minlength=3)
         result = stats.chisquare(counts, probs * trials)

@@ -403,8 +403,8 @@ class TestGoldenSweeps:
         selects, noiseless_picks = [], []
 
         def recorded(function, calls):
-            def wrapper(*args):
-                out = function(*args)
+            def wrapper(*args, **kwargs):
+                out = function(*args, **kwargs)
                 calls.append((args, out))
                 return out
             return wrapper
