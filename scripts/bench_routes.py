@@ -4,19 +4,23 @@
 
     python3 scripts/bench_routes.py --parent ../dpms-parent --change . --rounds 5
 
-``bound_masks`` bounds a family by the fits of its d + 1 supersets only
-when they cost less than one first pass over the family (see
-``dpms.solver``).  The workloads sit on both sides of that choice: full
-families, size-capped ones up to d = 20, and a collinear design (an
-intercept beside a full one-hot set, so the full superset is
-rank-deficient).  Each run imports one side's ``src/`` in a subprocess of
+``bound_masks`` bounds a family by its d + 1 supersets {all columns} and
+{all but column j} when the family's model sizes add up to more than
+15 (d + 1) d, and otherwise starts from one first pass over the family
+(see ``dpms.solver``).  A superset is bounded by its Frank-Wolfe gap at
+its exact solve and at one KKT candidate, and settled only on demand, or
+at once when X'X is singular.  The workloads sit on both sides of the
+route rule (the full family from d = 9 on, ``size<=4`` from d = 12 on)
+and of the settle rule: full families, size-capped ones up to d = 20, and
+a collinear design (an intercept beside a full one-hot set, so X'X is
+singular and the supersets are settled at once).  Each run imports one side's ``src/`` in a subprocess of
 its own and times ``--reps`` selects, cycling through 8 datasets and
 noise streams, five times over; the run's value is the best of the five,
-in ms per select.  The sides alternate, and the one that runs first
-alternates from one round to the next, so a drift of the host's speed
-falls on both alike.  The output, in the working directory, lists every
-run and each side's median over the rounds; the file is rewritten after
-every round.
+in ms per select.  Each round runs each side twice, in the order A B B A,
+and the side that runs first alternates from one round to the next, so a
+drift of the host's speed falls on both alike.  The output, in the
+working directory, lists every run and each side's median over all its
+runs; the file is rewritten after every round.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ RADIUS, PHI, EPSILON, RESPONSE_BOUND, N = 2.5, 50.0, 1.0, 4.0, 1000
 # of 6 levels (effects -0.8 .. 0.8).
 WORKLOADS = {
     "d4-full": ("signal", 3, None, "noisy_argmin"),
+    "d8-full": ("signal", 7, None, "noisy_argmin"),
     "d9-full": ("signal", 8, None, "noisy_argmin"),
     "d10-full": ("signal", 9, None, "noisy_argmin"),
     "d11-full": ("signal", 10, None, "noisy_argmin"),
@@ -132,7 +137,8 @@ def main(argv=None) -> int:
     runs = {name: {side: [] for side in SIDES} for name in names}
     doc: dict = {
         "method": (f"pcls_select in process, best of 5 repeats of {args.reps} selects "
-                   f"per run, {args.rounds} rounds alternating sides; n={N}, R={RADIUS}, "
+                   f"per run, {args.rounds} rounds of two runs per side in the order A B B A, "
+                   f"the first side alternating; n={N}, R={RADIUS}, "
                    f"phi={PHI}, epsilon={EPSILON}, r={RESPONSE_BOUND}, OMP_NUM_THREADS=1"),
         "cpus": os.cpu_count(),
         "workloads": {},
@@ -141,8 +147,9 @@ def main(argv=None) -> int:
     for i in range(args.rounds):
         for name in names:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            results = {side: _run(dirs[side], name, args.reps) for side in order}
-            for side in SIDES:
+            results = {}
+            for side in order + order[::-1]:
+                results[side] = _run(dirs[side], name, args.reps)
                 runs[name][side].append(results[side]["ms_per_select"])
             median = {side: statistics.median(runs[name][side]) for side in SIDES}
             doc["workloads"][name] = {
@@ -154,8 +161,8 @@ def main(argv=None) -> int:
                 "change_over_parent": round(median["change"] / median["parent"], 3),
                 **{f"{side}_runs_ms": runs[name][side] for side in SIDES},
             }
-            print(f"round {i}: {name}: parent {results['parent']['ms_per_select']} ms, "
-                  f"change {results['change']['ms_per_select']} ms", file=sys.stderr, flush=True)
+            print(f"round {i}: {name}: parent {runs[name]['parent'][-2:]} ms, "
+                  f"change {runs[name]['change'][-2:]} ms", file=sys.stderr, flush=True)
         out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

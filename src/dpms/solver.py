@@ -33,8 +33,9 @@ Step 1 is the first pass; steps 2-4 settle the rows they are given.
 a certified loss interval and solves and settles masks on demand
 (:class:`LossBounds`), so a selection settles only the masks its release
 can depend on.  Where a first pass over the family costs more than a few
-supersets, it bounds the unsolved masks from below by the supersets' fits
-instead, and a selection solves only the masks its release can reach.
+supersets, it bounds the unsolved masks from below by the supersets'
+duality gaps instead, and a selection solves only the masks its release
+can reach.
 
 ``tau`` is ``_TOLERANCE * max(1, yty)`` plus a round-off allowance, a
 small multiple of ``eps * d`` times the loss's scale ``yty + 2 R ||b||_inf
@@ -96,8 +97,9 @@ _JOIN_FLOOR = 1e-9
 _STALL_STEPS = 500
 
 # bound_masks bounds a family by its supersets once a first pass over the
-# family would solve more than this many unknowns per superset unknown.
-_SUPERSET_COST = 10
+# family would solve more than this many unknowns per superset unknown
+# (measured with scripts/bench_routes.py).
+_SUPERSET_COST = 15
 
 
 @dataclass(frozen=True)
@@ -490,12 +492,18 @@ class LossBounds:
     columns, so a lower bound on a superset's loss bounds the mask's loss
     from below (Furnival & Wilson's leaps and bounds).  With ``supersets``,
     nothing in the family is solved at first: the d + 1 supersets {all
-    columns} and {all but column j} are settled as one batch of their own,
-    whether or not the family holds them, and an unsolved mask M has the
-    interval ``[lower_M, +inf)``, ``lower_M`` the largest ``f_S - gap_S -
-    s`` over those supersets S of M.  ``gap`` is the Frank-Wolfe gap (a
-    lower bound by convexity) and ``s`` the certificate level plus three
-    round-off allowances, for the gap and for the two losses compared.
+    columns} and {all but column j} get one exact solve as a batch of their
+    own, whether or not the family holds them, and an unsolved mask M has
+    the interval ``[lower_M, +inf)``, ``lower_M`` the largest ``f(x) -
+    gap(x) - s`` over those supersets S of M.  ``gap`` is the Frank-Wolfe
+    gap, so ``f(x) - gap(x)`` bounds S's minimum from below at any x on
+    S's columns (Jaggi 2013), and ``s`` is the certificate level plus three
+    round-off allowances, for the gap and for the two losses compared.  A
+    binding superset takes the larger bound at its projected start and at
+    one projected KKT candidate, not a certified fit; :meth:`settle_supersets`
+    settles those on demand and raises every bound to their fits'.  When
+    X'X is singular, or a binding superset's solve fails, the binding
+    supersets are settled at once instead (see :meth:`_superset_lower`).
     Without ``supersets``, the intervals start from one first pass over the
     whole family, the one :meth:`fits` then reuses: a slack mask's interval
     is the point that fits() returns for it, and a binding mask's is
@@ -706,12 +714,16 @@ class LossBounds:
 
 def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> LossBounds:
     """The loss bounds of a family, with no mask solved yet (see
-    :class:`LossBounds`).  The first pass solves one unknown per column of
-    each mask; settling the d + 1 supersets can take a batched solve of
-    their d unknowns each at every step of a lasso path.  The supersets
-    bound the family only when the first pass would solve more: the full
-    family at d = 12 (24,576 unknowns against 13 x 12 x 56), not
-    ``size<=3`` at d = 20 (3,820 against 21 x 20 x 88)."""
+    :class:`LossBounds`).  A first pass over the family solves one unknown
+    per column of each mask.  Bounding by the d + 1 supersets solves their
+    d unknowns each once, plus one KKT candidate, and leaves a select to
+    first-pass a few masks; timed in process (``scripts/bench_routes.py``),
+    that costs about as much as a first pass over ``_SUPERSET_COST = 15``
+    times the supersets' ``(d + 1) d`` unknowns.  So the supersets bound
+    the family when its model sizes add up to more: the full family from
+    d = 9 on (24,576 unknowns against 2,340 at d = 12, but 1,024 against
+    1,080 at d = 8), ``size<=4`` from d = 12 on, and ``size<=3`` only past
+    d = 24 (3,820 against 6,300 at d = 20)."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):

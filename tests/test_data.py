@@ -62,6 +62,23 @@ class TestModelMask:
         assert m.column_positions().tolist() == [0, 3]
         assert m.member_row().tolist() == [True, False, False, True, False]
 
+    @pytest.mark.parametrize("d", [1, 8, 9, 24])
+    def test_member_matrix_is_the_shift_form(self, d):
+        # Column j of row i is bit j of word i.  Every word has its top
+        # bit set, so the last byte that holds a column is never empty.
+        from dpms.data import member_matrix
+
+        top = 1 << (d - 1)
+        rng = np.random.default_rng([5, d])
+        bits = rng.integers(0, top, 300, dtype=np.uint64, endpoint=True) | np.uint64(top)
+        bits = np.concatenate([bits, np.array([top, 2 * top - 1], dtype=np.uint64)])
+        shifted = ((bits[:, None] >> np.arange(d, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+        member = member_matrix(bits, d)
+        assert member.dtype == bool and member.shape == (len(bits), d)
+        assert np.array_equal(member, shifted)
+        assert member[:, -1].all()
+        assert np.array_equal(member_matrix(bits.tolist(), d), shifted)
+
 
 class TestDataset:
     def _xy(self, n=5, d=3, seed=0):

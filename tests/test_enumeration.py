@@ -121,6 +121,20 @@ class TestCandidateSet:
         assert fam[0] == ModelMask.from_indices([2, 3], 3)
         assert list(fam) == [fam[0], fam[1]]
 
+    def test_canonical_order_is_known_once(self):
+        # By size, then by bit value: None for a family in that order.
+        for fam in (all_subsets(6), all_subsets(6, include_empty=True, max_size=2),
+                    from_explicit([[1], [3], [1, 2]], 3), CandidateSet([5], 3)):
+            assert fam.canonical_order is None
+        fam = from_explicit([[2, 3], [1], [3], [1, 2]], 3)
+        order = fam.canonical_order
+        assert order.tolist() == [1, 2, 3, 0] and not order.flags.writeable
+        assert fam.canonical_order is order
+        assert from_explicit([[2], [1]], 3).canonical_order.tolist() == [1, 0]
+        perm = np.random.default_rng(4).permutation(63)
+        shuffled = CandidateSet(all_subsets(6).bits[perm], 6)
+        assert np.array_equal(perm[shuffled.canonical_order], np.arange(63))
+
 
 class TestLevelByLevel:
     @staticmethod

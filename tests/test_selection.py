@@ -551,6 +551,57 @@ class TestReleaseHoldsOnlyTheIndex:
         assert len(a["key_sha256"]) == 64
 
 
+class TestCanonicalOrder:
+    # The noise of a mask is keyed by its rank in the family's canonical
+    # order (by size, then bit value), which also breaks ties.  A family
+    # knows that order, and an all_subsets family is in it already.
+    @staticmethod
+    def _configs():
+        for mechanism in ("noisy_argmin", "exponential"):
+            yield pcls_select, SelectionConfig(radius=1.0, penalty=2.0, budget=PrivacyBudget(1.0),
+                                               mechanism=mechanism)
+            yield pcpl_select, SelectionConfig(radius=1.0, penalty=2.0, mechanism=mechanism,
+                                               budget=PrivacyBudget(1.0, 1e-4))
+
+    def test_a_select_on_all_subsets_sorts_nothing(self, monkeypatch):
+        ds, _, _ = _dataset(n=200, d=5, seed=4, beta=(1.2, -0.8, 0.5, 0.0, 0.0))
+        family = all_subsets(5)
+        sorts = []
+        lexsort = np.lexsort
+
+        def counted(*args, **kwargs):
+            sorts.append(args)
+            return lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        for select, cfg in self._configs():
+            for sid in range(3):
+                json.loads(select(ds, family, cfg, RngStream(12, sid)).to_json())
+        assert sorts == []
+
+    def test_a_shuffled_family_draws_the_same_noise_per_mask(self):
+        ds, _, _ = _dataset(n=200, d=5, seed=4, beta=(1.2, -0.8, 0.5, 0.0, 0.0))
+        family = all_subsets(5)
+        perm = np.random.default_rng(6).permutation(len(family))
+        shuffled = from_explicit([family[j].indices() for j in perm], 5)
+        assert np.array_equal(shuffled.bits, family.bits[perm])
+        assert shuffled.canonical_order is not None
+        picks = 0
+        for select, cfg in self._configs():
+            for sid in range(4):
+                ordered = select(ds, family, cfg, RngStream(12, sid))
+                report = select(ds, shuffled, cfg, RngStream(12, sid))
+                assert report.fallback_uniform == ordered.fallback_uniform
+                if ordered.fallback_uniform:
+                    # pcpl's uniform fallback draws a column, not a rank.
+                    continue
+                picks += 1
+                assert report.chosen == ordered.chosen
+                if ordered.noisy_scores is not None:
+                    assert np.array_equal(report.noisy_scores, ordered.noisy_scores[perm])
+        assert picks >= 8
+
+
 class TestReportArrays:
     def test_select_builds_at_most_the_winning_mask(self, monkeypatch):
         # Scores stay arrays from the fits to the JSON text; the one
@@ -773,7 +824,7 @@ class TestPrunedSelection:
 
     def test_size_capped_select_solves_the_family_not_its_supersets(self, monkeypatch):
         # The 78 masks of size <= 2 at d = 12 cost less to solve than the
-        # lasso paths of the 13 supersets of 11 and 12 columns: a select
+        # gap bounds of the 13 supersets of 11 and 12 columns: a select
         # first-passes the family as one batch and solves no superset.
         ds, _, _ = _dataset(n=300, d=12, beta=(0.9, -0.7) + (0.0,) * 10)
         family = all_subsets(12, max_size=2)
@@ -855,3 +906,152 @@ class TestSupersetBounds:
                         bounds = self._bounds(stats, family, radius, supersets)
                         report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(23, sid))
                         assert report.chosen == family[full.winners[i]]
+
+    @staticmethod
+    def _count_superset_settles(monkeypatch) -> list:
+        """Records what every on-demand superset settle returns."""
+        from dpms.solver import LossBounds
+
+        settles = []
+        settle_supersets = LossBounds.settle_supersets
+
+        def counted(self):
+            settles.append(settle_supersets(self))
+            return settles[-1]
+
+        monkeypatch.setattr(LossBounds, "settle_supersets", counted)
+        return settles
+
+    @pytest.mark.parametrize("design", ["signal", "onehot", "near-onehot"])
+    @pytest.mark.parametrize("radius", [0.5, 2.5])
+    def test_bounds_before_and_after_the_settle_hold_every_certified_loss(self, design, radius):
+        # A superset is bounded by its gap at its projected start and at
+        # one KKT candidate, and settled on demand; on the one-hot design
+        # X'X is singular, and every binding superset is settled at once.
+        family = all_subsets(9)
+        narrowed = 0
+        for seed in range(3):
+            ds = _design(design, seed)
+            stats = sufficient_stats(ds)
+            loss = fit_masks(stats, family, radius).neg2_loglik
+            bounds = self._bounds(stats, family, radius, supersets=True)
+            before = bounds.lower.copy()
+            assert np.all(before <= loss)
+            settled = bounds.settle_supersets()
+            assert np.all(before <= bounds.lower) and np.all(bounds.lower <= loss)
+            assert not bounds.settle_supersets()
+            if design == "onehot":
+                assert not settled and np.array_equal(before, bounds.lower)
+            narrowed += int(np.any(bounds.lower > before))
+        # The gap bounds are loose on the near-collinear design, and the
+        # settle narrows them.
+        assert narrowed > 0 or design != "near-onehot"
+
+    def test_the_on_demand_settle_releases_the_fully_settled_winner(self, monkeypatch):
+        # On the near-collinear design the gap bounds of the supersets are
+        # loose, so a select that would solve more than d + 1 masks
+        # settles the supersets first, and each stream then solves its
+        # smallest lower key again.  The winner is that of fully settled
+        # fits, and noisy argmin solves few masks.  (The exponential
+        # mechanism also solves every mask that can reach the row's
+        # smallest score, many of them on this design.)
+        from dpms.solver import LossBounds
+
+        family = all_subsets(9)
+        settles = self._count_superset_settles(monkeypatch)
+        solved = []
+        first_pass = LossBounds.first_pass
+
+        def counted(self, rows):
+            solved.append(len(rows))
+            return first_pass(self, rows)
+
+        monkeypatch.setattr(LossBounds, "first_pass", counted)
+        streams = list(range(6))
+        for mechanism in ("noisy_argmin", "exponential"):
+            cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0),
+                                  mechanism=mechanism)
+            for seed in range(2):
+                ds = _design("near-onehot", seed, n=1000)
+                fits = fit_masks(sufficient_stats(ds), family, 2.5)
+                full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
+                                    ds.n, cfg, family, 41, streams)
+                for i, sid in enumerate(streams):
+                    solved.clear()
+                    report = pcls_select(ds, family, cfg, RngStream(41, sid))
+                    assert report.chosen == family[full.winners[i]]
+                    if mechanism == "noisy_argmin":
+                        assert sum(solved) < len(family) // 8
+        assert sum(settles) >= 12
+
+    def test_a_singular_design_settles_its_supersets_at_once(self, monkeypatch):
+        # An intercept beside a full one-hot set: X'X is singular, so the
+        # supersets are settled with the bounds, never on demand.
+        family = all_subsets(9)
+        settles = self._count_superset_settles(monkeypatch)
+        cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0))
+        for seed in range(2):
+            ds = _design("onehot", seed, n=1000)
+            fits = fit_masks(sufficient_stats(ds), family, 2.5)
+            full = _select_rows("pcls", fits, [cfg.penalty] * 6, ds.response_bound, ds.n, cfg,
+                                family, 43, list(range(6)))
+            for sid in range(6):
+                assert pcls_select(ds, family, cfg, RngStream(43, sid)).chosen == (
+                    family[full.winners[sid]])
+        assert not any(settles)
+
+    def test_a_default_d12_select_runs_no_lasso_path_for_the_supersets(self, monkeypatch):
+        # On the benchmark's design the gap bounds at the projected starts
+        # and their KKT candidates decide the release: no superset follows
+        # the lasso path, before or during the select.
+        from dpms import solver
+
+        paths, bounding = [], []
+        homotopy, superset_lower = solver._homotopy, solver.LossBounds._superset_lower
+        settle_supersets = solver.LossBounds.settle_supersets
+
+        def flagged(method):
+            def wrapper(self):
+                bounding.append(True)
+                try:
+                    return method(self)
+                finally:
+                    bounding.pop()
+            return wrapper
+
+        def counted(*args):
+            if bounding:
+                paths.append(len(args[1]))
+            return homotopy(*args)
+
+        monkeypatch.setattr(solver, "_homotopy", counted)
+        monkeypatch.setattr(solver.LossBounds, "_superset_lower", flagged(superset_lower))
+        monkeypatch.setattr(solver.LossBounds, "settle_supersets", flagged(settle_supersets))
+        family = all_subsets(12)
+        cfg = SelectionConfig(radius=2.5, penalty=50.0, budget=PrivacyBudget(1.0))
+        for seed in range(4):
+            ds = _design("signal", seed, d=12, n=1000)
+            assert solver.bound_masks(sufficient_stats(ds), family, 2.5)._supersets
+            for sid in range(5):
+                pcls_select(ds, family, cfg, RngStream(7, 20 * seed + sid))
+        assert paths == []
+
+
+def _design(name, seed, d=9, n=300):
+    """An intercept beside uniform covariates, with y = 1.5 x1 + x2 + 0.5 x3
+    + N(0, 1) clipped to r = 4, as in the select benchmark ("signal").
+    "onehot" adds a full one-hot set of 4 levels, collinear with the
+    intercept; "near-onehot" scales each row's one-hot entry by 1 - u/100,
+    u uniform, so X'X is nonsingular but ill-conditioned."""
+    rng = np.random.default_rng([53, seed])
+    x = rng.uniform(-1, 1, (n, d - 1 if name == "signal" else d - 5))
+    y = x[:, :3] @ np.array([1.5, 1.0, 0.5]) + rng.normal(0, 1, n)
+    columns = [np.ones(n), x]
+    if name != "signal":
+        level = rng.integers(0, 4, n)
+        y = y + np.linspace(-0.6, 0.6, 4)[level]
+        onehot = np.eye(4)[level]
+        if name == "near-onehot":
+            onehot *= 1.0 - 0.01 * rng.uniform(0, 1, (n, 1))
+        columns.append(onehot)
+    return Dataset(np.column_stack(columns), np.clip(y, -4, 4), 4.0)

@@ -704,6 +704,25 @@ class TestLossBounds:
         assert np.array_equal(bounds.lower, loss)
         assert bounds.fits() is fits
 
+    @pytest.mark.parametrize("d, cap, supersets", [
+        (8, None, False), (9, None, True), (11, 4, False), (12, 4, True), (12, 3, False),
+        (16, 4, True), (20, 2, False), (20, 3, False), (20, 4, True), (24, 3, False),
+    ])
+    def test_supersets_bound_families_of_more_than_15_unknowns_per_superset_unknown(
+        self, d, cap, supersets
+    ):
+        # The supersets are used when the family's model sizes add up to
+        # more than 15 (d + 1) d: the full family from d = 9 on, size <= 4
+        # from d = 12 on, size <= 3 at no d up to 24.
+        from dpms.solver import bound_masks
+
+        rng = np.random.default_rng(d)
+        x = rng.uniform(-1, 1, (2 * d, d))
+        stats = sufficient_stats(Dataset(x, np.clip(x.sum(axis=1), -2, 2), 2.0))
+        family = all_subsets(d, max_size=cap)
+        assert (int(family.sizes.sum()) > 15 * (d + 1) * d) == supersets
+        assert bound_masks(stats, family, 1.0)._supersets == supersets
+
     @pytest.mark.parametrize("seed, radius", [(0, 1.0), (3, 0.3)])
     def test_a_size_capped_family_starts_from_its_own_first_pass(self, seed, radius):
         # At d = 9, the 45 masks of size <= 2 cost less to solve than the
