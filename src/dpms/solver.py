@@ -579,7 +579,7 @@ class LossBounds:
         # the extremes of the full matrix's (Cauchy interlacing).
         eig = np.linalg.eigvalsh(stats.xtx)
         if eig[0] <= _ROUNDOFF * d * eig[-1] or not start[rest].any(axis=1).all():
-            self._settle_supersets(rest)
+            self._settle_superset_rows(rest)
         else:
             self._supersets_open = rest
             kkt = _kkt_candidates(stats.xtx, bvec[rest], start[rest], radius)
@@ -596,7 +596,7 @@ class LossBounds:
         gap = _gap((beta @ a) * member - bvec, beta, self._radius)
         return _objective(self._stats.yty, a, member, bvec, beta) - gap - self._slack
 
-    def _settle_supersets(self, rows) -> None:
+    def _settle_superset_rows(self, rows) -> None:
         """Raise the bounds of superset ``rows`` to those of their settled
         fits.  The bound holds at any feasible point, so a superset that
         cannot be certified keeps the bound it has."""
@@ -626,7 +626,7 @@ class LossBounds:
         if not rows.size or self._fits is not None:
             return False
         self._supersets_open = rows[:0]
-        self._settle_supersets(rows)
+        self._settle_superset_rows(rows)
         np.maximum(self._lower, self._superset_bounds(), out=self._lower)
         return True
 
