@@ -13,14 +13,16 @@ at once when X'X is singular.  The workloads sit on both sides of the
 route rule (the full family from d = 9 on, ``size<=4`` from d = 12 on)
 and of the settle rule: full families, size-capped ones up to d = 20, and
 a collinear design (an intercept beside a full one-hot set, so X'X is
-singular and the supersets are settled at once).  Each run imports one side's ``src/`` in a subprocess of
-its own and times ``--reps`` selects, cycling through 8 datasets and
-noise streams, five times over; the run's value is the best of the five,
-in ms per select.  Each round runs each side twice, in the order A B B A,
-and the side that runs first alternates from one round to the next, so a
-drift of the host's speed falls on both alike.  The output, in the
-working directory, lists every run and each side's median over all its
-runs; the file is rewritten after every round.
+singular and the supersets are settled at once).
+
+Each run imports one side's ``src/`` in a subprocess of its own and times
+``--reps`` selects, cycling through 8 datasets and noise streams, five
+times over; the run's value is the best of the five, in ms per select.
+Each round runs each side twice, in the order A B B A, and the side that
+runs first alternates from one round to the next, so a drift of the
+host's speed falls on both alike.  The output, in the working directory,
+lists every run and each side's median over all its runs; the file is
+rewritten after every round.
 """
 
 from __future__ import annotations

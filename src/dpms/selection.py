@@ -349,14 +349,17 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     is drawn first.  Before any mask is solved, each row solves the one
     with its smallest lower key.  Then, while a row is undecided, the
     masks that can win it (and, for the exponential mechanism, those that
-    can reach its smallest score) are solved, and once all of them are,
-    the binding ones among them are settled in a batch of their own, which
+    can reach its smallest score) are solved.  When those are more than
+    d + 1 and the supersets' bounds are not yet settled, the supersets are
+    settled first (:meth:`~dpms.solver.LossBounds.settle_supersets`) and
+    each row again solves its smallest lower key among the unsolved masks.
+    Once all the masks that can win are solved, the binding ones among
+    them are settled in a batch of their own, which
     narrows them to the certificate's width.  If that does not decide,
     the whole family is settled.  Either way the winner is the one that
     fully settled fits give, ties and all.  ``clean``, when given, is the
     clean-score matrix of settled ``fits``.
     """
-    sizes = models.sizes
     if mechanism == "noisy_argmin":
         scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
         keys = _noisy_keys(scale, models, seed, stream_ids)
@@ -365,7 +368,7 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     pick = True
     while True:
         if clean is None:
-            lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, sizes)
+            lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, models.sizes)
         else:
             lo = hi = clean
         key_hi = keys(hi, lo)
