@@ -8,12 +8,14 @@
 {all but column j} when the family's model sizes add up to more than
 15 (d + 1) d, and otherwise starts from one first pass over the family
 (see ``dpms.solver``).  A superset is bounded by its Frank-Wolfe gap at
-its exact solve and at one KKT candidate, and settled only on demand, or
-at once when X'X is singular.  The workloads sit on both sides of the
-route rule (the full family from d = 9 on, ``size<=4`` from d = 12 on)
-and of the settle rule: full families, size-capped ones up to d = 20, and
+its exact solve and at one KKT candidate, and settled only on demand.
+With the exponential mechanism, or when X'X is ill-conditioned (condition
+number above 500), the supersets are settled at once instead, and bound
+the family only above 40 (d + 1) d.  The workloads sit on both sides of
+each rule: full families, size-capped ones up to d = 20, both mechanisms,
 a collinear design (an intercept beside a full one-hot set, so X'X is
-singular and the supersets are settled at once).
+singular) and a near-collinear one (X'X nonsingular, condition number
+near 10^6).
 
 Each run imports one side's ``src/`` in a subprocess of its own and times
 ``--reps`` selects, cycling through 8 datasets and noise streams, five
@@ -28,6 +30,7 @@ rewritten after every round.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import os
@@ -44,7 +47,10 @@ RADIUS, PHI, EPSILON, RESPONSE_BOUND, N = 2.5, 50.0, 1.0, 4.0, 1000
 # name: (design, covariates, size cap or None, mechanism).  "signal" is
 # the benchmark's select data, y = 1.5 x1 + x2 + 0.5 x3 + N(0, 1) with
 # x uniform on [-1, 1], beside an intercept; "onehot" adds a one-hot set
-# of 6 levels (effects -0.8 .. 0.8).
+# of 6 levels (effects -0.8 .. 0.8), collinear with the intercept;
+# "nearonehot" adds one of 4 levels (effects -0.6 .. 0.6) and scales each
+# row's one-hot entry by 1 - u/100, u uniform, so X'X is nonsingular but
+# ill-conditioned.
 WORKLOADS = {
     "d4-full": ("signal", 3, None, "noisy_argmin"),
     "d8-full": ("signal", 7, None, "noisy_argmin"),
@@ -60,10 +66,17 @@ WORKLOADS = {
     "d20-size3": ("signal", 19, 3, "noisy_argmin"),
     "d20-size3-exponential": ("signal", 19, 3, "exponential"),
     "d20-size4": ("signal", 19, 4, "noisy_argmin"),
+    "d12-size4-exponential": ("signal", 11, 4, "exponential"),
+    "d20-size4-exponential": ("signal", 19, 4, "exponential"),
     "d20-size5": ("signal", 19, 5, "noisy_argmin"),
     "onehot-d10-full": ("onehot", 3, None, "noisy_argmin"),
     "onehot-d10-size3": ("onehot", 3, 3, "noisy_argmin"),
     "onehot-d12-full": ("onehot", 5, None, "noisy_argmin"),
+    "nearonehot-d9-full": ("nearonehot", 4, None, "noisy_argmin"),
+    "nearonehot-d9-full-exponential": ("nearonehot", 4, None, "exponential"),
+    "nearonehot-d12-size4": ("nearonehot", 7, 4, "noisy_argmin"),
+    "nearonehot-d12-size4-exponential": ("nearonehot", 7, 4, "exponential"),
+    "nearonehot-d12-full": ("nearonehot", 7, None, "noisy_argmin"),
 }
 
 
@@ -76,10 +89,14 @@ def _dataset(design: str, covariates: int, k: int):
     x = rng.uniform(-1.0, 1.0, size=(N, covariates))
     y = x[:, :3] @ np.array([1.5, 1.0, 0.5]) + rng.normal(0.0, 1.0, size=N)
     columns = [np.ones(N), x]
-    if design == "onehot":
-        level = rng.integers(0, 6, N)
-        y = y + np.linspace(-0.8, 0.8, 6)[level]
-        columns.append(np.eye(6)[level])
+    if design != "signal":
+        levels, effect = (6, 0.8) if design == "onehot" else (4, 0.6)
+        level = rng.integers(0, levels, N)
+        y = y + np.linspace(-effect, effect, levels)[level]
+        onehot = np.eye(levels)[level]
+        if design == "nearonehot":
+            onehot *= 1.0 - 0.01 * rng.uniform(0.0, 1.0, (N, 1))
+        columns.append(onehot)
     return standardize(np.column_stack(columns), y, "clip", response_bound=RESPONSE_BOUND)
 
 
@@ -105,10 +122,20 @@ def side_run(name: str, reps: int) -> dict:
     for _ in range(DATASETS):
         select()
     best = min(timeit.repeat(select, number=reps, repeat=5)) / reps
-    # The parent has no choice of route; it reads None.
-    route = getattr(bound_masks(sufficient_stats(datasets[0]), family, RADIUS), "_supersets", None)
+    # A side without the choice of route or settle reads None.
+    eager = {"eager": mechanism == "exponential"}
+    if "eager" not in inspect.signature(bound_masks).parameters:
+        eager = {}
+    bounds = bound_masks(sufficient_stats(datasets[0]), family, RADIUS, **eager)
     return {"ms_per_select": round(1e3 * best, 4), "models": len(family), "d": family.d,
-            "supersets": route}
+            "supersets": getattr(bounds, "_supersets", None),
+            "eager": getattr(bounds, "_eager", None)}
+
+
+def _route(result: dict) -> str:
+    if not result["supersets"]:
+        return "first pass"
+    return "supersets, settled " + ("at once" if result["eager"] else "on demand")
 
 
 def _run(checkout: Path, name: str, reps: int) -> dict:
@@ -157,8 +184,7 @@ def main(argv=None) -> int:
             doc["workloads"][name] = {
                 "models": results["change"]["models"],
                 "d": results["change"]["d"],
-                "change_route": ("supersets" if results["change"]["supersets"]
-                                 else "first pass"),
+                "change_route": _route(results["change"]),
                 **{f"{side}_median_ms": round(median[side], 4) for side in SIDES},
                 "change_over_parent": round(median["change"] / median["parent"], 3),
                 **{f"{side}_runs_ms": runs[name][side] for side in SIDES},

@@ -202,13 +202,15 @@ class SufficientStats:
 
     For any coefficient vector, ``||y - X b||^2 = yty - 2 b.xty + b.xtx.b``,
     so these four fields are the only thing the solver needs per candidate
-    model.  ``xtx`` must be symmetric PSD.
+    model.  ``xtx`` must be symmetric PSD; ``eigenvalue_range`` holds its
+    smallest and largest eigenvalues.
     """
 
     xtx: np.ndarray
     xty: np.ndarray
     yty: float
     n: int
+    eigenvalue_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xtx = np.asarray(self.xtx, dtype=np.float64)
@@ -233,8 +235,10 @@ class SufficientStats:
         xtx = (xtx + xtx.T) / 2.0
         # PSD up to round-off; a clearly negative eigenvalue means the
         # matrix never came from a real design.
-        if float(np.linalg.eigvalsh(xtx)[0]) < -1e-8 * scale:
+        eig = np.linalg.eigvalsh(xtx)
+        if float(eig[0]) < -1e-8 * scale:
             raise DataError("xtx is not positive semidefinite")
+        object.__setattr__(self, "eigenvalue_range", (float(eig[0]), float(eig[-1])))
         object.__setattr__(self, "xtx", _readonly(xtx))
         object.__setattr__(self, "xty", _readonly(xty))
         object.__setattr__(self, "yty", yty)

@@ -337,7 +337,7 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
 
 
 def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
-                    seed, stream_ids, clean=None):
+                    seed, stream_ids):
     """Winner of each row and, for noisy_argmin on settled fits, its noisy
     scores.
 
@@ -357,8 +357,7 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     them are settled in a batch of their own, which
     narrows them to the certificate's width.  If that does not decide,
     the whole family is settled.  Either way the winner is the one that
-    fully settled fits give, ties and all.  ``clean``, when given, is the
-    clean-score matrix of settled ``fits``.
+    fully settled fits give, ties and all.
     """
     if mechanism == "noisy_argmin":
         scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
@@ -367,10 +366,7 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
         keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)
     pick = True
     while True:
-        if clean is None:
-            lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, models.sizes)
-        else:
-            lo = hi = clean
+        lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, models.sizes)
         key_hi = keys(hi, lo)
         if lo is hi:
             break
@@ -416,7 +412,6 @@ def _select_rows(
     models: CandidateSet,
     seed: int,
     stream_ids,
-    clean: np.ndarray | None = None,
 ) -> _Picks:
     """The selection core: row ``i`` scores each candidate of ``models``
     with penalty ``penalties[i]`` and is released under
@@ -431,9 +426,7 @@ def _select_rows(
     releases with the row's first Laplace word.  A pcpl row whose proxy is
     degenerate falls back to a uniform pick instead; its noiseless limit
     (epsilon = inf) never falls back.  ``noisy`` is None unless every fit
-    ended up settled.  A caller that has built the clean-score matrix of
-    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
-    not built again.
+    ended up settled.
     """
     # A LossBounds' losses come from validated, finite statistics.
     if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
@@ -461,7 +454,7 @@ def _select_rows(
     if len(kept_ids):
         winners[kept], noisy = _mechanism_rows(
             algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon,
-            config.mechanism, models, seed, kept_ids, None if clean is None else clean[kept],
+            config.mechanism, models, seed, kept_ids,
         )
     if noisy is not None and fallback.any():
         # Fallback rows have no noisy scores.
@@ -535,7 +528,9 @@ def pcls_select(
     ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, d, r, R)``.
     """
     stats = sufficient_stats(dataset)
-    fits = bound_masks(stats, models, config.radius)
+    # The exponential mechanism solves every mask that can reach a row's
+    # smallest score, and settles the supersets in most selects.
+    fits = bound_masks(stats, models, config.radius, eager=config.mechanism == "exponential")
     return _pcls_with_fits(dataset, models, fits, config, rng)
 
 

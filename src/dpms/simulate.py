@@ -298,9 +298,8 @@ def _sweep_chunk(
 
     Each (replication, R) is fitted once; its clean scores form one
     (phi x model) matrix, whose noiseless winners are taken once per phi.
-    Each (epsilon, delta) then runs the selection core on those fits and
-    that matrix, with one row and one stream per phi, keyed by the cell
-    coordinates.  The result is
+    Each (epsilon, delta) then runs the selection core on those fits with
+    one row and one stream per phi, keyed by the cell coordinates.  The result is
     indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3, the
     replications whose pick was correct, agreed with the noiseless pick
     and fell back, and the summed selection time in ms (an (epsilon,
@@ -337,7 +336,7 @@ def _sweep_chunk(
                 started = time.perf_counter() if measure_runtime else 0.0
                 picks = _select_rows(
                     grid.algorithm, fits, phis, dataset.response_bound, dataset.n,
-                    config, models, seed, stream_ids, clean=clean,
+                    config, models, seed, stream_ids,
                 )
                 seconds = (time.perf_counter() - started) if measure_runtime else 0.0
                 cell = cells[i, :, c]

@@ -97,9 +97,16 @@ _JOIN_FLOOR = 1e-9
 _STALL_STEPS = 500
 
 # bound_masks bounds a family by its supersets once a first pass over the
-# family would solve more than this many unknowns per superset unknown
-# (measured with scripts/bench_routes.py).
+# family would solve more than this many unknowns per superset unknown,
+# the first when the supersets are settled on demand, the second when they
+# are settled with their bounds (measured with scripts/bench_routes.py).
 _SUPERSET_COST = 15
+_SETTLED_SUPERSET_COST = 40
+
+# X'X is ill-conditioned above this condition number: the supersets' gap
+# bounds stay loose, and most selects would settle them on demand
+# (measured with scripts/bench_routes.py on its "nearonehot" design).
+_ILL_CONDITIONED = 500.0
 
 
 @dataclass(frozen=True)
@@ -501,8 +508,8 @@ class LossBounds:
     round-off allowances, for the gap and for the two losses compared.  A
     binding superset takes the larger bound at its projected start and at
     one projected KKT candidate, not a certified fit; :meth:`settle_supersets`
-    settles those on demand and raises every bound to their fits'.  When
-    X'X is singular, or a binding superset's solve fails, the binding
+    settles those on demand and raises every bound to their fits'.  With
+    ``eager``, or when a binding superset's solve fails, the binding
     supersets are settled at once instead (see :meth:`_superset_lower`).
     Without ``supersets``, the intervals start from one first pass over the
     whole family, the one :meth:`fits` then reuses: a slack mask's interval
@@ -523,9 +530,9 @@ class LossBounds:
     """
 
     def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float,
-                 supersets: bool) -> None:
+                 supersets: bool, eager: bool = False) -> None:
         self._stats, self._member, self._radius = stats, member, radius
-        self._supersets = supersets
+        self._supersets, self._eager = supersets, eager
         self._tau = _tau(stats, radius)
         self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * _scale(stats, radius)
         self._beta: np.ndarray | None = None  # each solved mask's start or fit
@@ -561,11 +568,11 @@ class LossBounds:
         A slack superset is bounded at its exact solve, and a binding one
         by the larger bound at its projected start and at one KKT
         candidate on that start's support and signs; :meth:`settle_supersets`
-        settles those on demand.  A singular superset has no such bound
-        worth keeping, so when X'X is singular to round-off, or a binding
-        superset's solve failed (its start is zero), every binding superset
-        is settled at once: the lasso path costs one batched step per
-        breakpoint, whatever its number of rows."""
+        settles those on demand.  With ``eager``, or when a binding
+        superset's solve failed (its start is zero, no bound worth
+        keeping), every binding superset is settled at once: the lasso path
+        costs one batched step per breakpoint, whatever its number of
+        rows."""
         stats, radius, d = self._stats, self._radius, self._stats.d
         member = np.ones((d + 1, d), dtype=bool)
         member[np.arange(1, d + 1), np.arange(d)] = False
@@ -575,10 +582,7 @@ class LossBounds:
         self._superset = member, bvec, start, bound
         if not rest.size:
             return self._superset_bounds()
-        # Every superset's restriction of X'X has its eigenvalues between
-        # the extremes of the full matrix's (Cauchy interlacing).
-        eig = np.linalg.eigvalsh(stats.xtx)
-        if eig[0] <= _ROUNDOFF * d * eig[-1] or not start[rest].any(axis=1).all():
+        if self._eager or not start[rest].any(axis=1).all():
             self._settle_superset_rows(rest)
         else:
             self._supersets_open = rest
@@ -712,7 +716,16 @@ class LossBounds:
         return self._fits
 
 
-def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> LossBounds:
+def _ill_conditioned(stats: SufficientStats) -> bool:
+    """Whether X'X's condition number exceeds ``_ILL_CONDITIONED``; every
+    superset's restriction has its eigenvalues between the extremes of
+    X'X's (Cauchy interlacing)."""
+    low, high = stats.eigenvalue_range
+    return low * _ILL_CONDITIONED <= high
+
+
+def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
+                eager: bool = False) -> LossBounds:
     """The loss bounds of a family, with no mask solved yet (see
     :class:`LossBounds`).  A first pass over the family solves one unknown
     per column of each mask.  Bounding by the d + 1 supersets solves their
@@ -723,14 +736,26 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> 
     the family when its model sizes add up to more: the full family from
     d = 9 on (24,576 unknowns against 2,340 at d = 12, but 1,024 against
     1,080 at d = 8), ``size<=4`` from d = 12 on, and ``size<=3`` only past
-    d = 24 (3,820 against 6,300 at d = 20)."""
+    d = 24 (3,820 against 6,300 at d = 20).
+
+    Settling the binding supersets costs their lasso path, and then a
+    first pass over ``_SETTLED_SUPERSET_COST = 40`` times their unknowns:
+    the full family from d = 10 on, ``size<=4`` from d = 18 on.  The
+    supersets are settled with their bounds, and that rule applies, when
+    a caller passes ``eager`` (a select that would settle them in most
+    cases anyway, as the exponential mechanism's, which also solves every
+    mask that can reach a row's smallest score), or when X'X is
+    ill-conditioned (condition number above ``_ILL_CONDITIONED``, singular
+    included), where the supersets' gap bounds stay loose."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):
         raise DataError(f"radius must be positive and finite, got {radius}")
     d = stats.d
-    supersets = int(models.sizes.sum()) > _SUPERSET_COST * (d + 1) * d
-    return LossBounds(stats, member_matrix(models.bits, d), radius, supersets)
+    eager = eager or _ill_conditioned(stats)
+    cost = _SETTLED_SUPERSET_COST if eager else _SUPERSET_COST
+    supersets = int(models.sizes.sum()) > cost * (d + 1) * d
+    return LossBounds(stats, member_matrix(models.bits, d), radius, supersets, eager)
 
 
 def fit_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> Fits:

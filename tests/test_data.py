@@ -172,6 +172,15 @@ class TestSufficientStats:
             expansion = stats.yty - 2.0 * beta @ stats.xty + beta @ stats.xtx @ beta
             assert expansion == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
+    def test_eigenvalue_range_is_the_extreme_eigenvalues(self):
+        x = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        stats = SufficientStats(x.T @ x, np.zeros(3), 0.0, 4)
+        eig = np.linalg.eigvalsh(x.T @ x)
+        assert stats.eigenvalue_range == (eig[0], eig[-1])
+        # The intercept is the sum of the one-hot pair: X'X is singular.
+        assert abs(stats.eigenvalue_range[0]) < 1e-12 and stats.eigenvalue_range[1] > 5.0
+        assert "eigenvalue_range" not in repr(stats)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(DataError, match="symmetric"):
             SufficientStats(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2), 1.0, 3)

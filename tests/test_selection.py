@@ -856,11 +856,13 @@ class TestSupersetBounds:
     FAMILIES = [all_subsets(5), all_subsets(5, max_size=2)]
 
     @staticmethod
-    def _bounds(stats, family, radius, supersets):
+    def _bounds(stats, family, radius, supersets, eager=None):
+        # The route given; the settle rule given, or as bound_masks picks it.
         from dpms.data import member_matrix
-        from dpms.solver import LossBounds
+        from dpms.solver import LossBounds, _ill_conditioned
 
-        return LossBounds(stats, member_matrix(family.bits, family.d), radius, supersets)
+        eager = _ill_conditioned(stats) if eager is None else eager
+        return LossBounds(stats, member_matrix(family.bits, family.d), radius, supersets, eager)
 
     @staticmethod
     def _datasets():
@@ -902,8 +904,8 @@ class TestSupersetBounds:
                 for i, sid in enumerate(streams):
                     assert pcls_select(ds, family, cfg, RngStream(23, sid)).chosen == (
                         family[full.winners[i]])
-                    for supersets in (True, False):
-                        bounds = self._bounds(stats, family, radius, supersets)
+                    for supersets, eager in ((True, False), (True, True), (False, False)):
+                        bounds = self._bounds(stats, family, radius, supersets, eager)
                         report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(23, sid))
                         assert report.chosen == family[full.winners[i]]
 
@@ -922,17 +924,21 @@ class TestSupersetBounds:
         monkeypatch.setattr(LossBounds, "settle_supersets", counted)
         return settles
 
-    @pytest.mark.parametrize("design", ["signal", "onehot", "near-onehot"])
+    @pytest.mark.parametrize("design", ["signal", "onehot", "loose-onehot", "near-onehot"])
     @pytest.mark.parametrize("radius", [0.5, 2.5])
     def test_bounds_before_and_after_the_settle_hold_every_certified_loss(self, design, radius):
         # A superset is bounded by its gap at its projected start and at
-        # one KKT candidate, and settled on demand; on the one-hot design
-        # X'X is singular, and every binding superset is settled at once.
+        # one KKT candidate, and settled on demand; where X'X is
+        # ill-conditioned (the one-hot design is singular), every binding
+        # superset is settled at once.
+        from dpms.solver import _ill_conditioned
+
         family = all_subsets(9)
         narrowed = 0
         for seed in range(3):
             ds = _design(design, seed)
             stats = sufficient_stats(ds)
+            assert _ill_conditioned(stats) == (design in ("onehot", "near-onehot"))
             loss = fit_masks(stats, family, radius).neg2_loglik
             bounds = self._bounds(stats, family, radius, supersets=True)
             before = bounds.lower.copy()
@@ -940,21 +946,19 @@ class TestSupersetBounds:
             settled = bounds.settle_supersets()
             assert np.all(before <= bounds.lower) and np.all(bounds.lower <= loss)
             assert not bounds.settle_supersets()
-            if design == "onehot":
+            if _ill_conditioned(stats):
                 assert not settled and np.array_equal(before, bounds.lower)
             narrowed += int(np.any(bounds.lower > before))
-        # The gap bounds are loose on the near-collinear design, and the
+        # The gap bounds are loose on the loosely collinear design, and the
         # settle narrows them.
-        assert narrowed > 0 or design != "near-onehot"
+        assert narrowed > 0 or design != "loose-onehot"
 
     def test_the_on_demand_settle_releases_the_fully_settled_winner(self, monkeypatch):
-        # On the near-collinear design the gap bounds of the supersets are
-        # loose, so a select that would solve more than d + 1 masks
+        # On the loosely collinear design the gap bounds of the supersets
+        # are loose, so a select that would solve more than d + 1 masks
         # settles the supersets first, and each stream then solves its
         # smallest lower key again.  The winner is that of fully settled
-        # fits, and noisy argmin solves few masks.  (The exponential
-        # mechanism also solves every mask that can reach the row's
-        # smallest score, many of them on this design.)
+        # fits, and few masks are solved.
         from dpms.solver import LossBounds
 
         family = all_subsets(9)
@@ -967,32 +971,49 @@ class TestSupersetBounds:
             return first_pass(self, rows)
 
         monkeypatch.setattr(LossBounds, "first_pass", counted)
-        streams = list(range(6))
-        for mechanism in ("noisy_argmin", "exponential"):
-            cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0),
-                                  mechanism=mechanism)
-            for seed in range(2):
-                ds = _design("near-onehot", seed, n=1000)
-                fits = fit_masks(sufficient_stats(ds), family, 2.5)
-                full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
-                                    ds.n, cfg, family, 41, streams)
-                for i, sid in enumerate(streams):
-                    solved.clear()
-                    report = pcls_select(ds, family, cfg, RngStream(41, sid))
-                    assert report.chosen == family[full.winners[i]]
-                    if mechanism == "noisy_argmin":
-                        assert sum(solved) < len(family) // 8
-        assert sum(settles) >= 12
-
-    def test_a_singular_design_settles_its_supersets_at_once(self, monkeypatch):
-        # An intercept beside a full one-hot set: X'X is singular, so the
-        # supersets are settled with the bounds, never on demand.
-        family = all_subsets(9)
-        settles = self._count_superset_settles(monkeypatch)
+        streams = list(range(8))
         cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0))
-        for seed in range(2):
-            ds = _design("onehot", seed, n=1000)
+        for seed in range(3):
+            ds = _design("loose-onehot", seed, n=1000)
             fits = fit_masks(sufficient_stats(ds), family, 2.5)
+            full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
+                                ds.n, cfg, family, 41, streams)
+            for i, sid in enumerate(streams):
+                solved.clear()
+                report = pcls_select(ds, family, cfg, RngStream(41, sid))
+                assert report.chosen == family[full.winners[i]]
+                assert sum(solved) < len(family) // 8
+        assert sum(settles) >= 6
+
+    @pytest.mark.parametrize("design, mechanism", [
+        ("onehot", "noisy_argmin"), ("near-onehot", "noisy_argmin"), ("signal", "exponential"),
+    ])
+    def test_supersets_settle_at_once_where_most_selects_would_settle_them(
+        self, design, mechanism, monkeypatch
+    ):
+        # Where X'X is ill-conditioned (the one-hot design is singular),
+        # the gap bounds stay loose, and the exponential mechanism solves
+        # every mask that can reach a row's smallest score: in both cases
+        # most selects would settle the supersets on demand, so they are
+        # settled with the bounds, never on demand.  Settled supersets
+        # cost their lasso path, and bound a family only above 40 unknowns
+        # per superset unknown.
+        from dpms.solver import bound_masks
+
+        family = all_subsets(10)
+        settles = self._count_superset_settles(monkeypatch)
+        cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0),
+                              mechanism=mechanism)
+        for seed in range(2):
+            ds = _design(design, seed, d=10, n=1000)
+            stats = sufficient_stats(ds)
+            bounds = bound_masks(stats, family, 2.5, eager=mechanism == "exponential")
+            assert bounds._supersets and bounds._eager
+            # 23 unknowns per superset unknown: supersets settled on demand
+            # would bound this family, settled ones do not.
+            capped = all_subsets(10, max_size=5)
+            assert not bound_masks(stats, capped, 2.5, eager=mechanism == "exponential")._supersets
+            fits = fit_masks(stats, family, 2.5)
             full = _select_rows("pcls", fits, [cfg.penalty] * 6, ds.response_bound, ds.n, cfg,
                                 family, 43, list(range(6)))
             for sid in range(6):
@@ -1042,7 +1063,8 @@ def _design(name, seed, d=9, n=300):
     + N(0, 1) clipped to r = 4, as in the select benchmark ("signal").
     "onehot" adds a full one-hot set of 4 levels, collinear with the
     intercept; "near-onehot" scales each row's one-hot entry by 1 - u/100,
-    u uniform, so X'X is nonsingular but ill-conditioned."""
+    u uniform, so X'X is nonsingular but ill-conditioned (a condition
+    number near 10^6), and "loose-onehot" by 1 - u/2 (near 250)."""
     rng = np.random.default_rng([53, seed])
     x = rng.uniform(-1, 1, (n, d - 1 if name == "signal" else d - 5))
     y = x[:, :3] @ np.array([1.5, 1.0, 0.5]) + rng.normal(0, 1, n)
@@ -1051,7 +1073,7 @@ def _design(name, seed, d=9, n=300):
         level = rng.integers(0, 4, n)
         y = y + np.linspace(-0.6, 0.6, 4)[level]
         onehot = np.eye(4)[level]
-        if name == "near-onehot":
-            onehot *= 1.0 - 0.01 * rng.uniform(0, 1, (n, 1))
+        if name != "onehot":
+            onehot *= 1.0 - (0.01 if name == "near-onehot" else 0.5) * rng.uniform(0, 1, (n, 1))
         columns.append(onehot)
     return Dataset(np.column_stack(columns), np.clip(y, -4, 4), 4.0)

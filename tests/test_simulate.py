@@ -236,28 +236,6 @@ class TestStreamId:
 
 
 class TestRunSweep:
-    @pytest.mark.parametrize("algorithm", ["pcls", "pcpl"])
-    def test_each_replication_builds_one_score_matrix_per_radius(self, algorithm, monkeypatch):
-        # The selection core reads the clean-score matrix the chunk built
-        # for its noiseless picks, for every (epsilon, delta) of the grid.
-        from dpms import selection
-
-        calls = []
-        for module in (simulate, selection):
-            def counted(*args, _score_matrix=module._score_matrix):
-                calls.append(args[0])
-                return _score_matrix(*args)
-
-            monkeypatch.setattr(module, "_score_matrix", counted)
-        grid = _golden_grid(algorithm)
-        template = _template(n=200, coeffs=BUILTIN_MODELS["2"], seed=11)
-        configs = simulate._cell_configs(grid, "noisy_argmin")
-        assert len(configs[0]) > 1
-        for rep in range(3):
-            calls.clear()
-            simulate._sweep_chunk(grid, template, "2", configs, False, 200, rep, rep + 1)
-            assert calls == [algorithm] * len(grid.radius_values)
-
     def _small_grid(self, **kw):
         base = dict(
             n_values=(80,),
@@ -425,8 +403,8 @@ class TestGoldenSweeps:
         selects, noiseless_picks = [], []
 
         def recorded(function, calls):
-            def wrapper(*args, **kwargs):
-                out = function(*args, **kwargs)
+            def wrapper(*args):
+                out = function(*args)
                 calls.append((args, out))
                 return out
             return wrapper

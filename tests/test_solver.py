@@ -723,6 +723,32 @@ class TestLossBounds:
         assert (int(family.sizes.sum()) > 15 * (d + 1) * d) == supersets
         assert bound_masks(stats, family, 1.0)._supersets == supersets
 
+    @pytest.mark.parametrize("d, cap, supersets", [
+        (9, None, False), (10, None, True), (10, 5, False), (12, 4, False), (16, 4, False),
+        (18, 4, True),
+    ])
+    def test_settled_supersets_bound_families_of_more_than_40_unknowns_per_superset_unknown(
+        self, d, cap, supersets
+    ):
+        # Supersets settled with their bounds, when the caller asks for it
+        # or X'X is ill-conditioned (here singular: a column repeats),
+        # cost their lasso path: they are used when the family's model
+        # sizes add up to more than 40 (d + 1) d.
+        from dpms.solver import _ill_conditioned, bound_masks
+
+        rng = np.random.default_rng(d)
+        x = rng.uniform(-1, 1, (4 * d, d))
+        stats = sufficient_stats(Dataset(x, np.clip(x.sum(axis=1), -2, 2), 2.0))
+        x[:, -1] = x[:, 0]
+        singular = sufficient_stats(Dataset(x, np.clip(x.sum(axis=1), -2, 2), 2.0))
+        assert not _ill_conditioned(stats) and _ill_conditioned(singular)
+        family = all_subsets(d, max_size=cap)
+        assert (int(family.sizes.sum()) > 40 * (d + 1) * d) == supersets
+        for bounds in (bound_masks(stats, family, 1.0, eager=True),
+                       bound_masks(singular, family, 1.0)):
+            assert bounds._eager and bounds._supersets == supersets
+        assert not bound_masks(stats, family, 1.0)._eager
+
     @pytest.mark.parametrize("seed, radius", [(0, 1.0), (3, 0.3)])
     def test_a_size_capped_family_starts_from_its_own_first_pass(self, seed, radius):
         # At d = 9, the 45 masks of size <= 2 cost less to solve than the
