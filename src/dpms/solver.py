@@ -105,7 +105,8 @@ _SETTLED_SUPERSET_COST = 40
 
 # X'X is ill-conditioned above this condition number: the supersets' gap
 # bounds stay loose, and most selects would settle them on demand
-# (measured with scripts/bench_routes.py on its "nearonehot" design).
+# (measured in process on the "nearonehot" design of
+# scripts/bench_routes.py, with its one-hot scale varied).
 _ILL_CONDITIONED = 500.0
 
 
