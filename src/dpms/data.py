@@ -325,6 +325,12 @@ def load_csv(path, response: str, include_intercept: bool = True):
     placed first and participates in model enumeration like any other
     covariate.  Returns raw arrays: standardization/bounds are the caller's
     next step.
+
+    The body is read by the first of three routes that takes it, each cell
+    the same bits as ``float()`` of its text: :func:`_decimal_rows` for a
+    plain body of unquoted decimals, :func:`_loadtxt_rows` for one that
+    ``np.loadtxt`` reads row for line, and :func:`_parse_rows`, the csv
+    rules, for the rest and for every error message.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -357,7 +363,9 @@ def load_csv(path, response: str, include_intercept: bool = True):
     cov_names = [h for i, h in enumerate(header) if i != y_pos]
     if not cov_names:
         raise DataError(f"{path} has no covariate columns besides {response!r}")
-    cells = _loadtxt_rows(body, len(header))
+    cells = _decimal_rows(body, len(header))
+    if cells is None:
+        cells = _loadtxt_rows(body, len(header))
     if cells is None:
         cells = _parse_rows(body, header)
     if not len(cells):
@@ -377,10 +385,170 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Leading or trailing spaces of a cell, the separators kept.
 _SPACES = re.compile(rf"^[^\S{_SEPARATORS}]+|[^\S{_SEPARATORS}]+\Z")
 
+# A plain body as integer text: dots dropped, and a cell's exponent read as
+# one more integer after its significand.
+_INT_TEXT = bytes.maketrans(b"\neE", b",,,")
+# Plain bodies are parsed in blocks of about this many bytes, cut at line
+# ends, so the per-byte temporaries stay small.
+_BLOCK_BYTES = 1 << 16
+# With at most 18 significant digits, a significand fits an int64.
+_MAX_DIGITS = 18
+
+
+def _x87_long_double() -> bool:
+    """Whether ``np.longdouble`` is the x87 80-bit format: a 64-bit
+    significand, with the integer bit explicit, in the first word."""
+    probe = np.array([1.5], dtype=np.longdouble)
+    return probe.itemsize == 16 and int(probe.view(np.uint64)[0]) == 0xC000000000000000
+
+
+_LONG_DOUBLE_IS_X87 = _x87_long_double()
+# 10^k for k = 0..27, each exact in a 64-bit significand (5^27 < 2^64).
+_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+
+
+def _decimal_rows(body: str, width: int) -> np.ndarray | None:
+    """The data rows of a plain body as one (rows, width) array, each cell
+    equal to ``float()`` of its text bit for bit; None when the body is not
+    plain or a cell is not a decimal, and the other routes must decide.
+
+    A plain body holds only the ASCII bytes ``0-9 . , + - e E`` and line
+    ends (LF or CRLF, no bare CR), and ``width`` cells on every line.  Each
+    cell is an integer significand w (its digits, dot dropped) times 10^q,
+    q its exponent less its fraction digits.  One int64 ``np.fromstring``
+    call per block reads every w and exponent.  With |w| < 10^18 and
+    |q| <= 27, both w and 10^q are exact in the x87 long double, so
+    ``w * 10^q`` or ``w / 10^-q`` rounds once, to 64 bits (Clinger's fast
+    path).  Rounding that again to 53 bits is correct unless the 64-bit
+    result sits on a 53-bit midpoint, its low 11 bits ``0x400``.  Cells out
+    of that range, with more than 18 significant digits, or on a midpoint
+    take ``float()`` of their text.  Where ``np.longdouble`` is not the x87
+    format this route is off.
+    """
+    if not _LONG_DOUBLE_IS_X87:
+        return None
+    text = body.encode()
+    if b"\r" in text:
+        if text.count(b"\r") != text.count(b"\r\n"):
+            return None
+        text = text.replace(b"\r\n", b"\n")
+    if not text:
+        return None
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    blocks = []
+    lo = 0
+    while lo < len(text):
+        hi = text.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(text)
+        cells = _decimal_block(text[lo:hi], width)
+        if cells is None:
+            return None
+        blocks.append(cells)
+        lo = hi
+    return np.concatenate(blocks).reshape(-1, width)
+
+
+def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
+    """The cells of whole lines, each ending in LF, in reading order; None
+    unless the block is plain, every line holds ``width`` cells and every
+    cell is a decimal: ``[+-]``, digits with at most one dot, at least one
+    digit, then optionally ``e`` or ``E``, ``[+-]`` and digits."""
+    a = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero((a == 44) | (a == 10))  # each cell's separator
+    dots = np.flatnonzero(a == 46)
+    n_signs = np.count_nonzero((a == 43) | (a == 45))
+    n_exps = np.count_nonzero((a | 32) == 101)  # e or E
+    if (np.count_nonzero(a - np.uint8(48) < 10) + ends.size + dots.size + n_signs + n_exps != a.size
+            or ends.size % width):
+        return None
+    newline = a[ends] == 10
+    if np.count_nonzero(newline) * width != ends.size or not newline[width - 1::width].all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    first = a[starts]
+    signed = (first == 43) | (first == 45)
+    mantissa_end, exp_signs = ends, 0
+    exps = exp_cell = ends[:0]
+    if n_exps:
+        exps = np.flatnonzero((a | 32) == 101)
+        exp_cell = np.searchsorted(ends, exps)
+        mantissa_end = ends.copy()
+        mantissa_end[exp_cell] = exps
+        exp_sign = a[exps + 1]
+        exp_signed = (exp_sign == 43) | (exp_sign == 45)
+        exp_digits = ends[exp_cell] - exps - 1 - exp_signed
+        exp_signs = np.count_nonzero(exp_signed)
+        if (np.any(exp_cell[1:] == exp_cell[:-1])
+                or not 1 <= exp_digits.min() <= exp_digits.max() <= _MAX_DIGITS):
+            return None
+    digits = mantissa_end - starts - signed
+    if dots.size == ends.size and np.all((dots >= starts) & (dots < mantissa_end)):
+        dot_cell = slice(None)  # one dot in every cell, the usual case
+    else:
+        dot_cell = np.searchsorted(ends, dots)
+        if np.any(dot_cell[1:] == dot_cell[:-1]) or np.any(dots >= mantissa_end[dot_cell]):
+            return None
+    digits[dot_cell] -= 1
+    fraction = np.zeros(ends.size, dtype=np.int64)
+    fraction[dot_cell] = mantissa_end[dot_cell] - dots - 1
+    # A sign opens a cell or an exponent; counting both finds a stray one.
+    if np.count_nonzero(signed) + exp_signs != n_signs or digits.min() < 1:
+        return None
+    text, long = block, _long_significands(a, starts + signed, digits)
+    if long.size:
+        # Zeroed in the integer text so that it cannot overflow; float()
+        # reads the cell.
+        text = bytearray(block)
+        for i in long.tolist():
+            text[starts[i]:mantissa_end[i]] = b"0" * int(mantissa_end[i] - starts[i])
+    # One integer per significand, sign and all, and one more after it per
+    # exponent.
+    ints = np.fromstring(bytes(text).translate(_INT_TEXT, b"."), dtype=np.int64, sep=",")
+    q, w = -fraction, ints
+    if exps.size:
+        exp_at = exp_cell + np.arange(1, exps.size + 1)
+        q[exp_cell] += ints[exp_at]
+        w = np.delete(ints, exp_at)
+    # 10^0 = 1 is exact, so each cell rounds once.
+    exact = w.astype(np.longdouble) / _POW10[np.clip(-q, 0, 27)]
+    if q.max() > 0:
+        exact *= _POW10[np.clip(q, 0, 27)]
+    slow = ((exact.view(np.uint64)[::2] & 0x7FF == 0x400)  # a 53-bit midpoint
+            | (np.abs(q) > 27) | ((w == 0) & (first == 45)))  # -0 in w is 0
+    slow[long] = True
+    cells = exact.astype(np.float64)
+    for i in np.flatnonzero(slow).tolist():
+        try:
+            cells[i] = float(block[starts[i]:ends[i]])
+        except ValueError:
+            return None
+    return cells
+
+
+def _long_significands(a: np.ndarray, opens: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The cells whose significand may keep more than 18 digits once its
+    leading zeros are dropped.  Cell ``i``'s significand opens at byte
+    ``opens[i]`` of ``a`` and holds ``digits[i]`` digits and at most one
+    dot, so its first ``digits[i] - 17`` bytes hold the ``digits[i] - 18``
+    digits that must be zeros.  A cell counts as long unless those bytes
+    are all zeros and dots, and as long unread past 32 such digits."""
+    many = np.flatnonzero(digits > _MAX_DIGITS)
+    if not many.size:
+        return many
+    need = digits[many] - _MAX_DIGITS
+    span = np.arange(min(need.max(), 32) + 1)
+    window = a[np.minimum(opens[many, None] + span, a.size - 1)]
+    zeros = ((window == 48) | (window == 46) | (span > need[:, None])).all(axis=1)
+    return many[(need > 32) | ~zeros]
+
 
 def _loadtxt_rows(body: str, width: int) -> np.ndarray | None:
     """The data rows as one (rows, width) array from ``np.loadtxt``, or
-    None when :func:`_parse_rows` must decide.
+    None when :func:`_parse_rows` must decide.  It reads the bodies that
+    :func:`_decimal_rows` leaves: quoted or padded cells, ``nan`` and
+    ``inf``, and every body where ``np.longdouble`` is not the x87 format.
 
     ``loadtxt`` and ``float()`` give the same bits for every cell both
     accept.  ``loadtxt`` gets the body as a list of lines, and a CRLF

@@ -205,8 +205,10 @@ def _laplace_rows(seed: int, stream_ids) -> np.ndarray:
 
 
 def _uniform_rows(seed: int, stream_ids, n: int) -> np.ndarray:
-    """One index uniform on range(n) per stream, from the first word
-    ``k`` of its fallback tag: ``min(int(k / 2^64 * n), n - 1)``."""
+    """One rank uniform on range(n) per stream, from the first word
+    ``k`` of its fallback tag: ``min(int(k / 2^64 * n), n - 1)``.  The
+    rank is a position in the family's canonical order, as every other
+    draw's is."""
     u = _xof_words(seed, stream_ids, _TAG_FALLBACK, 1)[:, 0].astype(np.float64) / float(_U64)
     return np.minimum((u * n).astype(np.intp), n - 1)
 

@@ -337,9 +337,10 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
 
 
 def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
-                    seed, stream_ids):
+                    seed, stream_ids, clean=None):
     """Winner of each row and, for noisy_argmin on settled fits, its noisy
-    scores.
+    scores.  ``clean``, when given, is the clean-score matrix of settled
+    ``fits`` under ``penalties``.
 
     A key is monotone in its clean score (and, for the exponential
     mechanism, in the row's smallest score), and so is its rounding, so
@@ -366,7 +367,10 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
         keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)
     pick = True
     while True:
-        lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, models.sizes)
+        if clean is None:
+            lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, models.sizes)
+        else:
+            lo = hi = clean
         key_hi = keys(hi, lo)
         if lo is hi:
             break
@@ -412,6 +416,7 @@ def _select_rows(
     models: CandidateSet,
     seed: int,
     stream_ids,
+    clean: np.ndarray | None = None,
 ) -> _Picks:
     """The selection core: row ``i`` scores each candidate of ``models``
     with penalty ``penalties[i]`` and is released under
@@ -426,7 +431,9 @@ def _select_rows(
     releases with the row's first Laplace word.  A pcpl row whose proxy is
     degenerate falls back to a uniform pick instead; its noiseless limit
     (epsilon = inf) never falls back.  ``noisy`` is None unless every fit
-    ended up settled.
+    ended up settled.  A caller that holds the clean-score matrix of
+    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
+    not built again.
     """
     # A LossBounds' losses come from validated, finite statistics.
     if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
@@ -448,13 +455,15 @@ def _select_rows(
     kept_ids = stream_ids
     if fallback.any():
         ids = np.asarray(stream_ids, dtype=np.uint64)
-        winners[fallback] = _uniform_rows(seed, ids[fallback].tolist(), len(models))
+        ranks = _uniform_rows(seed, ids[fallback].tolist(), len(models))
+        order = models.canonical_order
+        winners[fallback] = ranks if order is None else order[ranks]
         kept_ids = ids[kept].tolist()
     noisy = None
     if len(kept_ids):
         winners[kept], noisy = _mechanism_rows(
             algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon,
-            config.mechanism, models, seed, kept_ids,
+            config.mechanism, models, seed, kept_ids, None if clean is None else clean[kept],
         )
     if noisy is not None and fallback.any():
         # Fallback rows have no noisy scores.

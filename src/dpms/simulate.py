@@ -298,13 +298,14 @@ def _sweep_chunk(
 
     Each (replication, R) is fitted once; its clean scores form one
     (phi x model) matrix, whose noiseless winners are taken once per phi.
-    Each (epsilon, delta) then runs the selection core on those fits with
-    one row and one stream per phi, keyed by the cell coordinates.  The result is
-    indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3, the
-    replications whose pick was correct, agreed with the noiseless pick
-    and fell back, and the summed selection time in ms (an (epsilon,
-    delta) block's time shared evenly across its phi cells).  Counters are
-    sums, so chunks merge into the same totals as a single pass.
+    Each (epsilon, delta) then runs the selection core on those fits and
+    that matrix with one row and one stream per phi, keyed by the cell
+    coordinates.  The result is indexed [R, phi, epsilon, delta, k] and
+    holds, for k = 0..3, the replications whose pick was correct, agreed
+    with the noiseless pick and fell back, and the summed selection time
+    in ms (an (epsilon, delta) block's time shared evenly across its phi
+    cells).  Counters are sums, so chunks merge into the same totals as a
+    single pass.
     """
     models = all_subsets(template.d)
     phis = grid.phis_for(n)
@@ -336,7 +337,7 @@ def _sweep_chunk(
                 started = time.perf_counter() if measure_runtime else 0.0
                 picks = _select_rows(
                     grid.algorithm, fits, phis, dataset.response_bound, dataset.n,
-                    config, models, seed, stream_ids,
+                    config, models, seed, stream_ids, clean,
                 )
                 seconds = (time.perf_counter() - started) if measure_runtime else 0.0
                 cell = cells[i, :, c]

@@ -409,7 +409,7 @@ class TestLoadCsvFormats:
                     f"{p} names column {name!r} twice, at columns {first} and {second}")
 
     def test_fast_parse_matches_the_csv_rules_bit_for_bit(self, tmp_path):
-        from dpms.data import _loadtxt_rows, _parse_rows
+        from dpms.data import _decimal_rows, _loadtxt_rows, _parse_rows
 
         rng = np.random.default_rng(3)
         values = np.column_stack([rng.uniform(-1, 1, (300, 12)), rng.normal(0, 1, 300)])
@@ -422,6 +422,9 @@ class TestLoadCsvFormats:
         assert fast is not None
         slow = _parse_rows(body, header.split(","))
         assert fast.tobytes() == slow.tobytes() == values.tobytes()
+        # More than one block, and cells with |q| > 27 read by float().
+        assert len(body) > 1 << 16
+        assert _decimal_rows(body, 13).tobytes() == values.tobytes()
         x, y, _ = load_csv(p, "y", include_intercept=False)
         assert x.tobytes() == values[:, :12].tobytes() and y.tobytes() == values[:, 12].tobytes()
 
@@ -429,28 +432,42 @@ class TestLoadCsvFormats:
         """Differential test: ``load_csv`` against ``_parse_rows`` on texts
         that mix line endings, quoting, spacing and number spellings.  An
         accepted text must give the same bytes; a rejected one the same
-        message."""
-        from dpms.data import _loadtxt_rows, _parse_rows
+        message.  About half the texts are plain, so the integer-significand
+        route reads them."""
+        from dpms.data import _decimal_rows, _loadtxt_rows, _parse_rows
 
         rng = np.random.default_rng(14)
         specials = ["nan", "NaN", "-nan", "inf", "-inf", "+Inf", "Infinity", "-INFINITY"]
 
-        def spell(v):
-            kind = rng.integers(6)
+        def spell(v, plain):
+            kind = rng.integers(1 if plain else 0, 12)
             if kind == 0:
                 return specials[rng.integers(len(specials))]
             if kind == 1:
                 return f"{v:.6e}".replace("e", "eE"[rng.integers(2)])
             if kind == 2:
                 return repr(float(v) * 1e-310)  # subnormal
+            if kind == 3:
+                return str(int(v * 1000))  # an integer
+            if kind == 4:
+                return f"{v:.18e}"  # 19 digits, exponent and all
+            if kind == 5:
+                return f"{v:+.17g}"  # a leading sign, + or -
+            if kind == 6:
+                return f"{v:.3f}".replace("0.", ".", 1)  # .5
+            if kind == 7:
+                return f"{v * 100:.0f}."  # 5., and -0. for a small v
+            if kind == 8:
+                return f"{v * 1e-3:.19g}"  # 19 significant digits after zeros
             return f"{v:.17g}"
 
         def dress(cell):
             cell = " " * rng.integers(3) + cell + "\t" * rng.integers(2)
             return f'"{cell}"' if rng.random() < 0.2 else cell
 
-        fast_taken = checked = 0
-        for case in range(300):
+        decimal_taken = fast_taken = checked = 0
+        for case in range(400):
+            plain = rng.random() < 0.5
             width, rows = int(rng.integers(2, 5)), int(rng.integers(1, 6))
             eol = ("\n", "\r\n", "\r")[rng.choice(3, p=[0.45, 0.45, 0.1])]
             names = [f"c{j}" for j in range(width)]
@@ -459,7 +476,8 @@ class TestLoadCsvFormats:
             if rng.random() < 0.2:  # a quoted header name that spans a line
                 names[(y_col + 1) % width] = f"a{eol}b"
             header = ",".join(f'"{n}"' for n in names)
-            lines = [",".join(dress(spell(v)) for v in rng.normal(0, 1, width)) for _ in range(rows)]
+            lines = [",".join(spell(v, plain) if plain else dress(spell(v, plain))
+                              for v in rng.normal(0, 1, width)) for _ in range(rows)]
             if rng.random() < 0.15:
                 lines.insert(int(rng.integers(rows + 1)), "")  # blank line
             if rng.random() < 0.1:
@@ -479,6 +497,7 @@ class TestLoadCsvFormats:
             try:
                 want = _parse_rows(body, names)
             except DataError as exc:
+                assert _decimal_rows(body, width) is None, case
                 with pytest.raises(DataError, match="^" + re.escape(str(exc)) + "$"):
                     load_csv(p, "y", include_intercept=False)
                 continue
@@ -488,5 +507,76 @@ class TestLoadCsvFormats:
             assert x.tobytes() == np.delete(want, y_col, axis=1).tobytes(), case
             checked += 1
             fast_taken += _loadtxt_rows(body, width) is not None
-        # Both routes were compared, not just the csv rules with themselves.
-        assert checked > 150 and fast_taken > 100
+            decimal_taken += _decimal_rows(body, width) is not None
+        # Every route was compared, not just the csv rules with themselves.
+        assert checked > 200 and fast_taken > 150 and decimal_taken > 100
+
+    def test_near_midpoint_cells_match_float_bit_for_bit(self, monkeypatch):
+        """Decimals at and next to the midpoints between doubles, with 16
+        to 18 digits and |q| <= 27: the cells whose 64-bit quotient lands on
+        a 53-bit midpoint must be read by float(), and every cell must come
+        out as float() reads it."""
+        import math
+        from decimal import Decimal
+
+        from dpms import data
+
+        rng = np.random.default_rng(8)
+        cells = [str(2**53 + k) for k in (1, 3, 5)]  # exact midpoints, 16 digits
+        for _ in range(3000):
+            d = float(rng.uniform(-1, 1)) * 10.0 ** int(rng.integers(-8, 9))
+            mid = Decimal(d) + Decimal(math.copysign(math.ulp(d), d)) / 2
+            cells.append(f"{mid:.{int(rng.integers(15, 18))}e}")
+        cells = cells[: len(cells) // 4 * 4]
+        body = "\n".join(",".join(cells[i:i + 4]) for i in range(0, len(cells), 4)) + "\n"
+        read = []
+
+        def spy(text):
+            read.append(text.decode())
+            return float(text)
+
+        monkeypatch.setattr(data, "float", spy, raising=False)
+        got = data._decimal_rows(body, 4)
+        assert got.tobytes() == np.array([float(c) for c in cells]).reshape(-1, 4).tobytes()
+        # Only the midpoint rule sends these cells to float().
+        assert cells[:3] == read[:3] and len(read) > 3
+
+    def test_without_the_x87_long_double_loadtxt_reads_the_body(self, tmp_path, monkeypatch):
+        from dpms import data
+
+        p = tmp_path / "f.csv"
+        p.write_text("y,a\n1.25,-0.5\n3e-5,.75\n-0.,+2\n", encoding="utf-8")
+        x, y, _ = load_csv(p, "y", include_intercept=False)
+        assert y.tobytes() == np.array([1.25, 3e-5, -0.0]).tobytes()
+        loadtxt_rows, widths = data._loadtxt_rows, []
+        monkeypatch.setattr(data, "_LONG_DOUBLE_IS_X87", False)
+        monkeypatch.setattr(data, "_loadtxt_rows",
+                            lambda body, width: widths.append(width) or loadtxt_rows(body, width))
+        assert data._decimal_rows("1.25,-0.5\n", 2) is None
+        x_off, y_off, _ = load_csv(p, "y", include_intercept=False)
+        assert widths == [2]
+        assert x_off.tobytes() == x.tobytes() and y_off.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,1,2", "data row {n} has 3 cells, expected 2"),
+        ("0.5,1.2.3", "non-numeric value '1.2.3' at data row {n}, column 'a'"),
+        ("0.5,-", "non-numeric value '-' at data row {n}, column 'a'"),
+        ("0.5,1-2", "non-numeric value '1-2' at data row {n}, column 'a'"),
+        ("1e5+,0.5", "non-numeric value '1e5+' at data row {n}, column 'y'"),
+        ("0.5, 1", None),
+    ])
+    def test_a_row_past_the_first_block_keeps_its_message(self, tmp_path, row, message):
+        from dpms.data import _BLOCK_BYTES, _decimal_rows
+
+        rows = ["-0.12345678901234567,1.5"] * 6000
+        n = 4000
+        assert len("\n".join(rows[:n])) > _BLOCK_BYTES
+        assert _decimal_rows("\n".join(rows), 2) is not None
+        rows[n - 1] = row
+        text = "y,a\n" + "\n".join(rows) + "\n"
+        assert _decimal_rows(text.split("\n", 1)[1], 2) is None
+        if message is None:  # not plain, and loadtxt reads it
+            x, y, _ = self._load(tmp_path, text)
+            assert x[n - 1, 0] == 1.0 and y.shape == (6000,)
+        else:
+            self._fails(tmp_path, text, DataError, message.format(n=n))

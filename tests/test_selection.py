@@ -586,20 +586,19 @@ class TestCanonicalOrder:
         shuffled = from_explicit([family[j].indices() for j in perm], 5)
         assert np.array_equal(shuffled.bits, family.bits[perm])
         assert shuffled.canonical_order is not None
-        picks = 0
+        picks = fallbacks = 0
         for select, cfg in self._configs():
             for sid in range(4):
                 ordered = select(ds, family, cfg, RngStream(12, sid))
                 report = select(ds, shuffled, cfg, RngStream(12, sid))
                 assert report.fallback_uniform == ordered.fallback_uniform
-                if ordered.fallback_uniform:
-                    # pcpl's uniform fallback draws a column, not a rank.
-                    continue
+                # pcpl's uniform fallback draws a rank too.
+                fallbacks += ordered.fallback_uniform
                 picks += 1
                 assert report.chosen == ordered.chosen
                 if ordered.noisy_scores is not None:
                     assert np.array_equal(report.noisy_scores, ordered.noisy_scores[perm])
-        assert picks >= 8
+        assert picks == 16 and fallbacks >= 1
 
 
 class TestReportArrays:

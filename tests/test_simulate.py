@@ -331,6 +331,26 @@ class TestRunSweep:
         res = run_sweep(grid, _template(), model_id="1")
         assert res.rows[0].fallback_rate == 1.0
 
+    @pytest.mark.parametrize("algorithm, deltas", [("pcls", (0.0,)), ("pcpl", (1e-4, 1e-2))])
+    def test_scores_are_built_once_per_replication_and_radius(self, monkeypatch, algorithm, deltas):
+        # Every (epsilon, delta) reuses the (phi x model) score matrix of
+        # its (replication, R), fallback rows or not.
+        from dpms import selection
+
+        calls = []
+        score_matrix = selection._score_matrix
+
+        def counted(*args):
+            calls.append(args[0])
+            return score_matrix(*args)
+
+        monkeypatch.setattr(selection, "_score_matrix", counted)
+        monkeypatch.setattr(simulate, "_score_matrix", counted)
+        grid = self._small_grid(radius_values=(2.0, 3.0), epsilon_values=(0.5, 1.0, float("inf")),
+                                delta_values=deltas, replications=3, algorithm=algorithm)
+        run_sweep(grid, _template(), model_id="1", max_workers=1)
+        assert calls == [algorithm] * (3 * 2)
+
     def test_runtime_column_opt_in(self):
         grid = self._small_grid(replications=3, epsilon_values=(1.0,), phi_values=(0.0,))
         cold = run_sweep(grid, _template(), model_id="1")
@@ -438,7 +458,7 @@ class TestGoldenSweeps:
                             )
                             for phi in phis
                         ]
-                        assert args[-1] == stream_ids
+                        assert args[8] == stream_ids
                         for j, phi in enumerate(phis):
                             config = SelectionConfig(
                                 radius=R, penalty=phi, budget=PrivacyBudget(eps, delta),
