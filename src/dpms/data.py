@@ -533,7 +533,8 @@ def _long_significands(a: np.ndarray, opens: np.ndarray, digits: np.ndarray) -> 
     ``opens[i]`` of ``a`` and holds ``digits[i]`` digits and at most one
     dot, so its first ``digits[i] - 17`` bytes hold the ``digits[i] - 18``
     digits that must be zeros.  A cell counts as long unless those bytes
-    are all zeros and dots, and as long unread past 32 such digits."""
+    are all zeros and dots, and without a look when more than 32 digits
+    must be zeros."""
     many = np.flatnonzero(digits > _MAX_DIGITS)
     if not many.size:
         return many

@@ -559,6 +559,7 @@ class TestLoadCsvFormats:
 
     @pytest.mark.parametrize("row, message", [
         ("0.5,1,2", "data row {n} has 3 cells, expected 2"),
+        ("0.5\n1.5", "data row {n} has 1 cells, expected 2"),  # two cells, two rows
         ("0.5,1.2.3", "non-numeric value '1.2.3' at data row {n}, column 'a'"),
         ("0.5,-", "non-numeric value '-' at data row {n}, column 'a'"),
         ("0.5,1-2", "non-numeric value '1-2' at data row {n}, column 'a'"),
