@@ -12,14 +12,21 @@ its exact solve and at one KKT candidate, and settled only on demand.
 With the exponential mechanism, or when X'X is ill-conditioned (condition
 number above 500), the supersets are settled at once instead, and bound
 the family only above 40 (d + 1) d.  The workloads sit on both sides of
-each rule: full families, size-capped ones up to d = 20, both mechanisms,
-a collinear design (an intercept beside a full one-hot set, so X'X is
-singular) and a near-collinear one (X'X nonsingular, condition number
-near 10^6).
+each rule: full families, size-capped ones up to d = 20, both
+mechanisms, a collinear design (an intercept beside a full one-hot set,
+so X'X is singular), a near-collinear one (X'X nonsingular, condition
+number near 10^6) and a mid-conditioned one (condition number near 450,
+just under the rule).
 
 Each run imports one side's ``src/`` in a subprocess of its own and times
 ``--reps`` selects, cycling through 8 datasets and noise streams, five
 times over; the run's value is the best of the five, in ms per select.
+In the first round each side also counts, untimed, over the first
+``COUNT_SELECTS`` selects: the family masks it first-passes, the
+family rows it settles and the batches of supersets it settles, each
+per select.  The counts are exact, so they tell apart workloads where
+the two sides do different work from those where timing noise alone
+differs.
 Each round runs each side twice, in the order A B B A, and the side that
 runs first alternates from one round to the next, so a drift of the
 host's speed falls on both alike.  The output, in the working directory,
@@ -42,6 +49,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 DATASETS = 8
+# Selects whose work each side counts in the first round.
+COUNT_SELECTS = 160
 RADIUS, PHI, EPSILON, RESPONSE_BOUND, N = 2.5, 50.0, 1.0, 4.0, 1000
 
 # name: (design, covariates, size cap or None, mechanism).  "signal" is
@@ -50,7 +59,8 @@ RADIUS, PHI, EPSILON, RESPONSE_BOUND, N = 2.5, 50.0, 1.0, 4.0, 1000
 # of 6 levels (effects -0.8 .. 0.8), collinear with the intercept;
 # "nearonehot" adds one of 4 levels (effects -0.6 .. 0.6) and scales each
 # row's one-hot entry by 1 - u/100, u uniform, so X'X is nonsingular but
-# ill-conditioned.
+# ill-conditioned; "midonehot" scales it by 1 - 0.38 u, for a condition
+# number near 450.
 WORKLOADS = {
     "d4-full": ("signal", 3, None, "noisy_argmin"),
     "d8-full": ("signal", 7, None, "noisy_argmin"),
@@ -58,6 +68,8 @@ WORKLOADS = {
     "d10-full": ("signal", 9, None, "noisy_argmin"),
     "d11-full": ("signal", 10, None, "noisy_argmin"),
     "d12-full": ("signal", 11, None, "noisy_argmin"),
+    "d9-full-exponential": ("signal", 8, None, "exponential"),
+    "d12-full-exponential": ("signal", 11, None, "exponential"),
     "d12-size3": ("signal", 11, 3, "noisy_argmin"),
     "d12-size4": ("signal", 11, 4, "noisy_argmin"),
     "d16-size4": ("signal", 15, 4, "noisy_argmin"),
@@ -77,7 +89,16 @@ WORKLOADS = {
     "nearonehot-d12-size4": ("nearonehot", 7, 4, "noisy_argmin"),
     "nearonehot-d12-size4-exponential": ("nearonehot", 7, 4, "exponential"),
     "nearonehot-d12-full": ("nearonehot", 7, None, "noisy_argmin"),
+    "midonehot-d12-full": ("midonehot", 7, None, "noisy_argmin"),
+    "midonehot-d12-size4": ("midonehot", 7, 4, "noisy_argmin"),
+    "midonehot-d16-size4": ("midonehot", 11, 4, "noisy_argmin"),
+    "midonehot-d16-size5": ("midonehot", 11, 5, "noisy_argmin"),
+    "midonehot-d20-size4": ("midonehot", 15, 4, "noisy_argmin"),
+    "midonehot-d20-size5": ("midonehot", 15, 5, "noisy_argmin"),
 }
+
+# The one-hot scale 1 - c u of each design that scales it.
+ONEHOT_SCALE = {"nearonehot": 0.01, "midonehot": 0.38}
 
 
 def _dataset(design: str, covariates: int, k: int):
@@ -94,14 +115,56 @@ def _dataset(design: str, covariates: int, k: int):
         level = rng.integers(0, levels, N)
         y = y + np.linspace(-effect, effect, levels)[level]
         onehot = np.eye(levels)[level]
-        if design == "nearonehot":
-            onehot *= 1.0 - 0.01 * rng.uniform(0.0, 1.0, (N, 1))
+        if design in ONEHOT_SCALE:
+            onehot *= 1.0 - ONEHOT_SCALE[design] * rng.uniform(0.0, 1.0, (N, 1))
         columns.append(onehot)
     return standardize(np.column_stack(columns), y, "clip", response_bound=RESPONSE_BOUND)
 
 
-def side_run(name: str, reps: int) -> dict:
-    """One side's run of one workload, in this process."""
+def _counted(select, selects: int) -> dict:
+    """Family masks first-passed, family rows settled and superset batches
+    settled, per select, over ``selects`` calls of ``select``."""
+    from dpms import solver
+
+    counts = {"first_passed": 0, "settled": 0, "superset_settles": 0}
+    in_supersets = []
+    first_pass, settle = solver._first_pass, solver._settle
+
+    def counted_first_pass(a, member, *rest):
+        if not in_supersets:
+            counts["first_passed"] += len(member)
+        return first_pass(a, member, *rest)
+
+    def counted_settle(a, yty, member, *rest):
+        if in_supersets:
+            counts["superset_settles"] += 1
+        else:
+            counts["settled"] += len(member)
+        return settle(a, yty, member, *rest)
+
+    def flagged(method):
+        def wrapper(self):
+            in_supersets.append(True)
+            try:
+                return method(self)
+            finally:
+                in_supersets.pop()
+        return wrapper
+
+    solver._first_pass, solver._settle = counted_first_pass, counted_settle
+    # Earlier versions settle supersets part way through a select, in a
+    # method of their own.
+    for method in ("_superset_lower", "settle_supersets"):
+        if hasattr(solver.LossBounds, method):
+            setattr(solver.LossBounds, method, flagged(getattr(solver.LossBounds, method)))
+    for _ in range(selects):
+        select()
+    return {key: round(value / selects, 4) for key, value in counts.items()}
+
+
+def side_run(name: str, reps: int, count: bool = False) -> dict:
+    """One side's run of one workload, in this process; with ``count``,
+    the work of ``COUNT_SELECTS`` selects is counted after the timing."""
     from dpms import RngStream
     from dpms.data import sufficient_stats
     from dpms.enumeration import all_subsets
@@ -127,9 +190,13 @@ def side_run(name: str, reps: int) -> dict:
     if "eager" not in inspect.signature(bound_masks).parameters:
         eager = {}
     bounds = bound_masks(sufficient_stats(datasets[0]), family, RADIUS, **eager)
-    return {"ms_per_select": round(1e3 * best, 4), "models": len(family), "d": family.d,
-            "supersets": getattr(bounds, "_supersets", None),
-            "eager": getattr(bounds, "_eager", None)}
+    result = {"ms_per_select": round(1e3 * best, 4), "models": len(family), "d": family.d,
+              "supersets": getattr(bounds, "_supersets", None),
+              "eager": getattr(bounds, "_eager", None)}
+    if count:
+        ops = itertools.count()
+        result["per_select"] = _counted(select, COUNT_SELECTS)
+    return result
 
 
 def _route(result: dict) -> str:
@@ -138,9 +205,11 @@ def _route(result: dict) -> str:
     return "supersets, settled " + ("at once" if result["eager"] else "on demand")
 
 
-def _run(checkout: Path, name: str, reps: int) -> dict:
+def _run(checkout: Path, name: str, reps: int, count: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1")
     cmd = [sys.executable, __file__, "--side-run", name, "--reps", str(reps)]
+    if count:
+        cmd.append("--count")
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{name} on {checkout} exited {done.returncode}:\n{done.stderr[-2000:]}")
@@ -155,20 +224,23 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=20, help="selects per timed repeat")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--side-run", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.side_run:
-        print(json.dumps(side_run(args.side_run, args.reps)))
+        print(json.dumps(side_run(args.side_run, args.reps, args.count)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
     dirs = {"parent": args.parent, "change": args.change}
     names = args.workloads.split(",")
     runs = {name: {side: [] for side in SIDES} for name in names}
+    counts: dict = {name: {} for name in names}
     doc: dict = {
         "method": (f"pcls_select in process, best of 5 repeats of {args.reps} selects "
                    f"per run, {args.rounds} rounds of two runs per side in the order A B B A, "
                    f"the first side alternating; n={N}, R={RADIUS}, "
-                   f"phi={PHI}, epsilon={EPSILON}, r={RESPONSE_BOUND}, OMP_NUM_THREADS=1"),
+                   f"phi={PHI}, epsilon={EPSILON}, r={RESPONSE_BOUND}, OMP_NUM_THREADS=1; "
+                   f"work counted untimed over the first {COUNT_SELECTS} selects"),
         "cpus": os.cpu_count(),
         "workloads": {},
     }
@@ -178,8 +250,11 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order + order[::-1]:
-                results[side] = _run(dirs[side], name, args.reps)
+                count = side not in counts[name]
+                results[side] = _run(dirs[side], name, args.reps, count)
                 runs[name][side].append(results[side]["ms_per_select"])
+                if count:
+                    counts[name][side] = results[side]["per_select"]
             median = {side: statistics.median(runs[name][side]) for side in SIDES}
             doc["workloads"][name] = {
                 "models": results["change"]["models"],
@@ -187,6 +262,8 @@ def main(argv=None) -> int:
                 "change_route": _route(results["change"]),
                 **{f"{side}_median_ms": round(median[side], 4) for side in SIDES},
                 "change_over_parent": round(median["change"] / median["parent"], 3),
+                "same_work": counts[name]["parent"] == counts[name]["change"],
+                **{f"{side}_per_select": counts[name][side] for side in SIDES},
                 **{f"{side}_runs_ms": runs[name][side] for side in SIDES},
             }
             print(f"round {i}: {name}: parent {runs[name]['parent'][-2:]} ms, "
