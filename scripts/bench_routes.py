@@ -8,11 +8,11 @@
 {all but column j} when the family's model sizes add up to more than
 15 (d + 1) d, and otherwise starts from one first pass over the family
 (see ``dpms.solver``).  A superset is bounded by its Frank-Wolfe gap at
-its exact solve and at one KKT candidate, and settled only on demand.
-With the exponential mechanism, or when X'X is ill-conditioned (condition
-number above 500), the supersets are settled at once instead, and bound
-the family only above 40 (d + 1) d.  The workloads sit on both sides of
-each rule: full families, size-capped ones up to d = 20, both
+its exact solve and at one KKT candidate, and never settled.  With the
+exponential mechanism, or when X'X is ill-conditioned (condition number
+above 500), the supersets are settled with their bounds instead, and
+bound the family only above 40 (d + 1) d.  The workloads sit on both
+sides of each rule: full families, size-capped ones up to d = 20, both
 mechanisms, a collinear design (an intercept beside a full one-hot set,
 so X'X is singular), a near-collinear one (X'X nonsingular, condition
 number near 10^6) and a mid-conditioned one (condition number near 450,
@@ -202,7 +202,7 @@ def side_run(name: str, reps: int, count: bool = False) -> dict:
 def _route(result: dict) -> str:
     if not result["supersets"]:
         return "first pass"
-    return "supersets, settled " + ("at once" if result["eager"] else "on demand")
+    return "supersets, " + ("settled with the bounds" if result["eager"] else "gap bounds")
 
 
 def _run(checkout: Path, name: str, reps: int, count: bool) -> dict:

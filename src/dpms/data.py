@@ -334,17 +334,16 @@ def load_csv(path, response: str, include_intercept: bool = True):
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            # The header is one csv record, which a quoted name can stretch
+            # over several lines; the body is the rest of the file.
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    # The header is one csv record, which a quoted name can stretch over
-    # several lines; the stream's offset after it is where the body starts.
-    stream = io.StringIO(text, newline="")
-    try:
-        header = next(csv.reader(stream))
-    except StopIteration:
-        raise DataError(f"{path} is empty") from None
-    body = text[stream.tell():]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {_whole_file_error(path, exc)}") from exc
+    if header is None:
+        raise DataError(f"{path} is empty")
     header = [h.strip() for h in header]
     first_seen: dict[str, int] = {}
     for col, name in enumerate(header, start=1):
@@ -376,6 +375,18 @@ def load_csv(path, response: str, include_intercept: bool = True):
         x = np.hstack([np.ones((x.shape[0], 1)), x])
         cov_names = ["intercept"] + cov_names
     return x, y, cov_names
+
+
+def _whole_file_error(path, exc: UnicodeDecodeError) -> Exception:
+    """The error of decoding the whole file at once, whose position counts
+    from the file's start (after a byte order mark); ``exc``, from a read
+    in chunks, counts it from its chunk."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as whole:
+        return whole
+    return exc
 
 
 # The four ASCII separator controls: str.isspace() holds for them, but

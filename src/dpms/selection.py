@@ -321,19 +321,13 @@ def _min_loss(fits: Fits | LossBounds) -> float:
 
 def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
     """Lower and upper clean-score matrices: one matrix when every fit is
-    settled."""
+    settled.  Only pcls scores intervals: pcpl's proxy reads the smallest
+    loss, which settles every fit first (:func:`_min_loss`)."""
     lower, upper = _loss_bounds(fits)
+    lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
     if lower is upper:
-        lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
         return lo, lo
-    if algorithm == "pcpl":
-        # math.log is monotone only to within an ulp; a relative margin
-        # of 1e-12 keeps the profile of every loss in the interval inside
-        # the profiles of its ends.
-        lower = lower - 1e-12 * np.abs(lower)
-        upper = upper + 1e-12 * np.abs(upper)
-    return (_score_matrix(algorithm, lower, n_obs, penalties, sizes),
-            _score_matrix(algorithm, upper, n_obs, penalties, sizes))
+    return lo, _score_matrix(algorithm, upper, n_obs, penalties, sizes)
 
 
 def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
@@ -350,15 +344,11 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     is drawn first.  Before any mask is solved, each row solves the one
     with its smallest lower key.  Then, while a row is undecided, the
     masks that can win it (and, for the exponential mechanism, those that
-    can reach its smallest score) are solved.  When those are more than
-    d + 1 and the supersets' bounds are not yet settled, the supersets are
-    settled first (:meth:`~dpms.solver.LossBounds.settle_supersets`) and
-    each row again solves its smallest lower key among the unsolved masks.
-    Once all the masks that can win are solved, the binding ones among
-    them are settled in a batch of their own, which
-    narrows them to the certificate's width.  If that does not decide,
-    the whole family is settled.  Either way the winner is the one that
-    fully settled fits give, ties and all.
+    can reach its smallest score) are solved.  Once all the masks that can
+    win are solved, the binding ones among them are settled in a batch of
+    their own, which narrows them to the certificate's width.  If that
+    does not decide, the whole family is settled.  Either way the winner
+    is the one that fully settled fits give, ties and all.
     """
     if mechanism == "noisy_argmin":
         scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
@@ -392,11 +382,7 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
             # columns that can reach it too.
             reach |= lo <= hi.min(axis=1, keepdims=True)
         want = reach[undecided].any(axis=0)
-        if (want & unsolved).sum() > models.d + 1 and fits.settle_supersets():
-            # Settled supersets bound the unsolved masks more tightly: pick
-            # again before solving many of them.
-            pick = True
-        elif (want & unsolved).any():
+        if (want & unsolved).any():
             fits.first_pass(np.flatnonzero(want & unsolved))
         elif (want & ~fits.certified).any():
             fits.settle(np.flatnonzero(want & ~fits.certified))

@@ -35,7 +35,7 @@ a certified loss interval and solves and settles masks on demand
 can depend on.  Where a first pass over the family costs more than a few
 supersets, it bounds the unsolved masks from below by the supersets'
 duality gaps instead, and a selection solves only the masks its release
-can reach.
+can reach.  The supersets are settled with their bounds, or not at all.
 
 ``tau`` is ``_TOLERANCE * max(1, yty)`` plus a round-off allowance, a
 small multiple of ``eps * d`` times the loss's scale ``yty + 2 R ||b||_inf
@@ -98,15 +98,15 @@ _STALL_STEPS = 500
 
 # bound_masks bounds a family by its supersets once a first pass over the
 # family would solve more than this many unknowns per superset unknown,
-# the first when the supersets are settled on demand, the second when they
+# the first when the supersets keep their gap bounds, the second when they
 # are settled with their bounds (measured with scripts/bench_routes.py).
 _SUPERSET_COST = 15
 _SETTLED_SUPERSET_COST = 40
 
 # X'X is ill-conditioned above this condition number: the supersets' gap
-# bounds stay loose, and most selects would settle them on demand
-# (measured in process on the "nearonehot" design of
-# scripts/bench_routes.py, with its one-hot scale varied).
+# bounds stay loose, and they are settled with their bounds (measured in
+# process on the "nearonehot" design of scripts/bench_routes.py, with its
+# one-hot scale varied).
 _ILL_CONDITIONED = 500.0
 
 
@@ -508,10 +508,10 @@ class LossBounds:
     S's columns (Jaggi 2013), and ``s`` is the certificate level plus three
     round-off allowances, for the gap and for the two losses compared.  A
     binding superset takes the larger bound at its projected start and at
-    one projected KKT candidate, not a certified fit; :meth:`settle_supersets`
-    settles those on demand and raises every bound to their fits'.  With
-    ``eager``, or when a binding superset's solve fails, the binding
-    supersets are settled at once instead (see :meth:`_superset_lower`).
+    one projected KKT candidate, not a certified fit.  With ``eager``, or
+    when a binding superset's solve fails, the binding supersets are
+    settled with the bounds instead (see :meth:`_superset_lower`); either
+    way the supersets' bounds never change afterwards.
     Without ``supersets``, the intervals start from one first pass over the
     whole family, the one :meth:`fits` then reuses: a slack mask's interval
     is the point that fits() returns for it, and a binding mask's is
@@ -542,10 +542,6 @@ class LossBounds:
         self.certified = np.zeros(len(member), dtype=bool)
         self._family_pass: tuple[np.ndarray, np.ndarray] | None = None
         self._fits: Fits | None = None
-        # The supersets' (membership, X'y, projected starts, bounds), and
-        # the binding ones whose bounds come from unsettled points.
-        self._superset: tuple[np.ndarray, ...] | None = None
-        self._supersets_open = np.zeros(0, dtype=np.intp)
 
     @property
     def lower(self) -> np.ndarray:
@@ -567,32 +563,38 @@ class LossBounds:
         and {all but column j}, j not in the mask.
 
         A slack superset is bounded at its exact solve, and a binding one
-        by the larger bound at its projected start and at one KKT
-        candidate on that start's support and signs; :meth:`settle_supersets`
-        settles those on demand.  With ``eager``, or when a binding
-        superset's solve failed (its start is zero, no bound worth
-        keeping), every binding superset is settled at once: the lasso path
-        costs one batched step per breakpoint, whatever its number of
-        rows."""
+        by the larger bound at its projected start and at one projected KKT
+        candidate on that start's support and signs.  With ``eager``, or
+        when a binding superset's solve failed (its start is zero, no bound
+        worth keeping), the binding supersets are settled here instead, in
+        one batch (the lasso path costs one batched step per breakpoint,
+        whatever its number of rows), and bounded at their fits too.  The
+        bound holds at any feasible point, so a superset that cannot be
+        certified keeps the bound at its start.  No superset is settled
+        later."""
         stats, radius, d = self._stats, self._radius, self._stats.d
+        a = stats.xtx
         member = np.ones((d + 1, d), dtype=bool)
         member[np.arange(1, d + 1), np.arange(d)] = False
         bvec = member * stats.xty
-        start, rest = _first_pass(stats.xtx, member, bvec, radius, self._tau)
+        start, rows = _first_pass(a, member, bvec, radius, self._tau)
         bound = self._gap_bound(member, bvec, start)
-        self._superset = member, bvec, start, bound
-        if not rest.size:
-            return self._superset_bounds()
-        if self._eager or not start[rest].any(axis=1).all():
-            self._settle_superset_rows(rest)
-        else:
-            self._supersets_open = rest
-            kkt = _kkt_candidates(stats.xtx, bvec[rest], start[rest], radius)
-            found = np.isfinite(kkt).all(axis=1)
-            rows = rest[found]
-            x = _project_rows(kkt[found], radius)
+        if rows.size and (self._eager or not start[rows].any(axis=1).all()):
+            try:
+                x = _settle(a, stats.yty, member[rows], bvec[rows], start[rows], radius,
+                            self._tau)[0]
+            except SolverError:
+                rows = rows[:0]
+        elif rows.size:
+            x = _kkt_candidates(a, bvec[rows], start[rows], radius)
+            found = np.isfinite(x).all(axis=1)
+            rows, x = rows[found], _project_rows(x[found], radius)
+        if rows.size:
             bound[rows] = np.maximum(bound[rows], self._gap_bound(member[rows], bvec[rows], x))
-        return self._superset_bounds()
+        # Reduced across the d rows of the transposed membership, which is
+        # several times faster than across each mask's d columns.
+        left_out = np.where(np.ascontiguousarray(self._member.T), -np.inf, bound[1:, None])
+        return np.maximum(bound[0], left_out.max(axis=0, initial=-np.inf))
 
     def _gap_bound(self, member, bvec, beta) -> np.ndarray:
         """``f - gap - s`` at each row of ``beta`` (on its mask): a lower
@@ -600,40 +602,6 @@ class LossBounds:
         a = self._stats.xtx
         gap = _gap((beta @ a) * member - bvec, beta, self._radius)
         return _objective(self._stats.yty, a, member, bvec, beta) - gap - self._slack
-
-    def _settle_superset_rows(self, rows) -> None:
-        """Raise the bounds of superset ``rows`` to those of their settled
-        fits.  The bound holds at any feasible point, so a superset that
-        cannot be certified keeps the bound it has."""
-        if not rows.size:
-            return
-        member, bvec, start, bound = self._superset
-        try:
-            beta = _settle(self._stats.xtx, self._stats.yty, member[rows], bvec[rows],
-                           start[rows], self._radius, self._tau)[0]
-        except SolverError:
-            return
-        bound[rows] = np.maximum(bound[rows], self._gap_bound(member[rows], bvec[rows], beta))
-
-    def _superset_bounds(self) -> np.ndarray:
-        """Each family mask's largest superset bound."""
-        bound = self._superset[3]
-        # Reduced across the d rows of the transposed membership, which is
-        # several times faster than across each mask's d columns.
-        left_out = np.where(np.ascontiguousarray(self._member.T), -np.inf, bound[1:, None])
-        return np.maximum(bound[0], left_out.max(axis=0, initial=-np.inf))
-
-    def settle_supersets(self) -> bool:
-        """Settle the binding supersets that are bounded at unsettled points,
-        and raise every mask's lower bound to their settled fits' bounds.
-        Returns False, and does nothing, when none is left to settle."""
-        rows = self._supersets_open
-        if not rows.size or self._fits is not None:
-            return False
-        self._supersets_open = rows[:0]
-        self._settle_superset_rows(rows)
-        np.maximum(self._lower, self._superset_bounds(), out=self._lower)
-        return True
 
     def _bvec(self, rows) -> np.ndarray:
         return self._member[rows] * self._stats.xty
@@ -743,11 +711,13 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
     first pass over ``_SETTLED_SUPERSET_COST = 40`` times their unknowns:
     the full family from d = 10 on, ``size<=4`` from d = 18 on.  The
     supersets are settled with their bounds, and that rule applies, when
-    a caller passes ``eager`` (a select that would settle them in most
-    cases anyway, as the exponential mechanism's, which also solves every
-    mask that can reach a row's smallest score), or when X'X is
-    ill-conditioned (condition number above ``_ILL_CONDITIONED``, singular
-    included), where the supersets' gap bounds stay loose."""
+    a caller passes ``eager`` (the exponential mechanism's select, which
+    also solves every mask that can reach a row's smallest score), or
+    when X'X is ill-conditioned (condition number above
+    ``_ILL_CONDITIONED``, singular included), where the supersets' gap
+    bounds stay loose and a select would first-pass many masks.
+    Otherwise the supersets keep their gap bounds and are never
+    settled."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):

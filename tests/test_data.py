@@ -389,6 +389,38 @@ class TestLoadCsvFormats:
                 "invalid continuation byte") + "$"):
             load_csv(p, "y")
 
+    def test_non_utf8_byte_past_the_first_chunk_keeps_its_file_position(self, tmp_path):
+        # The file is read in chunks; the message still counts the byte's
+        # position from the file's start, after the byte order mark.
+        p = tmp_path / "f.csv"
+        raw = ("y,a\n" + "1.5,2.5\n" * 10_000).encode()
+        p.write_bytes(b"\xef\xbb\xbf" + raw[:50_000] + b"\xe9" + raw[50_001:])
+        with pytest.raises(DataError, match="^" + re.escape(
+                f"cannot read {p}: 'utf-8' codec can't decode byte 0xe9 in position 50000: "
+                "invalid continuation byte") + "$"):
+            load_csv(p, "y")
+
+    def test_plain_body_peaks_at_a_few_times_the_file(self, tmp_path):
+        # About 400 KB of 17-digit cells, as in the select benchmark: the
+        # header is read from the open file and the body in one read, with
+        # no decoded copy of the whole file beside it.
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        p = tmp_path / "big.csv"
+        header = ",".join([f"x{j}" for j in range(19)] + ["y"])
+        np.savetxt(p, rng.uniform(-1, 1, (1000, 20)), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        size = p.stat().st_size
+        assert 350_000 < size < 450_000
+        tracemalloc.start()
+        try:
+            load_csv(p, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * size
+
     @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_controls_are_rejected_and_shown(self, tmp_path, sep):
         # np.loadtxt strips these four controls from a cell, as it does

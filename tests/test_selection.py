@@ -908,99 +908,105 @@ class TestSupersetBounds:
                         report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(23, sid))
                         assert report.chosen == family[full.winners[i]]
 
-    @staticmethod
-    def _count_superset_settles(monkeypatch) -> list:
-        """Records what every on-demand superset settle returns."""
-        from dpms.solver import LossBounds
-
-        settles = []
-        settle_supersets = LossBounds.settle_supersets
-
-        def counted(self):
-            settles.append(settle_supersets(self))
-            return settles[-1]
-
-        monkeypatch.setattr(LossBounds, "settle_supersets", counted)
-        return settles
-
     @pytest.mark.parametrize("design", ["signal", "onehot", "loose-onehot", "near-onehot"])
     @pytest.mark.parametrize("radius", [0.5, 2.5])
     def test_bounds_before_and_after_the_settle_hold_every_certified_loss(self, design, radius):
-        # A superset is bounded by its gap at its projected start and at
-        # one KKT candidate, and settled on demand; where X'X is
-        # ill-conditioned (the one-hot design is singular), every binding
-        # superset is settled at once.
+        # A binding superset is bounded by its gap at its projected start
+        # and at one KKT candidate or, when the supersets are settled with
+        # the bounds (eager), at its settled fit too; where X'X is
+        # ill-conditioned (the one-hot design is singular), bound_masks
+        # settles them.  Both bounds hold every certified loss, and a
+        # select on either releases the fully settled winner.
+        from dpms.selection import _pcls_with_fits
         from dpms.solver import _ill_conditioned
 
         family = all_subsets(9)
+        cfg = SelectionConfig(radius=radius, penalty=2.0, budget=PrivacyBudget(1.0))
+        streams = list(range(4))
         narrowed = 0
         for seed in range(3):
             ds = _design(design, seed)
             stats = sufficient_stats(ds)
             assert _ill_conditioned(stats) == (design in ("onehot", "near-onehot"))
-            loss = fit_masks(stats, family, radius).neg2_loglik
-            bounds = self._bounds(stats, family, radius, supersets=True)
-            before = bounds.lower.copy()
-            assert np.all(before <= loss)
-            settled = bounds.settle_supersets()
-            assert np.all(before <= bounds.lower) and np.all(bounds.lower <= loss)
-            assert not bounds.settle_supersets()
-            if _ill_conditioned(stats):
-                assert not settled and np.array_equal(before, bounds.lower)
-            narrowed += int(np.any(bounds.lower > before))
+            fits = fit_masks(stats, family, radius)
+            before = self._bounds(stats, family, radius, supersets=True, eager=False).lower
+            after = self._bounds(stats, family, radius, supersets=True, eager=True).lower
+            assert np.all(before <= fits.neg2_loglik) and np.all(after <= fits.neg2_loglik)
+            narrowed += int(np.any(after > before))
+            full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
+                                ds.n, cfg, family, 29, streams)
+            for i, sid in enumerate(streams):
+                for eager in (False, True):
+                    bounds = self._bounds(stats, family, radius, supersets=True, eager=eager)
+                    report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(29, sid))
+                    assert report.chosen == family[full.winners[i]]
         # The gap bounds are loose on the loosely collinear design, and the
         # settle narrows them.
         assert narrowed > 0 or design != "loose-onehot"
 
-    def test_the_on_demand_settle_releases_the_fully_settled_winner(self, monkeypatch):
+    def test_a_select_settles_no_superset_after_its_bounds(self, monkeypatch):
         # On the loosely collinear design the gap bounds of the supersets
-        # are loose, so a select that would solve more than d + 1 masks
-        # settles the supersets first, and each stream then solves its
-        # smallest lower key again.  The winner is that of fully settled
-        # fits, and few masks are solved.
-        from dpms.solver import LossBounds
+        # are loose and leave a select many masks to solve.  Still no
+        # superset is settled once the bounds are built: only the family's
+        # own rows are, and the winner is that of fully settled fits.
+        from dpms import solver
 
         family = all_subsets(9)
-        settles = self._count_superset_settles(monkeypatch)
-        solved = []
-        first_pass = LossBounds.first_pass
+        late, state = [], {"bounded": False, "family": 0}
+        settle = solver._settle
+        superset_lower, own_settle = solver.LossBounds._superset_lower, solver.LossBounds._settle
 
-        def counted(self, rows):
-            solved.append(len(rows))
-            return first_pass(self, rows)
+        def bounded(self):
+            lower = superset_lower(self)
+            state["bounded"] = True
+            return lower
 
-        monkeypatch.setattr(LossBounds, "first_pass", counted)
+        def family_settle(self, rows):
+            state["family"] += 1
+            try:
+                return own_settle(self, rows)
+            finally:
+                state["family"] -= 1
+
+        def counted(a, yty, member, *rest):
+            if state["bounded"] and not state["family"]:
+                late.append(len(member))
+            return settle(a, yty, member, *rest)
+
+        monkeypatch.setattr(solver, "_settle", counted)
+        monkeypatch.setattr(solver.LossBounds, "_superset_lower", bounded)
+        monkeypatch.setattr(solver.LossBounds, "_settle", family_settle)
         streams = list(range(8))
         cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0))
         for seed in range(3):
             ds = _design("loose-onehot", seed, n=1000)
-            fits = fit_masks(sufficient_stats(ds), family, 2.5)
+            stats = sufficient_stats(ds)
+            fits = fit_masks(stats, family, 2.5)
             full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
                                 ds.n, cfg, family, 41, streams)
+            bounds = solver.bound_masks(stats, family, 2.5)
+            assert bounds._supersets and not bounds._eager
             for i, sid in enumerate(streams):
-                solved.clear()
+                state["bounded"] = False
                 report = pcls_select(ds, family, cfg, RngStream(41, sid))
+                assert state["bounded"]
                 assert report.chosen == family[full.winners[i]]
-                assert sum(solved) < len(family) // 8
-        assert sum(settles) >= 6
+        assert late == []
 
     @pytest.mark.parametrize("design, mechanism", [
         ("onehot", "noisy_argmin"), ("near-onehot", "noisy_argmin"), ("signal", "exponential"),
     ])
-    def test_supersets_settle_at_once_where_most_selects_would_settle_them(
-        self, design, mechanism, monkeypatch
-    ):
+    def test_supersets_settle_at_once_where_most_selects_would_settle_them(self, design, mechanism):
         # Where X'X is ill-conditioned (the one-hot design is singular),
         # the gap bounds stay loose, and the exponential mechanism solves
         # every mask that can reach a row's smallest score: in both cases
-        # most selects would settle the supersets on demand, so they are
-        # settled with the bounds, never on demand.  Settled supersets
+        # a select on the gap bounds alone would first-pass many masks, so
+        # the supersets are settled with the bounds.  Settled supersets
         # cost their lasso path, and bound a family only above 40 unknowns
         # per superset unknown.
         from dpms.solver import bound_masks
 
         family = all_subsets(10)
-        settles = self._count_superset_settles(monkeypatch)
         cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0),
                               mechanism=mechanism)
         for seed in range(2):
@@ -1008,8 +1014,8 @@ class TestSupersetBounds:
             stats = sufficient_stats(ds)
             bounds = bound_masks(stats, family, 2.5, eager=mechanism == "exponential")
             assert bounds._supersets and bounds._eager
-            # 23 unknowns per superset unknown: supersets settled on demand
-            # would bound this family, settled ones do not.
+            # 23 unknowns per superset unknown: supersets on their gap
+            # bounds would bound this family, settled ones do not.
             capped = all_subsets(10, max_size=5)
             assert not bound_masks(stats, capped, 2.5, eager=mechanism == "exponential")._supersets
             fits = fit_masks(stats, family, 2.5)
@@ -1018,17 +1024,15 @@ class TestSupersetBounds:
             for sid in range(6):
                 assert pcls_select(ds, family, cfg, RngStream(43, sid)).chosen == (
                     family[full.winners[sid]])
-        assert not any(settles)
 
     def test_a_default_d12_select_runs_no_lasso_path_for_the_supersets(self, monkeypatch):
         # On the benchmark's design the gap bounds at the projected starts
         # and their KKT candidates decide the release: no superset follows
-        # the lasso path, before or during the select.
+        # the lasso path.
         from dpms import solver
 
         paths, bounding = [], []
         homotopy, superset_lower = solver._homotopy, solver.LossBounds._superset_lower
-        settle_supersets = solver.LossBounds.settle_supersets
 
         def flagged(method):
             def wrapper(self):
@@ -1046,7 +1050,6 @@ class TestSupersetBounds:
 
         monkeypatch.setattr(solver, "_homotopy", counted)
         monkeypatch.setattr(solver.LossBounds, "_superset_lower", flagged(superset_lower))
-        monkeypatch.setattr(solver.LossBounds, "settle_supersets", flagged(settle_supersets))
         family = all_subsets(12)
         cfg = SelectionConfig(radius=2.5, penalty=50.0, budget=PrivacyBudget(1.0))
         for seed in range(4):
