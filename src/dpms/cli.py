@@ -227,6 +227,10 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, list[str]]:
             payload = json.loads(Path(args.ranges).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read ranges file {args.ranges}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(
+                f"ranges file {args.ranges} must hold a JSON object with keys x and y"
+            )
         x_ranges = payload.get("x")
         y_range = payload.get("y")
         if args.include_intercept and x_ranges is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _integer
 
 # Keyed noise draws hash a mask's bits as one 64-bit word, so a mask
 # covers at most 64 covariates.
@@ -59,7 +59,7 @@ class ModelMask:
         """Build a mask from 1-based covariate indices (duplicates fold)."""
         bits = 0
         for i in indices:
-            i = int(i)
+            i = _integer("covariate index", i)
             if not 1 <= i <= d:
                 raise DataError(f"covariate index {i} outside [1, {d}]")
             bits |= 1 << (i - 1)
@@ -230,7 +230,7 @@ class SufficientStats:
         if not np.isfinite(yty) or yty < 0:
             raise DataError(f"yty must be finite and >= 0, got {yty}")
         scale = max(1.0, float(np.max(np.abs(xtx))))
-        if not np.allclose(xtx, xtx.T, atol=1e-9 * scale, rtol=0.0):
+        if float(np.max(np.abs(xtx - xtx.T))) > 1e-9 * scale:
             raise DataError("xtx is not symmetric")
         xtx = (xtx + xtx.T) / 2.0
         # PSD up to round-off; a clearly negative eigenvalue means the
@@ -323,8 +323,8 @@ def load_csv(path, response: str, include_intercept: bool = True):
     byte order mark is dropped, and rows may end in LF, CRLF or a bare CR.
     With ``include_intercept`` an all-ones column named "intercept" is
     placed first and participates in model enumeration like any other
-    covariate.  Returns raw arrays: standardization/bounds are the caller's
-    next step.
+    covariate, and no covariate of the file may take its name.  Returns
+    raw arrays: standardization/bounds are the caller's next step.
 
     The body is read by the first of three routes that takes it, each cell
     the same bits as ``float()`` of its text: :func:`_decimal_rows` for a
@@ -362,6 +362,11 @@ def load_csv(path, response: str, include_intercept: bool = True):
     cov_names = [h for i, h in enumerate(header) if i != y_pos]
     if not cov_names:
         raise DataError(f"{path} has no covariate columns besides {response!r}")
+    if include_intercept and "intercept" in cov_names:
+        raise DataError(
+            f"{path} has a covariate named 'intercept', the name of the added intercept "
+            "column; rename it, or pass --no-include-intercept"
+        )
     cells = _decimal_rows(body, len(header))
     if cells is None:
         cells = _loadtxt_rows(body, len(header))

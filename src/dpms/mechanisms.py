@@ -260,25 +260,36 @@ def _row_argmin(keys: np.ndarray, models: CandidateSet) -> np.ndarray:
     return order[np.argmin(keys[:, order], axis=1)]
 
 
+def _keyed_rows(seed: int, stream_ids, tag: int, models: CandidateSet, live: np.ndarray,
+                transform) -> np.ndarray:
+    """``transform`` of :func:`_keyed_u64_block` on the rows where
+    ``live`` is True, zero on the others, which draw nothing."""
+    if live.all():
+        return transform(_keyed_u64_block(seed, stream_ids, tag, models))
+    out = np.zeros((len(stream_ids), len(models)))
+    if live.any():
+        ids = np.asarray(stream_ids, dtype=np.uint64)[live].tolist()
+        out[live] = transform(_keyed_u64_block(seed, ids, tag, models))
+    return out
+
+
 def _noisy_keys(scales, models: CandidateSet, seed: int, stream_ids):
     """Report-noisy-argmin's keys as a function of the scores.
 
     Row ``i`` perturbs every score by its own Laplace draw keyed by
     ``(seed, stream_ids[i])`` and the column's canonical rank, scaled by
-    ``scales``, which broadcasts against the (rows x masks) matrix; an
-    all-zero scale is the noiseless limit and draws nothing.  Returns
+    ``scales``, which broadcasts against the (rows x masks) matrix; a row
+    of zero scales is the noiseless limit and draws nothing.  Returns
     ``keys(scores, base)``: the noisy scores, a nondecreasing function of
     each score (``base`` is unused).
     """
-    if np.any(scales):
-        words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, models)
-        noise = scales * _laplace_from_u64_array(words)
-    else:
-        noise = np.zeros((len(stream_ids), len(models)))
+    scales = np.broadcast_to(scales, (len(stream_ids), len(models)))
+    noise = scales * _keyed_rows(seed, stream_ids, _TAG_ARGMIN, models, scales.any(axis=1),
+                                 _laplace_from_u64_array)
     return lambda scores, base: scores + noise
 
 
-def _gumbel_keys(epsilon: float, sensitivity, models: CandidateSet, seed: int, stream_ids):
+def _gumbel_keys(epsilon, sensitivity, models: CandidateSet, seed: int, stream_ids):
     """The exponential mechanism's keys as a function of the scores.
 
     Row ``i`` draws one Gumbel variate per column keyed like
@@ -286,22 +297,27 @@ def _gumbel_keys(epsilon: float, sensitivity, models: CandidateSet, seed: int, s
     ``-(log-weight + Gumbel)`` with log-weight
     ``-epsilon * (score - low) / (2 * sensitivity)``, ``low`` the smallest
     entry of each row of ``base`` (the scores themselves, or a bound on
-    them) and ``sensitivity`` one value per row (or one for all); its
-    argmin is an exact sample with probability proportional to
+    them) and ``epsilon`` and ``sensitivity`` one value per row (or one for
+    all); its argmin is an exact sample with probability proportional to
     ``exp(-epsilon * score / (2 * sensitivity))``.  Subtracting ``low``
     gives the best candidate the weight exp(0) = 1: no normalization and
     no underflow.  A key is nondecreasing in its score and nonincreasing
-    in ``low``.  ``epsilon = inf`` keys by the scores themselves.
+    in ``low``.  A row with ``epsilon = inf`` draws nothing and is keyed by
+    its scores themselves.
     """
-    if math.isinf(epsilon):
-        zeros = np.zeros((len(stream_ids), len(models)))
-        return lambda scores, base: scores + zeros
-    words = _keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, models)
-    gumbel = _gumbel_from_u64_array(words)
+    epsilon = np.broadcast_to(epsilon, (len(stream_ids), 1))
+    live = np.isfinite(epsilon)
+    if not live.any():
+        return lambda scores, base: scores + 0.0
+    gumbel = _keyed_rows(seed, stream_ids, _TAG_GUMBEL, models, live[:, 0],
+                         _gumbel_from_u64_array)
 
     def keys(scores, base):
         low = base.min(axis=1, keepdims=True)
-        return -(-epsilon * (scores - low) / (2.0 * sensitivity) + gumbel)
+        # A noiseless row's weights (inf times a score gap) are never read.
+        with np.errstate(invalid="ignore"):
+            weighted = -(-epsilon * (scores - low) / (2.0 * sensitivity) + gumbel)
+        return np.where(live, weighted, scores + 0.0)
 
     return keys
 

@@ -18,8 +18,8 @@ Both paths draw every noise variate from a caller-supplied
 :class:`~dpms.mechanisms.RngStream`, so a fixed (seed, stream) pair replays
 the exact selection byte for byte.  They share one array core,
 :func:`_select_rows`, which runs one selection per row of a score matrix;
-a single select is its one-row case, and the sweep harness scores a whole
-penalty grid per fit through it.
+a single select is its one-row case, and the sweep harness releases a
+whole (epsilon, delta, phi) grid per fit through it, one row per cell.
 """
 
 from __future__ import annotations
@@ -141,12 +141,14 @@ def _profile_sensitivity_value(
     d: int,
     response_bound: float,
     radius: float,
-    stage1_epsilon: float,
-    delta: float,
+    stage1_epsilon,
+    delta,
     laplace_units,
 ) -> np.ndarray:
     """Noisy upper bounds on the profile score's local sensitivity, one
-    per standard Laplace variate in the array ``laplace_units``.
+    per standard Laplace variate in the array ``laplace_units``, each
+    under its own stage-1 epsilon and delta (scalars or arrays that
+    broadcast against the variates).
 
     Starts from the deterministic bound ``n * w / (min_loss - w)`` with
     ``w = (r + R)**2 + tau`` and the certified minimum lowered by ``tau``,
@@ -155,17 +157,20 @@ def _profile_sensitivity_value(
     denominator with Laplace noise calibrated to ``w`` plus a
     ``log(1 / (2 * delta))`` safety margin so the released value is itself
     private and exceeds the true local sensitivity except with probability
-    ``delta``.  A nonpositive denominator means the data fit too well for
-    the bound to say anything; the sentinel ``inf`` signals that.
+    ``delta``.  An infinite stage-1 epsilon adds neither.  A nonpositive
+    denominator means the data fit too well for the bound to say anything;
+    the sentinel ``inf`` signals that.
     """
     units = np.asarray(laplace_units, dtype=np.float64)
+    stage1 = np.asarray(stage1_epsilon, dtype=np.float64)
+    deltas = np.asarray(delta, dtype=np.float64)
+    # math.log, so that every row's margin has the bits of a one-budget call.
+    margin = np.reshape([math.log(1.0 / (2.0 * x)) for x in deltas.ravel().tolist()], deltas.shape)
     slack = loss_slack(n_obs, d, response_bound, radius)
     width = _score_width(n_obs, d, response_bound, radius)
-    shift = np.zeros(units.shape)
-    if math.isfinite(stage1_epsilon):
-        shift = width * (units - math.log(1.0 / (2.0 * delta))) / stage1_epsilon
+    shift = np.where(np.isfinite(stage1), width * (units - margin) / stage1, 0.0)
     denominator = (min_loss - slack) - width + shift
-    out = np.full(units.shape, np.inf)
+    out = np.full(denominator.shape, np.inf)
     return np.divide(n_obs * width, denominator, out=out, where=denominator > 0.0)
 
 
@@ -292,14 +297,15 @@ def _score_matrix(algorithm: str, losses, n_obs: int, penalties, sizes: np.ndarr
     return base + np.asarray(penalties, dtype=np.float64)[:, None] * sizes
 
 
-def _stage_epsilons(config: SelectionConfig) -> tuple[float, float]:
-    """pcpl's (stage 1, stage 2) split of its ``2 * epsilon`` budget;
-    both are infinite in the noiseless limit."""
-    if math.isinf(config.budget.epsilon):
-        return math.inf, math.inf
-    epsilon_total = 2.0 * config.budget.epsilon
-    stage1_epsilon = epsilon_total * config.stage1_fraction
-    return stage1_epsilon, epsilon_total - stage1_epsilon
+def _stage_epsilons(epsilons: np.ndarray, stage1_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """pcpl's (stage 1, stage 2) split of each row's ``2 * epsilon``
+    budget; both are infinite in the noiseless limit."""
+    epsilon_total = 2.0 * epsilons
+    stage1 = epsilon_total * stage1_fraction
+    stage2 = np.subtract(
+        epsilon_total, stage1, out=np.full(stage1.shape, np.inf), where=np.isfinite(epsilons)
+    )
+    return stage1, stage2
 
 
 def _loss_bounds(fits: Fits | LossBounds) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +339,10 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
 def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
                     seed, stream_ids, clean=None):
     """Winner of each row and, for noisy_argmin on settled fits, its noisy
-    scores.  ``clean``, when given, is the clean-score matrix of settled
-    ``fits`` under ``penalties``.
+    scores.  ``sensitivity`` and ``epsilon`` are columns, one entry per
+    row; a row with an infinite epsilon is keyed by its scores alone.
+    ``clean``, when given, is the clean-score matrix of settled ``fits``
+    under ``penalties``.
 
     A key is monotone in its clean score (and, for the exponential
     mechanism, in the row's smallest score), and so is its rounding, so
@@ -351,7 +359,9 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     is the one that fully settled fits give, ties and all.
     """
     if mechanism == "noisy_argmin":
-        scale = 0.0 if math.isinf(epsilon) else 2.0 * sensitivity / epsilon
+        scale = np.divide(
+            2.0 * sensitivity, epsilon, out=np.zeros(epsilon.shape), where=np.isfinite(epsilon)
+        )
         keys = _noisy_keys(scale, models, seed, stream_ids)
     else:
         keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)
@@ -396,6 +406,8 @@ def _select_rows(
     algorithm: str,
     fits: Fits | LossBounds,
     penalties,
+    epsilons,
+    deltas,
     bound: float,
     n_obs: int,
     config: SelectionConfig,
@@ -405,37 +417,40 @@ def _select_rows(
     clean: np.ndarray | None = None,
 ) -> _Picks:
     """The selection core: row ``i`` scores each candidate of ``models``
-    with penalty ``penalties[i]`` and is released under
-    ``RngStream(seed, stream_ids[i])``.
+    with penalty ``penalties[i]``, spends the budget
+    ``(epsilons[i], deltas[i])`` and is released under
+    ``RngStream(seed, stream_ids[i])``.  Each row is the release a single
+    select with that penalty, budget and stream makes, bit for bit.
 
     ``fits`` holds one fit per candidate: settled :class:`Fits`, or
     :class:`LossBounds`, of which only the fits the release can depend on
-    get solved.  ``config`` supplies the radius,
-    budget, mechanism and stage-1 split.  Every row runs the configured
+    get solved.  ``config`` supplies the radius, mechanism and stage-1
+    split; its own penalty and budget are not read.  Every row runs the
     mechanism with its own sensitivity: ``(r + R)**2`` plus the solver's
     public ``loss_slack`` for pcls, and for pcpl the proxy that stage 1
     releases with the row's first Laplace word.  A pcpl row whose proxy is
-    degenerate falls back to a uniform pick instead; its noiseless limit
-    (epsilon = inf) never falls back.  ``noisy`` is None unless every fit
-    ended up settled.  A caller that holds the clean-score matrix of
-    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
-    not built again.
+    degenerate falls back to a uniform pick instead; a row with an
+    infinite epsilon (the noiseless limit) draws no noise and never falls
+    back.  ``noisy`` is None unless every fit ended up settled.  A caller
+    that holds the clean-score matrix of settled ``fits`` under
+    ``penalties`` passes it as ``clean``, and it is not built again.
     """
     # A LossBounds' losses come from validated, finite statistics.
     if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
         raise DataError("candidate scores must be finite")
     penalties = np.asarray(penalties, dtype=np.float64)
+    epsilons = np.asarray(epsilons, dtype=np.float64)
     rows = len(stream_ids)
     if algorithm == "pcls":
-        epsilon, proxy = config.budget.epsilon, None
+        epsilon, proxy = epsilons, None
         sensitivity = np.full(rows, _score_width(n_obs, models.d, bound, config.radius))
     else:
-        stage1_epsilon, epsilon = _stage_epsilons(config)
+        stage1_epsilon, epsilon = _stage_epsilons(epsilons, config.stage1_fraction)
         proxy = sensitivity = _profile_sensitivity_value(
             _min_loss(fits), n_obs, models.d, bound, config.radius,
-            stage1_epsilon, config.budget.delta, _laplace_rows(seed, stream_ids),
+            stage1_epsilon, deltas, _laplace_rows(seed, stream_ids),
         )
-    fallback = np.isinf(sensitivity) & math.isfinite(epsilon)
+    fallback = np.isinf(sensitivity) & np.isfinite(epsilon)
     kept = ~fallback
     winners = np.empty(rows, dtype=np.intp)
     kept_ids = stream_ids
@@ -448,7 +463,7 @@ def _select_rows(
     noisy = None
     if len(kept_ids):
         winners[kept], noisy = _mechanism_rows(
-            algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon,
+            algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon[kept, None],
             config.mechanism, models, seed, kept_ids, None if clean is None else clean[kept],
         )
     if noisy is not None and fallback.any():
@@ -468,17 +483,23 @@ def _select_with_fits(
     rng: RngStream,
 ) -> SelectionReport:
     # One row of the selection core, on the loss bounds of the fits.
-    _check_delta(algorithm, config.budget.delta)
-    args = (dataset.response_bound, dataset.n, config, models, rng.seed, [rng.stream_id])
-    picks = _select_rows(algorithm, fits, [config.penalty], *args)
+    budget = config.budget
+    _check_delta(algorithm, budget.delta)
+    args = (
+        [config.penalty], [budget.epsilon], [budget.delta], dataset.response_bound, dataset.n,
+        config, models, rng.seed, [rng.stream_id],
+    )
+    picks = _select_rows(algorithm, fits, *args)
     if algorithm == "pcls":
-        epsilon_total = config.budget.epsilon
+        epsilon_total = budget.epsilon
         g_of_d = None
     else:
         # Sequential composition: the stages' epsilons add, and delta is
         # spent once, by stage 1's safety margin.
-        stage1_epsilon, stage2_epsilon = _stage_epsilons(config)
-        epsilon_total = stage1_epsilon + stage2_epsilon
+        stage1_epsilon, stage2_epsilon = _stage_epsilons(
+            np.array([budget.epsilon]), config.stage1_fraction
+        )
+        epsilon_total = float(stage1_epsilon[0] + stage2_epsilon[0])
         g_of_d = float(picks.g_of_d[0])
     fallback = bool(picks.fallback[0])
 
@@ -488,7 +509,7 @@ def _select_with_fits(
         settled = fits.fits()
         clean = _score_matrix(algorithm, settled.neg2_loglik, dataset.n, [config.penalty],
                               models.sizes)
-        noisy = _select_rows(algorithm, settled, [config.penalty], *args).noisy
+        noisy = _select_rows(algorithm, settled, *args).noisy
         return _readonly(clean[0]), None if noisy is None or fallback else _readonly(noisy[0])
 
     return SelectionReport(

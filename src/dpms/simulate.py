@@ -26,10 +26,10 @@ import os
 import struct
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,11 +112,14 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, ModelMask]:
     x = gen.uniform(-1.0, 1.0, size=(spec.n, spec.d))
     noise = gen.normal(0.0, spec.noise_sd, size=spec.n)
     y = x @ np.asarray(spec.coefficients) + noise
-    dataset = Dataset.from_arrays(x, y)
-    truth = ModelMask.from_indices(
-        (i + 1 for i, c in enumerate(spec.coefficients) if c != 0.0), spec.d
+    return Dataset.from_arrays(x, y), _generating_mask(spec.coefficients)
+
+
+def _generating_mask(coefficients: tuple[float, ...]) -> ModelMask:
+    """The covariates with a nonzero coefficient."""
+    return ModelMask.from_indices(
+        (i + 1 for i, c in enumerate(coefficients) if c != 0.0), len(coefficients)
     )
-    return dataset, truth
 
 
 def default_phi_grid(n: int) -> tuple[float, ...]:
@@ -188,8 +191,7 @@ class SweepGrid:
         return self.phi_values if self.phi_values is not None else default_phi_grid(n)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid cell's aggregate results; field order matches the CSV."""
 
     n: int
@@ -207,7 +209,7 @@ class SweepRow:
     mean_runtime_ms: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_COLUMNS = SweepRow._fields
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ class SweepResult:
     def to_csv(self) -> str:
         """Deterministic CSV text (LF endings, repr-exact floats)."""
         lines = [",".join(CSV_COLUMNS)]
-        lines += (",".join(str(getattr(row, col)) for col in CSV_COLUMNS) for row in self.rows)
+        lines += (",".join(map(str, row)) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -225,7 +227,7 @@ class SweepResult:
         # the CSV does.
         records = []
         for row in self.rows:
-            record = {col: getattr(row, col) for col in CSV_COLUMNS}
+            record = row._asdict()
             if math.isinf(row.epsilon):
                 record["epsilon"] = "inf"
             records.append(record)
@@ -268,26 +270,11 @@ def _stream_id(*parts) -> int:
     return _id_of(_encode(*parts))
 
 
-def _cell_configs(grid: SweepGrid, mechanism: str) -> tuple[tuple[SelectionConfig, ...], ...]:
-    """One SelectionConfig per (R, epsilon, delta); entry [i] holds radius
-    i's configs in (epsilon, delta) order.  The penalties are rows of the
-    clean-score matrix, so every config's own penalty is zero."""
-    return tuple(
-        tuple(
-            SelectionConfig(
-                radius=R, penalty=0.0, budget=PrivacyBudget(eps, delta), mechanism=mechanism
-            )
-            for eps, delta in product(grid.epsilon_values, grid.delta_values)
-        )
-        for R in grid.radius_values
-    )
-
-
 def _sweep_chunk(
     grid: SweepGrid,
     template: SyntheticSpec,
     model_id: str,
-    configs: tuple[tuple[SelectionConfig, ...], ...],
+    configs: tuple[SelectionConfig, ...],
     measure_runtime: bool,
     n: int,
     rep_lo: int,
@@ -296,56 +283,63 @@ def _sweep_chunk(
     """Per-cell counters of replications ``rep_lo`` to ``rep_hi - 1`` at
     sample size ``n``.
 
-    Each (replication, R) is fitted once; its clean scores form one
-    (phi x model) matrix, whose noiseless winners are taken once per phi.
-    Each (epsilon, delta) then runs the selection core on those fits and
-    that matrix with one row and one stream per phi, keyed by the cell
-    coordinates.  The result is indexed [R, phi, epsilon, delta, k] and
+    Each (replication, R) is fitted once, and one call of the selection
+    core then releases every (epsilon, delta, phi) cell of it: one row per
+    cell, in that order, each with its own penalty, budget and stream,
+    keyed by the cell coordinates.  ``configs[i]`` supplies radius i and
+    the mechanism.  The result is indexed [R, phi, epsilon, delta, k] and
     holds, for k = 0..3, the replications whose pick was correct, agreed
     with the noiseless pick and fell back, and the summed selection time
-    in ms (an (epsilon, delta) block's time shared evenly across its phi
-    cells).  Counters are sums, so chunks merge into the same totals as a
-    single pass.
+    in ms (a call's time shared evenly across its cells).  Counters are
+    sums, so chunks merge into the same totals as a single pass.
     """
     models = all_subsets(template.d)
     phis = grid.phis_for(n)
-    phi_codes = [_encode(phi) for phi in phis]
     seed = template.rng.seed
     coords_base = (model_id, template.coefficients, template.noise_sd, n)
-    shape = (len(grid.radius_values), len(phis), len(grid.epsilon_values), len(grid.delta_values))
-    counts = np.zeros(shape + (4,))
-    # A view with the (epsilon, delta) axes in one, in the order of configs[i].
-    cells = counts.reshape(shape[:2] + (-1, 4))
+    cells = list(product(grid.epsilon_values, grid.delta_values, phis))
+    epsilons, deltas, penalties = (np.array(axis) for axis in zip(*cells))
+    # Every stream id is _stream_id(*parts, rep): the hash of the parts'
+    # encodings, each made once here, and the replication's own.
+    data_head = _encode("data", *coords_base)
+    eps_codes, delta_codes, phi_codes = (
+        [_encode(v) for v in axis] for axis in (grid.epsilon_values, grid.delta_values, phis)
+    )
+    cell_codes = [p + e + d for e, d, p in product(eps_codes, delta_codes, phi_codes)]
+    head, tail = _encode("select", *coords_base), _encode(grid.algorithm, configs[0].mechanism)
+    select_heads = []
+    for config in configs:
+        radius_head = head + _encode(config.radius)
+        select_heads.append([radius_head + cell_code + tail for cell_code in cell_codes])
+    truth = _generating_mask(template.coefficients)
+    hit = np.flatnonzero(models.bits == truth.bits)
+    truth_column = int(hit[0]) if hit.size else -1
+    spec = replace(template, n=n)
+    # Counted in the order of the rows, [R, epsilon, delta, phi, k].
+    counts = np.zeros((len(configs), len(cells), 4))
 
     for rep in range(rep_lo, rep_hi):
-        data_stream = RngStream(seed, _stream_id("data", *coords_base, rep))
-        dataset, truth = generate(replace(template, n=n, rng=data_stream))
+        rep_code = _encode(rep)
+        data_stream = RngStream(seed, _id_of(data_head + rep_code))
+        dataset, _ = generate(replace(spec, rng=data_stream))
         stats = sufficient_stats(dataset)
-        hit = np.flatnonzero(models.bits == truth.bits)
-        truth_column = int(hit[0]) if hit.size else -1
-        for i, R in enumerate(grid.radius_values):
-            head = _encode("select", *coords_base, R)
-            fits = fit_masks(stats, models, R)
-            clean = _score_matrix(grid.algorithm, fits.neg2_loglik, dataset.n, phis, models.sizes)
-            noiseless = _row_argmin(clean, models)
-            for c, config in enumerate(configs[i]):
-                # _stream_id("select", *coords_base, R, phi, eps, delta,
-                # algorithm, mechanism, rep), from pre-encoded parts.
-                budget = config.budget
-                tail = _encode(budget.epsilon, budget.delta, grid.algorithm, config.mechanism, rep)
-                stream_ids = [_id_of(head + code + tail) for code in phi_codes]
-                started = time.perf_counter() if measure_runtime else 0.0
-                picks = _select_rows(
-                    grid.algorithm, fits, phis, dataset.response_bound, dataset.n,
-                    config, models, seed, stream_ids, clean,
-                )
-                seconds = (time.perf_counter() - started) if measure_runtime else 0.0
-                cell = cells[i, :, c]
-                cell[:, 0] += picks.winners == truth_column
-                cell[:, 1] += picks.winners == noiseless
-                cell[:, 2] += picks.fallback
-                cell[:, 3] += 1000.0 * seconds / len(phis)
-    return counts
+        for i, config in enumerate(configs):
+            fits = fit_masks(stats, models, config.radius)
+            clean = _score_matrix(grid.algorithm, fits.neg2_loglik, n, penalties, models.sizes)
+            stream_ids = [_id_of(prefix + rep_code) for prefix in select_heads[i]]
+            started = time.perf_counter() if measure_runtime else 0.0
+            picks = _select_rows(
+                grid.algorithm, fits, penalties, epsilons, deltas, dataset.response_bound, n,
+                config, models, seed, stream_ids, clean,
+            )
+            seconds = (time.perf_counter() - started) if measure_runtime else 0.0
+            count = counts[i]
+            count[:, 0] += picks.winners == truth_column
+            count[:, 1] += picks.winners == _row_argmin(clean, models)
+            count[:, 2] += picks.fallback
+            count[:, 3] += 1000.0 * seconds / len(cells)
+    shape = (len(configs), len(grid.epsilon_values), len(grid.delta_values), len(phis), 4)
+    return counts.reshape(shape).transpose(0, 3, 1, 2, 4)
 
 
 def run_sweep(
@@ -363,7 +357,12 @@ def run_sweep(
     derived streams.  Worker count is capped by ``max_workers`` and the
     CPU count; results do not depend on it.
     """
-    configs = _cell_configs(grid, mechanism)
+    # One config per radius: the selection core reads its radius,
+    # mechanism and stage-1 split, and each row's own penalty and budget.
+    configs = tuple(
+        SelectionConfig(radius=R, penalty=0.0, budget=PrivacyBudget(math.inf), mechanism=mechanism)
+        for R in grid.radius_values
+    )
     workers = os.cpu_count() or 1
     if max_workers is not None:
         max_workers = _integer("max_workers", max_workers)
@@ -388,10 +387,10 @@ def run_sweep(
     chunks = iter(partials)
     rows: list[SweepRow] = []
     for n in grid.n_values:
-        counts = sum(islice(chunks, len(spans))).reshape(-1, 4).tolist()
+        shares = (sum(islice(chunks, len(spans))) / reps).reshape(-1, 4).tolist()
         axes = (grid.radius_values, grid.phis_for(n), grid.epsilon_values, grid.delta_values)
         rows += [
-            SweepRow(n, d, model_id, *cell, grid.algorithm, reps, *(c / reps for c in totals))
-            for cell, totals in zip(product(*axes), counts)
+            SweepRow(n, d, model_id, *cell, grid.algorithm, reps, *cell_shares)
+            for cell, cell_shares in zip(product(*axes), shares)
         ]
     return SweepResult(tuple(rows))

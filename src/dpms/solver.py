@@ -221,9 +221,16 @@ def _size_groups(member: np.ndarray):
     """Rows of ``member`` grouped by size k > 0: yields each group's row
     indices and their (rows, k) column positions."""
     sizes = member.sum(axis=1)
-    for k in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == k)
-        yield rows, np.nonzero(member[rows])[1].reshape(len(rows), int(k))
+    # Rows in order of size, ascending within a size, and the columns of
+    # those rows in one read: each group is a contiguous run of both.
+    order = np.argsort(sizes, kind="stable")
+    columns = np.nonzero(member[order])[1]
+    counts = np.bincount(sizes, minlength=1).tolist()
+    row, column = counts[0], 0
+    for k, count in enumerate(counts[1:], start=1):
+        if count:
+            yield order[row:row + count], columns[column:column + count * k].reshape(count, k)
+            row, column = row + count, column + count * k
 
 
 def _masked_top_eigenvalue(a: np.ndarray, member: np.ndarray) -> np.ndarray:

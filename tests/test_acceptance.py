@@ -366,7 +366,8 @@ def test_c09_fallback_uniformity():
     trials = 10_000
     fits = fit_masks(sufficient_stats(ds), fam, cfg.radius)
     picks = _select_rows(
-        "pcpl", fits, [cfg.penalty] * trials, 1.0, ds.n, cfg, fam, MASTER,
+        "pcpl", fits, [cfg.penalty] * trials, [1.0] * trials, [1e-6] * trials, 1.0, ds.n, cfg, fam,
+        MASTER,
         range(900_000, 900_000 + trials),
     )
     fallbacks = int(np.count_nonzero(picks.fallback & np.isinf(picks.g_of_d)))

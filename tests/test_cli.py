@@ -99,6 +99,17 @@ class TestSelect:
         doc = json.loads(capsys.readouterr().out)
         assert [m["mask"] for m in doc["models"]] == [[1], [1, 2], [1, 2, 3]]
 
+    @pytest.mark.parametrize("family", ['[[1], [2.5]]', "[[true]]", '[["3"]]'])
+    def test_non_integer_indices_in_family_file_are_usage_errors(
+        self, demo_csv, tmp_path, capsys, family
+    ):
+        # These used to be read with int(): 2.5 selected covariate 2, true
+        # covariate 1 and "3" covariate 3, without a word.
+        fam = tmp_path / "fam.json"
+        fam.write_text(family, encoding="utf-8")
+        assert main(_select_args(demo_csv, "--models", f"@{fam}")) == 2
+        assert "covariate index must be an integer" in capsys.readouterr().err
+
     def test_debug_unsafe_exposes_clean_scores(self, demo_csv, capsys):
         assert main(_select_args(demo_csv, "--debug-unsafe")) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -206,6 +217,35 @@ class TestSelect:
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["r"] == 1.0
+
+
+    def test_list_shaped_ranges_file_is_usage_error(self, tmp_path, capsys):
+        # A JSON list used to end in a bare AttributeError traceback.
+        p = tmp_path / "raw.csv"
+        p.write_text("y,a\n10.0,100.0\n-10.0,0.0\n0.0,50.0\n", encoding="utf-8")
+        ranges = tmp_path / "ranges.json"
+        ranges.write_text("[[0.0, 100.0], [-10.0, 10.0]]", encoding="utf-8")
+        args = [
+            "select", "--input", str(p), "--response", "y",
+            "--R", "1.0", "--phi", "0.0", "--epsilon", "1.0", "--seed", "1",
+            "--standardize", "rescale", "--ranges", str(ranges),
+        ]
+        assert main(args) == 2
+        assert "must hold a JSON object with keys x and y" in capsys.readouterr().err
+
+    def test_covariate_named_intercept_is_data_error(self, tmp_path, capsys):
+        # With the added intercept this file used to give two covariates
+        # named "intercept".
+        p = tmp_path / "clash.csv"
+        p.write_text("y,intercept,b\n0.5,1.0,0.2\n-0.3,1.0,-0.4\n0.1,1.0,0.9\n", encoding="utf-8")
+        args = [
+            "select", "--input", str(p), "--response", "y",
+            "--R", "1.0", "--phi", "0.0", "--epsilon", "1.0", "--seed", "1",
+        ]
+        assert main(args) == 1
+        assert "--no-include-intercept" in capsys.readouterr().err
+        assert main(args + ["--no-include-intercept"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_models"] == 2**2 - 1
 
 
 class TestConfigFile:

@@ -185,6 +185,14 @@ class TestSufficientStats:
         with pytest.raises(DataError, match="symmetric"):
             SufficientStats(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2), 1.0, 3)
 
+    def test_asymmetry_up_to_the_tolerance_is_accepted(self):
+        # The tolerance is 1e-9 of the largest entry (at least 1): an
+        # entry gap of exactly 1e-9 passes, and the matrix is symmetrized.
+        stats = SufficientStats(np.array([[1.0, 1e-9], [0.0, 1.0]]), np.zeros(2), 1.0, 3)
+        assert stats.xtx[0, 1] == stats.xtx[1, 0] == 5e-10
+        with pytest.raises(DataError, match="symmetric"):
+            SufficientStats(np.array([[1.0, 2e-9], [0.0, 1.0]]), np.zeros(2), 1.0, 3)
+
     def test_rejects_non_psd(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(DataError, match="semidefinite"):

@@ -1,6 +1,7 @@
 """Selection paths: scoring, budgets, sensitivity proxy, serialization."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -35,6 +36,12 @@ def _slack(n, d, r, radius):
     plus twice the round-off allowance, 64 eps per coordinate on the loss
     scale n (r + R)^2."""
     return 1e-10 * max(1.0, n * r * r) + 2 * 64 * np.finfo(float).eps * d * n * (r + radius) ** 2
+
+
+def _rows(cfg, count):
+    """Penalties, epsilons and deltas of ``count`` selection-core rows that
+    each run ``cfg``."""
+    return [cfg.penalty] * count, [cfg.budget.epsilon] * count, [cfg.budget.delta] * count
 
 
 def _dataset(n=120, d=4, seed=0, beta=(0.9, -0.7, 0.0, 0.0), noise=0.4):
@@ -146,7 +153,7 @@ class TestComputeGofD:
             budget = PrivacyBudget(1.0, delta)
             cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
             picks = _select_rows(
-                "pcpl", fits, [1.0] * len(streams), 1.0, n, cfg, models, seed, streams
+                "pcpl", fits, *_rows(cfg, len(streams)), 1.0, n, cfg, models, seed, streams
             )
             assert 0 < picks.fallback.sum() < len(streams)
             for i, sid in enumerate(streams):
@@ -277,7 +284,7 @@ class TestPclsSelect:
         fits = fit_masks(sufficient_stats(ds), models, cfg.radius)
         clean = _score_matrix("pcls", fits.neg2_loglik, ds.n, [cfg.penalty], models.sizes)
         picks = _select_rows(
-            "pcls", fits, [cfg.penalty] * trials, ds.response_bound, ds.n, cfg, models, 77,
+            "pcls", fits, *_rows(cfg, trials), ds.response_bound, ds.n, cfg, models, 77,
             range(trials),
         )
         for i in (0, 1, 1234, trials - 1):
@@ -659,6 +666,43 @@ class TestReportDigests:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[case]
 
 
+class TestMixedBudgetRows:
+    # One selection-core call whose rows spend different budgets releases,
+    # row by row, what one-budget calls release.
+    @pytest.mark.parametrize("mechanism", ("noisy_argmin", "exponential"))
+    @pytest.mark.parametrize("algorithm, deltas", [("pcls", (0.0,)), ("pcpl", (1e-6, 1e-2))])
+    def test_each_row_is_its_one_budget_call(self, algorithm, deltas, mechanism):
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        family = all_subsets(4)
+        fits = fit_masks(sufficient_stats(ds), family, 1.0)
+        cells = list(itertools.product((0.5, 5.0, math.inf), deltas, (0.0, 3.0), range(3)))
+        epsilons, row_deltas, penalties, streams = (list(axis) for axis in zip(*cells))
+        cfg = SelectionConfig(
+            radius=1.0, penalty=0.0, budget=PrivacyBudget(math.inf), mechanism=mechanism
+        )
+        mixed = _select_rows(algorithm, fits, penalties, epsilons, row_deltas,
+                             ds.response_bound, ds.n, cfg, family, 17, streams)
+        for i, (eps, delta, phi, sid) in enumerate(cells):
+            one_cfg = SelectionConfig(
+                radius=1.0, penalty=phi, budget=PrivacyBudget(eps, delta), mechanism=mechanism
+            )
+            one = _select_rows(algorithm, fits, *_rows(one_cfg, 1), ds.response_bound, ds.n,
+                               one_cfg, family, 17, [sid])
+            assert mixed.winners[i] == one.winners[0]
+            assert mixed.fallback[i] == one.fallback[0]
+            if algorithm == "pcpl":
+                assert mixed.g_of_d[i] == one.g_of_d[0]
+            if one.noisy is None:
+                assert mixed.noisy is None or mixed.fallback[i]
+            else:
+                assert np.array_equal(mixed.noisy[i], one.noisy[0])
+        finite = np.isfinite(epsilons)
+        assert not mixed.fallback[~finite].any()
+        if algorithm == "pcpl":
+            # Both kinds of finite row: fallback (epsilon 0.5) and not.
+            assert mixed.fallback[finite].any() and not mixed.fallback[finite].all()
+
+
 def _duplicate_column_dataset(seed, n=200):
     # Column 2 copies column 1, so masks that swap one copy for the other
     # tie exactly; with epsilon = inf the tie rule decides between them.
@@ -700,7 +744,7 @@ class TestPrunedSelection:
             fits = fit_masks(sufficient_stats(ds), family, radius)
             streams = list(range(12))
             full = _select_rows(
-                algorithm, fits, [cfg.penalty] * len(streams), ds.response_bound, ds.n, cfg,
+                algorithm, fits, *_rows(cfg, len(streams)), ds.response_bound, ds.n, cfg,
                 family, 99, streams,
             )
             for i, sid in enumerate(streams):
@@ -723,7 +767,7 @@ class TestPrunedSelection:
         clean = _score_matrix(algorithm, fits.neg2_loglik, ds.n, [cfg.penalty], family.sizes)
         for sid in range(3):
             full = _select_rows(
-                algorithm, fits, [cfg.penalty], ds.response_bound, ds.n, cfg, family, 5, [sid]
+                algorithm, fits, *_rows(cfg, 1), ds.response_bound, ds.n, cfg, family, 5, [sid]
             )
             report = select(ds, family, cfg, RngStream(5, sid))
             assert np.array_equal(report.clean_scores, clean[0])
@@ -897,7 +941,7 @@ class TestSupersetBounds:
             for family in self.FAMILIES:
                 fits = fit_masks(stats, family, radius)
                 full = _select_rows(
-                    "pcls", fits, [cfg.penalty] * len(streams), ds.response_bound, ds.n, cfg,
+                    "pcls", fits, *_rows(cfg, len(streams)), ds.response_bound, ds.n, cfg,
                     family, 23, streams,
                 )
                 for i, sid in enumerate(streams):
@@ -933,7 +977,7 @@ class TestSupersetBounds:
             after = self._bounds(stats, family, radius, supersets=True, eager=True).lower
             assert np.all(before <= fits.neg2_loglik) and np.all(after <= fits.neg2_loglik)
             narrowed += int(np.any(after > before))
-            full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
+            full = _select_rows("pcls", fits, *_rows(cfg, len(streams)), ds.response_bound,
                                 ds.n, cfg, family, 29, streams)
             for i, sid in enumerate(streams):
                 for eager in (False, True):
@@ -982,7 +1026,7 @@ class TestSupersetBounds:
             ds = _design("loose-onehot", seed, n=1000)
             stats = sufficient_stats(ds)
             fits = fit_masks(stats, family, 2.5)
-            full = _select_rows("pcls", fits, [cfg.penalty] * len(streams), ds.response_bound,
+            full = _select_rows("pcls", fits, *_rows(cfg, len(streams)), ds.response_bound,
                                 ds.n, cfg, family, 41, streams)
             bounds = solver.bound_masks(stats, family, 2.5)
             assert bounds._supersets and not bounds._eager
@@ -1019,7 +1063,7 @@ class TestSupersetBounds:
             capped = all_subsets(10, max_size=5)
             assert not bound_masks(stats, capped, 2.5, eager=mechanism == "exponential")._supersets
             fits = fit_masks(stats, family, 2.5)
-            full = _select_rows("pcls", fits, [cfg.penalty] * 6, ds.response_bound, ds.n, cfg,
+            full = _select_rows("pcls", fits, *_rows(cfg, 6), ds.response_bound, ds.n, cfg,
                                 family, 43, list(range(6)))
             for sid in range(6):
                 assert pcls_select(ds, family, cfg, RngStream(43, sid)).chosen == (

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -418,8 +419,9 @@ class TestGoldenSweeps:
     def test_every_cell_picks_what_the_one_cell_selector_picks(
         self, algorithm, mechanism, monkeypatch
     ):
-        # Record every selection-core call and noiseless pick that one chunk
-        # makes; the chunk makes them replication by replication, R by R.
+        # Record every selection-core call and noiseless pick that a
+        # one-worker sweep makes: one of each per (replication, R), whose
+        # rows are the (epsilon, delta, phi) cells in that order.
         selects, noiseless_picks = [], []
 
         def recorded(function, calls):
@@ -433,49 +435,41 @@ class TestGoldenSweeps:
         monkeypatch.setattr(
             simulate, "_row_argmin", recorded(simulate._row_argmin, noiseless_picks)
         )
-        grid = _golden_grid(algorithm)
+        grid = replace(_golden_grid(algorithm), replications=3)
         template = _template(n=200, coeffs=BUILTIN_MODELS["2"], seed=11)
-        configs = simulate._cell_configs(grid, mechanism)
-        simulate._sweep_chunk(grid, template, "2", configs, False, 200, 0, 3)
+        run_sweep(grid, template, model_id="2", mechanism=mechanism, max_workers=1)
 
         models = all_subsets(template.d)
         select = pcls_select if algorithm == "pcls" else pcpl_select
         coords = ("2", template.coefficients, template.noise_sd, 200)
-        phis = grid.phis_for(200)
+        cells = list(product(grid.epsilon_values, grid.delta_values, grid.phis_for(200)))
         selects, noiseless_picks = iter(selects), iter(noiseless_picks)
-        cells = 0
         for rep in range(3):
             data_stream = RngStream(11, _stream_id("data", *coords, rep))
             dataset, _ = generate(replace(template, rng=data_stream))
             for R in grid.radius_values:
+                args, picks = next(selects)
                 _, noiseless = next(noiseless_picks)
-                for eps in grid.epsilon_values:
-                    for delta in grid.delta_values:
-                        args, picks = next(selects)
-                        stream_ids = [
-                            _stream_id(
-                                "select", *coords, R, phi, eps, delta, algorithm, mechanism, rep
-                            )
-                            for phi in phis
-                        ]
-                        assert args[8] == stream_ids
-                        for j, phi in enumerate(phis):
-                            config = SelectionConfig(
-                                radius=R, penalty=phi, budget=PrivacyBudget(eps, delta),
-                                mechanism=mechanism,
-                            )
-                            report = select(
-                                dataset, models, config, RngStream(11, stream_ids[j])
-                            )
-                            assert models[picks.winners[j]] == report.chosen
-                            assert picks.fallback[j] == report.fallback_uniform
-                            expected = min(
-                                range(len(models)),
-                                key=lambda c: (
-                                    report.clean_scores[c], models.sizes[c], models.bits[c]
-                                ),
-                            )
-                            assert models[noiseless[j]] == models[expected]
-                            cells += 1
+                stream_ids = [
+                    _stream_id("select", *coords, R, phi, eps, delta, algorithm, mechanism, rep)
+                    for eps, delta, phi in cells
+                ]
+                assert args[10] == stream_ids
+                assert [tuple(row) for row in zip(args[3], args[4], args[2])] == cells
+                assert len(picks.winners) == len(noiseless) == len(cells)
+                for j, (eps, delta, phi) in enumerate(cells):
+                    config = SelectionConfig(
+                        radius=R, penalty=phi, budget=PrivacyBudget(eps, delta),
+                        mechanism=mechanism,
+                    )
+                    report = select(dataset, models, config, RngStream(11, stream_ids[j]))
+                    assert models[picks.winners[j]] == report.chosen
+                    assert picks.fallback[j] == report.fallback_uniform
+                    if algorithm == "pcpl":
+                        assert picks.g_of_d[j] == report.g_of_d
+                    expected = min(
+                        range(len(models)),
+                        key=lambda c: (report.clean_scores[c], models.sizes[c], models.bits[c]),
+                    )
+                    assert models[noiseless[j]] == models[expected]
         assert next(selects, None) is None and next(noiseless_picks, None) is None
-        assert cells == 3 * len(grid.radius_values) * len(phis) * len(grid.epsilon_values)

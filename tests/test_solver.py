@@ -34,6 +34,31 @@ def _fit_one(stats, mask, radius):
     return fit_masks(stats, _family([mask]), radius)[0]
 
 
+def _size_groups_by_scan(member):
+    """Rows grouped by size the way the solver used to: one scan per size."""
+    sizes = member.sum(axis=1)
+    for k in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == k)
+        yield rows, np.nonzero(member[rows])[1].reshape(len(rows), int(k))
+
+
+class TestSizeGroups:
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 4), (60, 6), (300, 12)])
+    def test_matches_one_scan_per_size(self, shape):
+        from dpms.solver import _size_groups
+
+        rng = np.random.default_rng(shape)
+        for density in (0.0, 0.2, 0.5, 1.0):
+            member = rng.random(shape) < density
+            if shape[0]:
+                member[0] = False  # an empty mask among the others
+            got, want = list(_size_groups(member)), list(_size_groups_by_scan(member))
+            assert len(got) == len(want)
+            for (rows, idx), (want_rows, want_idx) in zip(got, want):
+                assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
+                assert idx.shape == want_idx.shape and np.array_equal(idx, want_idx)
+
+
 def _project_one(v, radius):
     """Euclidean projection of one vector onto the l1 ball, by the row-wise
     projection every binding fit runs."""
