@@ -360,7 +360,7 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     """
     if mechanism == "noisy_argmin":
         scale = np.divide(
-            2.0 * sensitivity, epsilon, out=np.zeros(epsilon.shape), where=np.isfinite(epsilon)
+            2.0 * sensitivity, epsilon, out=np.zeros(epsilon.shape), where=~np.isinf(epsilon)
         )
         keys = _noisy_keys(scale, models, seed, stream_ids)
     else:
