@@ -642,26 +642,46 @@ REPORT_SHA256 = {
     "pcls-all": "b53eeec3743a3e9b3e229b24c8e39bacdf300e3d4e3ec243cfee924fe763d499",
     "pcls-reversed": "03bda14a7859a576cee3dd92589beff70b7c28392a1f32d0d464199daa26216f",
     "pcpl-exponential": "d7815d743863a113ee12438ae56b81ca3710d57d110c471aef97dcdc5e8a7e62",
+    "pcls-exponential": "88192ee2257d65dca550a5af8b6bd9b2231cc192f5c61aca2e2e7fa37201213b",
+    "pcpl-noisy_argmin": "dd4b3db26f56317e7072314838494db4dc81b2d533f5447e89462e14b0ab8257",
+    "pcpl-fallback": "34cff23392abf36a8cda98e38903d4dee68e0d70d2e82109dbe31bb780d3a240",
+    "pcls-inf": "a163e5bb59367b17f77b04741e06ca8d7ab022cdb69ca89e06f373d57019fe56",
+    "pcpl-inf": "6fe8cc328e8247323fee00e7efce3ece865c52b8a581100ceccad746bcce8f7e",
+}
+
+# Each case's (algorithm, mechanism, epsilon, n) on top of the shared
+# radius, penalty and delta of its algorithm.
+REPORT_CASES = {
+    "pcls-all": ("pcls", "noisy_argmin", 1.0, 200),
+    "pcls-reversed": ("pcls", "noisy_argmin", 1.0, 200),
+    "pcls-exponential": ("pcls", "exponential", 1.0, 200),
+    "pcls-inf": ("pcls", "noisy_argmin", math.inf, 200),
+    "pcpl-exponential": ("pcpl", "exponential", 5.0, 200),
+    "pcpl-noisy_argmin": ("pcpl", "noisy_argmin", 5.0, 200),
+    "pcpl-fallback": ("pcpl", "noisy_argmin", 0.5, 40),
+    "pcpl-inf": ("pcpl", "noisy_argmin", math.inf, 200),
 }
 
 
 class TestReportDigests:
     @pytest.mark.parametrize("case", sorted(REPORT_SHA256))
     def test_report_digest_is_pinned(self, case):
-        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        algorithm, mechanism, epsilon, n = REPORT_CASES[case]
+        ds, _, _ = _dataset(n=n, seed=5, noise=1.0)
         family = all_subsets(4)
         if case == "pcls-reversed":
             family = from_explicit([m.indices() for m in reversed(list(family))], 4)
-        if case.startswith("pcls"):
+        if algorithm == "pcls":
             select = pcls_select
-            cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(1.0))
+            cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(epsilon),
+                                  mechanism=mechanism)
         else:
             select = pcpl_select
             cfg = SelectionConfig(
-                radius=1.0, penalty=3.0, budget=PrivacyBudget(5.0, 1e-3),
-                mechanism="exponential",
+                radius=1.0, penalty=3.0, budget=PrivacyBudget(epsilon, 1e-3), mechanism=mechanism,
             )
         report = select(ds, family, cfg, RngStream(3, 1))
+        assert report.fallback_uniform == (case == "pcpl-fallback")
         text = report.to_json(include_clean_scores=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[case]
 
