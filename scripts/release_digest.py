@@ -17,8 +17,7 @@ The digest covers, in a fixed order:
   master seeds 0 to ``--sweeps`` - 1; pcpl sweeps spend delta = 1e-6.
 
 A change that keeps every released byte prints the parent's digest; run
-the script in both checkouts and compare.  ``--verbose`` also prints how
-many reports and CSVs were hashed.
+the script in both checkouts and compare.
 """
 
 from __future__ import annotations
@@ -98,21 +97,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweeps", type=int, default=40,
                         help="number of sweep master seeds (default 40)")
-    parser.add_argument("--verbose", action="store_true", help="also print the counts")
     args = parser.parse_args(argv)
     if args.sweeps < 0:
         parser.error("--sweeps must be at least 0")
     digest = hashlib.sha256()
-    counts = {"reports": 0, "csvs": 0}
-    for kind, texts in (("reports", select_reports()), ("csvs", sweep_csvs(args.sweeps))):
-        for text in texts:
-            raw = text.encode("utf-8")
-            # Length-prefixed, so no two sequences of texts hash alike.
-            digest.update(len(raw).to_bytes(8, "little") + raw)
-            counts[kind] += 1
+    for text in itertools.chain(select_reports(), sweep_csvs(args.sweeps)):
+        raw = text.encode("utf-8")
+        # Length-prefixed, so no two sequences of texts hash alike.
+        digest.update(len(raw).to_bytes(8, "little") + raw)
     print(digest.hexdigest())
-    if args.verbose:
-        print(f"{counts['reports']} reports, {counts['csvs']} sweep CSVs", file=sys.stderr)
     return 0
 
 

@@ -157,6 +157,24 @@ def _require(args: argparse.Namespace, pairs: list[tuple[str, str]]) -> None:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
 
 
+def _read_text(path: str, what: str, parse=None):
+    """The UTF-8 text of the file at ``path``, or ``parse`` of it.  A file
+    that cannot be opened, decoded or parsed is a usage error naming
+    ``what``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return text if parse is None else parse(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
     """Parse a key=value file into defaults for one subcommand.
 
@@ -165,7 +183,7 @@ def _load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
     wins over the file.
     """
     valid = {a.dest for a in subparser._actions if a.dest not in ("help", "config", "func")}
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, "config file")
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -205,10 +223,7 @@ def _parse_models(spec: str, d: int) -> CandidateSet:
         return all_subsets(d, max_size=cap)
     if spec.startswith("@"):
         path = spec[1:]
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read model list {path}: {exc}") from exc
+        payload = _read_text(path, "model list", json.loads)
         if not isinstance(payload, list) or not all(isinstance(s, list) for s in payload):
             raise ConfigError(f"{path} must hold a JSON list of index lists")
         return from_explicit(payload, d)
@@ -223,10 +238,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, list[str]]:
         return Dataset.from_arrays(x_raw, y_raw, response_bound=args.r), names
     x_ranges = y_range = None
     if args.ranges is not None:
-        try:
-            payload = json.loads(Path(args.ranges).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read ranges file {args.ranges}: {exc}") from exc
+        payload = _read_text(args.ranges, "ranges file", json.loads)
         if not isinstance(payload, dict):
             raise ConfigError(
                 f"ranges file {args.ranges} must hold a JSON object with keys x and y"
@@ -274,7 +286,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
         chosen = ", ".join(names[i - 1] for i in report.chosen.indices()) or "(empty model)"
         print(f"chosen model: {list(report.chosen.indices())} [{chosen}]")
         print(f"report written to {args.out}")
@@ -340,7 +352,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
         print(f"{len(result.rows)} rows written to {args.out}")
     return 0
 

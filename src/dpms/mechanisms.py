@@ -306,7 +306,7 @@ def _gumbel_keys(epsilon, sensitivity, models: CandidateSet, seed: int, stream_i
     its scores themselves.
     """
     epsilon = np.broadcast_to(epsilon, (len(stream_ids), 1))
-    live = ~np.isinf(epsilon)
+    live = np.isfinite(epsilon)
     if not live.any():
         return lambda scores, base: scores + 0.0
     gumbel = _keyed_rows(seed, stream_ids, _TAG_GUMBEL, models, live[:, 0],

@@ -20,6 +20,10 @@ the exact selection byte for byte.  They share one array core,
 :func:`_select_rows`, which runs one selection per row of a score matrix;
 a single select is its one-row case, and the sweep harness releases a
 whole (epsilon, delta, phi) grid per fit through it, one row per cell.
+Each row's public noise law comes from one record, :func:`_calibration`:
+the score width, the certificate slack, the selecting epsilon and, for
+pcpl, stage 1's epsilon and safety margin; the ledger's ``epsilon_total``
+is read from it too.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ __all__ = [
 ]
 
 _MECHANISMS = ("noisy_argmin", "exponential")
+# Share of pcpl's 2 * epsilon that stage 1 spends, unless configured.
+_STAGE1_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class SelectionConfig:
     penalty: float
     budget: PrivacyBudget
     mechanism: str = "noisy_argmin"
-    stage1_fraction: float = 0.5
+    stage1_fraction: float = _STAGE1_FRACTION
 
     def __post_init__(self) -> None:
         radius = _real("radius", self.radius)
@@ -104,26 +110,24 @@ class SelectionConfig:
             raise ConfigError(f"penalty must be a nonnegative finite float, got {self.penalty}")
         if not isinstance(self.budget, PrivacyBudget):
             raise ConfigError(f"budget must be a PrivacyBudget, got {self.budget!r}")
-        if self.mechanism not in _MECHANISMS:
-            raise ConfigError(
-                f"mechanism must be one of {_MECHANISMS}, got {self.mechanism!r}"
-            )
+        _check_mechanism(self.mechanism)
         if not 0.0 < _real("stage1_fraction", self.stage1_fraction) < 1.0:
             raise ConfigError(
                 f"stage1_fraction must lie strictly between 0 and 1, got {self.stage1_fraction}"
             )
 
 
-def _score_width(n_obs: int, d: int, response_bound: float, radius: float) -> float:
-    """How far one row swap can move a certified constrained loss.
+def _check_mechanism(mechanism: str) -> None:
+    if mechanism not in _MECHANISMS:
+        raise ConfigError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
 
-    A single row contributes ``(y_i - x_i @ beta)**2`` to the loss, and with
-    |y| <= r, |x| <= 1 (entrywise) and |beta|_1 <= R the residual magnitude
-    is at most ``r + R``, so replacing it moves the exact loss by at most
-    ``(r + R)**2``.  A certified fit may sit up to the public
-    ``loss_slack`` from the exact loss, which the width adds.
-    """
-    return (response_bound + radius) ** 2 + loss_slack(n_obs, d, response_bound, radius)
+
+def _check_epsilon(algorithm: str, epsilon: float) -> None:
+    """pcpl spends 2 * epsilon in all, which a finite epsilon must keep
+    finite (epsilon <= max float / 2, about 8.99e307); epsilon = inf is
+    the noiseless limit."""
+    if algorithm == "pcpl" and math.isfinite(epsilon) and math.isinf(2.0 * epsilon):
+        raise ConfigError(f"pcpl spends 2 * epsilon, which overflows for epsilon = {epsilon}")
 
 
 def _check_delta(algorithm: str, delta: float) -> None:
@@ -135,43 +139,74 @@ def _check_delta(algorithm: str, delta: float) -> None:
         raise ConfigError(f"pcpl needs delta strictly inside (0, 1), got {delta}")
 
 
-def _profile_sensitivity_value(
-    min_loss: float,
-    n_obs: int,
-    d: int,
-    response_bound: float,
-    radius: float,
-    stage1_epsilon,
-    delta,
-    laplace_units,
-) -> np.ndarray:
+class _Calibration(NamedTuple):
+    """The public noise law of each row of a selection, fixed before any
+    draw (see :func:`_calibration`)."""
+
+    algorithm: str
+    mechanism: str
+    n_obs: int
+    width: float  # (r + R)**2 + slack: how far one row swap moves a certified loss
+    slack: float  # loss_slack(n, d, r, R): how far a certified loss sits from the exact one
+    epsilon: np.ndarray  # each row's selecting epsilon (pcpl: stage 2's)
+    epsilon_total: np.ndarray  # each row's spend, stage 1 plus stage 2
+    stage1_epsilon: np.ndarray | None = None  # pcpl's stage-1 epsilon of each row
+    margin: np.ndarray | None = None  # pcpl's log(1 / (2 * delta)) of each row
+
+
+def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius,
+                 stage1_fraction) -> _Calibration:
+    """The noise law of rows that spend ``(epsilons[i], deltas[i])`` on
+    ``n_obs`` rows of ``d`` covariates with response bound ``bound`` and
+    radius ``radius``.
+
+    A single row contributes ``(y_i - x_i @ beta)**2`` to the loss, and with
+    |y| <= r, |x| <= 1 (entrywise) and |beta|_1 <= R the residual magnitude
+    is at most ``r + R``, so replacing it moves the exact loss by at most
+    ``(r + R)**2``.  A certified fit may sit up to the public
+    :func:`~dpms.solver.loss_slack` from the exact loss, which the width
+    adds.  pcls selects with each row's epsilon.  pcpl spends ``2 *
+    epsilon``: ``stage1_fraction`` of it on stage 1, whose proxy carries
+    the margin ``log(1 / (2 * delta))``, and the rest on selecting; both
+    stages are noiseless when epsilon is infinite.  By sequential
+    composition the ledger's ``epsilon_total`` adds the two stages, and
+    delta is spent once, by stage 1's margin.
+    """
+    epsilons = np.asarray(epsilons, dtype=np.float64)
+    slack = loss_slack(n_obs, d, bound, radius)
+    width = (bound + radius) ** 2 + slack
+    if algorithm == "pcls":
+        return _Calibration(algorithm, mechanism, n_obs, width, slack, epsilons, epsilons)
+    total = 2.0 * epsilons
+    stage1 = total * stage1_fraction
+    stage2 = np.subtract(total, stage1, out=np.full(stage1.shape, np.inf),
+                         where=np.isfinite(epsilons))
+    # math.log, so that every row's margin has the bits of a one-budget call.
+    margin = np.array([math.log(1.0 / (2.0 * x)) for x in deltas])
+    return _Calibration(
+        algorithm, mechanism, n_obs, width, slack, stage2, stage1 + stage2, stage1, margin
+    )
+
+
+def _profile_sensitivity_value(min_loss: float, law: _Calibration, units) -> np.ndarray:
     """Noisy upper bounds on the profile score's local sensitivity, one
-    per standard Laplace variate in the array ``laplace_units``, each
-    under its own stage-1 epsilon and delta (scalars or arrays that
-    broadcast against the variates).
+    per row of the pcpl record ``law``, each from the row's standard
+    Laplace variate in ``units``.
 
     Starts from the deterministic bound ``n * w / (min_loss - w)`` with
-    ``w = (r + R)**2 + tau`` and the certified minimum lowered by ``tau``,
-    ``tau`` the public bound (:func:`~dpms.solver.loss_slack`) on how far
-    a certified loss can sit from the exact one.  It then perturbs the
-    denominator with Laplace noise calibrated to ``w`` plus a
-    ``log(1 / (2 * delta))`` safety margin so the released value is itself
-    private and exceeds the true local sensitivity except with probability
-    ``delta``.  An infinite stage-1 epsilon adds neither.  A nonpositive
-    denominator means the data fit too well for the bound to say anything;
-    the sentinel ``inf`` signals that.
+    ``w`` the record's width and the certified minimum lowered by its
+    slack.  It then perturbs the denominator with Laplace noise calibrated
+    to ``w`` at the row's stage-1 epsilon, plus the row's safety margin, so
+    the released value is itself private and exceeds the true local
+    sensitivity except with probability ``delta``.  An infinite stage-1
+    epsilon adds neither.  A nonpositive denominator means the data fit too
+    well for the bound to say anything; the sentinel ``inf`` signals that.
     """
-    units = np.asarray(laplace_units, dtype=np.float64)
-    stage1 = np.asarray(stage1_epsilon, dtype=np.float64)
-    deltas = np.asarray(delta, dtype=np.float64)
-    # math.log, so that every row's margin has the bits of a one-budget call.
-    margin = np.reshape([math.log(1.0 / (2.0 * x)) for x in deltas.ravel().tolist()], deltas.shape)
-    slack = loss_slack(n_obs, d, response_bound, radius)
-    width = _score_width(n_obs, d, response_bound, radius)
-    shift = np.where(np.isfinite(stage1), width * (units - margin) / stage1, 0.0)
-    denominator = (min_loss - slack) - width + shift
+    width, stage1 = law.width, law.stage1_epsilon
+    shift = np.where(np.isfinite(stage1), width * (units - law.margin) / stage1, 0.0)
+    denominator = (min_loss - law.slack) - width + shift
     out = np.full(denominator.shape, np.inf)
-    return np.divide(n_obs * width, denominator, out=out, where=denominator > 0.0)
+    return np.divide(law.n_obs * width, denominator, out=out, where=denominator > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,17 +332,6 @@ def _score_matrix(algorithm: str, losses, n_obs: int, penalties, sizes: np.ndarr
     return base + np.asarray(penalties, dtype=np.float64)[:, None] * sizes
 
 
-def _stage_epsilons(epsilons: np.ndarray, stage1_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """pcpl's (stage 1, stage 2) split of each row's ``2 * epsilon``
-    budget; both are infinite in the noiseless limit."""
-    epsilon_total = 2.0 * epsilons
-    stage1 = epsilon_total * stage1_fraction
-    stage2 = np.subtract(
-        epsilon_total, stage1, out=np.full(stage1.shape, np.inf), where=np.isfinite(epsilons)
-    )
-    return stage1, stage2
-
-
 def _loss_bounds(fits: Fits | LossBounds) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) losses of every fit: one array when every fit is
     settled, as in a :class:`~dpms.solver.Fits`."""
@@ -336,11 +360,12 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
     return lo, _score_matrix(algorithm, upper, n_obs, penalties, sizes)
 
 
-def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mechanism, models,
-                    seed, stream_ids, clean=None):
+def _mechanism_rows(law, fits, penalties, sensitivity, epsilon, models, seed, stream_ids,
+                    clean=None):
     """Winner of each row and, for noisy_argmin on settled fits, its noisy
-    scores.  ``sensitivity`` and ``epsilon`` are columns, one entry per
-    row; a row with an infinite epsilon is keyed by its scores alone.
+    scores, under the algorithm and mechanism of the record ``law``.
+    ``sensitivity`` and ``epsilon`` are columns, one entry per row; a row
+    with an infinite epsilon is keyed by its scores alone.
     ``clean``, when given, is the clean-score matrix of settled ``fits``
     under ``penalties``.
 
@@ -358,9 +383,10 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     does not decide, the whole family is settled.  Either way the winner
     is the one that fully settled fits give, ties and all.
     """
+    mechanism = law.mechanism
     if mechanism == "noisy_argmin":
         scale = np.divide(
-            2.0 * sensitivity, epsilon, out=np.zeros(epsilon.shape), where=~np.isinf(epsilon)
+            2.0 * sensitivity, epsilon, out=np.zeros(epsilon.shape), where=np.isfinite(epsilon)
         )
         keys = _noisy_keys(scale, models, seed, stream_ids)
     else:
@@ -368,7 +394,7 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
     pick = True
     while True:
         if clean is None:
-            lo, hi = _score_bounds(algorithm, fits, n_obs, penalties, models.sizes)
+            lo, hi = _score_bounds(law.algorithm, fits, law.n_obs, penalties, models.sizes)
         else:
             lo = hi = clean
         key_hi = keys(hi, lo)
@@ -403,31 +429,24 @@ def _mechanism_rows(algorithm, fits, penalties, n_obs, sensitivity, epsilon, mec
 
 
 def _select_rows(
-    algorithm: str,
+    law: _Calibration,
     fits: Fits | LossBounds,
     penalties,
-    epsilons,
-    deltas,
-    bound: float,
-    n_obs: int,
-    config: SelectionConfig,
     models: CandidateSet,
     seed: int,
     stream_ids,
     clean: np.ndarray | None = None,
 ) -> _Picks:
     """The selection core: row ``i`` scores each candidate of ``models``
-    with penalty ``penalties[i]``, spends the budget
-    ``(epsilons[i], deltas[i])`` and is released under
-    ``RngStream(seed, stream_ids[i])``.  Each row is the release a single
-    select with that penalty, budget and stream makes, bit for bit.
+    with penalty ``penalties[i]``, runs the noise law of row ``i`` of
+    ``law`` and is released under ``RngStream(seed, stream_ids[i])``.
+    Each row is the release a single select with that penalty, budget and
+    stream makes, bit for bit.
 
     ``fits`` holds one fit per candidate: settled :class:`Fits`, or
     :class:`LossBounds`, of which only the fits the release can depend on
-    get solved.  ``config`` supplies the radius, mechanism and stage-1
-    split; its own penalty and budget are not read.  Every row runs the
-    mechanism with its own sensitivity: ``(r + R)**2`` plus the solver's
-    public ``loss_slack`` for pcls, and for pcpl the proxy that stage 1
+    get solved.  Every row runs the mechanism with its own sensitivity:
+    the record's width for pcls, and for pcpl the proxy that stage 1
     releases with the row's first Laplace word.  A pcpl row whose proxy is
     degenerate falls back to a uniform pick instead; a row with an
     infinite epsilon (the noiseless limit) draws no noise and never falls
@@ -439,16 +458,12 @@ def _select_rows(
     if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
         raise DataError("candidate scores must be finite")
     penalties = np.asarray(penalties, dtype=np.float64)
-    epsilons = np.asarray(epsilons, dtype=np.float64)
-    rows = len(stream_ids)
-    if algorithm == "pcls":
-        epsilon, proxy = epsilons, None
-        sensitivity = np.full(rows, _score_width(n_obs, models.d, bound, config.radius))
+    rows, epsilon = len(stream_ids), law.epsilon
+    if law.algorithm == "pcls":
+        proxy, sensitivity = None, np.full(rows, law.width)
     else:
-        stage1_epsilon, epsilon = _stage_epsilons(epsilons, config.stage1_fraction)
         proxy = sensitivity = _profile_sensitivity_value(
-            _min_loss(fits), n_obs, models.d, bound, config.radius,
-            stage1_epsilon, deltas, _laplace_rows(seed, stream_ids),
+            _min_loss(fits), law, _laplace_rows(seed, stream_ids)
         )
     fallback = np.isinf(sensitivity) & np.isfinite(epsilon)
     kept = ~fallback
@@ -463,8 +478,8 @@ def _select_rows(
     noisy = None
     if len(kept_ids):
         winners[kept], noisy = _mechanism_rows(
-            algorithm, fits, penalties[kept], n_obs, sensitivity[kept, None], epsilon[kept, None],
-            config.mechanism, models, seed, kept_ids, None if clean is None else clean[kept],
+            law, fits, penalties[kept], sensitivity[kept, None], epsilon[kept, None], models, seed,
+            kept_ids, None if clean is None else clean[kept],
         )
     if noisy is not None and fallback.any():
         # Fallback rows have no noisy scores.
@@ -484,23 +499,15 @@ def _select_with_fits(
 ) -> SelectionReport:
     # One row of the selection core, on the loss bounds of the fits.
     budget = config.budget
+    _check_epsilon(algorithm, budget.epsilon)
     _check_delta(algorithm, budget.delta)
-    args = (
-        [config.penalty], [budget.epsilon], [budget.delta], dataset.response_bound, dataset.n,
-        config, models, rng.seed, [rng.stream_id],
+    law = _calibration(
+        algorithm, config.mechanism, [budget.epsilon], [budget.delta], dataset.response_bound,
+        dataset.n, models.d, config.radius, config.stage1_fraction,
     )
-    picks = _select_rows(algorithm, fits, *args)
-    if algorithm == "pcls":
-        epsilon_total = budget.epsilon
-        g_of_d = None
-    else:
-        # Sequential composition: the stages' epsilons add, and delta is
-        # spent once, by stage 1's safety margin.
-        stage1_epsilon, stage2_epsilon = _stage_epsilons(
-            np.array([budget.epsilon]), config.stage1_fraction
-        )
-        epsilon_total = float(stage1_epsilon[0] + stage2_epsilon[0])
-        g_of_d = float(picks.g_of_d[0])
+    args = ([config.penalty], models, rng.seed, [rng.stream_id])
+    picks = _select_rows(law, fits, *args)
+    g_of_d = None if picks.g_of_d is None else float(picks.g_of_d[0])
     fallback = bool(picks.fallback[0])
 
     def scores():
@@ -509,12 +516,12 @@ def _select_with_fits(
         settled = fits.fits()
         clean = _score_matrix(algorithm, settled.neg2_loglik, dataset.n, [config.penalty],
                               models.sizes)
-        noisy = _select_rows(algorithm, settled, *args).noisy
+        noisy = _select_rows(law, settled, *args).noisy
         return _readonly(clean[0]), None if noisy is None or fallback else _readonly(noisy[0])
 
     return SelectionReport(
         chosen=models[picks.winners[0]],
-        epsilon_total=epsilon_total,
+        epsilon_total=float(law.epsilon_total[0]),
         delta=config.budget.delta,
         radius=config.radius,
         penalty=config.penalty,

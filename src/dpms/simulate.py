@@ -36,8 +36,9 @@ import numpy as np
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
 from .errors import ConfigError, _integer, _real, _values
-from .mechanisms import PrivacyBudget, RngStream, _row_argmin
-from .selection import SelectionConfig, _check_delta, _score_matrix, _select_rows
+from .mechanisms import RngStream, _row_argmin
+from .selection import _STAGE1_FRACTION, _calibration, _check_delta, _check_epsilon
+from .selection import _check_mechanism, _score_matrix, _select_rows
 from .solver import fit_masks
 
 # The one-cell selections stay importable from this module, where
@@ -184,6 +185,8 @@ class SweepGrid:
             raise ConfigError(f"replications must be at least 1, got {self.replications}")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
+        for epsilon in self.epsilon_values:
+            _check_epsilon(self.algorithm, epsilon)
         for delta in self.delta_values:
             _check_delta(self.algorithm, delta)
 
@@ -274,7 +277,7 @@ def _sweep_chunk(
     grid: SweepGrid,
     template: SyntheticSpec,
     model_id: str,
-    configs: tuple[SelectionConfig, ...],
+    mechanism: str,
     measure_runtime: bool,
     n: int,
     rep_lo: int,
@@ -286,12 +289,13 @@ def _sweep_chunk(
     Each (replication, R) is fitted once, and one call of the selection
     core then releases every (epsilon, delta, phi) cell of it: one row per
     cell, in that order, each with its own penalty, budget and stream,
-    keyed by the cell coordinates.  ``configs[i]`` supplies radius i and
-    the mechanism.  The result is indexed [R, phi, epsilon, delta, k] and
-    holds, for k = 0..3, the replications whose pick was correct, agreed
-    with the noiseless pick and fell back, and the summed selection time
-    in ms (a call's time shared evenly across its cells).  Counters are
-    sums, so chunks merge into the same totals as a single pass.
+    keyed by the cell coordinates.  Each (replication, R) has its own
+    calibration record, since r is each dataset's own max |y|.  The
+    result is indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3,
+    the replications whose pick was correct, agreed with the noiseless
+    pick and fell back, and the summed selection time in ms (a call's time
+    shared evenly across its cells).  Counters are sums, so chunks merge
+    into the same totals as a single pass.
     """
     models = all_subsets(template.d)
     phis = grid.phis_for(n)
@@ -306,40 +310,39 @@ def _sweep_chunk(
         [_encode(v) for v in axis] for axis in (grid.epsilon_values, grid.delta_values, phis)
     )
     cell_codes = [p + e + d for e, d, p in product(eps_codes, delta_codes, phi_codes)]
-    head, tail = _encode("select", *coords_base), _encode(grid.algorithm, configs[0].mechanism)
+    head, tail = _encode("select", *coords_base), _encode(grid.algorithm, mechanism)
     select_heads = []
-    for config in configs:
-        radius_head = head + _encode(config.radius)
+    for radius in grid.radius_values:
+        radius_head = head + _encode(radius)
         select_heads.append([radius_head + cell_code + tail for cell_code in cell_codes])
     truth = _generating_mask(template.coefficients)
     hit = np.flatnonzero(models.bits == truth.bits)
     truth_column = int(hit[0]) if hit.size else -1
     spec = replace(template, n=n)
     # Counted in the order of the rows, [R, epsilon, delta, phi, k].
-    counts = np.zeros((len(configs), len(cells), 4))
+    counts = np.zeros((len(grid.radius_values), len(cells), 4))
 
     for rep in range(rep_lo, rep_hi):
         rep_code = _encode(rep)
         data_stream = RngStream(seed, _id_of(data_head + rep_code))
         dataset, _ = generate(replace(spec, rng=data_stream))
         stats = sufficient_stats(dataset)
-        for i, config in enumerate(configs):
-            fits = fit_masks(stats, models, config.radius)
+        for i, radius in enumerate(grid.radius_values):
+            fits = fit_masks(stats, models, radius)
             clean = _score_matrix(grid.algorithm, fits.neg2_loglik, n, penalties, models.sizes)
             stream_ids = [_id_of(prefix + rep_code) for prefix in select_heads[i]]
             started = time.perf_counter() if measure_runtime else 0.0
-            picks = _select_rows(
-                grid.algorithm, fits, penalties, epsilons, deltas, dataset.response_bound, n,
-                config, models, seed, stream_ids, clean,
-            )
+            law = _calibration(grid.algorithm, mechanism, epsilons, deltas, dataset.response_bound,
+                               n, models.d, radius, _STAGE1_FRACTION)
+            picks = _select_rows(law, fits, penalties, models, seed, stream_ids, clean)
             seconds = (time.perf_counter() - started) if measure_runtime else 0.0
             count = counts[i]
             count[:, 0] += picks.winners == truth_column
             count[:, 1] += picks.winners == _row_argmin(clean, models)
             count[:, 2] += picks.fallback
             count[:, 3] += 1000.0 * seconds / len(cells)
-    shape = (len(configs), len(grid.epsilon_values), len(grid.delta_values), len(phis), 4)
-    return counts.reshape(shape).transpose(0, 3, 1, 2, 4)
+    axes = (grid.radius_values, grid.epsilon_values, grid.delta_values, phis)
+    return counts.reshape(*map(len, axes), 4).transpose(0, 3, 1, 2, 4)
 
 
 def run_sweep(
@@ -357,12 +360,7 @@ def run_sweep(
     derived streams.  Worker count is capped by ``max_workers`` and the
     CPU count; results do not depend on it.
     """
-    # One config per radius: the selection core reads its radius,
-    # mechanism and stage-1 split, and each row's own penalty and budget.
-    configs = tuple(
-        SelectionConfig(radius=R, penalty=0.0, budget=PrivacyBudget(math.inf), mechanism=mechanism)
-        for R in grid.radius_values
-    )
+    _check_mechanism(mechanism)
     workers = os.cpu_count() or 1
     if max_workers is not None:
         max_workers = _integer("max_workers", max_workers)
@@ -372,7 +370,7 @@ def run_sweep(
     bounds = np.linspace(0, grid.replications, workers + 1).astype(int).tolist()
     spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     tasks = [(n, lo, hi) for n in grid.n_values for lo, hi in spans]
-    chunk = partial(_sweep_chunk, grid, template, model_id, configs, measure_runtime)
+    chunk = partial(_sweep_chunk, grid, template, model_id, mechanism, measure_runtime)
     if len(spans) == 1:
         partials = [chunk(*task) for task in tasks]
     else:

@@ -39,7 +39,7 @@ from dpms import (
     sufficient_stats,
 )
 from dpms.mechanisms import _gumbel_argmin_rows, _noisy_argmin_rows
-from dpms.selection import _select_rows
+from dpms.selection import _calibration, _select_rows
 from dpms.simulate import _stream_id
 
 MASTER = 20260822
@@ -365,11 +365,10 @@ def test_c09_fallback_uniformity():
     # 900_000 + i)).
     trials = 10_000
     fits = fit_masks(sufficient_stats(ds), fam, cfg.radius)
-    picks = _select_rows(
-        "pcpl", fits, [cfg.penalty] * trials, [1.0] * trials, [1e-6] * trials, 1.0, ds.n, cfg, fam,
-        MASTER,
-        range(900_000, 900_000 + trials),
-    )
+    law = _calibration("pcpl", cfg.mechanism, [1.0] * trials, [1e-6] * trials, 1.0, ds.n, fam.d,
+                       cfg.radius, cfg.stage1_fraction)
+    picks = _select_rows(law, fits, [cfg.penalty] * trials, fam, MASTER,
+                         range(900_000, 900_000 + trials))
     fallbacks = int(np.count_nonzero(picks.fallback & np.isinf(picks.g_of_d)))
     observed = np.bincount(picks.winners, minlength=len(fam)).astype(float)
     chi = stats.chisquare(observed)

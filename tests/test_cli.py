@@ -184,6 +184,43 @@ class TestSelect:
         code = main(_select_args(demo_csv, "--algorithm", "pcpl"))
         assert code == 2
 
+    def test_pcpl_epsilon_whose_double_overflows_is_usage_error(self, demo_csv, capsys):
+        # It used to release the family's first mask under NaN keys and
+        # print "epsilon_total": "inf".
+        args = _select_args(demo_csv, "--algorithm", "pcpl", "--delta", "1e-6")
+        args[args.index("--epsilon") + 1] = "1e308"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pcpl spends 2 * epsilon, which overflows for epsilon = 1e+308" in captured.err
+
+    def test_non_utf8_family_file_is_usage_error(self, demo_csv, tmp_path, capsys):
+        # A bare UnicodeDecodeError traceback before.
+        fam = tmp_path / "fam.json"
+        fam.write_bytes(b"[[1], [\xe9]]")
+        assert main(_select_args(demo_csv, "--models", f"@{fam}")) == 2
+        assert f"cannot read model list {fam}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_non_utf8_ranges_file_is_usage_error(self, tmp_path, capsys):
+        # A bare UnicodeDecodeError traceback before.
+        p = tmp_path / "raw.csv"
+        p.write_text("y,a\n10.0,100.0\n-10.0,0.0\n0.0,50.0\n", encoding="utf-8")
+        ranges = tmp_path / "ranges.json"
+        ranges.write_bytes('{"x": [[0.0, 100.0]], "y": [-10.0, 10.0]} \u00e9'.encode("cp1252"))
+        args = [
+            "select", "--input", str(p), "--response", "y",
+            "--R", "1.0", "--phi", "0.0", "--epsilon", "1.0", "--seed", "1",
+            "--standardize", "rescale", "--ranges", str(ranges),
+        ]
+        assert main(args) == 2
+        assert f"cannot read ranges file {ranges}: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_out_in_a_missing_directory_is_usage_error(self, demo_csv, tmp_path, capsys):
+        # A bare FileNotFoundError traceback before.
+        out = tmp_path / "missing" / "report.json"
+        assert main(_select_args(demo_csv, "--out", str(out))) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
     def test_bad_models_spec(self, demo_csv):
         assert main(_select_args(demo_csv, "--models", "stepwise")) == 2
 
@@ -299,6 +336,19 @@ class TestConfigFile:
         cfg.write_text("no equals sign here\n", encoding="utf-8")
         assert main(["select", "--config", str(cfg)]) == 2
 
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        # A bare FileNotFoundError traceback before.
+        cfg = tmp_path / "absent.cfg"
+        assert main(["select", "--config", str(cfg)]) == 2
+        assert f"error: cannot read config file {cfg}" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        # A bare UnicodeDecodeError traceback before.
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes("response = caf\u00e9\n".encode("cp1252"))
+        assert main(["select", "--config", str(cfg)]) == 2
+        assert f"cannot read config file {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
     def test_boolean_keys(self, demo_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("debug_unsafe = true\n", encoding="utf-8")
@@ -333,6 +383,16 @@ class TestSweep:
         assert main(args) == 0
         rows = json.loads(json_out.read_text(encoding="utf-8"))
         assert rows[0]["n"] == 60
+
+    def test_out_in_a_missing_directory_is_usage_error(self, tmp_path, capsys):
+        # A bare FileNotFoundError traceback before, after the whole sweep.
+        out = tmp_path / "missing" / "sweep.csv"
+        args = [
+            "sweep", "--model-id", "1", "--n", "60", "--eps", "1",
+            "--R", "3.0", "--phi", "0", "--replications", "2", "--seed", "2", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
 
     def test_custom_coefficients(self, capsys):
         args = [

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from dpms import (
     sufficient_stats,
 )
 from dpms.mechanisms import _uniform_rows
-from dpms.selection import _profile_sensitivity_value, _score_matrix, _select_rows
+from dpms.selection import (
+    _calibration,
+    _profile_sensitivity_value,
+    _score_matrix,
+    _select_rows,
+)
 
 
 def _slack(n, d, r, radius):
@@ -38,10 +44,26 @@ def _slack(n, d, r, radius):
     return 1e-10 * max(1.0, n * r * r) + 2 * 64 * np.finfo(float).eps * d * n * (r + radius) ** 2
 
 
-def _rows(cfg, count):
-    """Penalties, epsilons and deltas of ``count`` selection-core rows that
-    each run ``cfg``."""
-    return [cfg.penalty] * count, [cfg.budget.epsilon] * count, [cfg.budget.delta] * count
+def _law(algorithm, cfg, ds, d, count=1):
+    """The calibration record of ``count`` selection-core rows that each
+    run ``cfg`` on ``ds``, ``d`` covariates wide."""
+    return _calibration(
+        algorithm, cfg.mechanism, [cfg.budget.epsilon] * count, [cfg.budget.delta] * count,
+        ds.response_bound, ds.n, d, cfg.radius, cfg.stage1_fraction,
+    )
+
+
+def _rows(algorithm, cfg, ds, fits, models, seed, streams):
+    """The selection core on one row per stream, each running ``cfg`` on ``ds``."""
+    law = _law(algorithm, cfg, ds, models.d, len(streams))
+    return _select_rows(law, fits, [cfg.penalty] * len(streams), models, seed, streams)
+
+
+def _proxy(min_loss, stage1_epsilon, delta, unit):
+    """pcpl's proxy at n=100, d=4, r=2 and R=1, from one standard Laplace
+    ``unit``; an even stage split of 2 * epsilon gives stage 1 epsilon."""
+    law = _calibration("pcpl", "noisy_argmin", [stage1_epsilon], [delta], 2.0, 100, 4, 1.0, 0.5)
+    return _profile_sensitivity_value(min_loss, law, unit)[0]
 
 
 def _dataset(n=120, d=4, seed=0, beta=(0.9, -0.7, 0.0, 0.0), noise=0.4):
@@ -68,7 +90,7 @@ class TestProfileSensitivityValue:
         # the width is w = 9 + t and the minimum 100 - t; the margin
         # log(1/(2 delta)) = log(10), so the value must be
         # 100 w / (100 - t - w - w ln 10).
-        got = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, 1.0, 0.05, 0.0)
+        got = _proxy(100.0, 1.0, 0.05, 0.0)
         t = 4e-8 + 128 * np.finfo(float).eps * 4 * 100 * 9
         w = 9.0 + t
         oracle = 100.0 * w / (100.0 - t - w - w * math.log(10.0))
@@ -77,23 +99,20 @@ class TestProfileSensitivityValue:
 
     def test_sentinel_on_small_loss(self):
         # Fit too good: denominator dies, sentinel comes back.
-        assert math.isinf(_profile_sensitivity_value(5.0, 100, 4, 2.0, 1.0, 1.0, 0.05, 0.0))
+        assert math.isinf(_proxy(5.0, 1.0, 0.05, 0.0))
 
     def test_monotone_in_min_loss(self):
-        values = [
-            _profile_sensitivity_value(loss, 100, 4, 2.0, 1.0, 1.0, 0.05, 0.0)
-            for loss in (80.0, 120.0, 200.0)
-        ]
+        values = [_proxy(loss, 1.0, 0.05, 0.0) for loss in (80.0, 120.0, 200.0)]
         assert values[0] > values[1] > values[2] > 0
 
     def test_noise_draw_shifts_value(self):
-        lo = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, 1.0, 0.05, -1.0)
-        hi = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, 1.0, 0.05, +1.0)
+        lo = _proxy(100.0, 1.0, 0.05, -1.0)
+        hi = _proxy(100.0, 1.0, 0.05, +1.0)
         # A larger draw inflates the denominator and so shrinks the bound.
         assert hi < lo
 
     def test_infinite_stage_epsilon_drops_noise_term(self):
-        exact = _profile_sensitivity_value(100.0, 100, 4, 2.0, 1.0, math.inf, 0.05, 123.0)
+        exact = _proxy(100.0, math.inf, 0.05, 123.0)
         t = _slack(100, 4, 2.0, 1.0)
         w = 9.0 + t
         assert exact == pytest.approx(100 * w / (100.0 - t - w), rel=1e-12)
@@ -110,6 +129,25 @@ class TestSelectionConfig:
             with pytest.raises(ConfigError, match=field):
                 SelectionConfig(**{**base, field: value})
         assert SelectionConfig(radius=2, penalty=np.float64(0.0), budget=PrivacyBudget(1)).radius == 2
+
+
+class TestPcplEpsilonCeiling:
+    def test_an_epsilon_whose_double_overflows_is_rejected(self):
+        # pcpl spends 2 * epsilon.  Above max float / 2 that total used to be
+        # inf, stage 2's epsilon NaN, every key NaN and the release the
+        # family's first mask under "epsilon_total": "inf".
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        family = all_subsets(4)
+        cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(1e308, 1e-6))
+        with pytest.raises(ConfigError, match="overflows for epsilon = 1e[+]308"):
+            pcpl_select(ds, family, cfg, RngStream(3, 1))
+        # The largest epsilon whose double is finite is spent in full, and
+        # pcls, which spends epsilon itself, accepts 1e308.
+        top = sys.float_info.max / 2
+        cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(top, 1e-6))
+        assert pcpl_select(ds, family, cfg, RngStream(3, 1)).epsilon_total == sys.float_info.max
+        cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(1e308))
+        assert pcls_select(ds, family, cfg, RngStream(3, 1)).epsilon_total == 1e308
 
 
 class TestComputeGofD:
@@ -152,9 +190,7 @@ class TestComputeGofD:
             # Stage 1 and stage 2 each spend 2 * 1.0 * 0.5 = 1.0.
             budget = PrivacyBudget(1.0, delta)
             cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
-            picks = _select_rows(
-                "pcpl", fits, *_rows(cfg, len(streams)), 1.0, n, cfg, models, seed, streams
-            )
+            picks = _rows("pcpl", cfg, ds, fits, models, seed, streams)
             assert 0 < picks.fallback.sum() < len(streams)
             for i, sid in enumerate(streams):
                 stream = RngStream(seed, sid)
@@ -283,10 +319,7 @@ class TestPclsSelect:
         trials = 3000
         fits = fit_masks(sufficient_stats(ds), models, cfg.radius)
         clean = _score_matrix("pcls", fits.neg2_loglik, ds.n, [cfg.penalty], models.sizes)
-        picks = _select_rows(
-            "pcls", fits, *_rows(cfg, trials), ds.response_bound, ds.n, cfg, models, 77,
-            range(trials),
-        )
+        picks = _rows("pcls", cfg, ds, fits, models, 77, range(trials))
         for i in (0, 1, 1234, trials - 1):
             report = pcls_select(ds, models, cfg, RngStream(77, i))
             assert np.array_equal(report.clean_scores, clean[0])
@@ -697,17 +730,14 @@ class TestMixedBudgetRows:
         fits = fit_masks(sufficient_stats(ds), family, 1.0)
         cells = list(itertools.product((0.5, 5.0, math.inf), deltas, (0.0, 3.0), range(3)))
         epsilons, row_deltas, penalties, streams = (list(axis) for axis in zip(*cells))
-        cfg = SelectionConfig(
-            radius=1.0, penalty=0.0, budget=PrivacyBudget(math.inf), mechanism=mechanism
-        )
-        mixed = _select_rows(algorithm, fits, penalties, epsilons, row_deltas,
-                             ds.response_bound, ds.n, cfg, family, 17, streams)
+        law = _calibration(algorithm, mechanism, epsilons, row_deltas, ds.response_bound, ds.n,
+                           4, 1.0, 0.5)
+        mixed = _select_rows(law, fits, penalties, family, 17, streams)
         for i, (eps, delta, phi, sid) in enumerate(cells):
             one_cfg = SelectionConfig(
                 radius=1.0, penalty=phi, budget=PrivacyBudget(eps, delta), mechanism=mechanism
             )
-            one = _select_rows(algorithm, fits, *_rows(one_cfg, 1), ds.response_bound, ds.n,
-                               one_cfg, family, 17, [sid])
+            one = _rows(algorithm, one_cfg, ds, fits, family, 17, [sid])
             assert mixed.winners[i] == one.winners[0]
             assert mixed.fallback[i] == one.fallback[0]
             if algorithm == "pcpl":
@@ -721,6 +751,33 @@ class TestMixedBudgetRows:
         if algorithm == "pcpl":
             # Both kinds of finite row: fallback (epsilon 0.5) and not.
             assert mixed.fallback[finite].any() and not mixed.fallback[finite].all()
+
+    @pytest.mark.parametrize("algorithm, deltas", [("pcls", (0.0,)), ("pcpl", (1e-6, 0.2))])
+    def test_each_record_row_is_its_one_budget_record(self, algorithm, deltas):
+        # Row i of a mixed record is the one-row record of its budget, bit
+        # for bit, and its epsilon_total is what that select's ledger prints.
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        family = all_subsets(4)
+        cells = list(itertools.product((0.5, 5.0, math.inf), deltas))
+        epsilons, row_deltas = (list(axis) for axis in zip(*cells))
+        law = _calibration(algorithm, "exponential", epsilons, row_deltas, ds.response_bound,
+                           ds.n, 4, 1.0, 0.5)
+        select = pcls_select if algorithm == "pcls" else pcpl_select
+        for i, (eps, delta) in enumerate(cells):
+            cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(eps, delta),
+                                  mechanism="exponential")
+            one = _law(algorithm, cfg, ds, 4)
+            for name, value in law._asdict().items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value[i:i + 1], getattr(one, name)), name
+                else:
+                    assert value == getattr(one, name), name
+            report = select(ds, family, cfg, RngStream(3, i))
+            assert law.epsilon_total[i] == report.epsilon_total
+        assert (law.stage1_epsilon is None) == (algorithm == "pcls")
+        # The ledger adds pcpl's two stages: 2 * epsilon, or inf.
+        spend = 1.0 if algorithm == "pcls" else 2.0
+        assert law.epsilon_total.tolist() == [spend * e for e in epsilons]
 
 
 def _duplicate_column_dataset(seed, n=200):
@@ -763,10 +820,7 @@ class TestPrunedSelection:
             cfg = SelectionConfig(radius=radius, penalty=2.0, budget=budget, mechanism=mechanism)
             fits = fit_masks(sufficient_stats(ds), family, radius)
             streams = list(range(12))
-            full = _select_rows(
-                algorithm, fits, *_rows(cfg, len(streams)), ds.response_bound, ds.n, cfg,
-                family, 99, streams,
-            )
+            full = _rows(algorithm, cfg, ds, fits, family, 99, streams)
             for i, sid in enumerate(streams):
                 report = select(ds, family, cfg, RngStream(99, sid))
                 assert report.chosen == family[full.winners[i]]
@@ -786,9 +840,7 @@ class TestPrunedSelection:
         fits = fit_masks(sufficient_stats(ds), family, 1.0)
         clean = _score_matrix(algorithm, fits.neg2_loglik, ds.n, [cfg.penalty], family.sizes)
         for sid in range(3):
-            full = _select_rows(
-                algorithm, fits, *_rows(cfg, 1), ds.response_bound, ds.n, cfg, family, 5, [sid]
-            )
+            full = _rows(algorithm, cfg, ds, fits, family, 5, [sid])
             report = select(ds, family, cfg, RngStream(5, sid))
             assert np.array_equal(report.clean_scores, clean[0])
             if full.noisy is None or report.fallback_uniform:
@@ -960,10 +1012,7 @@ class TestSupersetBounds:
             stats = sufficient_stats(ds)
             for family in self.FAMILIES:
                 fits = fit_masks(stats, family, radius)
-                full = _select_rows(
-                    "pcls", fits, *_rows(cfg, len(streams)), ds.response_bound, ds.n, cfg,
-                    family, 23, streams,
-                )
+                full = _rows("pcls", cfg, ds, fits, family, 23, streams)
                 for i, sid in enumerate(streams):
                     assert pcls_select(ds, family, cfg, RngStream(23, sid)).chosen == (
                         family[full.winners[i]])
@@ -997,8 +1046,7 @@ class TestSupersetBounds:
             after = self._bounds(stats, family, radius, supersets=True, eager=True).lower
             assert np.all(before <= fits.neg2_loglik) and np.all(after <= fits.neg2_loglik)
             narrowed += int(np.any(after > before))
-            full = _select_rows("pcls", fits, *_rows(cfg, len(streams)), ds.response_bound,
-                                ds.n, cfg, family, 29, streams)
+            full = _rows("pcls", cfg, ds, fits, family, 29, streams)
             for i, sid in enumerate(streams):
                 for eager in (False, True):
                     bounds = self._bounds(stats, family, radius, supersets=True, eager=eager)
@@ -1046,8 +1094,7 @@ class TestSupersetBounds:
             ds = _design("loose-onehot", seed, n=1000)
             stats = sufficient_stats(ds)
             fits = fit_masks(stats, family, 2.5)
-            full = _select_rows("pcls", fits, *_rows(cfg, len(streams)), ds.response_bound,
-                                ds.n, cfg, family, 41, streams)
+            full = _rows("pcls", cfg, ds, fits, family, 41, streams)
             bounds = solver.bound_masks(stats, family, 2.5)
             assert bounds._supersets and not bounds._eager
             for i, sid in enumerate(streams):
@@ -1083,8 +1130,7 @@ class TestSupersetBounds:
             capped = all_subsets(10, max_size=5)
             assert not bound_masks(stats, capped, 2.5, eager=mechanism == "exponential")._supersets
             fits = fit_masks(stats, family, 2.5)
-            full = _select_rows("pcls", fits, *_rows(cfg, 6), ds.response_bound, ds.n, cfg,
-                                family, 43, list(range(6)))
+            full = _rows("pcls", cfg, ds, fits, family, 43, list(range(6)))
             for sid in range(6):
                 assert pcls_select(ds, family, cfg, RngStream(43, sid)).chosen == (
                     family[full.winners[sid]])

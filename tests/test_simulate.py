@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import operator
+import sys
 from dataclasses import replace
 from itertools import product
 
@@ -27,6 +29,7 @@ from dpms import (
     run_sweep,
 )
 from dpms import simulate
+from dpms.selection import _calibration
 from dpms.simulate import CSV_COLUMNS, _stream_id
 
 
@@ -147,6 +150,22 @@ class TestSweepGrid:
                 n_values=(50,), radius_values=(1.0,), epsilon_values=(1.0,),
                 delta_values=(0.0,), algorithm="pcpl",
             )
+
+    def test_pcpl_epsilon_whose_double_overflows_is_rejected(self):
+        # pcpl spends 2 * epsilon; 1e308 used to be accepted, and its cells
+        # released under NaN keys.
+        with pytest.raises(ConfigError, match="overflows"):
+            SweepGrid(
+                n_values=(50,), radius_values=(1.0,), epsilon_values=(1.0, 1e308),
+                delta_values=(1e-6,), algorithm="pcpl",
+            )
+        top = sys.float_info.max / 2
+        for algorithm, epsilon, delta in (("pcpl", top, 1e-6), ("pcls", 1e308, 0.0)):
+            grid = SweepGrid(
+                n_values=(50,), radius_values=(1.0,), epsilon_values=(epsilon,),
+                delta_values=(delta,), algorithm=algorithm,
+            )
+            assert grid.epsilon_values == (epsilon,)
 
     def test_basic_validation(self):
         with pytest.raises(ConfigError):
@@ -454,8 +473,16 @@ class TestGoldenSweeps:
                     _stream_id("select", *coords, R, phi, eps, delta, algorithm, mechanism, rep)
                     for eps, delta, phi in cells
                 ]
-                assert args[10] == stream_ids
-                assert [tuple(row) for row in zip(args[3], args[4], args[2])] == cells
+                # The rows are the cells in order: each row's penalty, and
+                # the record of each row's budget under this dataset's r.
+                law = _calibration(algorithm, mechanism, [eps for eps, _, _ in cells],
+                                   [delta for _, delta, _ in cells], dataset.response_bound,
+                                   200, template.d, R, 0.5)
+                assert args[5] == stream_ids
+                assert args[2].tolist() == [phi for _, _, phi in cells]
+                for got, want in zip(args[0], law):
+                    same = np.array_equal if isinstance(want, np.ndarray) else operator.eq
+                    assert same(got, want)
                 assert len(picks.winners) == len(noiseless) == len(cells)
                 for j, (eps, delta, phi) in enumerate(cells):
                     config = SelectionConfig(
