@@ -13,8 +13,10 @@ The digest covers, in a fixed order:
   and n in {40, 300, 1000};
 * the CSV of a sweep shaped like acceptance criterion 5 (model 1,
   n = 1000, R = 3.5, epsilon in {0.1, 5, 10}, the default penalty grid,
-  4 replications, one worker) under each (algorithm, mechanism) pair, at
-  master seeds 0 to ``--sweeps`` - 1; pcpl sweeps spend delta = 1e-6.
+  4 replications, one worker) plus noiseless epsilon = inf cells, which
+  the selection core releases in the same call as the finite ones, under
+  each (algorithm, mechanism) pair, at master seeds 0 to ``--sweeps`` - 1;
+  pcpl sweeps spend delta = 1e-6.
 
 A change that keeps every released byte prints the parent's digest; run
 the script in both checkouts and compare.
@@ -83,7 +85,7 @@ def sweep_csvs(sweeps: int):
     """CSV of every c05-shaped sweep, by master seed, then pair."""
     for seed, (algorithm, mechanism) in itertools.product(range(sweeps), SWEEP_PAIRS):
         grid = dpms.SweepGrid(
-            n_values=(1000,), radius_values=(3.5,), epsilon_values=(0.1, 5.0, 10.0),
+            n_values=(1000,), radius_values=(3.5,), epsilon_values=(0.1, 5.0, 10.0, math.inf),
             delta_values=(0.0,) if algorithm == "pcls" else (1e-6,),
             replications=SWEEP_REPLICATIONS, algorithm=algorithm,
         )

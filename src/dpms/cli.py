@@ -102,7 +102,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         default=True,
         help="prepend an all-ones intercept column",
     )
-    sel.add_argument("--stage1-fraction", type=float, default=0.5)
     sel.add_argument(
         "--debug-unsafe",
         action="store_true",
@@ -168,9 +167,10 @@ def _read_text(path: str, what: str, parse=None):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, mode: str = "w") -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with Path(path).open(mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -276,7 +276,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         penalty=args.phi,
         budget=PrivacyBudget(args.epsilon, args.delta),
         mechanism=args.mechanism,
-        stage1_fraction=args.stage1_fraction,
     )
     seed = _fresh_key() if args.seed is None else args.seed
     rng = RngStream(seed, args.stream_id)
@@ -340,6 +339,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rng=RngStream(seed, 0),
         noise_sd=args.sigma,
     )
+    if args.out is not None:
+        # Appending nothing fails where the write would, before the sweep
+        # runs, and keeps an existing file's bytes.
+        _write_text(args.out, "", "a")
     result = run_sweep(
         grid,
         template,

@@ -18,6 +18,12 @@ and one read serves a whole row:
   stream under their own tags; ``sample_laplace`` reads the first words
   of one stream's Laplace tag.
 
+The noiseless limit, epsilon = inf, draws nothing and is keyed by the
+scores themselves (:func:`_exact_keys`).  The selection core
+(``selection._select_rows``) decides it once, for the rows whose epsilon
+is infinite, so :func:`_noisy_keys` and :func:`_gumbel_keys` only ever
+see finite budgets; the list adapters decide it for their one row.
+
 ``RngStream.generator()``, a numpy Generator seeded from the same pair,
 serves only synthetic data generation.  ``noisy_argmin`` and
 ``exponential_mechanism`` are the one-row case over a list of
@@ -260,17 +266,10 @@ def _row_argmin(keys: np.ndarray, models: CandidateSet) -> np.ndarray:
     return order[np.argmin(keys[:, order], axis=1)]
 
 
-def _keyed_rows(seed: int, stream_ids, tag: int, models: CandidateSet, live: np.ndarray,
-                transform) -> np.ndarray:
-    """``transform`` of :func:`_keyed_u64_block` on the rows where
-    ``live`` is True, zero on the others, which draw nothing."""
-    if live.all():
-        return transform(_keyed_u64_block(seed, stream_ids, tag, models))
-    out = np.zeros((len(stream_ids), len(models)))
-    if live.any():
-        ids = np.asarray(stream_ids, dtype=np.uint64)[live].tolist()
-        out[live] = transform(_keyed_u64_block(seed, ids, tag, models))
-    return out
+def _exact_keys(scores, base):
+    """The noiseless limit's keys (epsilon = inf): the scores themselves,
+    with -0.0 read as 0.0 (``base`` is unused).  It draws nothing."""
+    return scores + 0.0
 
 
 def _noisy_keys(scales, models: CandidateSet, seed: int, stream_ids):
@@ -278,14 +277,12 @@ def _noisy_keys(scales, models: CandidateSet, seed: int, stream_ids):
 
     Row ``i`` perturbs every score by its own Laplace draw keyed by
     ``(seed, stream_ids[i])`` and the column's canonical rank, scaled by
-    ``scales``, which broadcasts against the (rows x masks) matrix; a row
-    of zero scales is the noiseless limit and draws nothing.  Returns
-    ``keys(scores, base)``: the noisy scores, a nondecreasing function of
-    each score (``base`` is unused).
+    ``scales``, which broadcasts against the (rows x masks) matrix.
+    Returns ``keys(scores, base)``: the noisy scores, a nondecreasing
+    function of each score (``base`` is unused).
     """
-    scales = np.broadcast_to(scales, (len(stream_ids), len(models)))
-    noise = scales * _keyed_rows(seed, stream_ids, _TAG_ARGMIN, models, scales.any(axis=1),
-                                 _laplace_from_u64_array)
+    words = _keyed_u64_block(seed, stream_ids, _TAG_ARGMIN, models)
+    noise = scales * _laplace_from_u64_array(words)
     return lambda scores, base: scores + noise
 
 
@@ -297,27 +294,18 @@ def _gumbel_keys(epsilon, sensitivity, models: CandidateSet, seed: int, stream_i
     ``-(log-weight + Gumbel)`` with log-weight
     ``-epsilon * (score - low) / (2 * sensitivity)``, ``low`` the smallest
     entry of each row of ``base`` (the scores themselves, or a bound on
-    them) and ``epsilon`` and ``sensitivity`` one value per row (or one for
-    all); its argmin is an exact sample with probability proportional to
-    ``exp(-epsilon * score / (2 * sensitivity))``.  Subtracting ``low``
-    gives the best candidate the weight exp(0) = 1: no normalization and
-    no underflow.  A key is nondecreasing in its score and nonincreasing
-    in ``low``.  A row with ``epsilon = inf`` draws nothing and is keyed by
-    its scores themselves.
+    them) and ``epsilon`` and ``sensitivity`` one finite value per row (or
+    one for all); its argmin is an exact sample with probability
+    proportional to ``exp(-epsilon * score / (2 * sensitivity))``.
+    Subtracting ``low`` gives the best candidate the weight exp(0) = 1: no
+    normalization and no underflow.  A key is nondecreasing in its score
+    and nonincreasing in ``low``.
     """
-    epsilon = np.broadcast_to(epsilon, (len(stream_ids), 1))
-    live = np.isfinite(epsilon)
-    if not live.any():
-        return lambda scores, base: scores + 0.0
-    gumbel = _keyed_rows(seed, stream_ids, _TAG_GUMBEL, models, live[:, 0],
-                         _gumbel_from_u64_array)
+    gumbel = _gumbel_from_u64_array(_keyed_u64_block(seed, stream_ids, _TAG_GUMBEL, models))
 
     def keys(scores, base):
         low = base.min(axis=1, keepdims=True)
-        # A noiseless row's weights (inf times a score gap) are never read.
-        with np.errstate(invalid="ignore"):
-            weighted = -(-epsilon * (scores - low) / (2.0 * sensitivity) + gumbel)
-        return np.where(live, weighted, scores + 0.0)
+        return -(-epsilon * (scores - low) / (2.0 * sensitivity) + gumbel)
 
     return keys
 
@@ -352,6 +340,9 @@ def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
     cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
     scales = np.array([[c.noise_scale for c in cands]], dtype=np.float64)
+    if not scales.any():
+        noisy = _exact_keys(scores, scores)
+        return cands[_row_argmin(noisy, family)[0]].mask, noisy[0]
     winners, noisy = _noisy_argmin_rows(scores, scales, family, rng.seed, [rng.stream_id])
     return cands[winners[0]].mask, noisy[0]
 
@@ -371,6 +362,9 @@ def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget,
         raise ConfigError(f"sensitivity must be finite and > 0, got {sensitivity}")
     cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
+    if math.isinf(budget.epsilon):
+        keys = _exact_keys(scores, scores)
+        return cands[_row_argmin(keys, family)[0]].mask, keys[0]
     winners, keys = _gumbel_argmin_rows(
         scores, budget.epsilon, sensitivity, family, rng.seed, [rng.stream_id]
     )

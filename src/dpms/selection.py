@@ -9,9 +9,9 @@ data, score it, and let a mechanism pick a winner.
   bound ``tau`` (:func:`~dpms.solver.loss_slack`) on how far a certified
   fit may sit from it; no dataset can exceed the sum.
 * :func:`pcpl_select` scores by the penalized profile likelihood, whose
-  global sensitivity is unbounded.  It spends half its budget measuring a
-  data-dependent sensitivity proxy and the other half selecting with it,
-  for a total cost of ``(2 * epsilon, delta)``.  When the measured proxy
+  global sensitivity is unbounded.  It spends ``epsilon`` measuring a
+  data-dependent sensitivity proxy and ``epsilon`` selecting with it, for
+  a total cost of ``(2 * epsilon, delta)``.  When the measured proxy
   is degenerate the winner is drawn uniformly instead; the report says so.
 
 Both paths draw every noise variate from a caller-supplied
@@ -21,9 +21,9 @@ the exact selection byte for byte.  They share one array core,
 a single select is its one-row case, and the sweep harness releases a
 whole (epsilon, delta, phi) grid per fit through it, one row per cell.
 Each row's public noise law comes from one record, :func:`_calibration`:
-the score width, the certificate slack, the selecting epsilon and, for
-pcpl, stage 1's epsilon and safety margin; the ledger's ``epsilon_total``
-is read from it too.
+the score width, the certificate slack, the epsilon of each stage and,
+for pcpl, stage 1's safety margin; the ledger's ``epsilon_total`` is read
+from it too.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import ConfigError, DataError, _real
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
+    _exact_keys,
     _gumbel_keys,
     _laplace_rows,
     _noisy_keys,
@@ -66,8 +67,6 @@ __all__ = [
 ]
 
 _MECHANISMS = ("noisy_argmin", "exponential")
-# Share of pcpl's 2 * epsilon that stage 1 spends, unless configured.
-_STAGE1_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -84,22 +83,21 @@ class SelectionConfig:
     budget
         Privacy budget of ONE mechanism invocation.  ``pcls_select``
         spends exactly ``budget.epsilon`` and requires ``delta == 0``;
-        ``pcpl_select`` spends ``(2 * epsilon, delta)`` total and requires
-        ``0 < delta < 1``.
+        ``pcpl_select`` spends ``epsilon`` on each of its two stages,
+        ``(2 * epsilon, delta)`` in all, and requires ``0 < delta < 1``.
     mechanism
         ``"noisy_argmin"`` adds Laplace noise to every score and takes the
         minimum; ``"exponential"`` samples from the softmax over negated
         scores.  Both satisfy the same budget.
-    stage1_fraction
-        Share of the total ``2 * epsilon`` budget that ``pcpl_select``
-        spends on its sensitivity measurement.
+
+    ``radius`` and ``penalty`` are stored as floats, so a report prints the
+    same bytes whatever real type the caller passed.
     """
 
     radius: float
     penalty: float
     budget: PrivacyBudget
     mechanism: str = "noisy_argmin"
-    stage1_fraction: float = _STAGE1_FRACTION
 
     def __post_init__(self) -> None:
         radius = _real("radius", self.radius)
@@ -111,10 +109,8 @@ class SelectionConfig:
         if not isinstance(self.budget, PrivacyBudget):
             raise ConfigError(f"budget must be a PrivacyBudget, got {self.budget!r}")
         _check_mechanism(self.mechanism)
-        if not 0.0 < _real("stage1_fraction", self.stage1_fraction) < 1.0:
-            raise ConfigError(
-                f"stage1_fraction must lie strictly between 0 and 1, got {self.stage1_fraction}"
-            )
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "penalty", penalty)
 
 
 def _check_mechanism(mechanism: str) -> None:
@@ -148,14 +144,12 @@ class _Calibration(NamedTuple):
     n_obs: int
     width: float  # (r + R)**2 + slack: how far one row swap moves a certified loss
     slack: float  # loss_slack(n, d, r, R): how far a certified loss sits from the exact one
-    epsilon: np.ndarray  # each row's selecting epsilon (pcpl: stage 2's)
-    epsilon_total: np.ndarray  # each row's spend, stage 1 plus stage 2
-    stage1_epsilon: np.ndarray | None = None  # pcpl's stage-1 epsilon of each row
+    epsilon: np.ndarray  # each row's epsilon, spent by each stage (pcpl: both)
+    epsilon_total: np.ndarray  # each row's spend: epsilon (pcls), 2 * epsilon (pcpl)
     margin: np.ndarray | None = None  # pcpl's log(1 / (2 * delta)) of each row
 
 
-def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius,
-                 stage1_fraction) -> _Calibration:
+def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius) -> _Calibration:
     """The noise law of rows that spend ``(epsilons[i], deltas[i])`` on
     ``n_obs`` rows of ``d`` covariates with response bound ``bound`` and
     radius ``radius``.
@@ -165,27 +159,21 @@ def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius
     is at most ``r + R``, so replacing it moves the exact loss by at most
     ``(r + R)**2``.  A certified fit may sit up to the public
     :func:`~dpms.solver.loss_slack` from the exact loss, which the width
-    adds.  pcls selects with each row's epsilon.  pcpl spends ``2 *
-    epsilon``: ``stage1_fraction`` of it on stage 1, whose proxy carries
-    the margin ``log(1 / (2 * delta))``, and the rest on selecting; both
-    stages are noiseless when epsilon is infinite.  By sequential
-    composition the ledger's ``epsilon_total`` adds the two stages, and
-    delta is spent once, by stage 1's margin.
+    adds.  pcls selects with each row's epsilon.  pcpl spends the row's
+    epsilon on stage 1, whose proxy carries the margin ``log(1 / (2 *
+    delta))``, and the same epsilon again on selecting; both stages are
+    noiseless when epsilon is infinite.  By sequential composition the
+    ledger's ``epsilon_total`` is ``2 * epsilon``, and delta is spent once,
+    by stage 1's margin.
     """
     epsilons = np.asarray(epsilons, dtype=np.float64)
     slack = loss_slack(n_obs, d, bound, radius)
     width = (bound + radius) ** 2 + slack
     if algorithm == "pcls":
         return _Calibration(algorithm, mechanism, n_obs, width, slack, epsilons, epsilons)
-    total = 2.0 * epsilons
-    stage1 = total * stage1_fraction
-    stage2 = np.subtract(total, stage1, out=np.full(stage1.shape, np.inf),
-                         where=np.isfinite(epsilons))
     # math.log, so that every row's margin has the bits of a one-budget call.
     margin = np.array([math.log(1.0 / (2.0 * x)) for x in deltas])
-    return _Calibration(
-        algorithm, mechanism, n_obs, width, slack, stage2, stage1 + stage2, stage1, margin
-    )
+    return _Calibration(algorithm, mechanism, n_obs, width, slack, epsilons, 2.0 * epsilons, margin)
 
 
 def _profile_sensitivity_value(min_loss: float, law: _Calibration, units) -> np.ndarray:
@@ -196,14 +184,16 @@ def _profile_sensitivity_value(min_loss: float, law: _Calibration, units) -> np.
     Starts from the deterministic bound ``n * w / (min_loss - w)`` with
     ``w`` the record's width and the certified minimum lowered by its
     slack.  It then perturbs the denominator with Laplace noise calibrated
-    to ``w`` at the row's stage-1 epsilon, plus the row's safety margin, so
-    the released value is itself private and exceeds the true local
-    sensitivity except with probability ``delta``.  An infinite stage-1
-    epsilon adds neither.  A nonpositive denominator means the data fit too
-    well for the bound to say anything; the sentinel ``inf`` signals that.
+    to ``w`` at the row's epsilon, plus the row's safety margin, so the
+    released value is itself private and exceeds the true local
+    sensitivity except with probability ``delta``.  An infinite epsilon
+    adds neither, by an explicit test: ``w * (unit - margin)`` may
+    overflow, and inf / inf is NaN.  A nonpositive denominator means the
+    data fit too well for the bound to say anything; the sentinel ``inf``
+    signals that.
     """
-    width, stage1 = law.width, law.stage1_epsilon
-    shift = np.where(np.isfinite(stage1), width * (units - law.margin) / stage1, 0.0)
+    width, epsilon = law.width, law.epsilon
+    shift = np.where(np.isfinite(epsilon), width * (units - law.margin) / epsilon, 0.0)
     denominator = (min_loss - law.slack) - width + shift
     out = np.full(denominator.shape, np.inf)
     return np.divide(law.n_obs * width, denominator, out=out, where=denominator > 0.0)
@@ -360,12 +350,10 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
     return lo, _score_matrix(algorithm, upper, n_obs, penalties, sizes)
 
 
-def _mechanism_rows(law, fits, penalties, sensitivity, epsilon, models, seed, stream_ids,
-                    clean=None):
+def _mechanism_rows(law, fits, penalties, keys, models, clean=None):
     """Winner of each row and, for noisy_argmin on settled fits, its noisy
-    scores, under the algorithm and mechanism of the record ``law``.
-    ``sensitivity`` and ``epsilon`` are columns, one entry per row; a row
-    with an infinite epsilon is keyed by its scores alone.
+    scores, under the algorithm and mechanism of the record ``law``, with
+    the rows' keys ``keys(scores, base)`` (see :mod:`~dpms.mechanisms`).
     ``clean``, when given, is the clean-score matrix of settled ``fits``
     under ``penalties``.
 
@@ -384,13 +372,6 @@ def _mechanism_rows(law, fits, penalties, sensitivity, epsilon, models, seed, st
     is the one that fully settled fits give, ties and all.
     """
     mechanism = law.mechanism
-    if mechanism == "noisy_argmin":
-        scale = np.divide(
-            2.0 * sensitivity, epsilon, out=np.zeros(epsilon.shape), where=np.isfinite(epsilon)
-        )
-        keys = _noisy_keys(scale, models, seed, stream_ids)
-    else:
-        keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)
     pick = True
     while True:
         if clean is None:
@@ -447,12 +428,16 @@ def _select_rows(
     :class:`LossBounds`, of which only the fits the release can depend on
     get solved.  Every row runs the mechanism with its own sensitivity:
     the record's width for pcls, and for pcpl the proxy that stage 1
-    releases with the row's first Laplace word.  A pcpl row whose proxy is
-    degenerate falls back to a uniform pick instead; a row with an
-    infinite epsilon (the noiseless limit) draws no noise and never falls
-    back.  ``noisy`` is None unless every fit ended up settled.  A caller
-    that holds the clean-score matrix of settled ``fits`` under
-    ``penalties`` passes it as ``clean``, and it is not built again.
+    releases with the row's first Laplace word.  The rows fall into three
+    groups.  A pcpl row with a finite epsilon whose proxy is degenerate
+    falls back to a uniform pick.  A row with an infinite epsilon (the
+    noiseless limit) draws no noise, never falls back and is keyed by its
+    scores alone (:func:`~dpms.mechanisms._exact_keys`); this is the one
+    place that decides it.  Every other row draws its mechanism's keys at
+    its finite epsilon.  ``noisy`` is None unless every group that ran
+    ended on settled fits.  A caller that holds the clean-score matrix of
+    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
+    not built again.
     """
     # A LossBounds' losses come from validated, finite statistics.
     if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
@@ -465,27 +450,35 @@ def _select_rows(
         proxy = sensitivity = _profile_sensitivity_value(
             _min_loss(fits), law, _laplace_rows(seed, stream_ids)
         )
-    fallback = np.isinf(sensitivity) & np.isfinite(epsilon)
-    kept = ~fallback
+    exact = np.isinf(epsilon)
+    fallback = np.isinf(sensitivity) & ~exact
+    live = ~(exact | fallback)
+    ids = np.asarray(stream_ids, dtype=np.uint64)
     winners = np.empty(rows, dtype=np.intp)
-    kept_ids = stream_ids
     if fallback.any():
-        ids = np.asarray(stream_ids, dtype=np.uint64)
         ranks = _uniform_rows(seed, ids[fallback].tolist(), len(models))
         order = models.canonical_order
         winners[fallback] = ranks if order is None else order[ranks]
-        kept_ids = ids[kept].tolist()
-    noisy = None
-    if len(kept_ids):
-        winners[kept], noisy = _mechanism_rows(
-            law, fits, penalties[kept], sensitivity[kept, None], epsilon[kept, None], models, seed,
-            kept_ids, None if clean is None else clean[kept],
+    groups = [(exact, _exact_keys)] if exact.any() else []
+    if live.any():
+        live_ids = ids[live].tolist()
+        if law.mechanism == "noisy_argmin":
+            scale = 2.0 * sensitivity[live, None] / epsilon[live, None]
+            keys = _noisy_keys(scale, models, seed, live_ids)
+        else:
+            keys = _gumbel_keys(epsilon[live, None], sensitivity[live, None], models, seed,
+                                live_ids)
+        groups.append((live, keys))
+    # Fallback rows have no noisy scores.
+    noisy = np.full((rows, len(models)), np.nan) if groups else None
+    for group, keys in groups:
+        winners[group], scores = _mechanism_rows(
+            law, fits, penalties[group], keys, models, None if clean is None else clean[group]
         )
-    if noisy is not None and fallback.any():
-        # Fallback rows have no noisy scores.
-        full = np.full((rows, len(models)), np.nan)
-        full[kept] = noisy
-        noisy = full
+        if scores is None:
+            noisy = None
+        elif noisy is not None:
+            noisy[group] = scores
     return _Picks(winners, noisy, fallback, proxy)
 
 
@@ -499,11 +492,9 @@ def _select_with_fits(
 ) -> SelectionReport:
     # One row of the selection core, on the loss bounds of the fits.
     budget = config.budget
-    _check_epsilon(algorithm, budget.epsilon)
-    _check_delta(algorithm, budget.delta)
     law = _calibration(
         algorithm, config.mechanism, [budget.epsilon], [budget.delta], dataset.response_bound,
-        dataset.n, models.d, config.radius, config.stage1_fraction,
+        dataset.n, models.d, config.radius,
     )
     args = ([config.penalty], models, rng.seed, [rng.stream_id])
     picks = _select_rows(law, fits, *args)
@@ -549,7 +540,9 @@ def pcls_select(
     |model|`` where the loss is the certified constrained residual sum of
     squares; both mechanisms are calibrated to the row-swap sensitivity
     ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, d, r, R)``.
+    The budget is checked before any work.
     """
+    _check_delta("pcls", config.budget.delta)
     stats = sufficient_stats(dataset)
     # The exponential mechanism solves every mask that can reach a row's
     # smallest score, and settles the supersets in most selects.
@@ -576,12 +569,15 @@ def pcpl_select(
     """Pick a model by noisy penalized profile likelihood, two-staged.
 
     Stage 1 privately releases a sensitivity proxy for the profile score;
-    stage 2 runs the configured mechanism with it.  Total privacy cost is
-    ``(2 * config.budget.epsilon, config.budget.delta)``, split by
-    ``config.stage1_fraction``.  A degenerate stage-1 release (data that
-    fit too well for the bound to hold) falls back to a uniform draw over
-    the candidates, reported via ``fallback_uniform``.
+    stage 2 runs the configured mechanism with it.  Each stage spends
+    ``config.budget.epsilon``, for a total privacy cost of ``(2 *
+    config.budget.epsilon, config.budget.delta)``; the budget is checked
+    before any work.  A degenerate stage-1 release (data that fit too well
+    for the bound to hold) falls back to a uniform draw over the
+    candidates, reported via ``fallback_uniform``.
     """
+    _check_epsilon("pcpl", config.budget.epsilon)
+    _check_delta("pcpl", config.budget.delta)
     stats = sufficient_stats(dataset)
     fits = bound_masks(stats, models, config.radius)
     return _pcpl_with_fits(dataset, models, fits, config, rng)

@@ -37,7 +37,7 @@ from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
 from .errors import ConfigError, _integer, _real, _values
 from .mechanisms import RngStream, _row_argmin
-from .selection import _STAGE1_FRACTION, _calibration, _check_delta, _check_epsilon
+from .selection import _calibration, _check_delta, _check_epsilon
 from .selection import _check_mechanism, _score_matrix, _select_rows
 from .solver import fit_masks
 
@@ -333,7 +333,7 @@ def _sweep_chunk(
             stream_ids = [_id_of(prefix + rep_code) for prefix in select_heads[i]]
             started = time.perf_counter() if measure_runtime else 0.0
             law = _calibration(grid.algorithm, mechanism, epsilons, deltas, dataset.response_bound,
-                               n, models.d, radius, _STAGE1_FRACTION)
+                               n, models.d, radius)
             picks = _select_rows(law, fits, penalties, models, seed, stream_ids, clean)
             seconds = (time.perf_counter() - started) if measure_runtime else 0.0
             count = counts[i]

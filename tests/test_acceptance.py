@@ -366,7 +366,7 @@ def test_c09_fallback_uniformity():
     trials = 10_000
     fits = fit_masks(sufficient_stats(ds), fam, cfg.radius)
     law = _calibration("pcpl", cfg.mechanism, [1.0] * trials, [1e-6] * trials, 1.0, ds.n, fam.d,
-                       cfg.radius, cfg.stage1_fraction)
+                       cfg.radius)
     picks = _select_rows(law, fits, [cfg.penalty] * trials, fam, MASTER,
                          range(900_000, 900_000 + trials))
     fallbacks = int(np.count_nonzero(picks.fallback & np.isinf(picks.g_of_d)))

@@ -394,6 +394,40 @@ class TestSweep:
         assert main(args) == 2
         assert f"error: cannot write {out}" in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # The write used to fail only after the whole sweep had run.
+        from dpms import cli
+
+        def spy(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        out = tmp_path / "missing" / "sweep.csv"
+        args = [
+            "sweep", "--model-id", "1", "--n", "60", "--eps", "1",
+            "--R", "3.0", "--phi", "0", "--replications", "2", "--seed", "2", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert f"error: cannot write {out}" in capsys.readouterr().err
+
+    def test_out_keeps_an_existing_file_until_the_sweep_is_written(self, tmp_path, monkeypatch):
+        # Checking the path before the sweep leaves an existing file as it
+        # was if the sweep fails.
+        from dpms import cli
+
+        def failing_sweep(*args, **kwargs):
+            raise cli.ConfigError("sweep failed")
+
+        monkeypatch.setattr(cli, "run_sweep", failing_sweep)
+        out = tmp_path / "sweep.csv"
+        out.write_text("old\n", encoding="utf-8")
+        args = [
+            "sweep", "--model-id", "1", "--n", "60", "--eps", "1",
+            "--R", "3.0", "--phi", "0", "--replications", "2", "--seed", "2", "--out", str(out),
+        ]
+        assert main(args) == 2
+        assert out.read_text(encoding="utf-8") == "old\n"
+
     def test_custom_coefficients(self, capsys):
         args = [
             "sweep", "--beta0", "1.0,0.0", "--n", "40", "--eps", "2",

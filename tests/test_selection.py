@@ -49,7 +49,7 @@ def _law(algorithm, cfg, ds, d, count=1):
     run ``cfg`` on ``ds``, ``d`` covariates wide."""
     return _calibration(
         algorithm, cfg.mechanism, [cfg.budget.epsilon] * count, [cfg.budget.delta] * count,
-        ds.response_bound, ds.n, d, cfg.radius, cfg.stage1_fraction,
+        ds.response_bound, ds.n, d, cfg.radius,
     )
 
 
@@ -59,10 +59,10 @@ def _rows(algorithm, cfg, ds, fits, models, seed, streams):
     return _select_rows(law, fits, [cfg.penalty] * len(streams), models, seed, streams)
 
 
-def _proxy(min_loss, stage1_epsilon, delta, unit):
+def _proxy(min_loss, epsilon, delta, unit):
     """pcpl's proxy at n=100, d=4, r=2 and R=1, from one standard Laplace
-    ``unit``; an even stage split of 2 * epsilon gives stage 1 epsilon."""
-    law = _calibration("pcpl", "noisy_argmin", [stage1_epsilon], [delta], 2.0, 100, 4, 1.0, 0.5)
+    ``unit``; stage 1 spends ``epsilon``."""
+    law = _calibration("pcpl", "noisy_argmin", [epsilon], [delta], 2.0, 100, 4, 1.0)
     return _profile_sensitivity_value(min_loss, law, unit)[0]
 
 
@@ -124,11 +124,54 @@ class TestSelectionConfig:
         # bare AttributeError; a string radius and a None penalty raised a
         # bare TypeError.
         base = dict(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0))
-        for field, value in (("budget", 1.0), ("radius", "2"), ("penalty", None),
-                             ("stage1_fraction", "0.5")):
+        for field, value in (("budget", 1.0), ("radius", "2"), ("penalty", None)):
             with pytest.raises(ConfigError, match=field):
                 SelectionConfig(**{**base, field: value})
+        # pcpl spends epsilon on each stage; the split is no option.
+        with pytest.raises(TypeError, match="stage1_fraction"):
+            SelectionConfig(**base, stage1_fraction=0.5)
         assert SelectionConfig(radius=2, penalty=np.float64(0.0), budget=PrivacyBudget(1)).radius == 2
+
+    @pytest.mark.parametrize("algorithm, delta", [("pcls", 0.0), ("pcpl", 1e-3)])
+    def test_every_real_type_prints_the_same_report(self, algorithm, delta):
+        # The config used to keep the caller's objects: radius=2 printed
+        # "R": 2, radius=2.0 printed "R": 2.0, and np.float32 made
+        # to_json() raise a bare TypeError.
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        select = pcls_select if algorithm == "pcls" else pcpl_select
+        texts = set()
+        for kind in (int, float, np.float32):
+            cfg = SelectionConfig(radius=kind(2), penalty=kind(3), budget=PrivacyBudget(1.0, delta))
+            assert type(cfg.radius) is float and type(cfg.penalty) is float
+            report = select(ds, all_subsets(4), cfg, RngStream(3, 1))
+            texts.add((report.to_json(), report.to_json(include_clean_scores=True)))
+        assert len(texts) == 1
+        release = json.loads(texts.pop()[0])
+        assert (release["R"], release["phi_n"]) == (2.0, 3.0)
+
+
+class TestBudgetCheckedFirst:
+    # A rejected budget used to pay for the sufficient statistics (their
+    # eigenvalues included) and a bound pass over the whole family first.
+    @pytest.mark.parametrize("select, budget", [
+        (pcls_select, PrivacyBudget(1.0, 0.1)),
+        (pcpl_select, PrivacyBudget(1e308, 1e-6)),
+        (pcpl_select, PrivacyBudget(1.0, 0.0)),
+    ])
+    def test_no_work_before_a_rejected_budget(self, select, budget, monkeypatch):
+        from dpms import selection
+
+        def spy(name):
+            def wrapper(*args, **kwargs):
+                raise AssertionError(f"{name} ran before the budget check")
+            monkeypatch.setattr(selection, name, wrapper)
+
+        spy("sufficient_stats")
+        spy("bound_masks")
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=budget)
+        with pytest.raises(ConfigError):
+            select(ds, all_subsets(4), cfg, RngStream(3, 1))
 
 
 class TestPcplEpsilonCeiling:
@@ -152,7 +195,7 @@ class TestPcplEpsilonCeiling:
 
 class TestComputeGofD:
     def test_matches_manual_replay(self):
-        # pcpl's released proxy; stage 1 spends 2 * 1.0 * 0.5 = 1.0.  The
+        # pcpl's released proxy; stage 1 spends epsilon = 1.0.  The
         # small sample's proxy is degenerate, the large one's finite.
 
         for n, noise in ((300, 0.4), (2000, 1.0)):
@@ -258,7 +301,7 @@ class TestCertificateSlack:
         tau = _slack(200, 4, r, 1.0)
         w = (r + 1.0) ** 2 + tau
         z = sample_laplace(RngStream(3, 1), 1.0)
-        # Stage 1 spends 2 * 5 * 0.5 = 5 of the budget.
+        # Stage 1 spends epsilon = 5.
         proxy = 200 * w / ((min_loss - tau) - w + w * (z - math.log(1.0 / 2e-3)) / 5.0)
         assert report.g_of_d == proxy
         assert seen["_gumbel_keys"][1].tolist() == [[proxy]]
@@ -440,15 +483,6 @@ class TestPcplSelect:
         assert report.fallback_uniform is False
         assert math.isinf(report.g_of_d)
         assert report.chosen == ModelMask.from_indices([1, 2], 2)
-
-    def test_stage_fraction_changes_release(self):
-        ds, _, _ = _dataset(n=2000, seed=6, noise=1.0)
-        base = dict(radius=2.0, penalty=5.0, budget=PrivacyBudget(1.0, 1e-6))
-        half = pcpl_select(ds, all_subsets(4), SelectionConfig(**base), RngStream(8, 8))
-        lop = pcpl_select(
-            ds, all_subsets(4), SelectionConfig(**base, stage1_fraction=0.9), RngStream(8, 8)
-        )
-        assert half.g_of_d != lop.g_of_d
 
     def test_high_budget_agrees_with_noiseless(self):
         ds, _, _ = _dataset(n=2000, seed=19, noise=1.0)
@@ -719,6 +753,49 @@ class TestReportDigests:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[case]
 
 
+class TestFiniteMechanismBudgets:
+    # The selection core decides the noiseless limit once: rows with
+    # epsilon = inf are keyed by their scores, and the mechanisms' key
+    # builders see only the finite rows.  They used to get every row, with
+    # a zero Laplace scale or an infinite epsilon on the noiseless ones.
+    @pytest.mark.parametrize("mechanism", ("noisy_argmin", "exponential"))
+    @pytest.mark.parametrize("algorithm, deltas", [("pcls", (0.0,)), ("pcpl", (1e-6, 1e-2))])
+    def test_keys_get_finite_positive_budgets(self, algorithm, deltas, mechanism, monkeypatch):
+        from dpms import selection
+
+        seen = []
+
+        def spy(name, function):
+            def wrapper(*args):
+                seen.append((name, args))
+                return function(*args)
+            monkeypatch.setattr(selection, name, wrapper)
+
+        spy("_noisy_keys", selection._noisy_keys)
+        spy("_gumbel_keys", selection._gumbel_keys)
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        family = all_subsets(4)
+        fits = fit_masks(sufficient_stats(ds), family, 1.0)
+        cells = list(itertools.product((0.5, 5.0, math.inf), deltas, (0.0, 3.0), range(3)))
+        epsilons, row_deltas, penalties, streams = (list(axis) for axis in zip(*cells))
+        law = _calibration(algorithm, mechanism, epsilons, row_deltas, ds.response_bound, ds.n,
+                           4, 1.0)
+        picks = _select_rows(law, fits, penalties, family, 17, streams)
+        assert [name for name, _ in seen] == [
+            "_noisy_keys" if mechanism == "noisy_argmin" else "_gumbel_keys"
+        ]
+        name, args = seen[0]
+        # noisy_argmin gets each row's scale; exponential its epsilon and
+        # sensitivity.
+        values = args[:1] if name == "_noisy_keys" else args[:2]
+        live = np.isfinite(epsilons) & ~picks.fallback
+        for value in values:
+            assert (np.isfinite(value) & (value > 0)).all()
+            assert value.shape == (np.count_nonzero(live), 1)
+        # The stream ids are those of the noisy rows, in order.
+        assert args[-1] == np.asarray(streams)[live].tolist()
+
+
 class TestMixedBudgetRows:
     # One selection-core call whose rows spend different budgets releases,
     # row by row, what one-budget calls release.
@@ -731,7 +808,7 @@ class TestMixedBudgetRows:
         cells = list(itertools.product((0.5, 5.0, math.inf), deltas, (0.0, 3.0), range(3)))
         epsilons, row_deltas, penalties, streams = (list(axis) for axis in zip(*cells))
         law = _calibration(algorithm, mechanism, epsilons, row_deltas, ds.response_bound, ds.n,
-                           4, 1.0, 0.5)
+                           4, 1.0)
         mixed = _select_rows(law, fits, penalties, family, 17, streams)
         for i, (eps, delta, phi, sid) in enumerate(cells):
             one_cfg = SelectionConfig(
@@ -761,7 +838,7 @@ class TestMixedBudgetRows:
         cells = list(itertools.product((0.5, 5.0, math.inf), deltas))
         epsilons, row_deltas = (list(axis) for axis in zip(*cells))
         law = _calibration(algorithm, "exponential", epsilons, row_deltas, ds.response_bound,
-                           ds.n, 4, 1.0, 0.5)
+                           ds.n, 4, 1.0)
         select = pcls_select if algorithm == "pcls" else pcpl_select
         for i, (eps, delta) in enumerate(cells):
             cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(eps, delta),
@@ -774,7 +851,7 @@ class TestMixedBudgetRows:
                     assert value == getattr(one, name), name
             report = select(ds, family, cfg, RngStream(3, i))
             assert law.epsilon_total[i] == report.epsilon_total
-        assert (law.stage1_epsilon is None) == (algorithm == "pcls")
+        assert (law.margin is None) == (algorithm == "pcls")
         # The ledger adds pcpl's two stages: 2 * epsilon, or inf.
         spend = 1.0 if algorithm == "pcls" else 2.0
         assert law.epsilon_total.tolist() == [spend * e for e in epsilons]

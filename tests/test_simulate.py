@@ -477,7 +477,7 @@ class TestGoldenSweeps:
                 # the record of each row's budget under this dataset's r.
                 law = _calibration(algorithm, mechanism, [eps for eps, _, _ in cells],
                                    [delta for _, delta, _ in cells], dataset.response_bound,
-                                   200, template.d, R, 0.5)
+                                   200, template.d, R)
                 assert args[5] == stream_ids
                 assert args[2].tolist() == [phi for _, _, phi in cells]
                 for got, want in zip(args[0], law):
