@@ -28,7 +28,7 @@ from .data import Dataset, load_csv, standardize
 from .enumeration import CandidateSet, all_subsets, from_explicit
 from .errors import ConfigError, DpmsError
 from .mechanisms import PrivacyBudget, RngStream
-from .selection import SelectionConfig, pcls_select, pcpl_select
+from .selection import _ALGORITHMS, _MECHANISMS, SelectionConfig, pcls_select, pcpl_select
 from .simulate import (
     BUILTIN_MODELS,
     SweepGrid,
@@ -71,7 +71,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sel = sub.add_parser("select", help="run one private selection on a CSV file")
     sel.add_argument("--input", help="CSV file with a header row")
     sel.add_argument("--response", help="name of the response column")
-    sel.add_argument("--algorithm", choices=("pcls", "pcpl"), default="pcls")
+    sel.add_argument("--algorithm", choices=_ALGORITHMS, default="pcls")
     sel.add_argument("--R", type=float, dest="R", help="l1 constraint radius")
     sel.add_argument("--phi", type=float, help="penalty per selected covariate")
     sel.add_argument("--epsilon", type=float, help="privacy budget (inf disables noise)")
@@ -81,7 +81,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         default="all-nonempty",
         help="candidate family: all | all-nonempty | size<=K | @file.json",
     )
-    sel.add_argument("--mechanism", choices=("noisy_argmin", "exponential"), default="noisy_argmin")
+    sel.add_argument("--mechanism", choices=_MECHANISMS, default="noisy_argmin")
     sel.add_argument(
         "--seed",
         type=int,
@@ -121,8 +121,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="penalty levels (default: 0 plus a 40-point log grid)")
     swp.add_argument("--delta", type=_comma_floats, dest="delta_values", default=None)
     swp.add_argument("--replications", type=int, default=500)
-    swp.add_argument("--algorithm", choices=("pcls", "pcpl"), default="pcls")
-    swp.add_argument("--mechanism", choices=("noisy_argmin", "exponential"), default="noisy_argmin")
+    swp.add_argument("--algorithm", choices=_ALGORITHMS, default="pcls")
+    swp.add_argument("--mechanism", choices=_MECHANISMS, default="noisy_argmin")
     swp.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     swp.add_argument("--seed", type=int,
                      help="master seed (default: a fresh 128-bit key, printed to stderr)")

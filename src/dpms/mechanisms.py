@@ -18,6 +18,11 @@ and one read serves a whole row:
   stream under their own tags; ``sample_laplace`` reads the first words
   of one stream's Laplace tag.
 
+The row API is one key builder per noise law (:func:`_exact_keys`,
+:func:`_noisy_keys`, :func:`_gumbel_keys`), :func:`_row_argmin` and the
+two one-word draws above; each maps canonical ranks to columns itself,
+so a caller works in columns only.
+
 The noiseless limit, epsilon = inf, draws nothing and is keyed by the
 scores themselves (:func:`_exact_keys`).  The selection core
 (``selection._select_rows``) decides it once, for the rows whose epsilon
@@ -210,13 +215,16 @@ def _laplace_rows(seed: int, stream_ids) -> np.ndarray:
     return _laplace_from_u64_array(_xof_words(seed, stream_ids, _TAG_LAPLACE, 1)[:, 0])
 
 
-def _uniform_rows(seed: int, stream_ids, n: int) -> np.ndarray:
-    """One rank uniform on range(n) per stream, from the first word
-    ``k`` of its fallback tag: ``min(int(k / 2^64 * n), n - 1)``.  The
-    rank is a position in the family's canonical order, as every other
-    draw's is."""
+def _uniform_rows(seed: int, stream_ids, models: CandidateSet) -> np.ndarray:
+    """One column of ``models`` per stream, uniform over the family: the
+    candidate of rank ``min(int(k / 2^64 * n), n - 1)`` in the family's
+    canonical order, as every other draw's rank is, ``k`` the first word
+    of the stream's fallback tag and ``n`` the family's size."""
+    n = len(models)
     u = _xof_words(seed, stream_ids, _TAG_FALLBACK, 1)[:, 0].astype(np.float64) / float(_U64)
-    return np.minimum((u * n).astype(np.intp), n - 1)
+    ranks = np.minimum((u * n).astype(np.intp), n - 1)
+    order = models.canonical_order
+    return ranks if order is None else order[ranks]
 
 
 def sample_laplace(rng: RngStream, scale: float, size: int | None = None):
@@ -310,21 +318,6 @@ def _gumbel_keys(epsilon, sensitivity, models: CandidateSet, seed: int, stream_i
     return keys
 
 
-def _noisy_argmin_rows(scores, scales, models: CandidateSet, seed: int, stream_ids):
-    """Report-noisy-argmin on each row of a score matrix (see
-    :func:`_noisy_keys`).  Returns (winning column per row, noisy scores)."""
-    noisy = _noisy_keys(scales, models, seed, stream_ids)(scores, None)
-    return _row_argmin(noisy, models), noisy
-
-
-def _gumbel_argmin_rows(scores, epsilon: float, sensitivity, models: CandidateSet, seed: int,
-                        stream_ids):
-    """Exponential-mechanism sample on each row of a score matrix (see
-    :func:`_gumbel_keys`).  Returns (winning column per row, keys)."""
-    keys = _gumbel_keys(epsilon, sensitivity, models, seed, stream_ids)(scores, scores)
-    return _row_argmin(keys, models), keys
-
-
 def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
     """Report-noisy-argmin: perturb each score by its own Laplace noise and
     return (chosen mask, realized noisy scores, in input order).
@@ -340,11 +333,11 @@ def noisy_argmin(candidates, budget: PrivacyBudget, rng: RngStream):
     cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
     scales = np.array([[c.noise_scale for c in cands]], dtype=np.float64)
-    if not scales.any():
-        noisy = _exact_keys(scores, scores)
-        return cands[_row_argmin(noisy, family)[0]].mask, noisy[0]
-    winners, noisy = _noisy_argmin_rows(scores, scales, family, rng.seed, [rng.stream_id])
-    return cands[winners[0]].mask, noisy[0]
+    keys = _exact_keys
+    if scales.any():
+        keys = _noisy_keys(scales, family, rng.seed, [rng.stream_id])
+    noisy = keys(scores, scores)
+    return cands[_row_argmin(noisy, family)[0]].mask, noisy[0]
 
 
 def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget, rng: RngStream):
@@ -362,11 +355,9 @@ def exponential_mechanism(candidates, sensitivity: float, budget: PrivacyBudget,
         raise ConfigError(f"sensitivity must be finite and > 0, got {sensitivity}")
     cands, family = _candidate_family(candidates)
     scores = np.array([[c.score for c in cands]], dtype=np.float64)
-    if math.isinf(budget.epsilon):
-        keys = _exact_keys(scores, scores)
-        return cands[_row_argmin(keys, family)[0]].mask, keys[0]
-    winners, keys = _gumbel_argmin_rows(
-        scores, budget.epsilon, sensitivity, family, rng.seed, [rng.stream_id]
-    )
-    return cands[winners[0]].mask, keys[0]
+    keys = _exact_keys
+    if math.isfinite(budget.epsilon):
+        keys = _gumbel_keys(budget.epsilon, sensitivity, family, rng.seed, [rng.stream_id])
+    out = keys(scores, scores)
+    return cands[_row_argmin(out, family)[0]].mask, out[0]
 

@@ -23,7 +23,10 @@ whole (epsilon, delta, phi) grid per fit through it, one row per cell.
 Each row's public noise law comes from one record, :func:`_calibration`:
 the score width, the certificate slack, the epsilon of each stage and,
 for pcpl, stage 1's safety margin; the ledger's ``epsilon_total`` is read
-from it too.
+from it too.  The core re-decides nothing its neighbours own: the solver
+says which fits are settled, the mechanisms map canonical ranks to
+columns, and one budget rule (:func:`_check_budget`) serves a select and
+a sweep grid alike.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .data import Dataset, ModelMask, _readonly, member_matrix, sufficient_stats
 from .enumeration import CandidateSet
-from .errors import ConfigError, DataError, _real
+from .errors import ConfigError, _real
 from .mechanisms import (
     PrivacyBudget,
     RngStream,
@@ -66,6 +69,7 @@ __all__ = [
     "pcpl_select",
 ]
 
+_ALGORITHMS = ("pcls", "pcpl")
 _MECHANISMS = ("noisy_argmin", "exponential")
 
 
@@ -118,21 +122,28 @@ def _check_mechanism(mechanism: str) -> None:
         raise ConfigError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
 
 
-def _check_epsilon(algorithm: str, epsilon: float) -> None:
-    """pcpl spends 2 * epsilon in all, which a finite epsilon must keep
-    finite (epsilon <= max float / 2, about 8.99e307); epsilon = inf is
-    the noiseless limit."""
+def _check_budget(algorithm: str, budget: PrivacyBudget) -> None:
+    """The budget rule of each algorithm, on top of the budget's own.
+
+    pcls spends a pure budget (delta = 0).  pcpl spends 2 * epsilon in
+    all, which a finite epsilon must keep finite (epsilon <= max float /
+    2, about 8.99e307; epsilon = inf is the noiseless limit), and spends
+    its delta on stage 1's safety margin, which needs 0 < delta < 1.
+    """
+    epsilon, delta = budget.epsilon, budget.delta
     if algorithm == "pcpl" and math.isfinite(epsilon) and math.isinf(2.0 * epsilon):
         raise ConfigError(f"pcpl spends 2 * epsilon, which overflows for epsilon = {epsilon}")
-
-
-def _check_delta(algorithm: str, delta: float) -> None:
-    """pcls spends a pure budget (delta = 0); pcpl spends its delta on
-    stage 1's safety margin, which needs 0 < delta < 1."""
     if algorithm == "pcls" and delta != 0.0:
         raise ConfigError(f"pcls spends a pure budget and needs delta == 0, got {delta}")
     if algorithm == "pcpl" and not 0.0 < delta < 1.0:
         raise ConfigError(f"pcpl needs delta strictly inside (0, 1), got {delta}")
+
+
+def _check_penalty(penalty: float, d: int) -> None:
+    """A score adds ``penalty * |model|`` with ``|model| <= d``, which
+    must stay finite."""
+    if math.isinf(penalty * d):
+        raise ConfigError(f"penalty * d overflows for penalty = {penalty} and d = {d}")
 
 
 class _Calibration(NamedTuple):
@@ -165,10 +176,27 @@ def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius
     noiseless when epsilon is infinite.  By sequential composition the
     ledger's ``epsilon_total`` is ``2 * epsilon``, and delta is spent once,
     by stage 1's margin.
+
+    A width that overflows raises ConfigError, and so does a finite
+    epsilon at which a Laplace scale of the record overflows: ``2 * width
+    / epsilon`` for pcls's noisy argmin, stage 1's ``width / epsilon`` for
+    pcpl.  The exponential mechanism's weights underflow to a uniform
+    draw instead.
     """
     epsilons = np.asarray(epsilons, dtype=np.float64)
-    slack = loss_slack(n_obs, d, bound, radius)
-    width = (bound + radius) ** 2 + slack
+    try:
+        slack = loss_slack(n_obs, d, bound, radius)
+        width = (bound + radius) ** 2 + slack
+    except OverflowError:  # a float's ** 2
+        width = math.inf
+    if not math.isfinite(width):
+        raise ConfigError(f"the score width (r + R)**2 overflows for r = {bound} and R = {radius}")
+    if algorithm == "pcpl" or mechanism == "noisy_argmin":
+        # The scale is largest at the smallest epsilon.
+        factor, epsilon = (1.0 if algorithm == "pcpl" else 2.0), float(epsilons.min())
+        if math.isinf(factor * float(width) / epsilon):
+            raise ConfigError(f"the Laplace scale {factor:g} * width / epsilon overflows for "
+                              f"epsilon = {epsilon} and width = {width:.6g}")
     if algorithm == "pcls":
         return _Calibration(algorithm, mechanism, n_obs, width, slack, epsilons, epsilons)
     # math.log, so that every row's margin has the bits of a one-budget call.
@@ -322,28 +350,11 @@ def _score_matrix(algorithm: str, losses, n_obs: int, penalties, sizes: np.ndarr
     return base + np.asarray(penalties, dtype=np.float64)[:, None] * sizes
 
 
-def _loss_bounds(fits: Fits | LossBounds) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) losses of every fit: one array when every fit is
-    settled, as in a :class:`~dpms.solver.Fits`."""
-    if isinstance(fits, Fits):
-        return fits.neg2_loglik, fits.neg2_loglik
-    return fits.lower, fits.upper
-
-
-def _min_loss(fits: Fits | LossBounds) -> float:
-    """The smallest loss, bit for bit as fully settled fits give it.  Only
-    the family's own batch gives those bits, and any fit that is not yet
-    settled in it could hold the minimum, so the whole family is settled."""
-    if isinstance(fits, LossBounds):
-        fits = fits.fits()
-    return float(fits.neg2_loglik.min())
-
-
 def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
     """Lower and upper clean-score matrices: one matrix when every fit is
     settled.  Only pcls scores intervals: pcpl's proxy reads the smallest
-    loss, which settles every fit first (:func:`_min_loss`)."""
-    lower, upper = _loss_bounds(fits)
+    loss, which settles every fit first (see :func:`_select_rows`)."""
+    lower, upper = fits.lower, fits.upper
     lo = _score_matrix(algorithm, lower, n_obs, penalties, sizes)
     if lower is upper:
         return lo, lo
@@ -426,29 +437,31 @@ def _select_rows(
 
     ``fits`` holds one fit per candidate: settled :class:`Fits`, or
     :class:`LossBounds`, of which only the fits the release can depend on
-    get solved.  Every row runs the mechanism with its own sensitivity:
-    the record's width for pcls, and for pcpl the proxy that stage 1
-    releases with the row's first Laplace word.  The rows fall into three
-    groups.  A pcpl row with a finite epsilon whose proxy is degenerate
-    falls back to a uniform pick.  A row with an infinite epsilon (the
-    noiseless limit) draws no noise, never falls back and is keyed by its
-    scores alone (:func:`~dpms.mechanisms._exact_keys`); this is the one
-    place that decides it.  Every other row draws its mechanism's keys at
-    its finite epsilon.  ``noisy`` is None unless every group that ran
-    ended on settled fits.  A caller that holds the clean-score matrix of
-    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
-    not built again.
+    get solved.  Both read alike (``lower``, ``upper``, ``fits()``), so the
+    solver alone says which fits are settled.  Every row runs the
+    mechanism with its own sensitivity: the record's width for pcls, and
+    for pcpl the proxy that stage 1 releases with the row's first Laplace
+    word.  The rows fall into three groups.  A pcpl row with a finite
+    epsilon whose proxy is degenerate falls back to a uniform pick.  A row
+    with an infinite epsilon (the noiseless limit) draws no noise, never
+    falls back and is keyed by its scores alone
+    (:func:`~dpms.mechanisms._exact_keys`); this is the one place that
+    decides it.  Every other row draws its mechanism's keys at its finite
+    epsilon.  Every draw comes back in columns of ``models``.  ``noisy`` is
+    None unless every group that ran ended on settled fits.  A caller that
+    holds the clean-score matrix of settled ``fits`` under ``penalties``
+    passes it as ``clean``, and it is not built again.
     """
-    # A LossBounds' losses come from validated, finite statistics.
-    if isinstance(fits, Fits) and not np.isfinite(fits.neg2_loglik).all():
-        raise DataError("candidate scores must be finite")
     penalties = np.asarray(penalties, dtype=np.float64)
     rows, epsilon = len(stream_ids), law.epsilon
     if law.algorithm == "pcls":
         proxy, sensitivity = None, np.full(rows, law.width)
     else:
+        # The smallest loss has the bits of the family's own batch only,
+        # and any unsettled fit could hold it: the whole family is settled.
+        min_loss = fits.fits().neg2_loglik.min()
         proxy = sensitivity = _profile_sensitivity_value(
-            _min_loss(fits), law, _laplace_rows(seed, stream_ids)
+            min_loss, law, _laplace_rows(seed, stream_ids)
         )
     exact = np.isinf(epsilon)
     fallback = np.isinf(sensitivity) & ~exact
@@ -456,9 +469,7 @@ def _select_rows(
     ids = np.asarray(stream_ids, dtype=np.uint64)
     winners = np.empty(rows, dtype=np.intp)
     if fallback.any():
-        ranks = _uniform_rows(seed, ids[fallback].tolist(), len(models))
-        order = models.canonical_order
-        winners[fallback] = ranks if order is None else order[ranks]
+        winners[fallback] = _uniform_rows(seed, ids[fallback].tolist(), models)
     groups = [(exact, _exact_keys)] if exact.any() else []
     if live.any():
         live_ids = ids[live].tolist()
@@ -482,20 +493,29 @@ def _select_rows(
     return _Picks(winners, noisy, fallback, proxy)
 
 
-def _select_with_fits(
+def _select(
     algorithm: str,
     dataset: Dataset,
     models: CandidateSet,
-    fits: LossBounds,
     config: SelectionConfig,
     rng: RngStream,
+    fits: LossBounds | None = None,
 ) -> SelectionReport:
-    # One row of the selection core, on the loss bounds of the fits.
+    """One row of the selection core, on ``fits`` or on the select's own
+    loss bounds.  The record needs only n, r, d and the config, so the
+    budget, the penalty and the noise law are checked before any work."""
     budget = config.budget
+    _check_budget(algorithm, budget)
+    _check_penalty(config.penalty, models.d)
     law = _calibration(
         algorithm, config.mechanism, [budget.epsilon], [budget.delta], dataset.response_bound,
         dataset.n, models.d, config.radius,
     )
+    if fits is None:
+        # pcls's exponential mechanism solves every mask that can reach a
+        # row's smallest score, and settles the supersets in most selects.
+        eager = algorithm == "pcls" and config.mechanism == "exponential"
+        fits = bound_masks(sufficient_stats(dataset), models, config.radius, eager=eager)
     args = ([config.penalty], models, rng.seed, [rng.stream_id])
     picks = _select_rows(law, fits, *args)
     g_of_d = None if picks.g_of_d is None else float(picks.g_of_d[0])
@@ -513,7 +533,7 @@ def _select_with_fits(
     return SelectionReport(
         chosen=models[picks.winners[0]],
         epsilon_total=float(law.epsilon_total[0]),
-        delta=config.budget.delta,
+        delta=budget.delta,
         radius=config.radius,
         penalty=config.penalty,
         response_bound=dataset.response_bound,
@@ -540,24 +560,14 @@ def pcls_select(
     |model|`` where the loss is the certified constrained residual sum of
     squares; both mechanisms are calibrated to the row-swap sensitivity
     ``(r + R)**2`` plus the public certificate slack ``loss_slack(n, d, r, R)``.
-    The budget is checked before any work.
+    The budget, the penalty and the noise law are checked before any work.
     """
-    _check_delta("pcls", config.budget.delta)
-    stats = sufficient_stats(dataset)
-    # The exponential mechanism solves every mask that can reach a row's
-    # smallest score, and settles the supersets in most selects.
-    fits = bound_masks(stats, models, config.radius, eager=config.mechanism == "exponential")
-    return _pcls_with_fits(dataset, models, fits, config, rng)
+    return _select("pcls", dataset, models, config, rng)
 
 
-def _pcls_with_fits(
-    dataset: Dataset,
-    models: CandidateSet,
-    fits: LossBounds,
-    config: SelectionConfig,
-    rng: RngStream,
-) -> SelectionReport:
-    return _select_with_fits("pcls", dataset, models, fits, config, rng)
+def _pcls_with_fits(dataset, models, fits, config, rng) -> SelectionReport:
+    """:func:`pcls_select` on given loss bounds."""
+    return _select("pcls", dataset, models, config, rng, fits)
 
 
 def pcpl_select(
@@ -571,23 +581,14 @@ def pcpl_select(
     Stage 1 privately releases a sensitivity proxy for the profile score;
     stage 2 runs the configured mechanism with it.  Each stage spends
     ``config.budget.epsilon``, for a total privacy cost of ``(2 *
-    config.budget.epsilon, config.budget.delta)``; the budget is checked
-    before any work.  A degenerate stage-1 release (data that fit too well
-    for the bound to hold) falls back to a uniform draw over the
-    candidates, reported via ``fallback_uniform``.
+    config.budget.epsilon, config.budget.delta)``; the budget, the penalty
+    and the noise law are checked before any work.  A degenerate stage-1
+    release (data that fit too well for the bound to hold) falls back to a
+    uniform draw over the candidates, reported via ``fallback_uniform``.
     """
-    _check_epsilon("pcpl", config.budget.epsilon)
-    _check_delta("pcpl", config.budget.delta)
-    stats = sufficient_stats(dataset)
-    fits = bound_masks(stats, models, config.radius)
-    return _pcpl_with_fits(dataset, models, fits, config, rng)
+    return _select("pcpl", dataset, models, config, rng)
 
 
-def _pcpl_with_fits(
-    dataset: Dataset,
-    models: CandidateSet,
-    fits: LossBounds,
-    config: SelectionConfig,
-    rng: RngStream,
-) -> SelectionReport:
-    return _select_with_fits("pcpl", dataset, models, fits, config, rng)
+def _pcpl_with_fits(dataset, models, fits, config, rng) -> SelectionReport:
+    """:func:`pcpl_select` on given loss bounds."""
+    return _select("pcpl", dataset, models, config, rng, fits)

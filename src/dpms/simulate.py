@@ -36,9 +36,9 @@ import numpy as np
 from .data import Dataset, ModelMask, sufficient_stats
 from .enumeration import all_subsets
 from .errors import ConfigError, _integer, _real, _values
-from .mechanisms import RngStream, _row_argmin
-from .selection import _calibration, _check_delta, _check_epsilon
-from .selection import _check_mechanism, _score_matrix, _select_rows
+from .mechanisms import PrivacyBudget, RngStream, _row_argmin
+from .selection import _ALGORITHMS, _calibration, _check_budget, _check_mechanism
+from .selection import _check_penalty, _score_matrix, _select_rows
 from .solver import fit_masks
 
 # The one-cell selections stay importable from this module, where
@@ -64,7 +64,6 @@ BUILTIN_MODELS: dict[str, tuple[float, ...]] = {
     "2": (1.5, 1.0, 0.5, 0.0, 0.0, 0.0),
 }
 
-_ALGORITHMS = ("pcls", "pcpl")
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -148,8 +147,10 @@ class SweepGrid:
     """Cartesian experiment grid.
 
     ``phi_values=None`` substitutes :func:`default_phi_grid` per sample
-    size.  ``delta_values`` must be all zero for pcls and all inside
-    (0, 1) for pcpl.  Duplicate axis values are dropped with a warning.
+    size.  Each (epsilon, delta) pair must make a :class:`PrivacyBudget`
+    that passes the algorithm's budget rule, as a select's must: delta
+    zero for pcls, inside (0, 1) for pcpl.  Duplicate axis values are
+    dropped with a warning.
     """
 
     n_values: tuple[int, ...]
@@ -179,16 +180,12 @@ class SweepGrid:
             raise ConfigError("n values must be at least 1")
         if any(not (np.isfinite(v) and v > 0) for v in self.radius_values):
             raise ConfigError("radius values must be positive and finite")
-        if any(np.isnan(v) or v <= 0 for v in self.epsilon_values):
-            raise ConfigError("epsilon values must be positive (inf allowed)")
         if self.replications < 1:
             raise ConfigError(f"replications must be at least 1, got {self.replications}")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
-        for epsilon in self.epsilon_values:
-            _check_epsilon(self.algorithm, epsilon)
-        for delta in self.delta_values:
-            _check_delta(self.algorithm, delta)
+        for epsilon, delta in product(self.epsilon_values, self.delta_values):
+            _check_budget(self.algorithm, PrivacyBudget(epsilon, delta))
 
     def phis_for(self, n: int) -> tuple[float, ...]:
         return self.phi_values if self.phi_values is not None else default_phi_grid(n)
@@ -358,9 +355,13 @@ def run_sweep(
     ``template`` fixes the coefficient vector, noise level, and master
     seed; its own ``n`` and stream id are ignored in favor of per-cell
     derived streams.  Worker count is capped by ``max_workers`` and the
-    CPU count; results do not depend on it.
+    CPU count; results do not depend on it.  A penalty whose ``phi * d``
+    overflows is rejected before any data is drawn; the default grid's
+    penalties stay below ``0.5 * n``.
     """
     _check_mechanism(mechanism)
+    for phi in grid.phi_values or ():
+        _check_penalty(phi, template.d)
     workers = os.cpu_count() or 1
     if max_workers is not None:
         max_workers = _integer("max_workers", max_workers)

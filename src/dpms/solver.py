@@ -134,7 +134,9 @@ class Fits:
 
     Row ``j`` of each read-only array belongs to candidate ``j``:
     ``beta`` (m, d), ``neg2_loglik``, ``iterations`` and ``converged``
-    (m,).  Indexing and iteration build ``FitResult`` objects on demand.
+    (m,).  Iteration builds ``FitResult`` objects on demand.  Every fit is
+    settled, so ``Fits`` reads as a :class:`LossBounds` of points:
+    ``lower`` and ``upper`` are both ``neg2_loglik``, and ``fits()`` is self.
     """
 
     beta: np.ndarray
@@ -142,14 +144,17 @@ class Fits:
     iterations: np.ndarray
     converged: np.ndarray
 
+    @property
+    def lower(self) -> np.ndarray:
+        return self.neg2_loglik
+
+    upper = lower
+
+    def fits(self) -> Fits:
+        return self
+
     def __len__(self) -> int:
         return self.neg2_loglik.size
-
-    def __getitem__(self, j) -> FitResult:
-        return FitResult(
-            self.beta[j], self.neg2_loglik[j].item(), self.iterations[j].item(),
-            self.converged[j].item(),
-        )
 
     def __iter__(self):
         return map(
@@ -724,11 +729,18 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
     ``_ILL_CONDITIONED``, singular included), where the supersets' gap
     bounds stay loose and a select would first-pass many masks.
     Otherwise the supersets keep their gap bounds and are never
-    settled."""
+    settled.  A radius at which the loss's scale ``yty + 2 R ||b||_inf +
+    R^2 max A_jj`` overflows raises DataError."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):
         raise DataError(f"radius must be positive and finite, got {radius}")
+    try:
+        scale = _scale(stats, radius)
+    except OverflowError:  # radius**2
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise DataError(f"radius {radius} overflows the scale of the loss")
     d = stats.d
     eager = eager or _ill_conditioned(stats)
     cost = _SETTLED_SUPERSET_COST if eager else _SUPERSET_COST

@@ -38,7 +38,7 @@ from dpms import (
     sample_laplace,
     sufficient_stats,
 )
-from dpms.mechanisms import _gumbel_argmin_rows, _noisy_argmin_rows
+from dpms.mechanisms import _gumbel_keys, _noisy_keys, _row_argmin
 from dpms.selection import _calibration, _select_rows
 from dpms.simulate import _stream_id
 
@@ -155,9 +155,8 @@ def test_c04_mechanism_distributions():
     trials = 100_000
     # One block of trials: row i is exponential_mechanism at sensitivity 1
     # under RngStream(MASTER, 42_000_000 + i).
-    chosen, _ = _gumbel_argmin_rows(
-        np.array([scores]), eps, 1.0, masks, MASTER, range(42_000_000, 42_000_000 + trials)
-    )
+    keys = _gumbel_keys(eps, 1.0, masks, MASTER, range(42_000_000, 42_000_000 + trials))
+    chosen = _row_argmin(keys(np.array([scores]), np.array([scores])), masks)
     weights = np.exp(-eps * np.array(scores) / 2.0)
     probs = weights / weights.sum()
     observed = np.bincount(chosen, minlength=len(masks)).astype(float)
@@ -329,13 +328,9 @@ def test_c08_privacy_log_ratio():
         # candidate's score moves by exactly the global sensitivity.  Each
         # side is one block of trials: row i is noisy_argmin on that side
         # under RngStream(MASTER, first + i).
+        keys = _noisy_keys(scale, family, MASTER, range(first, first + trials))
         counts = [
-            np.bincount(
-                _noisy_argmin_rows(
-                    np.array([side]), scale, family, MASTER, range(first, first + trials),
-                )[0],
-                minlength=2,
-            )
+            np.bincount(_row_argmin(keys(np.array([side]), None), family), minlength=2)
             for side in ((0.0, AUDIT_WIDTH), (AUDIT_WIDTH, 0.0))
         ]
         worst = max(abs(math.log(counts[0][j] / counts[1][j])) for j in range(2))

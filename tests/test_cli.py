@@ -194,6 +194,31 @@ class TestSelect:
         assert captured.out == ""
         assert "pcpl spends 2 * epsilon, which overflows for epsilon = 1e+308" in captured.err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--R", "1e200", "score width (r + R)**2 overflows"),
+        ("--epsilon", "1e-320", "Laplace scale 2 * width / epsilon overflows"),
+        ("--phi", "1e308", "penalty * d overflows"),
+    ])
+    def test_an_overflowing_noise_law_or_penalty_is_one_usage_error_line(
+        self, demo_csv, capsys, monkeypatch, flag, value, message
+    ):
+        # R = 1e200 ended in a bare OverflowError; epsilon = 1e-320 and
+        # phi = 1e308 released, and under --debug-unsafe ended in a bare
+        # ValueError on inf.  Nothing past the CSV read runs now.
+        from dpms import selection
+
+        def no_stats(dataset):
+            raise AssertionError("sufficient_stats ran before the check")
+
+        monkeypatch.setattr(selection, "sufficient_stats", no_stats)
+        args = _select_args(demo_csv, "--debug-unsafe")
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_non_utf8_family_file_is_usage_error(self, demo_csv, tmp_path, capsys):
         # A bare UnicodeDecodeError traceback before.
         fam = tmp_path / "fam.json"
@@ -358,6 +383,22 @@ class TestConfigFile:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("flag, value, code, message", [
+        ("--R", "1e200", 1, "radius 1e+200 overflows the scale of the loss"),
+        ("--phi", "1e308", 2, "penalty * d overflows for penalty = 1e+308 and d = 6"),
+    ])
+    def test_an_overflowing_radius_or_penalty_is_one_error_line(self, capsys, flag, value, code,
+                                                               message):
+        # R = 1e200 ended in a bare OverflowError traceback; phi = 1e308
+        # warned of an overflow and wrote its rows anyway.
+        args = ["sweep", "--model-id", "1", "--n", "50", "--R", "1", "--eps", "1", "--phi", "0",
+                "--replications", "1", "--threads", "1", "--seed", "1"]
+        args[args.index(flag) + 1] = value
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_csv_to_stdout(self, capsys):
         args = [
             "sweep", "--model-id", "1", "--n", "60", "--eps", "1,5",
@@ -531,6 +572,19 @@ class TestValidate:
 
 
 class TestTopLevel:
+    def test_algorithm_and_mechanism_names_come_from_the_selection_core(self, demo_csv):
+        from dpms import cli, selection
+
+        _, subparsers = cli._build_parser()
+        for command in ("select", "sweep"):
+            actions = {a.dest: a for a in subparsers[command]._actions}
+            assert actions["algorithm"].choices is selection._ALGORITHMS
+            assert actions["mechanism"].choices is selection._MECHANISMS
+        for flag in ("--algorithm", "--mechanism"):
+            with pytest.raises(SystemExit) as err:
+                main(_select_args(demo_csv, flag, "nope"))
+            assert err.value.code == 2
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -28,11 +28,11 @@ from dpms import (
 )
 from dpms import mechanisms
 from dpms.mechanisms import (
-    _gumbel_argmin_rows,
     _gumbel_from_u64_array,
+    _gumbel_keys,
     _keyed_u64_block,
     _laplace_from_u64_array,
-    _noisy_argmin_rows,
+    _noisy_keys,
     _row_argmin,
     _uniform_rows,
 )
@@ -224,7 +224,9 @@ class TestKeyedDraws:
             assert np.array_equal(sample_laplace(stream, 3.0, size=5), expected)
             assert sample_laplace(stream, 3.0) == expected[0]
             u = _reference_word(seed, 977, mechanisms._TAG_FALLBACK, 0) / 2**64
-            assert _uniform_rows(seed, [977], 1000).tolist() == [int(u * 1000)]
+            # 1000 masks in canonical order: each column is its rank.
+            family = CandidateSet(all_subsets(10).bits[:1000], 10)
+            assert _uniform_rows(seed, [977], family).tolist() == [int(u * 1000)]
 
     def test_zero_word_takes_the_next_nonzero_spare(self, monkeypatch):
         # Six masks: rank 1 reads a zero word, so it takes the first
@@ -312,8 +314,9 @@ class TestKeyedDraws:
         family = _family(cands)
         scores = np.array([[c.score for c in cands]])
         streams = [11, 12, 13]
-        winners, noisy_rows = _noisy_argmin_rows(scores, 2.0, family, 77, streams)
-        key_winners, key_rows = _gumbel_argmin_rows(scores, 0.7, 1.5, family, 77, streams)
+        noisy_rows = _noisy_keys(2.0, family, 77, streams)(scores, scores)
+        key_rows = _gumbel_keys(0.7, 1.5, family, 77, streams)(scores, scores)
+        winners, key_winners = _row_argmin(noisy_rows, family), _row_argmin(key_rows, family)
         for row, stream in enumerate(streams):
             mask, noisy = noisy_argmin(cands, PrivacyBudget(1.0), RngStream(77, stream))
             assert mask == cands[winners[row]].mask
@@ -371,7 +374,8 @@ class TestNoisyArgmin:
         family = _family(_cands([0.0, margin], b))
         # All trials in one block: row i is noisy_argmin on these two
         # candidates at scale b under RngStream(1000, i).
-        winners, _ = _noisy_argmin_rows(np.array([[0.0, margin]]), b, family, 1000, range(trials))
+        noisy = _noisy_keys(b, family, 1000, range(trials))(np.array([[0.0, margin]]), None)
+        winners = _row_argmin(noisy, family)
         rate = np.count_nonzero(winners == 1) / trials
         sigma = math.sqrt(flip_oracle * (1 - flip_oracle) / trials)
         assert abs(rate - flip_oracle) < 4 * sigma
@@ -406,9 +410,8 @@ class TestExponentialMechanism:
         trials = 30_000
         family = _family(_cands(scores, 0.0))
         # Row i is exponential_mechanism(..., RngStream(2000, i)).
-        winners, _ = _gumbel_argmin_rows(
-            np.array([scores]), eps, sens, family, 2000, range(trials)
-        )
+        keys = _gumbel_keys(eps, sens, family, 2000, range(trials))
+        winners = _row_argmin(keys(np.array([scores]), np.array([scores])), family)
         counts = np.bincount(winners, minlength=3)
         result = stats.chisquare(counts, probs * trials)
         assert result.pvalue > 0.01
@@ -449,8 +452,9 @@ class TestExponentialMechanism:
 
 class TestUniformIndex:
     def test_deterministic_and_in_range(self):
-        v1 = _uniform_rows(3, [3], 7)
-        v2 = _uniform_rows(3, [3], 7)
+        # all_subsets(3) holds 7 masks in canonical order: columns are ranks.
+        v1 = _uniform_rows(3, [3], all_subsets(3))
+        v2 = _uniform_rows(3, [3], all_subsets(3))
         assert v1.tolist() == v2.tolist()
         assert 0 <= v1[0] < 7
 
@@ -458,7 +462,7 @@ class TestUniformIndex:
         from scipy import stats
 
         n, trials = 7, 21_000
-        counts = np.bincount(_uniform_rows(4, range(trials), n), minlength=n)
+        counts = np.bincount(_uniform_rows(4, range(trials), all_subsets(3)), minlength=n)
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 

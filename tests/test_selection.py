@@ -150,6 +150,19 @@ class TestSelectionConfig:
         assert (release["R"], release["phi_n"]) == (2.0, 3.0)
 
 
+def _no_work(monkeypatch, what):
+    """Make the statistics and the bounds fail the test if they run."""
+    from dpms import selection
+
+    def spy(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the {what} check")
+        monkeypatch.setattr(selection, name, wrapper)
+
+    spy("sufficient_stats")
+    spy("bound_masks")
+
+
 class TestBudgetCheckedFirst:
     # A rejected budget used to pay for the sufficient statistics (their
     # eigenvalues included) and a bound pass over the whole family first.
@@ -159,15 +172,7 @@ class TestBudgetCheckedFirst:
         (pcpl_select, PrivacyBudget(1.0, 0.0)),
     ])
     def test_no_work_before_a_rejected_budget(self, select, budget, monkeypatch):
-        from dpms import selection
-
-        def spy(name):
-            def wrapper(*args, **kwargs):
-                raise AssertionError(f"{name} ran before the budget check")
-            monkeypatch.setattr(selection, name, wrapper)
-
-        spy("sufficient_stats")
-        spy("bound_masks")
+        _no_work(monkeypatch, "budget")
         ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
         cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=budget)
         with pytest.raises(ConfigError):
@@ -191,6 +196,88 @@ class TestPcplEpsilonCeiling:
         assert pcpl_select(ds, family, cfg, RngStream(3, 1)).epsilon_total == sys.float_info.max
         cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(1e308))
         assert pcls_select(ds, family, cfg, RngStream(3, 1)).epsilon_total == 1e308
+
+
+class TestNoiseLawOverflow:
+    # Each of these used to release: an infinite width or Laplace scale
+    # made every key +-inf (R = 1e200 ended in a bare OverflowError), and
+    # a debug report ended in a bare ValueError on inf.
+    @staticmethod
+    def _bounded(n=1000, d=4, seed=3):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (n, d))
+        return Dataset(x, np.clip(x[:, 0] + rng.normal(0, 1, n), -4.0, 4.0), 4.0)
+
+    @pytest.mark.parametrize("radius", [1e154, 1e200])
+    @pytest.mark.parametrize("select, delta", [(pcls_select, 0.0), (pcpl_select, 1e-6)])
+    def test_a_width_that_overflows_is_rejected_before_any_work(self, radius, select, delta,
+                                                                monkeypatch):
+        _no_work(monkeypatch, "noise law")
+        cfg = SelectionConfig(radius=radius, penalty=1.0, budget=PrivacyBudget(1.0, delta))
+        with pytest.raises(ConfigError, match="score width .* overflows"):
+            select(self._bounded(), all_subsets(4), cfg, RngStream(3, 1))
+
+    @pytest.mark.parametrize("select, delta, mechanism, factor", [
+        (pcls_select, 0.0, "noisy_argmin", "2"),
+        (pcpl_select, 1e-6, "noisy_argmin", "1"),
+        (pcpl_select, 1e-6, "exponential", "1"),
+    ])
+    def test_an_epsilon_whose_laplace_scale_overflows_is_rejected(self, select, delta, mechanism,
+                                                                  factor, monkeypatch):
+        _no_work(monkeypatch, "noise law")
+        budget = PrivacyBudget(1e-320, delta)
+        cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=budget, mechanism=mechanism)
+        with pytest.raises(ConfigError, match=f"Laplace scale {factor} [*] width / epsilon "
+                                              "overflows for epsilon = 1e-320"):
+            select(self._bounded(), all_subsets(4), cfg, RngStream(3, 1))
+
+    def test_the_record_rejects_what_the_selects_reject(self):
+        # The sweep's rows go through the same record.
+        with pytest.raises(ConfigError, match="Laplace scale 2"):
+            _calibration("pcls", "noisy_argmin", [1.0, 1e-320], [0.0, 0.0], 4.0, 1000, 4, 2.0)
+        with pytest.raises(ConfigError, match="score width"):
+            _calibration("pcpl", "exponential", [1.0], [1e-6], 4.0, 1000, 4, 1e200)
+        # A tiny but representable scale, and no scale at all, pass.
+        _calibration("pcls", "noisy_argmin", [1e-300, math.inf], [0.0, 0.0], 4.0, 1000, 4, 2.0)
+        _calibration("pcls", "exponential", [1e-320], [0.0], 4.0, 1000, 4, 2.0)
+
+    def test_the_exponential_mechanism_underflows_to_a_uniform_draw(self):
+        # At epsilon = 1e-320 every log-weight underflows to (nearly) zero:
+        # the winner is the one equal scores give, with no warning.
+        import warnings
+
+        ds, family = self._bounded(), all_subsets(4)
+        budget = PrivacyBudget(1e-320)
+        cfg = SelectionConfig(radius=2.0, penalty=1.0, budget=budget, mechanism="exponential")
+        flat = [ScoredCandidate(m, 0.0, 0.0) for m in family]
+        for sid in range(8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = pcls_select(ds, family, cfg, RngStream(5, sid))
+                debug = json.loads(report.to_json(include_clean_scores=True))
+            chosen, _ = exponential_mechanism(flat, 1.0, PrivacyBudget(1.0), RngStream(5, sid))
+            assert report.chosen == chosen
+            assert debug["chosen"] == list(chosen.indices())
+
+
+class TestPenaltyOverflow:
+    # phi * |model| used to overflow in the score matrix: a select warned,
+    # and its debug report ended in a bare ValueError on inf.
+    @pytest.mark.parametrize("select, delta", [(pcls_select, 0.0), (pcpl_select, 1e-6)])
+    def test_a_penalty_whose_scores_overflow_is_rejected_before_any_work(self, select, delta,
+                                                                         monkeypatch):
+        _no_work(monkeypatch, "penalty")
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        cfg = SelectionConfig(radius=1.0, penalty=1e308, budget=PrivacyBudget(1.0, delta))
+        with pytest.raises(ConfigError, match="penalty [*] d overflows for penalty = 1e[+]308"):
+            select(ds, all_subsets(4), cfg, RngStream(3, 1))
+
+    def test_the_largest_penalty_whose_scores_stay_finite_is_accepted(self):
+        ds, _, _ = _dataset(n=200, seed=5, noise=1.0)
+        cfg = SelectionConfig(radius=1.0, penalty=sys.float_info.max / 4,
+                              budget=PrivacyBudget(1.0))
+        report = pcls_select(ds, all_subsets(4), cfg, RngStream(3, 1))
+        assert np.isfinite(report.clean_scores).all()
 
 
 class TestComputeGofD:
@@ -243,7 +330,7 @@ class TestComputeGofD:
                 assert picks.g_of_d[i] == proxy
                 assert picks.fallback[i] == math.isinf(proxy)
                 if math.isinf(proxy):
-                    assert picks.winners[i] == _uniform_rows(seed, [sid], len(models))[0]
+                    assert picks.winners[i] == _uniform_rows(seed, [sid], models)[0]
                     if mechanism == "noisy_argmin":
                         assert np.isnan(picks.noisy[i]).all()
                 elif mechanism == "noisy_argmin":

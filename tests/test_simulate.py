@@ -241,6 +241,53 @@ class TestSweepGrid:
         assert explicit.phis_for(100) == (0.0, 2.0)
 
 
+def _outcome(build):
+    """The ConfigError text ``build()`` raises, or None when it passes."""
+    try:
+        build()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneBudgetRule:
+    # SweepGrid used to word its own epsilon rule ("epsilon values must be
+    # positive (inf allowed)"), apart from the budget a select builds.
+    @pytest.mark.parametrize("algorithm", ["pcls", "pcpl"])
+    @pytest.mark.parametrize("delta", [0.0, 1e-6, 1.0, -0.1])
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, math.nan, 1e308, math.inf])
+    def test_a_grid_and_a_select_accept_and_reject_alike(self, epsilon, delta, algorithm):
+        dataset, _ = generate(_template(n=60, coeffs=(1.0, 0.0, 0.5)))
+        select = pcls_select if algorithm == "pcls" else pcpl_select
+
+        def by_select():
+            budget = PrivacyBudget(epsilon, delta)
+            config = SelectionConfig(radius=1.0, penalty=1.0, budget=budget)
+            select(dataset, all_subsets(3), config, RngStream(3, 1))
+
+        def by_grid():
+            SweepGrid(n_values=(60,), radius_values=(1.0,), epsilon_values=(epsilon,),
+                      delta_values=(delta,), algorithm=algorithm)
+
+        message = _outcome(by_select)
+        assert _outcome(by_grid) == message
+        valid = epsilon > 0 and 0.0 <= delta < 1.0
+        if algorithm == "pcls":
+            accepted = valid and delta == 0.0
+        else:
+            finite_total = math.isinf(epsilon) or math.isfinite(2.0 * epsilon)
+            accepted = valid and delta > 0.0 and finite_total
+        assert (message is None) == accepted, message
+
+    def test_the_names_have_one_home(self):
+        from dpms import selection
+
+        assert simulate._ALGORITHMS is selection._ALGORITHMS
+        with pytest.raises(ConfigError, match="algorithm must be one of"):
+            SweepGrid(n_values=(60,), radius_values=(1.0,), epsilon_values=(1.0,),
+                      algorithm="pclx")
+
+
 class TestStreamId:
     def test_type_tags_separate_lookalikes(self):
         assert _stream_id(1) != _stream_id(1.0)
@@ -279,6 +326,17 @@ class TestRunSweep:
         csv_text = res.to_csv()
         assert csv_text.splitlines()[0] == ",".join(CSV_COLUMNS)
         assert len(csv_text.splitlines()) == 5
+
+    def test_a_penalty_whose_scores_overflow_is_rejected_before_any_draw(self, monkeypatch):
+        # phi * d = 6e308 used to overflow in the score matrix: the sweep
+        # warned and wrote its rows anyway.
+        def no_draw(spec):
+            raise AssertionError("data were drawn before the penalty check")
+
+        monkeypatch.setattr(simulate, "generate", no_draw)
+        grid = self._small_grid(phi_values=(0.0, 1e308))
+        with pytest.raises(ConfigError, match="penalty [*] d overflows for penalty = 1e[+]308"):
+            run_sweep(grid, _template(), model_id="1")
 
     def test_reruns_are_byte_identical(self):
         grid = self._small_grid()

@@ -31,7 +31,8 @@ def _family(masks):
 
 def _fit_one(stats, mask, radius):
     """Constrained least squares for one candidate model."""
-    return fit_masks(stats, _family([mask]), radius)[0]
+    (fit,) = fit_masks(stats, _family([mask]), radius)
+    return fit
 
 
 def _size_groups_by_scan(member):
@@ -610,10 +611,25 @@ class TestProfileScore:
             profile_neg2_loglik([1.0], 0)
 
 
+class TestRadiusOverflow:
+    def test_a_radius_whose_loss_scale_overflows_is_a_data_error(self):
+        # R = 1e200 used to end in a bare OverflowError from R**2, and at
+        # R = 1e154 the scale R**2 * max A_jj was inf, so every gap passed.
+        from dpms.solver import bound_masks
+
+        ds, _, _ = _uniform_dataset(1000, 4, 3)
+        stats = sufficient_stats(ds)
+        for radius in (1e154, 1e200):
+            with pytest.raises(DataError, match="overflows the scale of the loss"):
+                fit_masks(stats, all_subsets(4), radius)
+            with pytest.raises(DataError, match="overflows the scale of the loss"):
+                bound_masks(stats, all_subsets(4), radius)
+
+
 class TestFitsArrays:
     def test_fit_masks_builds_no_fit_objects(self, monkeypatch):
         # Fits are four arrays from the solver to the report; FitResult
-        # objects are built only when a caller indexes or iterates them.
+        # objects are built only when a caller iterates them.
         from dpms import solver
 
         ds, _, _ = _uniform_dataset(300, 6, 43)
@@ -625,13 +641,21 @@ class TestFitsArrays:
         assert len(fits) == 63 and fits.beta.shape == (63, 6)
         for a in (fits.beta, fits.neg2_loglik, fits.iterations, fits.converged):
             assert not a.flags.writeable and len(a) == 63
+        listed = list(fits)
         for j in (0, 17, 62):
-            fit = fits[j]
+            fit = listed[j]
             assert np.array_equal(fit.beta, fits.beta[j])
             assert fit.neg2_loglik == fits.neg2_loglik[j]
             assert fit.iterations == fits.iterations[j]
             assert fit.converged == fits.converged[j]
         assert [f.neg2_loglik for f in fits] == fits.neg2_loglik.tolist()
+
+    def test_settled_fits_read_as_point_bounds(self):
+        # The selection core reads Fits and LossBounds alike.
+        ds, _, _ = _uniform_dataset(200, 4, 44)
+        fits = fit_masks(sufficient_stats(ds), all_subsets(4), 1.5)
+        assert fits.lower is fits.neg2_loglik and fits.upper is fits.neg2_loglik
+        assert fits.fits() is fits
 
 
 def _select_d9(seed, n=500):
