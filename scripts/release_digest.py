@@ -16,7 +16,12 @@ The digest covers, in a fixed order:
   4 replications, one worker) plus noiseless epsilon = inf cells, which
   the selection core releases in the same call as the finite ones, under
   each (algorithm, mechanism) pair, at master seeds 0 to ``--sweeps`` - 1;
-  pcpl sweeps spend delta = 1e-6.
+  pcpl sweeps spend delta = 1e-6;
+* the release JSON and the ``--debug-unsafe`` JSON of ``dpms select``,
+  run in process through ``dpms.cli.main`` with pcls and pcpl, on one
+  table written as a CSV file in each spelling the README lists: plain
+  LF, BOM + CRLF, bare CR, no final line end, quoted cells, padded cells,
+  a quoted header name over two lines, and exponent and integer cells.
 
 A change that keeps every released byte prints the parent's digest; run
 the script in both checkouts and compare.
@@ -25,10 +30,13 @@ the script in both checkouts and compare.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +44,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dpms  # noqa: E402
+import dpms.cli  # noqa: E402
 
 D = 5
 BETA = (1.0, -0.8, 0.5, 0.0, 0.0)
@@ -95,6 +104,53 @@ def sweep_csvs(sweeps: int):
         yield result.to_csv()
 
 
+def _csv_spellings() -> dict[str, bytes]:
+    """One table of y and three covariates (integer y, so that an integer
+    cell spells it exactly) in every spelling the README lists."""
+    rng = np.random.default_rng([D, 7])
+    x = rng.uniform(-1.0, 1.0, (60, 3))
+    # + 0.0 turns -0.0 into 0.0, which the integer cell "0" spells.
+    y = np.clip(np.round(x @ np.asarray(BETA[:3]) * 2.0 + rng.normal(0.0, 1.0, 60)), -3, 3) + 0.0
+    rows = [[repr(float(v)) for v in (yi, *xi)] for yi, xi in zip(y, x)]
+
+    def text(cells, header="y,a,b,c", eol="\n"):
+        return eol.join([header, *(",".join(row) for row in cells)]) + eol
+
+    plain = text(rows)
+    return {
+        "plain LF": plain.encode(),
+        "BOM + CRLF": b"\xef\xbb\xbf" + text(rows, eol="\r\n").encode(),
+        "bare CR": text(rows, eol="\r").encode(),
+        "no final line end": plain[:-1].encode(),
+        "quoted cells": text([[f'"{c}"' for c in row] for row in rows]).encode(),
+        "padded cells": text([[f" {c}  " for c in row] for row in rows], " y , a,b ,c").encode(),
+        "quoted header name over two lines": text(rows, 'y,a,"b\nb",c').encode(),
+        "exponent and integer cells": text(
+            [[str(int(yi)), *(f"{v:.16E}" for v in xi)] for yi, xi in zip(y, x)]).encode(),
+    }
+
+
+def cli_reports():
+    """Release and debug JSON of ``dpms select`` on every CSV spelling,
+    by spelling, then algorithm."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, raw in enumerate(_csv_spellings().values()):
+            path = Path(tmp) / f"{i}.csv"
+            path.write_bytes(raw)
+            for algorithm, delta in (("pcls", "0"), ("pcpl", "1e-6")):
+                for debug in ([], ["--debug-unsafe"]):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = dpms.cli.main([
+                            "select", "--input", str(path), "--response", "y", "--r", "3",
+                            "--algorithm", algorithm, "--delta", delta, "--R", "2",
+                            "--phi", "1", "--epsilon", "2", "--seed", str(2**70 + 11), *debug,
+                        ])
+                    if code != 0:
+                        raise SystemExit(f"dpms select exited {code} on {path}")
+                    yield out.getvalue()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweeps", type=int, default=40,
@@ -103,7 +159,7 @@ def main(argv=None) -> int:
     if args.sweeps < 0:
         parser.error("--sweeps must be at least 0")
     digest = hashlib.sha256()
-    for text in itertools.chain(select_reports(), sweep_csvs(args.sweeps)):
+    for text in itertools.chain(select_reports(), sweep_csvs(args.sweeps), cli_reports()):
         raw = text.encode("utf-8")
         # Length-prefixed, so no two sequences of texts hash alike.
         digest.update(len(raw).to_bytes(8, "little") + raw)

@@ -232,7 +232,15 @@ def _parse_models(spec: str, d: int) -> CandidateSet:
     )
 
 
+def _check_r(args: argparse.Namespace) -> None:
+    """A given ``--r`` is an option like any other: a bad one is a usage
+    error, raised before the CSV is read."""
+    if args.r is not None and not (math.isfinite(args.r) and args.r > 0):
+        raise ConfigError(f"--r must be positive and finite, got {args.r}")
+
+
 def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, list[str]]:
+    _check_r(args)
     x_raw, y_raw, names = load_csv(args.input, args.response, args.include_intercept)
     if args.standardize == "none":
         return Dataset.from_arrays(x_raw, y_raw, response_bound=args.r), names
@@ -379,6 +387,7 @@ def _restricted_min_eigenvalue(gram: np.ndarray, size: int) -> tuple[float, str]
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     _require(args, [("--input", "input"), ("--response", "response")])
+    _check_r(args)
     x_raw, y_raw, names = load_csv(args.input, args.response, args.include_intercept)
     n, d = x_raw.shape
     print(f"rows: {n}")

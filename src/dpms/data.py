@@ -326,11 +326,11 @@ def load_csv(path, response: str, include_intercept: bool = True):
     covariate, and no covariate of the file may take its name.  Returns
     raw arrays: standardization/bounds are the caller's next step.
 
-    The body is read by the first of three routes that takes it, each cell
-    the same bits as ``float()`` of its text: :func:`_decimal_rows` for a
-    plain body of unquoted decimals, :func:`_loadtxt_rows` for one that
-    ``np.loadtxt`` reads row for line, and :func:`_parse_rows`, the csv
-    rules, for the rest and for every error message.
+    The body is read by one of two routes, each cell the same bits as
+    ``float()`` of its text: :func:`_decimal_rows` for a plain body of
+    unquoted decimals, and :func:`_parse_rows`, the csv rules, for the
+    rest (quoted or padded cells, ``nan`` and ``inf``, every body where
+    ``np.longdouble`` is not the x87 format) and for every error message.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -368,8 +368,6 @@ def load_csv(path, response: str, include_intercept: bool = True):
             "column; rename it, or pass --no-include-intercept"
         )
     cells = _decimal_rows(body, len(header))
-    if cells is None:
-        cells = _loadtxt_rows(body, len(header))
     if cells is None:
         cells = _parse_rows(body, header)
     if not len(cells):
@@ -426,7 +424,7 @@ _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
 def _decimal_rows(body: str, width: int) -> np.ndarray | None:
     """The data rows of a plain body as one (rows, width) array, each cell
     equal to ``float()`` of its text bit for bit; None when the body is not
-    plain or a cell is not a decimal, and the other routes must decide.
+    plain or a cell is not a decimal, and the csv rules must decide.
 
     A plain body holds only the ASCII bytes ``0-9 . , + - e E`` and line
     ends (LF or CRLF, no bare CR), and ``width`` cells on every line.  Each
@@ -439,7 +437,7 @@ def _decimal_rows(body: str, width: int) -> np.ndarray | None:
     result sits on a 53-bit midpoint, its low 11 bits ``0x400``.  Cells out
     of that range, with more than 18 significant digits, or on a midpoint
     take ``float()`` of their text.  Where ``np.longdouble`` is not the x87
-    format this route is off.
+    format this route is off, and the csv rules read every body.
     """
     if not _LONG_DOUBLE_IS_X87:
         return None
@@ -559,37 +557,6 @@ def _long_significands(a: np.ndarray, opens: np.ndarray, digits: np.ndarray) -> 
     window = a[np.minimum(opens[many, None] + span, a.size - 1)]
     zeros = ((window == 48) | (window == 46) | (span > need[:, None])).all(axis=1)
     return many[(need > 32) | ~zeros]
-
-
-def _loadtxt_rows(body: str, width: int) -> np.ndarray | None:
-    """The data rows as one (rows, width) array from ``np.loadtxt``, or
-    None when :func:`_parse_rows` must decide.  It reads the bodies that
-    :func:`_decimal_rows` leaves: quoted or padded cells, ``nan`` and
-    ``inf``, and every body where ``np.longdouble`` is not the x87 format.
-
-    ``loadtxt`` and ``float()`` give the same bits for every cell both
-    accept.  ``loadtxt`` gets the body as a list of lines, and a CRLF
-    line's carriage return ends its row.  It skips blank lines, which the
-    csv rules count as (bad) rows, and joins a quoted cell across lines,
-    so a result is kept only with one row per line.  It also strips the
-    separator controls U+001C to U+001F from a cell, where ``float()``
-    rejects them.
-    """
-    if not body or body.isspace() or any(c in body for c in _SEPARATORS):
-        return None
-    if "\r" in body and body.count("\r") != body.count("\r\n"):
-        # A bare carriage return ends a csv row but not a line.
-        return None
-    lines = body.split("\n")
-    try:
-        cells = np.loadtxt(
-            lines, dtype=np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2,
-        )
-    except ValueError:
-        return None
-    if cells.shape != (len(lines) - (not lines[-1]), width):
-        return None
-    return cells
 
 
 def _parse_rows(body: str, header: list[str]) -> np.ndarray:

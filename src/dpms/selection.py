@@ -180,8 +180,9 @@ def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius
     A width that overflows raises ConfigError, and so does a finite
     epsilon at which a Laplace scale of the record overflows: ``2 * width
     / epsilon`` for pcls's noisy argmin, stage 1's ``width / epsilon`` for
-    pcpl.  The exponential mechanism's weights underflow to a uniform
-    draw instead.
+    pcpl.  pcls's exponential mechanism divides by ``2 * width``, which
+    must stay finite too; its weights underflow to a uniform draw at a tiny
+    epsilon instead.
     """
     epsilons = np.asarray(epsilons, dtype=np.float64)
     try:
@@ -191,12 +192,17 @@ def _calibration(algorithm, mechanism, epsilons, deltas, bound, n_obs, d, radius
         width = math.inf
     if not math.isfinite(width):
         raise ConfigError(f"the score width (r + R)**2 overflows for r = {bound} and R = {radius}")
+    # The scale is largest at the smallest epsilon; an infinite one draws
+    # nothing.
+    epsilon = float(epsilons.min())
     if algorithm == "pcpl" or mechanism == "noisy_argmin":
-        # The scale is largest at the smallest epsilon.
-        factor, epsilon = (1.0 if algorithm == "pcpl" else 2.0), float(epsilons.min())
+        factor = 1.0 if algorithm == "pcpl" else 2.0
         if math.isinf(factor * float(width) / epsilon):
             raise ConfigError(f"the Laplace scale {factor:g} * width / epsilon overflows for "
                               f"epsilon = {epsilon} and width = {width:.6g}")
+    elif math.isfinite(epsilon) and math.isinf(2.0 * float(width)):
+        raise ConfigError(f"the exponential mechanism's 2 * width overflows for r = {bound} "
+                          f"and R = {radius}")
     if algorithm == "pcls":
         return _Calibration(algorithm, mechanism, n_obs, width, slack, epsilons, epsilons)
     # math.log, so that every row's margin has the bits of a one-budget call.

@@ -325,12 +325,13 @@ def _sweep_chunk(
         dataset, _ = generate(replace(spec, rng=data_stream))
         stats = sufficient_stats(dataset)
         for i, radius in enumerate(grid.radius_values):
+            # Before the fit, so that a width this r overflows is a usage error.
+            law = _calibration(grid.algorithm, mechanism, epsilons, deltas, dataset.response_bound,
+                               n, models.d, radius)
             fits = fit_masks(stats, models, radius)
             clean = _score_matrix(grid.algorithm, fits.neg2_loglik, n, penalties, models.sizes)
             stream_ids = [_id_of(prefix + rep_code) for prefix in select_heads[i]]
             started = time.perf_counter() if measure_runtime else 0.0
-            law = _calibration(grid.algorithm, mechanism, epsilons, deltas, dataset.response_bound,
-                               n, models.d, radius)
             picks = _select_rows(law, fits, penalties, models, seed, stream_ids, clean)
             seconds = (time.perf_counter() - started) if measure_runtime else 0.0
             count = counts[i]
@@ -357,11 +358,16 @@ def run_sweep(
     derived streams.  Worker count is capped by ``max_workers`` and the
     CPU count; results do not depend on it.  A penalty whose ``phi * d``
     overflows is rejected before any data is drawn; the default grid's
-    penalties stay below ``0.5 * n``.
+    penalties stay below ``0.5 * n``.  So is a noise law that overflows at
+    some (n, R) with r = 0, the smallest width any dataset gives; a larger
+    r can still overflow it, which the replication's own record rejects.
     """
     _check_mechanism(mechanism)
     for phi in grid.phi_values or ():
         _check_penalty(phi, template.d)
+    epsilons, deltas = zip(*product(grid.epsilon_values, grid.delta_values))
+    for n, radius in product(grid.n_values, grid.radius_values):
+        _calibration(grid.algorithm, mechanism, epsilons, deltas, 0.0, n, template.d, radius)
     workers = os.cpu_count() or 1
     if max_workers is not None:
         max_workers = _integer("max_workers", max_workers)

@@ -219,6 +219,30 @@ class TestSelect:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["select", "--R", "1", "--phi", "1", "--epsilon", "1", "--seed", "1"],
+        ["select", "--R", "1", "--phi", "1", "--epsilon", "1", "--seed", "1",
+         "--standardize", "clip"],
+        ["validate"],
+    ])
+    def test_a_bad_response_bound_is_a_usage_error_before_the_csv_is_read(
+        self, demo_csv, capsys, monkeypatch, command, value
+    ):
+        # It used to exit 1 with the Dataset's "response_bound must be
+        # positive and finite".
+        from dpms import cli
+
+        def no_read(*args):
+            raise AssertionError("the CSV was read before --r was checked")
+
+        monkeypatch.setattr(cli, "load_csv", no_read)
+        args = [*command, "--input", str(demo_csv), "--response", "y", "--r", value]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --r must be positive and finite, got {float(value)}\n"
+
     def test_non_utf8_family_file_is_usage_error(self, demo_csv, tmp_path, capsys):
         # A bare UnicodeDecodeError traceback before.
         fam = tmp_path / "fam.json"
@@ -384,12 +408,13 @@ class TestConfigFile:
 
 class TestSweep:
     @pytest.mark.parametrize("flag, value, code, message", [
-        ("--R", "1e200", 1, "radius 1e+200 overflows the scale of the loss"),
+        ("--R", "1e200", 2, "the score width (r + R)**2 overflows for r = 0.0 and R = 1e+200"),
         ("--phi", "1e308", 2, "penalty * d overflows for penalty = 1e+308 and d = 6"),
     ])
     def test_an_overflowing_radius_or_penalty_is_one_error_line(self, capsys, flag, value, code,
                                                                message):
-        # R = 1e200 ended in a bare OverflowError traceback; phi = 1e308
+        # R = 1e200 ended in a bare OverflowError traceback, and later in
+        # a data error after the first dataset was drawn; phi = 1e308
         # warned of an overflow and wrote its rows anyway.
         args = ["sweep", "--model-id", "1", "--n", "50", "--R", "1", "--eps", "1", "--phi", "0",
                 "--replications", "1", "--threads", "1", "--seed", "1"]

@@ -431,9 +431,9 @@ class TestLoadCsvFormats:
 
     @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_controls_are_rejected_and_shown(self, tmp_path, sep):
-        # np.loadtxt strips these four controls from a cell, as it does
-        # spaces, but float() rejects them: the csv rules decide, and the
-        # message keeps the control that str.strip() would hide.
+        # str.isspace() holds for these four controls, but float() rejects
+        # them: the csv rules decide, and the message keeps the control
+        # that str.strip() would hide.
         self._fails(tmp_path, f"y,a\n1{sep},0.5\n2,0.1\n", DataError,
                     f"non-numeric value {'1' + sep!r} at data row 1, column 'y'")
         self._fails(tmp_path, f"y,a\n1,0.5\n2, 0.1{sep} \n", DataError,
@@ -449,7 +449,7 @@ class TestLoadCsvFormats:
                     f"{p} names column {name!r} twice, at columns {first} and {second}")
 
     def test_fast_parse_matches_the_csv_rules_bit_for_bit(self, tmp_path):
-        from dpms.data import _decimal_rows, _loadtxt_rows, _parse_rows
+        from dpms.data import _decimal_rows, _parse_rows
 
         rng = np.random.default_rng(3)
         values = np.column_stack([rng.uniform(-1, 1, (300, 12)), rng.normal(0, 1, 300)])
@@ -458,10 +458,8 @@ class TestLoadCsvFormats:
         header = ",".join([f"x{j}" for j in range(12)] + ["y"])
         np.savetxt(p, values, fmt="%.17g", delimiter=",", header=header, comments="")
         body = p.read_text(encoding="utf-8").split("\n", 1)[1]
-        fast = _loadtxt_rows(body, 13)
-        assert fast is not None
         slow = _parse_rows(body, header.split(","))
-        assert fast.tobytes() == slow.tobytes() == values.tobytes()
+        assert slow.tobytes() == values.tobytes()
         # More than one block, and cells with |q| > 27 read by float().
         assert len(body) > 1 << 16
         assert _decimal_rows(body, 13).tobytes() == values.tobytes()
@@ -474,7 +472,7 @@ class TestLoadCsvFormats:
         accepted text must give the same bytes; a rejected one the same
         message.  About half the texts are plain, so the integer-significand
         route reads them."""
-        from dpms.data import _decimal_rows, _loadtxt_rows, _parse_rows
+        from dpms.data import _decimal_rows, _parse_rows
 
         rng = np.random.default_rng(14)
         specials = ["nan", "NaN", "-nan", "inf", "-inf", "+Inf", "Infinity", "-INFINITY"]
@@ -505,7 +503,7 @@ class TestLoadCsvFormats:
             cell = " " * rng.integers(3) + cell + "\t" * rng.integers(2)
             return f'"{cell}"' if rng.random() < 0.2 else cell
 
-        decimal_taken = fast_taken = checked = 0
+        decimal_taken = checked = 0
         for case in range(400):
             plain = rng.random() < 0.5
             width, rows = int(rng.integers(2, 5)), int(rng.integers(1, 6))
@@ -546,10 +544,9 @@ class TestLoadCsvFormats:
             assert y.tobytes() == want[:, y_col].tobytes(), case
             assert x.tobytes() == np.delete(want, y_col, axis=1).tobytes(), case
             checked += 1
-            fast_taken += _loadtxt_rows(body, width) is not None
             decimal_taken += _decimal_rows(body, width) is not None
-        # Every route was compared, not just the csv rules with themselves.
-        assert checked > 200 and fast_taken > 150 and decimal_taken > 100
+        # Both routes were compared, not just the csv rules with themselves.
+        assert checked > 200 and decimal_taken > 100
 
     def test_near_midpoint_cells_match_float_bit_for_bit(self, monkeypatch):
         """Decimals at and next to the midpoints between doubles, with 16
@@ -581,20 +578,20 @@ class TestLoadCsvFormats:
         # Only the midpoint rule sends these cells to float().
         assert cells[:3] == read[:3] and len(read) > 3
 
-    def test_without_the_x87_long_double_loadtxt_reads_the_body(self, tmp_path, monkeypatch):
+    def test_without_the_x87_long_double_the_csv_rules_read_the_body(self, tmp_path, monkeypatch):
         from dpms import data
 
         p = tmp_path / "f.csv"
         p.write_text("y,a\n1.25,-0.5\n3e-5,.75\n-0.,+2\n", encoding="utf-8")
         x, y, _ = load_csv(p, "y", include_intercept=False)
         assert y.tobytes() == np.array([1.25, 3e-5, -0.0]).tobytes()
-        loadtxt_rows, widths = data._loadtxt_rows, []
+        parse_rows, headers = data._parse_rows, []
         monkeypatch.setattr(data, "_LONG_DOUBLE_IS_X87", False)
-        monkeypatch.setattr(data, "_loadtxt_rows",
-                            lambda body, width: widths.append(width) or loadtxt_rows(body, width))
+        monkeypatch.setattr(data, "_parse_rows",
+                            lambda body, header: headers.append(header) or parse_rows(body, header))
         assert data._decimal_rows("1.25,-0.5\n", 2) is None
         x_off, y_off, _ = load_csv(p, "y", include_intercept=False)
-        assert widths == [2]
+        assert headers == [["y", "a"]]
         assert x_off.tobytes() == x.tobytes() and y_off.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("row, message", [
@@ -616,7 +613,7 @@ class TestLoadCsvFormats:
         rows[n - 1] = row
         text = "y,a\n" + "\n".join(rows) + "\n"
         assert _decimal_rows(text.split("\n", 1)[1], 2) is None
-        if message is None:  # not plain, and loadtxt reads it
+        if message is None:  # not plain, and the csv rules read it
             x, y, _ = self._load(tmp_path, text)
             assert x[n - 1, 0] == 1.0 and y.shape == (6000,)
         else:

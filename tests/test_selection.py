@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -240,6 +241,21 @@ class TestNoiseLawOverflow:
         # A tiny but representable scale, and no scale at all, pass.
         _calibration("pcls", "noisy_argmin", [1e-300, math.inf], [0.0, 0.0], 4.0, 1000, 4, 2.0)
         _calibration("pcls", "exponential", [1e-320], [0.0], 4.0, 1000, 4, 2.0)
+
+    @pytest.mark.parametrize("radius", [1.2e154, 1.3e154])
+    def test_an_exponential_width_whose_double_overflows_is_rejected(self, radius, monkeypatch):
+        # The width (1 + R)**2 is finite, but 2 * width is not: the keys
+        # used to warn of an overflow and release the uniform draw that
+        # zero weights give.
+        _no_work(monkeypatch, "noise law")
+        ds = Dataset(np.array([[0.5]]), np.array([1.0]), 1.0)
+        cfg = SelectionConfig(radius=radius, penalty=0.0, budget=PrivacyBudget(1.0),
+                              mechanism="exponential")
+        message = f"2 * width overflows for r = 1.0 and R = {radius}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pcls_select(ds, all_subsets(1), cfg, RngStream(3, 1))
+        # No noise is drawn at epsilon = inf, so no scale can overflow.
+        _calibration("pcls", "exponential", [math.inf], [0.0], 1.0, 1, 1, radius)
 
     def test_the_exponential_mechanism_underflows_to_a_uniform_draw(self):
         # At epsilon = 1e-320 every log-weight underflows to (nearly) zero:

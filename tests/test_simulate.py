@@ -338,6 +338,32 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="penalty [*] d overflows for penalty = 1e[+]308"):
             run_sweep(grid, _template(), model_id="1")
 
+    @pytest.mark.parametrize("algorithm, delta", [("pcls", 0.0), ("pcpl", 1e-6)])
+    def test_a_radius_whose_width_overflows_is_rejected_before_any_draw(self, monkeypatch,
+                                                                        algorithm, delta):
+        # R = 1e200 used to draw the first dataset and end in the solver's
+        # data error, "radius 1e+200 overflows the scale of the loss".
+        def no_draw(spec):
+            raise AssertionError("data were drawn before the noise law was checked")
+
+        monkeypatch.setattr(simulate, "generate", no_draw)
+        grid = self._small_grid(radius_values=(3.0, 1e200), delta_values=(delta,),
+                                algorithm=algorithm)
+        with pytest.raises(ConfigError, match=r"score width .* for r = 0\.0 and R = 1e\+200"):
+            run_sweep(grid, _template(), model_id="1")
+
+    def test_a_width_that_only_the_data_overflow_is_rejected_before_the_fit(self, monkeypatch):
+        # At r = 0 the width R**2 is finite, but these responses reach about
+        # 1e153, and (r + R)**2 overflows: the replication's own record
+        # rejects it before fit_masks sees the radius.
+        def no_fit(*args):
+            raise AssertionError("fit_masks ran before the noise law was checked")
+
+        monkeypatch.setattr(simulate, "fit_masks", no_fit)
+        grid = self._small_grid(n_values=(10,), radius_values=(1.3e154,))
+        with pytest.raises(ConfigError, match=r"score width .* and R = 1\.3e\+154"):
+            run_sweep(grid, _template(n=10, sigma=3e152), model_id="1", max_workers=1)
+
     def test_reruns_are_byte_identical(self):
         grid = self._small_grid()
         a = run_sweep(grid, _template(), model_id="1").to_csv()
