@@ -16,7 +16,10 @@ The digest covers, in a fixed order:
   4 replications, one worker) plus noiseless epsilon = inf cells, which
   the selection core releases in the same call as the finite ones, under
   each (algorithm, mechanism) pair, at master seeds 0 to ``--sweeps`` - 1;
-  pcpl sweeps spend delta = 1e-6;
+  pcpl sweeps spend delta = 1e-6; each sweep runs again with 5
+  replications on two workers, whose chunks of 2 and 3 replications (on a
+  host with two CPUs or more) make a state that leaked from one
+  replication, or one chunk, into the next show in the digest;
 * the release JSON and the ``--debug-unsafe`` JSON of ``dpms select``,
   run in process through ``dpms.cli.main`` with pcls and pcpl, on one
   table written as a CSV file in each spelling the README lists: plain
@@ -48,7 +51,8 @@ import dpms.cli  # noqa: E402
 
 D = 5
 BETA = (1.0, -0.8, 0.5, 0.0, 0.0)
-SWEEP_REPLICATIONS = 4
+# (replications, max_workers) of each sweep's runs.
+SWEEP_RUNS = ((4, 1), (5, 2))
 SWEEP_PAIRS = (
     ("pcls", "noisy_argmin"),
     ("pcls", "exponential"),
@@ -91,16 +95,18 @@ def select_reports():
 
 
 def sweep_csvs(sweeps: int):
-    """CSV of every c05-shaped sweep, by master seed, then pair."""
-    for seed, (algorithm, mechanism) in itertools.product(range(sweeps), SWEEP_PAIRS):
+    """CSV of every c05-shaped sweep, by master seed, then pair, then run."""
+    runs = itertools.product(range(sweeps), SWEEP_PAIRS, SWEEP_RUNS)
+    for seed, (algorithm, mechanism), (replications, workers) in runs:
         grid = dpms.SweepGrid(
             n_values=(1000,), radius_values=(3.5,), epsilon_values=(0.1, 5.0, 10.0, math.inf),
             delta_values=(0.0,) if algorithm == "pcls" else (1e-6,),
-            replications=SWEEP_REPLICATIONS, algorithm=algorithm,
+            replications=replications, algorithm=algorithm,
         )
         template = dpms.SyntheticSpec(n=1000, coefficients=dpms.BUILTIN_MODELS["1"],
                                       rng=dpms.RngStream(seed, 0))
-        result = dpms.run_sweep(grid, template, model_id="1", mechanism=mechanism, max_workers=1)
+        result = dpms.run_sweep(grid, template, model_id="1", mechanism=mechanism,
+                                max_workers=workers)
         yield result.to_csv()
 
 

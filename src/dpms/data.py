@@ -326,22 +326,25 @@ def load_csv(path, response: str, include_intercept: bool = True):
     covariate, and no covariate of the file may take its name.  Returns
     raw arrays: standardization/bounds are the caller's next step.
 
-    The body is read by one of two routes, each cell the same bits as
-    ``float()`` of its text: :func:`_decimal_rows` for a plain body of
-    unquoted decimals, and :func:`_parse_rows`, the csv rules, for the
-    rest (quoted or padded cells, ``nan`` and ``inf``, every body where
+    The file is read once, as bytes.  The body is read by one of two
+    routes, each cell the same bits as ``float()`` of its text:
+    :func:`_decimal_rows`, in place, for a plain body of unquoted
+    decimals, and :func:`_parse_rows`, the csv rules, for the rest (quoted
+    or padded cells, ``nan`` and ``inf``, every body where
     ``np.longdouble`` is not the x87 format) and for every error message.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            # The header is one csv record, which a quoted name can stretch
-            # over several lines; the body is the rest of the file.
-            header = next(csv.reader(fh), None)
-            body = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        header, body_at = _header(raw, len(_BOM) if raw.startswith(_BOM) else 0)
+        # Only the csv rules read text, and a body that is not ASCII is
+        # never plain: decode it now, so that a bad byte is reported first.
+        body = None if raw.isascii() or raw[body_at:].isascii() else raw[body_at:].decode()
     except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: {_whole_file_error(path, exc)}") from exc
+        raise DataError(f"cannot read {path}: {_whole_file_error(raw, exc)}") from exc
     if header is None:
         raise DataError(f"{path} is empty")
     header = [h.strip() for h in header]
@@ -367,9 +370,9 @@ def load_csv(path, response: str, include_intercept: bool = True):
             f"{path} has a covariate named 'intercept', the name of the added intercept "
             "column; rename it, or pass --no-include-intercept"
         )
-    cells = _decimal_rows(body, len(header))
+    cells = None if body is not None else _decimal_rows(raw, len(header), body_at)
     if cells is None:
-        cells = _parse_rows(body, header)
+        cells = _parse_rows(raw[body_at:].decode() if body is None else body, header)
     if not len(cells):
         raise DataError(f"{path} has a header but no data rows")
     y = cells[:, y_pos].copy()
@@ -380,14 +383,33 @@ def load_csv(path, response: str, include_intercept: bool = True):
     return x, y, cov_names
 
 
-def _whole_file_error(path, exc: UnicodeDecodeError) -> Exception:
+_BOM = b"\xef\xbb\xbf"
+# One line and its end (LF, CRLF or a bare CR), or a last line with none.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _header(raw: bytes, start: int) -> tuple[list[str] | None, int]:
+    """The first csv record of ``raw`` from byte ``start``, read from its
+    lines decoded one at a time (a quoted name can stretch it over
+    several), and the offset of the body that follows it."""
+    end = start
+
+    def lines():
+        nonlocal end
+        for line in _LINE.finditer(raw, start):
+            end = line.end()
+            yield line.group().decode()
+
+    return next(csv.reader(lines()), None), end
+
+
+def _whole_file_error(raw: bytes, exc: UnicodeDecodeError) -> Exception:
     """The error of decoding the whole file at once, whose position counts
-    from the file's start (after a byte order mark); ``exc``, from a read
-    in chunks, counts it from its chunk."""
+    from the file's start (after a byte order mark); ``exc``, from a
+    decode of one part, counts it from that part."""
     try:
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as whole:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as whole:
         return whole
     return exc
 
@@ -421,8 +443,9 @@ _LONG_DOUBLE_IS_X87 = _x87_long_double()
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
 
 
-def _decimal_rows(body: str, width: int) -> np.ndarray | None:
-    """The data rows of a plain body as one (rows, width) array, each cell
+def _decimal_rows(text: bytes, width: int, start: int = 0) -> np.ndarray | None:
+    """The data rows of the plain body that starts at byte ``start`` of
+    ``text``, read in place, as one (rows, width) array, each cell
     equal to ``float()`` of its text bit for bit; None when the body is not
     plain or a cell is not a decimal, and the csv rules must decide.
 
@@ -441,20 +464,21 @@ def _decimal_rows(body: str, width: int) -> np.ndarray | None:
     """
     if not _LONG_DOUBLE_IS_X87:
         return None
-    text = body.encode()
-    if b"\r" in text:
-        if text.count(b"\r") != text.count(b"\r\n"):
+    if text.find(b"\r", start) >= 0:
+        if text.count(b"\r", start) != text.count(b"\r\n", start):
             return None
-        text = text.replace(b"\r\n", b"\n")
-    if not text:
+        text, start = text[start:].replace(b"\r\n", b"\n"), 0
+    a = np.frombuffer(text, dtype=np.uint8)
+    if start == a.size:
         return None
-    if not text.endswith(b"\n"):
-        text += b"\n"
     blocks = []
-    lo = 0
-    while lo < len(text):
-        hi = text.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(text)
-        cells = _decimal_block(text[lo:hi], width)
+    lo = start
+    while lo < a.size:
+        hi = text.find(b"\n", lo + _BLOCK_BYTES) + 1 or a.size
+        block = a[lo:hi]
+        if block[-1] != 10:  # the last line, with no line end
+            block = np.append(block, np.uint8(10))
+        cells = _decimal_block(block, width)
         if cells is None:
             return None
         blocks.append(cells)
@@ -462,12 +486,12 @@ def _decimal_rows(body: str, width: int) -> np.ndarray | None:
     return np.concatenate(blocks).reshape(-1, width)
 
 
-def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
-    """The cells of whole lines, each ending in LF, in reading order; None
-    unless the block is plain, every line holds ``width`` cells and every
-    cell is a decimal: ``[+-]``, digits with at most one dot, at least one
-    digit, then optionally ``e`` or ``E``, ``[+-]`` and digits."""
-    a = np.frombuffer(block, dtype=np.uint8)
+def _decimal_block(a: np.ndarray, width: int) -> np.ndarray | None:
+    """The cells of the whole lines in bytes ``a``, each ending in LF, in
+    reading order; None unless the block is plain, every line holds
+    ``width`` cells and every cell is a decimal: ``[+-]``, digits with at
+    most one dot, at least one digit, then optionally ``e`` or ``E``,
+    ``[+-]`` and digits."""
     ends = np.flatnonzero((a == 44) | (a == 10))  # each cell's separator
     dots = np.flatnonzero(a == 46)
     n_signs = np.count_nonzero((a == 43) | (a == 45))
@@ -510,16 +534,16 @@ def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
     # A sign opens a cell or an exponent; counting both finds a stray one.
     if np.count_nonzero(signed) + exp_signs != n_signs or digits.min() < 1:
         return None
-    text, long = block, _long_significands(a, starts + signed, digits)
+    text, long = a, _long_significands(a, starts + signed, digits)
     if long.size:
         # Zeroed in the integer text so that it cannot overflow; float()
         # reads the cell.
-        text = bytearray(block)
+        text = a.copy()
         for i in long.tolist():
-            text[starts[i]:mantissa_end[i]] = b"0" * int(mantissa_end[i] - starts[i])
+            text[starts[i]:mantissa_end[i]] = 48
     # One integer per significand, sign and all, and one more after it per
     # exponent.
-    ints = np.fromstring(bytes(text).translate(_INT_TEXT, b"."), dtype=np.int64, sep=",")
+    ints = np.fromstring(text.tobytes().translate(_INT_TEXT, b"."), dtype=np.int64, sep=",")
     q, w = -fraction, ints
     if exps.size:
         exp_at = exp_cell + np.arange(1, exps.size + 1)
@@ -535,7 +559,7 @@ def _decimal_block(block: bytes, width: int) -> np.ndarray | None:
     cells = exact.astype(np.float64)
     for i in np.flatnonzero(slow).tolist():
         try:
-            cells[i] = float(block[starts[i]:ends[i]])
+            cells[i] = float(a[starts[i]:ends[i]].tobytes())
         except ValueError:
             return None
     return cells

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _U64 = 1 << 64
-_HALF = 1 << 63
+_INV_HALF = 2.0**-63
 _SEED_LIMIT = 1 << 128
 
 # Domain-separation tags for keyed draws; distinct consumers never share
@@ -146,10 +146,12 @@ class ScoredCandidate:
 
 def _laplace_from_u64_array(k: np.ndarray) -> np.ndarray:
     """Standard Laplace variates from uniform 64-bit integers, all != 0."""
-    small = k < np.uint64(_HALF)
-    comp = np.bitwise_not(k) + np.uint64(1)  # 2^64 - k, exact for k >= 1
-    arg = np.where(small, k, comp).astype(np.float64) / float(_HALF)
-    return np.where(small, 1.0, -1.0) * np.log(arg)
+    # As int64, k is itself below 2^63 and k - 2^64 from 2^63 on, so its
+    # absolute value, read back as unsigned, is k or 2^64 - k exactly.
+    signed = k.view(np.int64)
+    arg = np.abs(signed).view(np.uint64) * _INV_HALF
+    np.log(arg, out=arg)
+    return np.where(signed > 0, arg, -arg)
 
 
 def _gumbel_from_u64_array(k: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import os
 import struct
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
 from typing import NamedTuple, Sequence
@@ -108,11 +108,16 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, ModelMask]:
     stream replays identically.  The response bound is taken from the
     realized data, so the resulting Dataset is flagged data-dependent.
     """
-    gen = spec.rng.generator()
-    x = gen.uniform(-1.0, 1.0, size=(spec.n, spec.d))
-    noise = gen.normal(0.0, spec.noise_sd, size=spec.n)
-    y = x @ np.asarray(spec.coefficients) + noise
-    return Dataset.from_arrays(x, y), _generating_mask(spec.coefficients)
+    dataset = _draw(spec.rng, spec.n, np.asarray(spec.coefficients), spec.noise_sd)
+    return dataset, _generating_mask(spec.coefficients)
+
+
+def _draw(rng: RngStream, n: int, beta: np.ndarray, noise_sd: float) -> Dataset:
+    """The dataset :func:`generate` draws, from already validated parts."""
+    gen = rng.generator()
+    x = gen.uniform(-1.0, 1.0, size=(n, len(beta)))
+    noise = gen.normal(0.0, noise_sd, size=n)
+    return Dataset.from_arrays(x, x @ beta + noise)
 
 
 def _generating_mask(coefficients: tuple[float, ...]) -> ModelMask:
@@ -263,6 +268,22 @@ def _id_of(encoded: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
 
 
+def _state_of(head: bytes):
+    """The hash state of :func:`_id_of` after ``head``."""
+    return hashlib.blake2b(head, digest_size=8)
+
+
+def _ids_after(states, tail: bytes) -> list[int]:
+    """``_id_of(head + tail)`` for each ``_state_of(head)`` of ``states``,
+    which it leaves as they were: BLAKE2b absorbs its input as a stream."""
+    digests = []
+    for state in states:
+        state = state.copy()
+        state.update(tail)
+        digests.append(state.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").tolist()
+
+
 def _stream_id(*parts) -> int:
     """64-bit stream id from typed, length-prefixed parts, so every
     (cell, replication, role) triple gets its own stream under a fixed
@@ -277,11 +298,12 @@ def _sweep_chunk(
     mechanism: str,
     measure_runtime: bool,
     n: int,
+    phis: tuple[float, ...],
     rep_lo: int,
     rep_hi: int,
 ) -> np.ndarray:
     """Per-cell counters of replications ``rep_lo`` to ``rep_hi - 1`` at
-    sample size ``n``.
+    sample size ``n``, whose penalty grid is ``phis``.
 
     Each (replication, R) is fitted once, and one call of the selection
     core then releases every (epsilon, delta, phi) cell of it: one row per
@@ -295,34 +317,33 @@ def _sweep_chunk(
     into the same totals as a single pass.
     """
     models = all_subsets(template.d)
-    phis = grid.phis_for(n)
     seed = template.rng.seed
+    beta = np.asarray(template.coefficients)
     coords_base = (model_id, template.coefficients, template.noise_sd, n)
     cells = list(product(grid.epsilon_values, grid.delta_values, phis))
     epsilons, deltas, penalties = (np.array(axis) for axis in zip(*cells))
     # Every stream id is _stream_id(*parts, rep): the hash of the parts'
-    # encodings, each made once here, and the replication's own.
-    data_head = _encode("data", *coords_base)
+    # encodings, absorbed once here, continued by the replication's own.
+    data_state = _state_of(_encode("data", *coords_base))
     eps_codes, delta_codes, phi_codes = (
         [_encode(v) for v in axis] for axis in (grid.epsilon_values, grid.delta_values, phis)
     )
     cell_codes = [p + e + d for e, d, p in product(eps_codes, delta_codes, phi_codes)]
     head, tail = _encode("select", *coords_base), _encode(grid.algorithm, mechanism)
-    select_heads = []
+    select_states = []
     for radius in grid.radius_values:
         radius_head = head + _encode(radius)
-        select_heads.append([radius_head + cell_code + tail for cell_code in cell_codes])
+        select_states.append([_state_of(radius_head + code + tail) for code in cell_codes])
     truth = _generating_mask(template.coefficients)
     hit = np.flatnonzero(models.bits == truth.bits)
     truth_column = int(hit[0]) if hit.size else -1
-    spec = replace(template, n=n)
     # Counted in the order of the rows, [R, epsilon, delta, phi, k].
     counts = np.zeros((len(grid.radius_values), len(cells), 4))
 
     for rep in range(rep_lo, rep_hi):
         rep_code = _encode(rep)
-        data_stream = RngStream(seed, _id_of(data_head + rep_code))
-        dataset, _ = generate(replace(spec, rng=data_stream))
+        data_stream = RngStream(seed, *_ids_after([data_state], rep_code))
+        dataset = _draw(data_stream, n, beta, template.noise_sd)
         stats = sufficient_stats(dataset)
         for i, radius in enumerate(grid.radius_values):
             # Before the fit, so that a width this r overflows is a usage error.
@@ -330,7 +351,7 @@ def _sweep_chunk(
                                n, models.d, radius)
             fits = fit_masks(stats, models, radius)
             clean = _score_matrix(grid.algorithm, fits.neg2_loglik, n, penalties, models.sizes)
-            stream_ids = [_id_of(prefix + rep_code) for prefix in select_heads[i]]
+            stream_ids = _ids_after(select_states[i], rep_code)
             started = time.perf_counter() if measure_runtime else 0.0
             picks = _select_rows(law, fits, penalties, models, seed, stream_ids, clean)
             seconds = (time.perf_counter() - started) if measure_runtime else 0.0
@@ -376,7 +397,8 @@ def run_sweep(
         workers = min(workers, max_workers)
     bounds = np.linspace(0, grid.replications, workers + 1).astype(int).tolist()
     spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    tasks = [(n, lo, hi) for n in grid.n_values for lo, hi in spans]
+    phis = [grid.phis_for(n) for n in grid.n_values]
+    tasks = [(n, n_phis, lo, hi) for n, n_phis in zip(grid.n_values, phis) for lo, hi in spans]
     chunk = partial(_sweep_chunk, grid, template, model_id, mechanism, measure_runtime)
     if len(spans) == 1:
         partials = [chunk(*task) for task in tasks]
@@ -388,14 +410,14 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(chunk, *zip(*tasks)))
 
-    reps, d = grid.replications, template.d
+    reps = grid.replications
     chunks = iter(partials)
+    make = SweepRow._make
     rows: list[SweepRow] = []
-    for n in grid.n_values:
+    for n, n_phis in zip(grid.n_values, phis):
         shares = (sum(islice(chunks, len(spans))) / reps).reshape(-1, 4).tolist()
-        axes = (grid.radius_values, grid.phis_for(n), grid.epsilon_values, grid.delta_values)
-        rows += [
-            SweepRow(n, d, model_id, *cell, grid.algorithm, reps, *cell_shares)
-            for cell, cell_shares in zip(product(*axes), shares)
-        ]
+        head, middle = (n, template.d, model_id), (grid.algorithm, reps)
+        cells = product(grid.radius_values, n_phis, grid.epsilon_values, grid.delta_values)
+        rows += [make(head + cell + middle + tuple(cell_shares))
+                 for cell, cell_shares in zip(cells, shares)]
     return SweepResult(tuple(rows))

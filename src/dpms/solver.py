@@ -173,10 +173,10 @@ def _scale(stats: SufficientStats, radius: float) -> float:
     )
 
 
-def _tau(stats: SufficientStats, radius: float) -> float:
+def _tau(stats: SufficientStats, scale: float) -> float:
     """Certificate level of one dataset: the tolerance plus the round-off
-    allowance on the loss's scale."""
-    return _TOLERANCE * max(1.0, stats.yty) + _ROUNDOFF * stats.d * _scale(stats, radius)
+    allowance on the loss's scale ``scale`` (:func:`_scale`)."""
+    return _TOLERANCE * max(1.0, stats.yty) + _ROUNDOFF * stats.d * scale
 
 
 def loss_slack(n_obs: int, d: int, response_bound: float, radius: float) -> float:
@@ -539,15 +539,16 @@ class LossBounds:
     :meth:`fits` settles every mask as :func:`fit_masks` does, bit for
     bit, in one batch.  ``lower`` is ``upper`` once every interval is a
     point.  Nothing is solved before the intervals or the fits are first
-    asked for.
+    asked for.  ``scale`` is :func:`_scale` at ``radius``, which
+    :func:`bound_masks` computes once for its overflow check.
     """
 
-    def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float,
+    def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float, scale: float,
                  supersets: bool, eager: bool = False) -> None:
         self._stats, self._member, self._radius = stats, member, radius
         self._supersets, self._eager = supersets, eager
-        self._tau = _tau(stats, radius)
-        self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * _scale(stats, radius)
+        self._tau = _tau(stats, scale)
+        self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * scale
         self._beta: np.ndarray | None = None  # each solved mask's start or fit
         self._lower: np.ndarray | None = None
         self._upper = np.full(len(member), np.inf)
@@ -745,7 +746,7 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
     eager = eager or _ill_conditioned(stats)
     cost = _SETTLED_SUPERSET_COST if eager else _SUPERSET_COST
     supersets = int(models.sizes.sum()) > cost * (d + 1) * d
-    return LossBounds(stats, member_matrix(models.bits, d), radius, supersets, eager)
+    return LossBounds(stats, member_matrix(models.bits, d), radius, scale, supersets, eager)
 
 
 def fit_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> Fits:

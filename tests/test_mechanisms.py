@@ -118,6 +118,27 @@ class TestLaplaceInverseMap:
             math.log(2.0**-63), -math.log(2.0**-63), 0.0
         ]
 
+    @staticmethod
+    def _three_where_map(k):
+        # The map as first written, kept as the reference: the lower half
+        # read as k, the upper as its exact complement 2^64 - k, over 2^63.
+        small = k < np.uint64(2**63)
+        comp = np.bitwise_not(k) + np.uint64(1)
+        arg = np.where(small, k, comp).astype(np.float64) / float(2**63)
+        return np.where(small, 1.0, -1.0) * np.log(arg)
+
+    def test_bits_and_signs_match_the_three_where_map(self):
+        # == cannot tell -0.0 from 0.0: the midpoint maps to -0.0, and
+        # 2^63 - 1 and 2^63 + 1 round to the midpoint's argument.
+        edges = np.array([1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+        got = _laplace_from_u64_array(edges)
+        assert np.signbit(got[2]) and got[2] == 0.0
+        assert got.tobytes() == self._three_where_map(edges).tobytes()
+        words = mechanisms._xof_words(3, range(1000), mechanisms._TAG_ARGMIN, 100)
+        assert words.size == 10**5
+        assert (_laplace_from_u64_array(words).tobytes()
+                == self._three_where_map(words).tobytes())
+
     def test_antisymmetry(self):
         ks = np.random.default_rng(0).integers(1, 2**63, size=200)
         lower = _laplace_from_u64_array(ks.astype(np.uint64))

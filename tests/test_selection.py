@@ -1154,10 +1154,11 @@ class TestSupersetBounds:
     def _bounds(stats, family, radius, supersets, eager=None):
         # The route given; the settle rule given, or as bound_masks picks it.
         from dpms.data import member_matrix
-        from dpms.solver import LossBounds, _ill_conditioned
+        from dpms.solver import LossBounds, _ill_conditioned, _scale
 
         eager = _ill_conditioned(stats) if eager is None else eager
-        return LossBounds(stats, member_matrix(family.bits, family.d), radius, supersets, eager)
+        return LossBounds(stats, member_matrix(family.bits, family.d), radius,
+                          _scale(stats, radius), supersets, eager)
 
     @staticmethod
     def _datasets():

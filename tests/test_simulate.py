@@ -301,6 +301,20 @@ class TestStreamId:
     def test_deterministic(self):
         assert _stream_id("x", 2, 3.5) == _stream_id("x", 2, 3.5)
 
+    def test_a_continued_state_is_the_id_of_the_joined_bytes(self):
+        # Heads and tails of 0 to 300 bytes, so that the joined input ends
+        # before, at and past BLAKE2b's 128-byte blocks; continuing leaves
+        # every state as it was.
+        from dpms.simulate import _id_of, _ids_after, _state_of
+
+        raw = bytes(np.random.default_rng(25).integers(0, 256, 600, dtype=np.uint8))
+        heads = [raw[:k] for k in range(301)]
+        states = [_state_of(head) for head in heads]
+        for k in range(301):
+            tail = raw[300:300 + k]
+            assert _ids_after(states, tail) == [_id_of(head + tail) for head in heads], k
+        assert _ids_after(states, b"") == [_id_of(head) for head in heads]
+
 
 class TestRunSweep:
     def _small_grid(self, **kw):
@@ -330,10 +344,10 @@ class TestRunSweep:
     def test_a_penalty_whose_scores_overflow_is_rejected_before_any_draw(self, monkeypatch):
         # phi * d = 6e308 used to overflow in the score matrix: the sweep
         # warned and wrote its rows anyway.
-        def no_draw(spec):
+        def no_draw(*args):
             raise AssertionError("data were drawn before the penalty check")
 
-        monkeypatch.setattr(simulate, "generate", no_draw)
+        monkeypatch.setattr(simulate, "_draw", no_draw)
         grid = self._small_grid(phi_values=(0.0, 1e308))
         with pytest.raises(ConfigError, match="penalty [*] d overflows for penalty = 1e[+]308"):
             run_sweep(grid, _template(), model_id="1")
@@ -343,10 +357,10 @@ class TestRunSweep:
                                                                         algorithm, delta):
         # R = 1e200 used to draw the first dataset and end in the solver's
         # data error, "radius 1e+200 overflows the scale of the loss".
-        def no_draw(spec):
+        def no_draw(*args):
             raise AssertionError("data were drawn before the noise law was checked")
 
-        monkeypatch.setattr(simulate, "generate", no_draw)
+        monkeypatch.setattr(simulate, "_draw", no_draw)
         grid = self._small_grid(radius_values=(3.0, 1e200), delta_values=(delta,),
                                 algorithm=algorithm)
         with pytest.raises(ConfigError, match=r"score width .* for r = 0\.0 and R = 1e\+200"):
@@ -394,10 +408,10 @@ class TestRunSweep:
         assert len(pools) == 1
 
     def test_unknown_mechanism_fails_before_any_data(self, monkeypatch):
-        def no_data(spec):
-            raise AssertionError("generate called before the mechanism was checked")
+        def no_data(*args):
+            raise AssertionError("data were drawn before the mechanism was checked")
 
-        monkeypatch.setattr(simulate, "generate", no_data)
+        monkeypatch.setattr(simulate, "_draw", no_data)
         with pytest.raises(ConfigError, match="mechanism"):
             run_sweep(self._small_grid(), _template(), model_id="1", mechanism="bogus")
 

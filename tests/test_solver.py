@@ -284,7 +284,7 @@ class TestDescentMechanics:
         # give up once its gap stops falling, long before a budget of 10^6.
         from dpms import solver
 
-        monkeypatch.setattr(solver, "_tau", lambda stats, radius: -1.0)
+        monkeypatch.setattr(solver, "_tau", lambda stats, scale: -1.0)
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 10**6)
         monkeypatch.setattr(solver, "_homotopy", lambda a, member, *rest: np.zeros(member.shape))
         ds, _, _ = _uniform_dataset(60, 4, 31)
@@ -543,7 +543,7 @@ class TestCalibration:
         # The selectors calibrate to loss_slack(n, d, r, R); it must cover
         # the level that certifies the fits of every dataset with |x| <= 1
         # and |y| <= r, corner rows x in {-1, 1}^d, y = +-r included.
-        from dpms.solver import _tau, loss_slack
+        from dpms.solver import _scale, _tau, loss_slack
 
         rng = np.random.default_rng([n, d])
         for r in (1e-3, 0.5, 1.0, 7.0):
@@ -557,7 +557,7 @@ class TestCalibration:
             for x, y in designs:
                 stats = sufficient_stats(Dataset(x, y, r))
                 for radius in (0.1, 1.0, 50.0):
-                    assert _tau(stats, radius) <= loss_slack(n, d, r, radius)
+                    assert _tau(stats, _scale(stats, radius)) <= loss_slack(n, d, r, radius)
 
 
 class TestEquivalenceRadius:
@@ -716,13 +716,14 @@ class TestLossBounds:
     @pytest.mark.parametrize("seed, radius", [(0, 1.0), (2, 2.5), (3, 0.3)])
     def test_bounds_hold_the_settled_loss_and_settling_them_all_is_fit_masks(self, seed, radius):
         from dpms.data import member_matrix
-        from dpms.solver import LossBounds
+        from dpms.solver import LossBounds, _scale
 
         stats = sufficient_stats(_select_d9(seed))
         family = all_subsets(9)
         full = fit_masks(stats, family, radius)
         loss = full.neg2_loglik
-        bounds = LossBounds(stats, member_matrix(family.bits, 9), radius, supersets=True)
+        bounds = LossBounds(stats, member_matrix(family.bits, 9), radius, _scale(stats, radius),
+                            supersets=True)
         # Nothing is solved yet: every interval is [superset bound, inf).
         assert np.all(np.isinf(bounds.upper)) and not bounds.certified.any()
         assert np.all(bounds.lower <= loss)
