@@ -370,7 +370,7 @@ def load_csv(path, response: str, include_intercept: bool = True):
             f"{path} has a covariate named 'intercept', the name of the added intercept "
             "column; rename it, or pass --no-include-intercept"
         )
-    cells = None if body is not None else _decimal_rows(raw, len(header), body_at)
+    cells = None if body is not None else _decimal_rows(raw, body_at, len(header))
     if cells is None:
         cells = _parse_rows(raw[body_at:].decode() if body is None else body, header)
     if not len(cells):
@@ -443,7 +443,7 @@ _LONG_DOUBLE_IS_X87 = _x87_long_double()
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
 
 
-def _decimal_rows(text: bytes, width: int, start: int = 0) -> np.ndarray | None:
+def _decimal_rows(text: bytes, start: int, width: int) -> np.ndarray | None:
     """The data rows of the plain body that starts at byte ``start`` of
     ``text``, read in place, as one (rows, width) array, each cell
     equal to ``float()`` of its text bit for bit; None when the body is not

@@ -342,8 +342,8 @@ def _sweep_chunk(
 
     for rep in range(rep_lo, rep_hi):
         rep_code = _encode(rep)
-        data_stream = RngStream(seed, *_ids_after([data_state], rep_code))
-        dataset = _draw(data_stream, n, beta, template.noise_sd)
+        (data_id,) = _ids_after([data_state], rep_code)
+        dataset = _draw(RngStream(seed, data_id), n, beta, template.noise_sd)
         stats = sufficient_stats(dataset)
         for i, radius in enumerate(grid.radius_values):
             # Before the fit, so that a width this r overflows is a usage error.
@@ -412,12 +412,12 @@ def run_sweep(
 
     reps = grid.replications
     chunks = iter(partials)
-    make = SweepRow._make
+    middle = (grid.algorithm, reps)
     rows: list[SweepRow] = []
     for n, n_phis in zip(grid.n_values, phis):
         shares = (sum(islice(chunks, len(spans))) / reps).reshape(-1, 4).tolist()
-        head, middle = (n, template.d, model_id), (grid.algorithm, reps)
+        head = (n, template.d, model_id)
         cells = product(grid.radius_values, n_phis, grid.epsilon_values, grid.delta_values)
-        rows += [make(head + cell + middle + tuple(cell_shares))
+        rows += [SweepRow._make(head + cell + middle + tuple(cell_shares))
                  for cell, cell_shares in zip(cells, shares)]
     return SweepResult(tuple(rows))

@@ -464,7 +464,7 @@ class TestLoadCsvFormats:
         assert slow.tobytes() == values.tobytes()
         # More than one block, and cells with |q| > 27 read by float().
         assert len(body) > 1 << 16
-        assert _decimal_rows(body.encode(), 13).tobytes() == values.tobytes()
+        assert _decimal_rows(body.encode(), 0, 13).tobytes() == values.tobytes()
         x, y, _ = load_csv(p, "y", include_intercept=False)
         assert x.tobytes() == values[:, :12].tobytes() and y.tobytes() == values[:, 12].tobytes()
 
@@ -537,7 +537,7 @@ class TestLoadCsvFormats:
             try:
                 want = _parse_rows(body, names)
             except DataError as exc:
-                assert _decimal_rows(body.encode(), width) is None, case
+                assert _decimal_rows(body.encode(), 0, width) is None, case
                 with pytest.raises(DataError, match="^" + re.escape(str(exc)) + "$"):
                     load_csv(p, "y", include_intercept=False)
                 continue
@@ -546,7 +546,7 @@ class TestLoadCsvFormats:
             assert y.tobytes() == want[:, y_col].tobytes(), case
             assert x.tobytes() == np.delete(want, y_col, axis=1).tobytes(), case
             checked += 1
-            decimal_taken += _decimal_rows(body.encode(), width) is not None
+            decimal_taken += _decimal_rows(body.encode(), 0, width) is not None
         # Both routes were compared, not just the csv rules with themselves.
         assert checked > 200 and decimal_taken > 100
 
@@ -575,7 +575,7 @@ class TestLoadCsvFormats:
             return float(text)
 
         monkeypatch.setattr(data, "float", spy, raising=False)
-        got = data._decimal_rows(body.encode(), 4)
+        got = data._decimal_rows(body.encode(), 0, 4)
         assert got.tobytes() == np.array([float(c) for c in cells]).reshape(-1, 4).tobytes()
         # Only the midpoint rule sends these cells to float().
         assert cells[:3] == read[:3] and len(read) > 3
@@ -591,7 +591,7 @@ class TestLoadCsvFormats:
         monkeypatch.setattr(data, "_LONG_DOUBLE_IS_X87", False)
         monkeypatch.setattr(data, "_parse_rows",
                             lambda body, header: headers.append(header) or parse_rows(body, header))
-        assert data._decimal_rows(b"1.25,-0.5\n", 2) is None
+        assert data._decimal_rows(b"1.25,-0.5\n", 0, 2) is None
         x_off, y_off, _ = load_csv(p, "y", include_intercept=False)
         assert headers == [["y", "a"]]
         assert x_off.tobytes() == x.tobytes() and y_off.tobytes() == y.tobytes()
@@ -611,10 +611,10 @@ class TestLoadCsvFormats:
         rows = ["-0.12345678901234567,1.5"] * 6000
         n = 4000
         assert len("\n".join(rows[:n])) > _BLOCK_BYTES
-        assert _decimal_rows("\n".join(rows).encode(), 2) is not None
+        assert _decimal_rows("\n".join(rows).encode(), 0, 2) is not None
         rows[n - 1] = row
         text = "y,a\n" + "\n".join(rows) + "\n"
-        assert _decimal_rows(text.split("\n", 1)[1].encode(), 2) is None
+        assert _decimal_rows(text.encode(), len("y,a\n"), 2) is None
         if message is None:  # not plain, and the csv rules read it
             x, y, _ = self._load(tmp_path, text)
             assert x[n - 1, 0] == 1.0 and y.shape == (6000,)
