@@ -38,7 +38,6 @@ from .simulate import (
 
 __all__ = ["main"]
 
-_BOOL_KEYS = {"debug_unsafe", "timing", "include_intercept"}
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 # How many size-k subsets we are willing to scan for the exact restricted
@@ -175,16 +174,21 @@ def _write_text(path: str, text: str, mode: str = "w") -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
-    """Parse a key=value file into defaults for one subcommand.
+def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
+    """The command line tokens a key=value file stands for.
 
-    Keys use flag names with '-' or '_'; values are strings and go through
-    the same conversion as command line tokens, so the command line always
-    wins over the file.
+    Keys are an option's dest or its first flag name, with '-' or '_'.  A
+    value becomes ``--flag=value`` and a boolean its bare flag, so argparse
+    checks file values with each option's type and choices, and the
+    command line, parsed after the file, always wins.
     """
-    valid = {a.dest for a in subparser._actions if a.dest not in ("help", "config", "func")}
+    options = {}
+    for action in subparser._actions:
+        if action.dest not in ("help", "config"):
+            flag = action.option_strings[0].lstrip("-").replace("-", "_")
+            options[action.dest] = options[flag] = action
     text = _read_text(path, "config file")
-    out: dict = {}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -196,18 +200,22 @@ def _load_config_file(path: str, subparser: argparse.ArgumentParser) -> dict:
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
-        if key not in valid:
+        action = options.get(key)
+        if action is None:
             raise ConfigError(
-                f"{path}:{lineno}: unknown option {key!r}; valid keys: {', '.join(sorted(valid))}"
+                f"{path}:{lineno}: unknown option {key!r}; valid keys: {', '.join(sorted(options))}"
             )
-        if key in _BOOL_KEYS:
-            word = value.lower()
-            if word not in _BOOL_WORDS:
-                raise ConfigError(f"{path}:{lineno}: {key} must be true or false, got {value!r}")
-            out[key] = _BOOL_WORDS[word]
-        else:
-            out[key] = value
-    return out
+        if action.nargs != 0:
+            tokens.append(f"{action.option_strings[0]}={value}")
+            continue
+        word = value.lower()
+        if word not in _BOOL_WORDS:
+            raise ConfigError(f"{path}:{lineno}: {key} must be true or false, got {value!r}")
+        if _BOOL_WORDS[word]:
+            tokens.append(action.option_strings[0])
+        elif len(action.option_strings) > 1:  # --no-x; a store_true flag is off already
+            tokens.append(action.option_strings[1])
+    return tokens
 
 
 def _parse_models(spec: str, d: int) -> CandidateSet:
@@ -421,11 +429,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser of every run without ``--config``, built on first use.
+    """The parser of every run, built on first use.
 
     Parsing leaves a parser as it was, so one serves every later call of
-    :func:`main` in the process.  A ``--config`` run sets defaults, so it
-    builds a parser of its own instead.
+    :func:`main` in the process, ``--config`` runs included.
     """
     return _build_parser()
 
@@ -433,17 +440,13 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = _peek_config(argv)
-        if config_path is None:
-            parser, _ = _shared_parser()
-        else:
-            parser, subparsers = _build_parser()
-            command = argv[0] if argv and argv[0] in subparsers else None
-            if command is None:
-                raise ConfigError("--config requires a subcommand")
-            defaults = _load_config_file(config_path, subparsers[command])
-            subparsers[command].set_defaults(**defaults)
+        parser, subparsers = _shared_parser()
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # A successful parse puts the subcommand first, since the
+            # top-level parser has no option but --version.
+            tokens = _config_tokens(args.config, subparsers[args.command])
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -451,17 +454,6 @@ def main(argv: list[str] | None = None) -> int:
     except DpmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _peek_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token[len("--config="):]
-    return None
 
 
 if __name__ == "__main__":

@@ -405,6 +405,81 @@ class TestConfigFile:
         doc = json.loads(capsys.readouterr().out)
         assert all("clean_score" in m for m in doc["models"])
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("select", "algorithm = foo", "argument --algorithm: invalid choice: 'foo'"),
+        ("sweep", "model_id = 9", "argument --model-id: invalid choice: '9'"),
+        ("sweep", "algorithm = foo", "argument --algorithm: invalid choice: 'foo'"),
+    ], ids=("select-algorithm", "sweep-model_id", "sweep-algorithm"))
+    def test_a_bad_value_fails_as_its_flag_does(self, demo_csv, tmp_path, capsys, command,
+                                                line, message):
+        # A select released a pcpl report with exit 0, a sweep with model 9
+        # ended in a KeyError traceback, and a sweep with algorithm foo
+        # failed later, on its missing delta.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        if command == "select":
+            args = _select_args(demo_csv, "--delta", "0.01")
+        else:
+            args = ["sweep", "--n", "50", "--R", "1", "--eps", "1", "--phi", "0",
+                    "--replications", "1", "--threads", "1", "--seed", "1"]
+            if line.startswith("algorithm"):
+                args += ["--model-id", "1"]
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--config", str(cfg)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_flag_names_and_dests_are_both_keys(self, tmp_path, capsys):
+        # "n", "R" and "eps" were unknown keys: only dests were accepted.
+        args = ["sweep", "--model-id", "1", "--replications", "1", "--threads", "1", "--seed", "1"]
+        outs = []
+        for keys in (("n", "R", "eps", "phi"),
+                     ("n_values", "radius_values", "epsilon_values", "phi_values")):
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(
+                "".join(f"{k} = {v}\n" for k, v in zip(keys, ("50", "1", "5", "0"))),
+                encoding="utf-8",
+            )
+            assert main(args + ["--config", str(cfg)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].count("\n") == 2
+
+        cfg.write_text("no_timing = true\n", encoding="utf-8")
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert "unknown option 'no_timing'" in capsys.readouterr().err
+
+    def test_a_config_run_prints_what_its_command_line_prints(self, demo_csv, tmp_path, capsys):
+        from dpms import cli
+
+        cases = [
+            (f"input = {demo_csv}\nresponse = y\nR = 2.0\nphi = 2.0\nepsilon = 2.0\n"
+             "models = size<=2\ninclude_intercept = false\ndebug_unsafe = true\n"
+             "seed = 7\nstream_id = 3\n",
+             ["select", "--input", str(demo_csv), "--response", "y", "--R", "2.0",
+              "--phi", "2.0", "--epsilon", "2.0", "--models", "size<=2",
+              "--no-include-intercept", "--debug-unsafe", "--seed", "7", "--stream-id", "3"]),
+            ("beta0 = -1,0.5\nn = 50\nR = 1\neps = 1,5\nphi = 0,2\ndelta = 0.01\n"
+             "algorithm = pcpl\nreplications = 2\nthreads = 1\nseed = 4\n",
+             ["sweep", "--beta0=-1,0.5", "--n", "50", "--R", "1", "--eps", "1,5",
+              "--phi", "0,2", "--delta", "0.01", "--algorithm", "pcpl",
+              "--replications", "2", "--threads", "1", "--seed", "4"]),
+            (f"input = {demo_csv}\nresponse = y\nmax_size = 2\n",
+             ["validate", "--input", str(demo_csv), "--response", "y", "--max-size", "2"]),
+        ]
+        cli._shared_parser.cache_clear()
+        for text, argv in cases:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            assert main([argv[0], "--config", str(cfg)]) == 0
+            from_file = capsys.readouterr().out
+            assert main(argv) == 0
+            assert from_file == capsys.readouterr().out != ""
+        # One parser served every run, the config runs included.
+        info = cli._shared_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(cases) - 1)
+
 
 class TestSweep:
     @pytest.mark.parametrize("flag, value, code, message", [

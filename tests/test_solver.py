@@ -457,7 +457,9 @@ class TestCertifiedFits:
         # columns are exactly dependent, so a binding mask that holds them
         # all has a singular system on its path.  Projected gradient must
         # run on such masks of its own accord and certify them at the
-        # constrained minimum.
+        # constrained minimum.  Two more exactly dependent layouts face the
+        # same oracle and certificate: the ones column last, and an
+        # intercept beside one-hot sets of two and three levels.
         from dpms import solver
 
         rows = []
@@ -467,26 +469,39 @@ class TestCertifiedFits:
             rows.append(len(member))
             return descend(a, yty, member, *rest)
 
+        def one_hot(rng, levels):
+            return np.eye(levels)[rng.integers(0, levels, n)]
+
         monkeypatch.setattr(solver, "_descend", on_descend)
-        rng = np.random.default_rng(seed)
         n = 200
-        x = np.column_stack([np.ones(n), np.eye(3)[rng.integers(0, 3, n)], rng.uniform(-1, 1, (n, 2))])
-        y = x @ np.array([0.5, 1.0, -0.5, 0.2, 0.8, 0.0]) + rng.normal(0, 0.5, n)
-        stats = sufficient_stats(Dataset(x, y / np.max(np.abs(y)), 1.0))
+        ones = np.ones(n)
+        layouts = (
+            lambda rng: np.column_stack([ones, one_hot(rng, 3), rng.uniform(-1, 1, (n, 2))]),
+            lambda rng: np.column_stack([one_hot(rng, 3), rng.uniform(-1, 1, (n, 2)), ones]),
+            lambda rng: np.column_stack([ones, one_hot(rng, 2), one_hot(rng, 3)]),
+        )
         family = all_subsets(6)
-        stepped = 0
-        for radius in (2.0, 5.0):
-            fits = fit_masks(stats, family, radius)
-            tau = _certificate_level(stats, radius)
-            for mask, fit in zip(family, fits):
-                cols = mask.column_positions().tolist()
-                oracle = _kkt_oracle(stats.xtx, stats.xty, stats.yty, cols, radius)
-                assert fit.neg2_loglik == pytest.approx(oracle, rel=1e-9)
-                _assert_certified(stats, fit, cols, radius, tau)
-            stepped += int((fits.iterations > 0).sum())
-            # Only masks holding all four dependent columns need descent.
-            assert np.all(family.bits[fits.iterations > 0] & 0b1111 == 0b1111)
-        assert rows and stepped > 0
+        for layout, design in enumerate(layouts):
+            rng = np.random.default_rng(seed)
+            x = design(rng)
+            y = x @ np.array([0.5, 1.0, -0.5, 0.2, 0.8, 0.0]) + rng.normal(0, 0.5, n)
+            stats = sufficient_stats(Dataset(x, y / np.max(np.abs(y)), 1.0))
+            rows.clear()
+            stepped = 0
+            for radius in (0.3, 1.0, 2.0, 5.0):
+                fits = fit_masks(stats, family, radius)
+                tau = _certificate_level(stats, radius)
+                for mask, fit in zip(family, fits):
+                    cols = mask.column_positions().tolist()
+                    oracle = _kkt_oracle(stats.xtx, stats.xty, stats.yty, cols, radius)
+                    assert fit.neg2_loglik == pytest.approx(oracle, rel=1e-9)
+                    _assert_certified(stats, fit, cols, radius, tau)
+                stepped += int((fits.iterations > 0).sum())
+                if layout == 0:
+                    # Only masks holding all four dependent columns need descent.
+                    assert np.all(family.bits[fits.iterations > 0] & 0b1111 == 0b1111)
+            if layout == 0:
+                assert rows and stepped > 0
 
     @pytest.mark.parametrize("spread", (1e-2, 1e-3))
     def test_correlated_designs_are_exact_without_descent(self, spread):
