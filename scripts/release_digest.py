@@ -24,7 +24,11 @@ The digest covers, in a fixed order:
   run in process through ``dpms.cli.main`` with pcls and pcpl, on one
   table written as a CSV file in each spelling the README lists: plain
   LF, BOM + CRLF, bare CR, no final line end, quoted cells, padded cells,
-  a quoted header name over two lines, and exponent and integer cells.
+  a quoted header name over two lines, and exponent and integer cells;
+* two large ``--debug-unsafe`` dumps: a pcls select over every subset of
+  d = 10, the empty mask included, and ``dpms select`` (pcpl, through
+  ``dpms.cli.main``) over every subset of d = 8 in reverse order, read
+  from an ``@family.json`` file.
 
 A change that keeps every released byte prints the parent's digest; run
 the script in both checkouts and compare.
@@ -37,6 +41,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import math
 import sys
 import tempfile
@@ -157,6 +162,37 @@ def cli_reports():
                     yield out.getvalue()
 
 
+def large_dumps():
+    """The ``--debug-unsafe`` JSON of a d = 10 family in process, then of a
+    reversed d = 8 family through the CLI."""
+    rng = np.random.default_rng([10, 1])
+    x = rng.uniform(-1.0, 1.0, (400, 10))
+    y = x[:, :3] @ np.asarray(BETA[:3]) + rng.normal(0.0, 1.0, 400)
+    config = dpms.SelectionConfig(radius=2.0, penalty=2.0, budget=dpms.PrivacyBudget(1.0))
+    family = dpms.all_subsets(10, include_empty=True)
+    report = dpms.pcls_select(dpms.Dataset.from_arrays(x, y), family, config,
+                              dpms.RngStream(2**70 + 13, 0))
+    yield report.to_json(include_clean_scores=True)
+    family = [list(m.indices()) for m in reversed(list(dpms.all_subsets(8, include_empty=True)))]
+    y = np.clip(x[:, :8] @ np.asarray(BETA + (0.0,) * 3) + rng.normal(0.0, 1.0, 400), -3.0, 3.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, models = Path(tmp) / "data.csv", Path(tmp) / "family.json"
+        rows = [",".join(repr(float(v)) for v in (yi, *xi)) for yi, xi in zip(y, x[:, :8])]
+        data.write_text("\n".join(["y," + ",".join(f"x{j}" for j in range(8)), *rows]) + "\n")
+        models.write_text(json.dumps(family))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = dpms.cli.main([
+                "select", "--input", str(data), "--response", "y", "--r", "3",
+                "--no-include-intercept", "--models", f"@{models}", "--algorithm", "pcpl",
+                "--delta", "1e-6", "--R", "2", "--phi", "1", "--epsilon", "2",
+                "--seed", str(2**70 + 17), "--debug-unsafe",
+            ])
+        if code != 0:
+            raise SystemExit(f"dpms select exited {code} on {data}")
+        yield out.getvalue()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sweeps", type=int, default=40,
@@ -165,7 +201,8 @@ def main(argv=None) -> int:
     if args.sweeps < 0:
         parser.error("--sweeps must be at least 0")
     digest = hashlib.sha256()
-    for text in itertools.chain(select_reports(), sweep_csvs(args.sweeps), cli_reports()):
+    for text in itertools.chain(select_reports(), sweep_csvs(args.sweeps), cli_reports(),
+                                large_dumps()):
         raw = text.encode("utf-8")
         # Length-prefixed, so no two sequences of texts hash alike.
         digest.update(len(raw).to_bytes(8, "little") + raw)

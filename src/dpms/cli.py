@@ -103,7 +103,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sel.add_argument(
         "--debug-unsafe",
-        action="store_true",
+        action=argparse.BooleanOptionalAction,
+        default=False,
         help="include NON-PRIVATE clean scores in the report",
     )
     sel.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
@@ -125,7 +126,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     swp.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
     swp.add_argument("--seed", type=int,
                      help="master seed (default: a fresh 128-bit key, printed to stderr)")
-    swp.add_argument("--timing", action="store_true",
+    swp.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
                      help="measure mean_runtime_ms (makes that column non-reproducible)")
     swp.add_argument("--threads", type=int, default=None,
                      help="worker cap (default: the CPU count)")
@@ -178,9 +179,9 @@ def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
     """The command line tokens a key=value file stands for.
 
     Keys are an option's dest or its first flag name, with '-' or '_'.  A
-    value becomes ``--flag=value`` and a boolean its bare flag, so argparse
-    checks file values with each option's type and choices, and the
-    command line, parsed after the file, always wins.
+    value becomes ``--flag=value`` and a boolean ``--flag`` or
+    ``--no-flag``, so argparse checks file values with each option's type
+    and choices, and the command line, parsed after the file, always wins.
     """
     options = {}
     for action in subparser._actions:
@@ -211,10 +212,8 @@ def _config_tokens(path: str, subparser: argparse.ArgumentParser) -> list[str]:
         word = value.lower()
         if word not in _BOOL_WORDS:
             raise ConfigError(f"{path}:{lineno}: {key} must be true or false, got {value!r}")
-        if _BOOL_WORDS[word]:
-            tokens.append(action.option_strings[0])
-        elif len(action.option_strings) > 1:  # --no-x; a store_true flag is off already
-            tokens.append(action.option_strings[1])
+        # Every boolean has both spellings, --x and --no-x.
+        tokens.append(action.option_strings[0 if _BOOL_WORDS[word] else 1])
     return tokens
 
 

@@ -32,6 +32,7 @@ a sweep grid alike.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -280,19 +281,9 @@ class SelectionReport:
     def noisy_scores(self) -> np.ndarray | None:
         return self._scores[1]
 
-    def to_json_dict(self, include_clean_scores: bool = False) -> dict:
-        """Schema-stable dict: the release by default, the debug dump on request.
-
-        The release holds the winner, the privacy ledger, the public family
-        size ``n_models`` and a commitment to the key: ``key_sha256`` hashes
-        the 16-byte little-endian key, and ``stream_id`` is printed in
-        clear.  ``include_clean_scores`` instead returns the NON-PRIVATE
-        debug dump: the ``[seed, stream_id]`` pair and every model's mask,
-        noisy score and clean score.  ``g_of_d`` appears only for
-        two-stage runs; a degenerate proxy serializes as JSON null.  A
-        noiseless run's infinite budget has no JSON number, so it
-        serializes as the string "inf".
-        """
+    def _ledger(self) -> tuple[dict, dict]:
+        """The keys both reports print, split where the debug dump puts
+        "seed", as earlier releases did."""
         head = {
             "chosen": list(self.chosen.indices()),
             "epsilon_total": self.epsilon_total if math.isfinite(self.epsilon_total) else "inf",
@@ -302,38 +293,69 @@ class SelectionReport:
             "r": self.response_bound,
             "r_data_dependent": self.response_bound_data_dependent,
         }
-        # The debug dump keeps the key order of earlier releases, which
-        # put "seed" between head and tail.
         tail: dict = {"mechanism": self.mechanism, "fallback_uniform": self.fallback_uniform}
         if self.g_of_d is not None:
             tail["g_of_d"] = None if math.isinf(self.g_of_d) else self.g_of_d
-        if not include_clean_scores:
-            key = self.rng.seed.to_bytes(16, "little")
-            return {
-                **head, **tail,
-                "n_models": len(self.models),
-                "key_sha256": hashlib.sha256(key).hexdigest(),
-                "stream_id": self.rng.stream_id,
-            }
-        # Every mask's 1-based indices, cut from one flat list of the
-        # membership matrix's columns.
-        columns = (np.nonzero(member_matrix(self.models.bits, self.models.d))[1] + 1).tolist()
-        ends = np.cumsum(self.models.sizes).tolist()
-        masks = [columns[end - size:end] for end, size in zip(ends, self.models.sizes.tolist())]
-        noisy = [None] * len(masks) if self.noisy_scores is None else self.noisy_scores.tolist()
-        rows = zip(masks, noisy, self.clean_scores.tolist())
+        return head, tail
+
+    def to_json_dict(self) -> dict:
+        """The release as a schema-stable dict.
+
+        It holds the winner, the privacy ledger, the public family size
+        ``n_models`` and a commitment to the key: ``key_sha256`` hashes the
+        16-byte little-endian key, and ``stream_id`` is printed in clear.
+        ``g_of_d`` appears only for two-stage runs; a degenerate proxy
+        serializes as JSON null.  A noiseless run's infinite budget has no
+        JSON number, so it serializes as the string "inf".
+        """
+        head, tail = self._ledger()
+        key = self.rng.seed.to_bytes(16, "little")
         return {
-            **head, "seed": [self.rng.seed, self.rng.stream_id], **tail,
-            "models": [{"mask": m, "noisy_score": ns, "clean_score": cs} for m, ns, cs in rows],
+            **head, **tail,
+            "n_models": len(self.models),
+            "key_sha256": hashlib.sha256(key).hexdigest(),
+            "stream_id": self.rng.stream_id,
         }
 
     def to_json(self, include_clean_scores: bool = False) -> str:
-        text = json.dumps(
-            self.to_json_dict(include_clean_scores=include_clean_scores),
-            indent=2,
-            allow_nan=False,
-        )
-        return text + "\n"
+        """The release as JSON text, or with ``include_clean_scores`` the
+        NON-PRIVATE debug dump: the ledger, the ``[seed, stream_id]`` pair
+        and every model's mask, noisy score and clean score.
+
+        Both print what ``json.dumps(doc, indent=2, allow_nan=False)``
+        prints, plus a final newline.  The dump writes its ``models`` array
+        straight from the report's arrays in that layout, with no dict per
+        model; a non-finite score raises json's ``ValueError``.
+        """
+        if not include_clean_scores:
+            return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
+        head, tail = self._ledger()
+        doc = {**head, "seed": [self.rng.seed, self.rng.stream_id], **tail}
+        clean, noisy = self.clean_scores, self.noisy_scores
+        # json's own error, naming the first entry it would have met.
+        scores = clean if noisy is None else np.column_stack((noisy, clean))
+        bad = scores[~np.isfinite(scores)]
+        if bad.size:
+            raise ValueError(f"Out of range float values are not JSON compliant: {float(bad[0])!r}")
+        clean = map(repr, clean.tolist())
+        noisy = itertools.repeat("null") if noisy is None else map(repr, noisy.tolist())
+        # Every mask's 1-based indices, cut from one flat read of the
+        # membership matrix; the d names are shared, not one str per entry.
+        d, sizes = self.models.d, self.models.sizes
+        names = [str(j + 1) for j in range(d)]
+        columns = np.flatnonzero(member_matrix(self.models.bits, d)) % d
+        labels = list(map(names.__getitem__, columns.tolist()))
+        ends = np.cumsum(sizes).tolist()
+        # The head's own text less its closing "\n}", then each record and
+        # its separator, joined once; a family is never empty.
+        out = [json.dumps(doc, indent=2, allow_nan=False)[:-2], ',\n  "models": [\n']
+        for end, size, ns, cs in zip(ends, sizes.tolist(), noisy, clean):
+            mask = ",\n        ".join(labels[end - size:end])
+            mask = f"[\n        {mask}\n      ]" if size else "[]"
+            out += (f'    {{\n      "mask": {mask},\n      "noisy_score": {ns},\n'
+                    f'      "clean_score": {cs}\n    }}', ",\n")
+        out[-1] = "\n  ]\n}\n"
+        return "".join(out)
 
 
 class _Picks(NamedTuple):

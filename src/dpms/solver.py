@@ -229,7 +229,7 @@ def _size_groups(member: np.ndarray):
     # Rows in order of size, ascending within a size, and the columns of
     # those rows in one read: each group is a contiguous run of both.
     order = np.argsort(sizes, kind="stable")
-    columns = np.nonzero(member[order])[1]
+    columns = np.flatnonzero(member[order]) % member.shape[1]
     counts = np.bincount(sizes, minlength=1).tolist()
     row, column = counts[0], 0
     for k, count in enumerate(counts[1:], start=1):

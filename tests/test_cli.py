@@ -450,6 +450,38 @@ class TestConfigFile:
         assert main(args + ["--config", str(cfg)]) == 2
         assert "unknown option 'no_timing'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["select", "sweep"])
+    def test_a_boolean_set_in_the_file_can_be_turned_off(self, demo_csv, tmp_path, capsys,
+                                                         command):
+        # --no-debug-unsafe and --no-timing were unrecognized arguments
+        # (exit 2), so a file asking for the NON-PRIVATE dump, or for the
+        # non-reproducible timing column, could not be overridden.
+        if command == "select":
+            args, key = _select_args(demo_csv), "debug_unsafe"
+        else:
+            args = ["sweep", "--model-id", "1", "--n", "50", "--R", "1", "--eps", "1",
+                    "--phi", "0", "--replications", "2", "--threads", "1", "--seed", "5"]
+            key = "timing"
+        flag = "--" + key.replace("_", "-")
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = true\n", encoding="utf-8")
+        assert main(args + ["--config", str(cfg), flag.replace("--", "--no-")]) == 0
+        assert capsys.readouterr().out == plain
+        # A false value in the file is --no-x, which a typed --x beats.
+        cfg.write_text(f"{key} = false\n", encoding="utf-8")
+        assert main(args + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(args + ["--config", str(cfg), flag]) == 0
+        on = capsys.readouterr().out
+        if command == "select":
+            assert "models" not in json.loads(plain) and "models" in json.loads(on)
+        else:
+            header, row = on.splitlines()
+            timed = dict(zip(header.split(","), row.split(",")))["mean_runtime_ms"]
+            assert float(timed) > 0.0 and timed not in plain.splitlines()[1].split(",")
+
     def test_a_config_run_prints_what_its_command_line_prints(self, demo_csv, tmp_path, capsys):
         from dpms import cli
 

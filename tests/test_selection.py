@@ -1,11 +1,13 @@
 """Selection paths: scoring, budgets, sensitivity proxy, serialization."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -854,6 +856,111 @@ class TestReportDigests:
         assert report.fallback_uniform == (case == "pcpl-fallback")
         text = report.to_json(include_clean_scores=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[case]
+
+
+def _debug_oracle(report):
+    """The debug dump the way json prints it, from a dict built out of the
+    report's public fields and arrays."""
+    doc = {
+        "chosen": list(report.chosen.indices()),
+        "epsilon_total": "inf" if math.isinf(report.epsilon_total) else report.epsilon_total,
+        "delta": report.delta,
+        "R": report.radius,
+        "phi_n": report.penalty,
+        "r": report.response_bound,
+        "r_data_dependent": report.response_bound_data_dependent,
+        "seed": [report.rng.seed, report.rng.stream_id],
+        "mechanism": report.mechanism,
+        "fallback_uniform": report.fallback_uniform,
+    }
+    if report.g_of_d is not None:
+        doc["g_of_d"] = None if math.isinf(report.g_of_d) else report.g_of_d
+    clean = report.clean_scores.tolist()
+    noisy = [None] * len(clean) if report.noisy_scores is None else report.noisy_scores.tolist()
+    doc["models"] = [
+        {"mask": list(mask.indices()), "noisy_score": ns, "clean_score": cs}
+        for mask, ns, cs in zip(report.models, noisy, clean)
+    ]
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# Each case's (algorithm, mechanism, epsilon, n, family) for the dump's
+# byte oracle.
+DUMP_CASES = {
+    "include-empty": ("pcls", "noisy_argmin", 1.0, 200, lambda: all_subsets(4, include_empty=True)),
+    "reversed": ("pcls", "noisy_argmin", 1.0, 200, lambda: from_explicit(
+        [m.indices() for m in reversed(list(all_subsets(5, include_empty=True)))], 5)),
+    "pcpl-fallback": ("pcpl", "noisy_argmin", 0.5, 40, lambda: all_subsets(4)),
+    "pcls-exponential": ("pcls", "exponential", 1.0, 200, lambda: all_subsets(4)),
+    "pcpl-exponential": ("pcpl", "exponential", 5.0, 200, lambda: all_subsets(4)),
+    "pcls-inf": ("pcls", "noisy_argmin", math.inf, 200, lambda: all_subsets(4)),
+    "pcpl-inf": ("pcpl", "noisy_argmin", math.inf, 200, lambda: all_subsets(4)),
+    "d12": ("pcls", "noisy_argmin", 1.0, 300, lambda: all_subsets(12)),
+}
+
+
+class TestDebugDump:
+    # The dump writes its models array straight from the report's arrays;
+    # it used to build one dict per model for json's indent=2 encoder.
+    @staticmethod
+    def _report(case):
+        algorithm, mechanism, epsilon, n, family = DUMP_CASES[case]
+        family = family()
+        d = family.d
+        ds, _, _ = _dataset(n=n, d=d, seed=5, beta=(0.9, -0.7) + (0.0,) * (d - 2), noise=1.0)
+        if algorithm == "pcls":
+            cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(epsilon),
+                                  mechanism=mechanism)
+            return pcls_select(ds, family, cfg, RngStream(3, 1))
+        cfg = SelectionConfig(radius=1.0, penalty=3.0, budget=PrivacyBudget(epsilon, 1e-3),
+                              mechanism=mechanism)
+        return pcpl_select(ds, family, cfg, RngStream(3, 1))
+
+    @pytest.mark.parametrize("case", sorted(DUMP_CASES))
+    def test_prints_what_json_prints(self, case):
+        report = self._report(case)
+        text = report.to_json(include_clean_scores=True)
+        assert text == _debug_oracle(report)
+        models = json.loads(text)["models"]
+        if case == "include-empty":
+            assert models[0]["mask"] == [] and '"mask": [],' in text
+        if case == "reversed":
+            assert models[-1]["mask"] == []
+        if case == "pcpl-fallback":
+            assert report.fallback_uniform and json.loads(text)["g_of_d"] is None
+        if case in ("pcpl-fallback", "pcls-exponential", "pcpl-exponential"):
+            assert all(m["noisy_score"] is None for m in models)
+        else:
+            assert all(isinstance(m["noisy_score"], float) for m in models)
+        if case == "d12":
+            assert len(models) == 4095
+
+    @pytest.mark.parametrize("which", ["clean", "noisy"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_score_raises_what_json_raises(self, which, value):
+        report = self._report("include-empty")
+        clean, noisy = report.clean_scores.copy(), report.noisy_scores.copy()
+        (clean if which == "clean" else noisy)[3] = value
+        broken = dataclasses.replace(report, settle_scores=lambda: (clean, noisy))
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            _debug_oracle(broken)
+        with pytest.raises(ValueError) as got:
+            broken.to_json(include_clean_scores=True)
+        assert str(got.value) == f"Out of range float values are not JSON compliant: {value!r}"
+
+    def test_peak_memory_stays_within_five_texts(self):
+        # The dict-per-model dump peaked near 8.9 times its text at d = 10.
+        ds, _, _ = _dataset(n=300, d=10, beta=(0.9, -0.7) + (0.0,) * 8)
+        cfg = SelectionConfig(radius=2.0, penalty=3.0, budget=PrivacyBudget(1.0))
+        report = pcls_select(ds, all_subsets(10), cfg, RngStream(6, 6))
+        report.clean_scores  # settle first: only the writing is measured
+        tracemalloc.start()
+        try:
+            text = report.to_json(include_clean_scores=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(text)
 
 
 class TestFiniteMechanismBudgets:

@@ -59,6 +59,30 @@ class TestSizeGroups:
                 assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
                 assert idx.shape == want_idx.shape and np.array_equal(idx, want_idx)
 
+    @pytest.mark.parametrize("d, include_empty, max_size", [
+        (1, False, None), (1, True, None), (6, False, None), (6, True, None),
+        (12, False, None), (12, True, 3), (20, False, 3), (20, True, 2), (4, True, 0),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_families_match_a_two_dimensional_nonzero(self, d, include_empty, max_size, reverse):
+        # The columns come from one flat read modulo d; the reference takes
+        # them from a 2-D np.nonzero per size.  (4, True, 0) is the family
+        # of the empty mask alone, which has no group.
+        from dpms import from_explicit
+        from dpms.data import member_matrix
+        from dpms.solver import _size_groups
+
+        family = all_subsets(d, include_empty=include_empty, max_size=max_size)
+        if reverse:
+            family = from_explicit([m.indices() for m in reversed(list(family))], d)
+        member = member_matrix(family.bits, d)
+        got, want = list(_size_groups(member)), list(_size_groups_by_scan(member))
+        assert len(got) == len(want) == len(set(family.sizes.tolist()) - {0})
+        for (rows, idx), (want_rows, want_idx) in zip(got, want):
+            assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
+            assert np.array_equal(idx, want_idx) and idx.dtype == want_idx.dtype
+            assert idx.shape == want_idx.shape
+
 
 def _project_one(v, radius):
     """Euclidean projection of one vector onto the l1 ball, by the row-wise
