@@ -21,11 +21,17 @@ number of pairs the change won, and whether that meets the rule for
 claiming a gain (``meets_rule``).  The file is rewritten after every
 pair, so an interrupted session keeps what it measured.  Every run must
 print ``correct: true``; ``all_runs_correct`` says whether they did.
+
+The commit fields are each checkout's HEAD, which an uncommitted edit does
+not move, so ``parent_src_sha256`` and ``change_src_sha256`` also record
+what each side ran: a hash of its ``src/`` tree, taken before the runs.
+Equal hashes are allowed, for A/A runs of two copies of one tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -62,6 +68,21 @@ def _parse(argv):
         if not (getattr(args, side) / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {getattr(args, side)} holds no perfbench/run.py")
     return args
+
+
+def src_sha256(checkout: Path) -> str:
+    """SHA-256 over the files of ``checkout/src`` in sorted order: each
+    file's relative path and its bytes, both length-prefixed, with
+    ``__pycache__`` directories skipped."""
+    root = checkout / "src"
+    digest = hashlib.sha256()
+    files = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    for name in files:
+        if "__pycache__" in name.parts:
+            continue
+        for part in (name.as_posix().encode("utf-8"), (root / name).read_bytes()):
+            digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -159,6 +180,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent_commit": None,
         "change_commit": None,
+        **{f"{side}_src_sha256": src_sha256(getattr(args, side)) for side in SIDES},
         "method": {
             "end_to_end": f"{run} --trace 0, seeds {seeds}, parent checkout and change one "
                           "after the other, the side that runs first alternating per pair",

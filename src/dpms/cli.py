@@ -260,7 +260,7 @@ def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, list[str]]:
             )
         x_ranges = payload.get("x")
         y_range = payload.get("y")
-        if args.include_intercept and x_ranges is not None:
+        if args.include_intercept and isinstance(x_ranges, list):
             # The intercept column is synthetic, so the ranges file only
             # describes real covariates.  [-1, 1] maps the ones column to
             # itself.

@@ -288,14 +288,20 @@ def standardize(
                 "policy 'rescale' needs x_ranges (one [lo, hi] per column) "
                 "and y_range [lo, hi]"
             )
-        ranges = np.asarray(x_ranges, dtype=np.float64)
+        try:
+            ranges = np.array(x_ranges, dtype=np.float64)
+            y_bounds = np.array(y_range, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"rescale ranges must hold numbers: {exc}") from None
         if ranges.shape != (x.shape[1], 2):
             raise ConfigError(
                 f"x_ranges shape {ranges.shape} does not match "
                 f"({x.shape[1]}, 2)"
             )
+        if y_bounds.shape != (2,):
+            raise ConfigError(f"y_range must be [lo, hi], got shape {y_bounds.shape}")
         lo, hi = ranges[:, 0], ranges[:, 1]
-        ylo, yhi = (float(y_range[0]), float(y_range[1]))
+        ylo, yhi = y_bounds.tolist()
         widths = hi - lo
         if np.any(widths <= 0) or yhi - ylo <= 0:
             raise DataError("rescale ranges must have positive width")

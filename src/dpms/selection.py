@@ -362,10 +362,11 @@ class _Picks(NamedTuple):
     """One private selection per row of a score matrix."""
 
     winners: np.ndarray  # winning column of each row
-    # noisy scores (noisy_argmin on settled fits only); NaN on fallback rows
-    noisy: np.ndarray | None
     fallback: np.ndarray  # True where pcpl's uniform fallback picked the winner
     g_of_d: np.ndarray | None  # pcpl's released sensitivity proxy of each row
+    # (rows, keys(scores, base)) of each keyed group, its noise drawn; a
+    # fallback row is in none
+    keys: list[tuple[np.ndarray, Callable]]
 
 
 def _score_matrix(algorithm: str, losses, n_obs: int, penalties, sizes: np.ndarray) -> np.ndarray:
@@ -390,9 +391,9 @@ def _score_bounds(algorithm, fits, n_obs, penalties, sizes):
 
 
 def _mechanism_rows(law, fits, penalties, keys, models, clean=None):
-    """Winner of each row and, for noisy_argmin on settled fits, its noisy
-    scores, under the algorithm and mechanism of the record ``law``, with
-    the rows' keys ``keys(scores, base)`` (see :mod:`~dpms.mechanisms`).
+    """Winning column of each row under the algorithm and mechanism of the
+    record ``law``, with the rows' keys ``keys(scores, base)`` (see
+    :mod:`~dpms.mechanisms`).
     ``clean``, when given, is the clean-score matrix of settled ``fits``
     under ``penalties``.
 
@@ -444,8 +445,7 @@ def _mechanism_rows(law, fits, penalties, keys, models, clean=None):
             fits.settle(np.flatnonzero(want & ~fits.certified))
         else:
             fits.fits()
-    noisy = key_hi if mechanism == "noisy_argmin" and lo is hi else None
-    return _row_argmin(key_hi, models), noisy
+    return _row_argmin(key_hi, models)
 
 
 def _select_rows(
@@ -475,10 +475,11 @@ def _select_rows(
     falls back and is keyed by its scores alone
     (:func:`~dpms.mechanisms._exact_keys`); this is the one place that
     decides it.  Every other row draws its mechanism's keys at its finite
-    epsilon.  Every draw comes back in columns of ``models``.  ``noisy`` is
-    None unless every group that ran ended on settled fits.  A caller that
-    holds the clean-score matrix of settled ``fits`` under ``penalties``
-    passes it as ``clean``, and it is not built again.
+    epsilon.  Every draw comes back in columns of ``models``, and each
+    keyed group comes back with its keys, which a debug report evaluates
+    at the settled scores.  A caller that holds the clean-score matrix of
+    settled ``fits`` under ``penalties`` passes it as ``clean``, and it is
+    not built again.
     """
     penalties = np.asarray(penalties, dtype=np.float64)
     rows, epsilon = len(stream_ids), law.epsilon
@@ -508,17 +509,11 @@ def _select_rows(
             keys = _gumbel_keys(epsilon[live, None], sensitivity[live, None], models, seed,
                                 live_ids)
         groups.append((live, keys))
-    # Fallback rows have no noisy scores.
-    noisy = np.full((rows, len(models)), np.nan) if groups else None
     for group, keys in groups:
-        winners[group], scores = _mechanism_rows(
+        winners[group] = _mechanism_rows(
             law, fits, penalties[group], keys, models, None if clean is None else clean[group]
         )
-        if scores is None:
-            noisy = None
-        elif noisy is not None:
-            noisy[group] = scores
-    return _Picks(winners, noisy, fallback, proxy)
+    return _Picks(winners, fallback, proxy, groups)
 
 
 def _select(
@@ -544,19 +539,17 @@ def _select(
         # row's smallest score, and settles the supersets in most selects.
         eager = algorithm == "pcls" and config.mechanism == "exponential"
         fits = bound_masks(sufficient_stats(dataset), models, config.radius, eager=eager)
-    args = ([config.penalty], models, rng.seed, [rng.stream_id])
-    picks = _select_rows(law, fits, *args)
+    picks = _select_rows(law, fits, [config.penalty], models, rng.seed, [rng.stream_id])
     g_of_d = None if picks.g_of_d is None else float(picks.g_of_d[0])
-    fallback = bool(picks.fallback[0])
+    # Noisy argmin's keys are its noisy scores; a fallback row has none.
+    keys = picks.keys[0][1] if picks.keys and config.mechanism == "noisy_argmin" else None
 
     def scores():
         # Only a debug report reads every score: settle every fit and
-        # replay the release on them.
-        settled = fits.fits()
-        clean = _score_matrix(algorithm, settled.neg2_loglik, dataset.n, [config.penalty],
+        # evaluate the release's own keys at the clean scores.
+        clean = _score_matrix(algorithm, fits.fits().neg2_loglik, dataset.n, [config.penalty],
                               models.sizes)
-        noisy = _select_rows(law, settled, *args).noisy
-        return _readonly(clean[0]), None if noisy is None or fallback else _readonly(noisy[0])
+        return _readonly(clean[0]), None if keys is None else _readonly(keys(clean, clean)[0])
 
     return SelectionReport(
         chosen=models[picks.winners[0]],
@@ -568,7 +561,7 @@ def _select(
         response_bound_data_dependent=dataset.bound_is_data_dependent,
         rng=rng,
         mechanism=config.mechanism,
-        fallback_uniform=fallback,
+        fallback_uniform=bool(picks.fallback[0]),
         g_of_d=g_of_d,
         models=models,
         settle_scores=scores,

@@ -306,13 +306,13 @@ def _sweep_chunk(
     sample size ``n``, whose penalty grid is ``phis``.
 
     Each (replication, R) is fitted once, and one call of the selection
-    core then releases every (epsilon, delta, phi) cell of it: one row per
+    core then releases every (phi, epsilon, delta) cell of it: one row per
     cell, in that order, each with its own penalty, budget and stream,
     keyed by the cell coordinates.  Each (replication, R) has its own
     calibration record, since r is each dataset's own max |y|.  The
-    result is indexed [R, phi, epsilon, delta, k] and holds, for k = 0..3,
-    the replications whose pick was correct, agreed with the noiseless
-    pick and fell back, and the summed selection time in ms (a call's time
+    result is indexed [R, cell, k] and holds, for k = 0..3, the
+    replications whose pick was correct, agreed with the noiseless pick
+    and fell back, and the summed selection time in ms (a call's time
     shared evenly across its cells).  Counters are sums, so chunks merge
     into the same totals as a single pass.
     """
@@ -320,15 +320,13 @@ def _sweep_chunk(
     seed = template.rng.seed
     beta = np.asarray(template.coefficients)
     coords_base = (model_id, template.coefficients, template.noise_sd, n)
-    cells = list(product(grid.epsilon_values, grid.delta_values, phis))
-    epsilons, deltas, penalties = (np.array(axis) for axis in zip(*cells))
+    # The order of run_sweep's rows and of the stream-id coordinates.
+    cells = list(product(phis, grid.epsilon_values, grid.delta_values))
+    penalties, epsilons, deltas = (np.array(axis) for axis in zip(*cells))
     # Every stream id is _stream_id(*parts, rep): the hash of the parts'
     # encodings, absorbed once here, continued by the replication's own.
     data_state = _state_of(_encode("data", *coords_base))
-    eps_codes, delta_codes, phi_codes = (
-        [_encode(v) for v in axis] for axis in (grid.epsilon_values, grid.delta_values, phis)
-    )
-    cell_codes = [p + e + d for e, d, p in product(eps_codes, delta_codes, phi_codes)]
+    cell_codes = [_encode(*cell) for cell in cells]
     head, tail = _encode("select", *coords_base), _encode(grid.algorithm, mechanism)
     select_states = []
     for radius in grid.radius_values:
@@ -337,7 +335,6 @@ def _sweep_chunk(
     truth = _generating_mask(template.coefficients)
     hit = np.flatnonzero(models.bits == truth.bits)
     truth_column = int(hit[0]) if hit.size else -1
-    # Counted in the order of the rows, [R, epsilon, delta, phi, k].
     counts = np.zeros((len(grid.radius_values), len(cells), 4))
 
     for rep in range(rep_lo, rep_hi):
@@ -360,8 +357,7 @@ def _sweep_chunk(
             count[:, 1] += picks.winners == _row_argmin(clean, models)
             count[:, 2] += picks.fallback
             count[:, 3] += 1000.0 * seconds / len(cells)
-    axes = (grid.radius_values, grid.epsilon_values, grid.delta_values, phis)
-    return counts.reshape(*map(len, axes), 4).transpose(0, 3, 1, 2, 4)
+    return counts
 
 
 def run_sweep(

@@ -1,6 +1,8 @@
-"""The pairing arithmetic of scripts/bench_pair.py, on made-up runs."""
+"""The pairing arithmetic of scripts/bench_pair.py, on made-up runs, and
+its hash of a checkout's ``src/`` tree."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,23 @@ def test_meets_rule_needs_nine_in_ten_pairs_and_a_gap_beyond_the_quartiles(bette
     change = [p + 10 * step for p in parent]
     change[0] = parent[0]
     assert block(change)["meets_rule"]
+
+
+def test_src_hash_follows_the_src_tree_only(tmp_path):
+    parent = tmp_path / "parent"
+    (parent / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (parent / "src" / "pkg" / "core.py").write_bytes(b"x = 1\n")
+    (parent / "src" / "pkg" / "__init__.py").write_bytes(b"")
+    (parent / "README.md").write_text("notes\n", encoding="utf-8")
+    before = bench_pair.src_sha256(parent)
+    # A copy of the tree hashes alike, and so does an edit outside src/
+    # or in a bytecode cache.
+    change = tmp_path / "change"
+    shutil.copytree(parent, change)
+    assert bench_pair.src_sha256(change) == before
+    (change / "README.md").write_text("other notes\n", encoding="utf-8")
+    (change / "src" / "pkg" / "__pycache__" / "core.pyc").write_bytes(b"\0")
+    assert bench_pair.src_sha256(change) == before
+    # One byte of a source file moves it.
+    (change / "src" / "pkg" / "core.py").write_bytes(b"x = 2\n")
+    assert bench_pair.src_sha256(change) != before

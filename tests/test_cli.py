@@ -92,6 +92,13 @@ class TestSelect:
         assert all(len(m["mask"]) <= 2 for m in doc["models"])
         assert len(doc["models"]) == 4 + 6
 
+    def test_all_models_include_the_empty_mask(self, demo_csv, capsys):
+        assert main(_select_args(demo_csv, "--models", "all")) == 0
+        assert json.loads(capsys.readouterr().out)["n_models"] == 2**4
+        assert main(_select_args(demo_csv, "--models", "all", "--debug-unsafe")) == 0
+        masks = [m["mask"] for m in json.loads(capsys.readouterr().out)["models"]]
+        assert len(masks) == 2**4 and masks.count([]) == 1
+
     def test_explicit_family_file(self, demo_csv, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         fam.write_text("[[1], [1, 2], [1, 2, 3]]", encoding="utf-8")
@@ -319,6 +326,33 @@ class TestSelect:
         assert main(args) == 2
         assert "must hold a JSON object with keys x and y" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("intercept", ["--include-intercept", "--no-include-intercept"])
+    @pytest.mark.parametrize("ranges", [
+        '{"x": [["a", 100.0]], "y": [-10.0, 10.0]}',
+        '{"x": [[0.0, 100.0]], "y": [-10.0, "b"]}',
+        '{"x": [[0.0, 100.0]], "y": [-10.0]}',
+        '{"x": [[0.0, 100.0]], "y": 5}',
+        '{"x": 5, "y": [-10.0, 10.0]}',
+        '{"x": [[0.0, 100.0]]}',
+    ])
+    def test_a_malformed_ranges_file_is_one_usage_error_line(self, tmp_path, capsys, ranges,
+                                                             intercept):
+        # Each of these ended in a bare ValueError, IndexError or TypeError
+        # traceback.
+        p = tmp_path / "raw.csv"
+        p.write_text("y,a\n10.0,100.0\n-10.0,0.0\n0.0,50.0\n", encoding="utf-8")
+        path = tmp_path / "ranges.json"
+        path.write_text(ranges, encoding="utf-8")
+        args = [
+            "select", "--input", str(p), "--response", "y",
+            "--R", "1.0", "--phi", "0.0", "--epsilon", "1.0", "--seed", "1",
+            "--standardize", "rescale", "--ranges", str(path), intercept,
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_covariate_named_intercept_is_data_error(self, tmp_path, capsys):
         # With the added intercept this file used to give two covariates
         # named "intercept".
@@ -404,6 +438,24 @@ class TestConfigFile:
         assert main(_select_args(demo_csv, "--config", str(cfg))) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all("clean_score" in m for m in doc["models"])
+
+    @pytest.mark.parametrize("quote", ['"', "'"])
+    def test_a_quoted_value_is_read_without_its_quotes(self, demo_csv, tmp_path, capsys, quote):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"response = {quote}y{quote}\n", encoding="utf-8")
+        args = [a for a in _select_args(demo_csv) if a not in ("--response", "y")]
+        assert main(args + ["--config", str(cfg)]) == 0
+        quoted = capsys.readouterr().out
+        assert main(_select_args(demo_csv)) == 0
+        assert quoted == capsys.readouterr().out
+
+    def test_a_bad_boolean_word_is_a_usage_error(self, demo_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("debug_unsafe = maybe\n", encoding="utf-8")
+        assert main(_select_args(demo_csv, "--config", str(cfg))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "debug_unsafe must be true or false, got 'maybe'" in captured.err
 
     @pytest.mark.parametrize("command, line, message", [
         ("select", "algorithm = foo", "argument --algorithm: invalid choice: 'foo'"),

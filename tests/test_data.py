@@ -251,6 +251,23 @@ class TestStandardize:
                 x_ranges=[[1.0, 1.0]], y_range=[0.0, 1.0],
             )
 
+    @pytest.mark.parametrize("x_ranges, y_range", [
+        ([["a", 1.0]], [0.0, 1.0]),
+        ([[0.0, 1.0]], [0.0, "b"]),
+        ([[0.0, 1.0]], [0.0]),
+        ([[0.0, 1.0]], 5),
+        ([[0.0, 1.0]], [[0.0, 1.0]]),
+        (5, [0.0, 1.0]),
+        ([[0.0, 1.0], [0.0]], [0.0, 1.0]),
+        ({"a": 1}, [0.0, 1.0]),
+    ])
+    def test_rescale_rejects_malformed_ranges(self, x_ranges, y_range):
+        # A non-numeric entry raised ValueError, a one-entry y IndexError
+        # and a scalar y TypeError.
+        with pytest.raises(ConfigError):
+            standardize(np.zeros((2, 1)), np.zeros(2), "rescale",
+                        x_ranges=x_ranges, y_range=y_range)
+
     def test_rescale_out_of_range_value_fails_validation(self):
         x = np.array([[12.0]])  # outside the declared [0, 10] range
         y = np.array([0.5])
@@ -579,6 +596,17 @@ class TestLoadCsvFormats:
         assert got.tobytes() == np.array([float(c) for c in cells]).reshape(-1, 4).tobytes()
         # Only the midpoint rule sends these cells to float().
         assert cells[:3] == read[:3] and len(read) > 3
+
+    def test_positive_exponents_take_the_fast_route(self):
+        # q > 0 multiplies by 10^q; 1e28 is past the exact powers and
+        # takes float().
+        from dpms.data import _decimal_rows
+
+        cells = ["1e5", "-2.5E+22", "12e3", "9.5e26", "7e27", "1e28"]
+        body = "\n".join(",".join(cells[i:i + 3]) for i in (0, 3)) + "\n"
+        got = _decimal_rows(body.encode(), 0, 3)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == np.array([float(c) for c in cells]).reshape(2, 3).tobytes()
 
     def test_without_the_x87_long_double_the_csv_rules_read_the_body(self, tmp_path, monkeypatch):
         from dpms import data

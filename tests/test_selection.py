@@ -21,6 +21,7 @@ from dpms import (
     RngStream,
     ScoredCandidate,
     SelectionConfig,
+    SolverError,
     all_subsets,
     exponential_mechanism,
     fit_masks,
@@ -60,6 +61,17 @@ def _rows(algorithm, cfg, ds, fits, models, seed, streams):
     """The selection core on one row per stream, each running ``cfg`` on ``ds``."""
     law = _law(algorithm, cfg, ds, models.d, len(streams))
     return _select_rows(law, fits, [cfg.penalty] * len(streams), models, seed, streams)
+
+
+def _noisy(picks, clean):
+    """Each row's keys at the clean-score rows ``clean`` (one row, or one
+    per row of ``picks``), as a debug report evaluates them: noisy argmin's
+    noisy scores.  NaN on fallback rows, which no group keys."""
+    clean = np.broadcast_to(clean, (len(picks.winners), clean.shape[-1]))
+    noisy = np.full(clean.shape, np.nan)
+    for rows, keys in picks.keys:
+        noisy[rows] = keys(clean[rows], clean[rows])
+    return noisy
 
 
 def _proxy(min_loss, epsilon, delta, unit):
@@ -339,6 +351,7 @@ class TestComputeGofD:
             budget = PrivacyBudget(1.0, delta)
             cfg = SelectionConfig(radius=radius, penalty=1.0, budget=budget, mechanism=mechanism)
             picks = _rows("pcpl", cfg, ds, fits, models, seed, streams)
+            noisy_rows = _noisy(picks, clean)
             assert 0 < picks.fallback.sum() < len(streams)
             for i, sid in enumerate(streams):
                 stream = RngStream(seed, sid)
@@ -350,13 +363,13 @@ class TestComputeGofD:
                 if math.isinf(proxy):
                     assert picks.winners[i] == _uniform_rows(seed, [sid], models)[0]
                     if mechanism == "noisy_argmin":
-                        assert np.isnan(picks.noisy[i]).all()
+                        assert np.isnan(noisy_rows[i]).all()
                 elif mechanism == "noisy_argmin":
                     scale = 2.0 * proxy / 1.0
                     cands = [ScoredCandidate(m, c, scale) for m, c in zip(models, clean[0])]
                     chosen, noisy = noisy_argmin(cands, PrivacyBudget(1.0), stream)
                     assert models[picks.winners[i]] == chosen
-                    assert np.array_equal(picks.noisy[i], noisy)
+                    assert np.array_equal(noisy_rows[i], noisy)
                 else:
                     cands = [ScoredCandidate(m, c, 0.0) for m, c in zip(models, clean[0])]
                     chosen, _ = exponential_mechanism(cands, proxy, PrivacyBudget(1.0), stream)
@@ -468,12 +481,13 @@ class TestPclsSelect:
         fits = fit_masks(sufficient_stats(ds), models, cfg.radius)
         clean = _score_matrix("pcls", fits.neg2_loglik, ds.n, [cfg.penalty], models.sizes)
         picks = _rows("pcls", cfg, ds, fits, models, 77, range(trials))
+        noisy = _noisy(picks, clean)
         for i in (0, 1, 1234, trials - 1):
             report = pcls_select(ds, models, cfg, RngStream(77, i))
             assert np.array_equal(report.clean_scores, clean[0])
-            assert np.array_equal(report.noisy_scores, picks.noisy[i])
+            assert np.array_equal(report.noisy_scores, noisy[i])
             assert report.chosen == models[picks.winners[i]]
-        residuals = (picks.noisy - clean).ravel()
+        residuals = (noisy - clean).ravel()
         assert abs(np.mean(residuals)) < 0.1 * scale
         assert np.var(residuals) == pytest.approx(2.0 * scale**2, rel=0.1)
 
@@ -963,6 +977,31 @@ class TestDebugDump:
         assert peak <= 5 * len(text)
 
 
+class TestDebugSelectRunsOnce:
+    # A debug dump evaluates the release's own keys at the settled scores.
+    # It used to replay the whole selection on them: a second SHAKE-256
+    # read, a second stage 1 for pcpl and a second argmin.
+    @pytest.mark.parametrize("case", sorted(DUMP_CASES))
+    def test_one_selection_core_call(self, case, monkeypatch):
+        from dpms import selection
+
+        calls = []
+        select_rows = selection._select_rows
+
+        def counted(*args):
+            calls.append(args)
+            return select_rows(*args)
+
+        monkeypatch.setattr(selection, "_select_rows", counted)
+        report = TestDebugDump._report(case)
+        text = report.to_json(include_clean_scores=True)
+        assert len(calls) == 1
+        noisy = report.noisy_scores
+        if noisy is not None:
+            assert report.chosen == report.models[int(np.argmin(noisy))]
+        assert text == _debug_oracle(report)
+
+
 class TestFiniteMechanismBudgets:
     # The selection core decides the noiseless limit once: rows with
     # epsilon = inf are keyed by their scores, and the mechanisms' key
@@ -1020,6 +1059,8 @@ class TestMixedBudgetRows:
         law = _calibration(algorithm, mechanism, epsilons, row_deltas, ds.response_bound, ds.n,
                            4, 1.0)
         mixed = _select_rows(law, fits, penalties, family, 17, streams)
+        clean = _score_matrix(algorithm, fits.neg2_loglik, ds.n, penalties, family.sizes)
+        mixed_noisy = _noisy(mixed, clean)
         for i, (eps, delta, phi, sid) in enumerate(cells):
             one_cfg = SelectionConfig(
                 radius=1.0, penalty=phi, budget=PrivacyBudget(eps, delta), mechanism=mechanism
@@ -1029,10 +1070,11 @@ class TestMixedBudgetRows:
             assert mixed.fallback[i] == one.fallback[0]
             if algorithm == "pcpl":
                 assert mixed.g_of_d[i] == one.g_of_d[0]
-            if one.noisy is None:
-                assert mixed.noisy is None or mixed.fallback[i]
-            else:
-                assert np.array_equal(mixed.noisy[i], one.noisy[0])
+            # The row's keys, and so its noisy scores, are those of its
+            # one-budget call.
+            one_noisy = _noisy(one, clean[i])
+            assert np.array_equal(mixed_noisy[i], one_noisy[0], equal_nan=True)
+            assert mixed.fallback[i] == np.isnan(one_noisy).all()
         finite = np.isfinite(epsilons)
         assert not mixed.fallback[~finite].any()
         if algorithm == "pcpl":
@@ -1130,10 +1172,11 @@ class TestPrunedSelection:
             full = _rows(algorithm, cfg, ds, fits, family, 5, [sid])
             report = select(ds, family, cfg, RngStream(5, sid))
             assert np.array_equal(report.clean_scores, clean[0])
-            if full.noisy is None or report.fallback_uniform:
+            assert report.fallback_uniform == full.fallback[0]
+            if mechanism == "exponential" or report.fallback_uniform:
                 assert report.noisy_scores is None
             else:
-                assert np.array_equal(report.noisy_scores, full.noisy[0])
+                assert np.array_equal(report.noisy_scores, _noisy(full, clean)[0])
                 assert report.chosen == family[int(np.argmin(report.noisy_scores))]
 
     @pytest.mark.parametrize("d", [10, 12])
@@ -1422,6 +1465,43 @@ class TestSupersetBounds:
             for sid in range(6):
                 assert pcls_select(ds, family, cfg, RngStream(43, sid)).chosen == (
                     family[full.winners[sid]])
+
+    def test_a_failed_superset_settle_keeps_the_start_bounds(self, monkeypatch):
+        # An eager select settles the binding supersets with their bounds.
+        # When that settle raises SolverError, each superset keeps the gap
+        # bound at its projected start, and the release is still the one
+        # that fully settled fits give.
+        from dpms import solver
+
+        family = all_subsets(10)
+        cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0),
+                              mechanism="exponential")
+        ds = _design("signal", 0, d=10, n=1000)
+        fits = fit_masks(sufficient_stats(ds), family, 2.5)
+        full = _rows("pcls", cfg, ds, fits, family, 43, list(range(6)))
+        raised, bounding = [], []
+        settle, superset_lower = solver._settle, solver.LossBounds._superset_lower
+
+        def flagged(self):
+            bounding.append(True)
+            try:
+                return superset_lower(self)
+            finally:
+                bounding.pop()
+
+        def failing(*args):
+            if bounding and not raised:
+                raised.append(len(args[2]))
+                raise SolverError("a superset settle that fails")
+            return settle(*args)
+
+        monkeypatch.setattr(solver, "_settle", failing)
+        monkeypatch.setattr(solver.LossBounds, "_superset_lower", flagged)
+        for sid in range(6):
+            raised.clear()
+            report = pcls_select(ds, family, cfg, RngStream(43, sid))
+            assert len(raised) == 1 and raised[0] > 0
+            assert report.chosen == family[full.winners[sid]]
 
     def test_a_default_d12_select_runs_no_lasso_path_for_the_supersets(self, monkeypatch):
         # On the benchmark's design the gap bounds at the projected starts

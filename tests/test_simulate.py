@@ -492,6 +492,32 @@ class TestRunSweep:
         )
         assert ",inf," in res.to_csv()
 
+    def test_inf_epsilon_renders_as_inf_in_json(self):
+        res = run_sweep(
+            self._small_grid(replications=2, phi_values=(0.0,)),
+            _template(), model_id="1",
+        )
+        text = res.to_json()
+        assert '"epsilon": "inf"' in text
+        assert [row["epsilon"] for row in json.loads(text)] == [1.0, "inf"]
+
+    def test_chunk_counts_come_in_row_order(self):
+        # A chunk counts its cells in the order of the sweep's rows, with
+        # no transpose: [R, (phi, epsilon, delta), k].
+        grid = self._small_grid(radius_values=(0.5, 3.0), delta_values=(1e-6, 1e-2),
+                                replications=4, algorithm="pcpl")
+        template = _template()
+        phis = grid.phis_for(80)
+        counts = simulate._sweep_chunk(grid, template, "1", "noisy_argmin", False, 80, phis, 0, 4)
+        assert counts.shape == (2, 2 * 2 * 2, 4)
+        rows = run_sweep(grid, template, model_id="1", max_workers=1).rows
+        cells = [(row.R, row.phi, row.epsilon, row.delta) for row in rows]
+        assert cells == list(product(grid.radius_values, phis, grid.epsilon_values,
+                                     grid.delta_values))
+        shares = [(row.prop_correct, row.prop_agree, row.fallback_rate, row.mean_runtime_ms)
+                  for row in rows]
+        assert shares == [tuple(cell) for cell in (counts / 4).reshape(-1, 4).tolist()]
+
 
 # sha256 of run_sweep(...).to_csv() on _golden_grid, pinned from the
 # SHAKE-256 keyed draws.  Scoring a replication's grid as a matrix must
@@ -538,7 +564,7 @@ class TestGoldenSweeps:
     ):
         # Record every selection-core call and noiseless pick that a
         # one-worker sweep makes: one of each per (replication, R), whose
-        # rows are the (epsilon, delta, phi) cells in that order.
+        # rows are the (phi, epsilon, delta) cells in that order.
         selects, noiseless_picks = [], []
 
         def recorded(function, calls):
@@ -559,7 +585,7 @@ class TestGoldenSweeps:
         models = all_subsets(template.d)
         select = pcls_select if algorithm == "pcls" else pcpl_select
         coords = ("2", template.coefficients, template.noise_sd, 200)
-        cells = list(product(grid.epsilon_values, grid.delta_values, grid.phis_for(200)))
+        cells = list(product(grid.phis_for(200), grid.epsilon_values, grid.delta_values))
         selects, noiseless_picks = iter(selects), iter(noiseless_picks)
         for rep in range(3):
             data_stream = RngStream(11, _stream_id("data", *coords, rep))
@@ -569,20 +595,20 @@ class TestGoldenSweeps:
                 _, noiseless = next(noiseless_picks)
                 stream_ids = [
                     _stream_id("select", *coords, R, phi, eps, delta, algorithm, mechanism, rep)
-                    for eps, delta, phi in cells
+                    for phi, eps, delta in cells
                 ]
                 # The rows are the cells in order: each row's penalty, and
                 # the record of each row's budget under this dataset's r.
-                law = _calibration(algorithm, mechanism, [eps for eps, _, _ in cells],
-                                   [delta for _, delta, _ in cells], dataset.response_bound,
+                law = _calibration(algorithm, mechanism, [eps for _, eps, _ in cells],
+                                   [delta for _, _, delta in cells], dataset.response_bound,
                                    200, template.d, R)
                 assert args[5] == stream_ids
-                assert args[2].tolist() == [phi for _, _, phi in cells]
+                assert args[2].tolist() == [phi for phi, _, _ in cells]
                 for got, want in zip(args[0], law):
                     same = np.array_equal if isinstance(want, np.ndarray) else operator.eq
                     assert same(got, want)
                 assert len(picks.winners) == len(noiseless) == len(cells)
-                for j, (eps, delta, phi) in enumerate(cells):
+                for j, (phi, eps, delta) in enumerate(cells):
                     config = SelectionConfig(
                         radius=R, penalty=phi, budget=PrivacyBudget(eps, delta),
                         mechanism=mechanism,
