@@ -8,15 +8,14 @@
 {all but column j} when the family's model sizes add up to more than
 15 (d + 1) d, and otherwise starts from one first pass over the family
 (see ``dpms.solver``).  A superset is bounded by its Frank-Wolfe gap at
-its exact solve and at one KKT candidate, and never settled.  With the
-exponential mechanism, or when X'X is ill-conditioned (condition number
-above 500), the supersets are settled with their bounds instead, and
-bound the family only above 40 (d + 1) d.  The workloads sit on both
-sides of each rule: full families, size-capped ones up to d = 20, both
-mechanisms, a collinear design (an intercept beside a full one-hot set,
-so X'X is singular), a near-collinear one (X'X nonsingular, condition
-number near 10^6) and a mid-conditioned one (condition number near 450,
-just under the rule).
+its exact solve and at one KKT candidate, and never settled.  When X'X
+is ill-conditioned (condition number above 500), the supersets are
+settled with their bounds instead, and bound the family only above
+40 (d + 1) d.  The workloads sit on both sides of each rule: full
+families, size-capped ones up to d = 20, both mechanisms, a collinear
+design (an intercept beside a full one-hot set, so X'X is singular), a
+near-collinear one (X'X nonsingular, condition number near 10^6) and a
+mid-conditioned one (condition number near 450, just under the rule).
 
 Each run imports one side's ``src/`` in a subprocess of its own and times
 ``--reps`` selects, cycling through 8 datasets and noise streams, five
@@ -165,7 +164,7 @@ def _counted(select, selects: int) -> dict:
 def side_run(name: str, reps: int, count: bool = False) -> dict:
     """One side's run of one workload, in this process; with ``count``,
     the work of ``COUNT_SELECTS`` selects is counted after the timing."""
-    from dpms import RngStream
+    from dpms import RngStream, solver
     from dpms.data import sufficient_stats
     from dpms.enumeration import all_subsets
     from dpms.selection import PrivacyBudget, SelectionConfig, pcls_select
@@ -185,14 +184,19 @@ def side_run(name: str, reps: int, count: bool = False) -> dict:
     for _ in range(DATASETS):
         select()
     best = min(timeit.repeat(select, number=reps, repeat=5)) / reps
-    # A side without the choice of route or settle reads None.
+    # A side without the choice of route or settle reads None.  Older
+    # sides take the settle as an ``eager`` flag from the caller, which
+    # pcls's exponential mechanism set; newer ones read it off X'X.
+    stats = sufficient_stats(datasets[0])
     eager = {"eager": mechanism == "exponential"}
     if "eager" not in inspect.signature(bound_masks).parameters:
         eager = {}
-    bounds = bound_masks(sufficient_stats(datasets[0]), family, RADIUS, **eager)
+    bounds = bound_masks(stats, family, RADIUS, **eager)
+    settled = getattr(bounds, "_eager", None)
+    if settled is None and hasattr(solver, "_ill_conditioned"):
+        settled = solver._ill_conditioned(stats)
     result = {"ms_per_select": round(1e3 * best, 4), "models": len(family), "d": family.d,
-              "supersets": getattr(bounds, "_supersets", None),
-              "eager": getattr(bounds, "_eager", None)}
+              "supersets": getattr(bounds, "_supersets", None), "settled": settled}
     if count:
         ops = itertools.count()
         result["per_select"] = _counted(select, COUNT_SELECTS)
@@ -202,7 +206,7 @@ def side_run(name: str, reps: int, count: bool = False) -> dict:
 def _route(result: dict) -> str:
     if not result["supersets"]:
         return "first pass"
-    return "supersets, " + ("settled with the bounds" if result["eager"] else "gap bounds")
+    return "supersets, " + ("settled with the bounds" if result["settled"] else "gap bounds")
 
 
 def _run(checkout: Path, name: str, reps: int, count: bool) -> dict:

@@ -231,8 +231,11 @@ def _parse_models(spec: str, d: int) -> CandidateSet:
     if spec.startswith("@"):
         path = spec[1:]
         payload = _read_text(path, "model list", json.loads)
-        if not isinstance(payload, list) or not all(isinstance(s, list) for s in payload):
-            raise ConfigError(f"{path} must hold a JSON list of index lists")
+        if not (isinstance(payload, list) and payload and all(type(s) is list for s in payload)):
+            raise ConfigError(f"{path} must hold a non-empty JSON list of index lists")
+        for i in itertools.chain.from_iterable(payload):
+            if type(i) is not int or not 1 <= i <= d:
+                raise ConfigError(f"{path}: covariate index must be an integer in [1, {d}]: {i!r}")
         return from_explicit(payload, d)
     raise ConfigError(
         f"--models must be all, all-nonempty, size<=K, or @file.json; got {spec!r}"

@@ -300,6 +300,8 @@ def standardize(
             )
         if y_bounds.shape != (2,):
             raise ConfigError(f"y_range must be [lo, hi], got shape {y_bounds.shape}")
+        if not (np.isfinite(ranges).all() and np.isfinite(y_bounds).all()):
+            raise ConfigError("rescale ranges must be finite")
         lo, hi = ranges[:, 0], ranges[:, 1]
         ylo, yhi = y_bounds.tolist()
         widths = hi - lo

@@ -535,10 +535,7 @@ def _select(
         dataset.n, models.d, config.radius,
     )
     if fits is None:
-        # pcls's exponential mechanism solves every mask that can reach a
-        # row's smallest score, and settles the supersets in most selects.
-        eager = algorithm == "pcls" and config.mechanism == "exponential"
-        fits = bound_masks(sufficient_stats(dataset), models, config.radius, eager=eager)
+        fits = bound_masks(sufficient_stats(dataset), models, config.radius)
     picks = _select_rows(law, fits, [config.penalty], models, rng.seed, [rng.stream_id])
     g_of_d = None if picks.g_of_d is None else float(picks.g_of_d[0])
     # Noisy argmin's keys are its noisy scores; a fallback row has none.

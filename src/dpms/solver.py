@@ -520,10 +520,11 @@ class LossBounds:
     S's columns (Jaggi 2013), and ``s`` is the certificate level plus three
     round-off allowances, for the gap and for the two losses compared.  A
     binding superset takes the larger bound at its projected start and at
-    one projected KKT candidate, not a certified fit.  With ``eager``, or
-    when a binding superset's solve fails, the binding supersets are
-    settled with the bounds instead (see :meth:`_superset_lower`); either
-    way the supersets' bounds never change afterwards.
+    one projected KKT candidate, not a certified fit.  Where those gap
+    bounds would be loose (X'X ill-conditioned, or a binding superset's
+    solve failed), the binding supersets are settled with the bounds
+    instead (see :meth:`_superset_lower`); either way the supersets'
+    bounds never change afterwards.
     Without ``supersets``, the intervals start from one first pass over the
     whole family, the one :meth:`fits` then reuses: a slack mask's interval
     is the point that fits() returns for it, and a binding mask's is
@@ -544,9 +545,8 @@ class LossBounds:
     """
 
     def __init__(self, stats: SufficientStats, member: np.ndarray, radius: float, scale: float,
-                 supersets: bool, eager: bool = False) -> None:
-        self._stats, self._member, self._radius = stats, member, radius
-        self._supersets, self._eager = supersets, eager
+                 supersets: bool) -> None:
+        self._stats, self._member, self._radius, self._supersets = stats, member, radius, supersets
         self._tau = _tau(stats, scale)
         self._slack = self._tau + 3.0 * _ROUNDOFF * stats.d * scale
         self._beta: np.ndarray | None = None  # each solved mask's start or fit
@@ -577,11 +577,12 @@ class LossBounds:
 
         A slack superset is bounded at its exact solve, and a binding one
         by the larger bound at its projected start and at one projected KKT
-        candidate on that start's support and signs.  With ``eager``, or
-        when a binding superset's solve failed (its start is zero, no bound
-        worth keeping), the binding supersets are settled here instead, in
-        one batch (the lasso path costs one batched step per breakpoint,
-        whatever its number of rows), and bounded at their fits too.  The
+        candidate on that start's support and signs.  When X'X is
+        ill-conditioned, where those gap bounds stay loose, or a binding
+        superset's solve failed (its start is zero, no bound worth keeping),
+        the binding supersets are settled here instead, in one batch (the
+        lasso path costs one batched step per breakpoint, whatever its
+        number of rows), and bounded at their fits too.  The
         bound holds at any feasible point, so a superset that cannot be
         certified keeps the bound at its start.  No superset is settled
         later."""
@@ -592,7 +593,7 @@ class LossBounds:
         bvec = member * stats.xty
         start, rows = _first_pass(a, member, bvec, radius, self._tau)
         bound = self._gap_bound(member, bvec, start)
-        if rows.size and (self._eager or not start[rows].any(axis=1).all()):
+        if rows.size and (_ill_conditioned(stats) or not start[rows].any(axis=1).all()):
             try:
                 x = _settle(a, stats.yty, member[rows], bvec[rows], start[rows], radius,
                             self._tau)[0]
@@ -706,8 +707,7 @@ def _ill_conditioned(stats: SufficientStats) -> bool:
     return low * _ILL_CONDITIONED <= high
 
 
-def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
-                eager: bool = False) -> LossBounds:
+def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> LossBounds:
     """The loss bounds of a family, with no mask solved yet (see
     :class:`LossBounds`).  A first pass over the family solves one unknown
     per column of each mask.  Bounding by the d + 1 supersets solves their
@@ -724,14 +724,12 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
     first pass over ``_SETTLED_SUPERSET_COST = 40`` times their unknowns:
     the full family from d = 10 on, ``size<=4`` from d = 18 on.  The
     supersets are settled with their bounds, and that rule applies, when
-    a caller passes ``eager`` (the exponential mechanism's select, which
-    also solves every mask that can reach a row's smallest score), or
-    when X'X is ill-conditioned (condition number above
-    ``_ILL_CONDITIONED``, singular included), where the supersets' gap
-    bounds stay loose and a select would first-pass many masks.
-    Otherwise the supersets keep their gap bounds and are never
-    settled.  A radius at which the loss's scale ``yty + 2 R ||b||_inf +
-    R^2 max A_jj`` overflows raises DataError."""
+    X'X is ill-conditioned (condition number above ``_ILL_CONDITIONED``,
+    singular included), where the supersets' gap bounds stay loose and a
+    select would first-pass many masks.  Otherwise the supersets keep
+    their gap bounds and are never settled.  A radius at which the loss's
+    scale ``yty + 2 R ||b||_inf + R^2 max A_jj`` overflows raises
+    DataError."""
     if models.d != stats.d:
         raise DataError(f"candidate set is for d={models.d}, stats have d={stats.d}")
     if not (math.isfinite(radius) and radius > 0):
@@ -743,10 +741,9 @@ def bound_masks(stats: SufficientStats, models: CandidateSet, radius: float,
     if not math.isfinite(scale):
         raise DataError(f"radius {radius} overflows the scale of the loss")
     d = stats.d
-    eager = eager or _ill_conditioned(stats)
-    cost = _SETTLED_SUPERSET_COST if eager else _SUPERSET_COST
+    cost = _SETTLED_SUPERSET_COST if _ill_conditioned(stats) else _SUPERSET_COST
     supersets = int(models.sizes.sum()) > cost * (d + 1) * d
-    return LossBounds(stats, member_matrix(models.bits, d), radius, scale, supersets, eager)
+    return LossBounds(stats, member_matrix(models.bits, d), radius, scale, supersets)
 
 
 def fit_masks(stats: SufficientStats, models: CandidateSet, radius: float) -> Fits:

@@ -117,6 +117,40 @@ class TestSelect:
         assert main(_select_args(demo_csv, "--models", f"@{fam}")) == 2
         assert "covariate index must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [
+        "[[0]]", "[[5]]", "[[1], [2, 7]]", "[]", '[["a"]]', "[[1.5]]", "[[true]]", "[[null]]",
+        '{"models": [[1]]}', "[1, 2]", "[[1], 2]",
+    ])
+    def test_every_content_error_of_a_family_file_is_one_usage_error_line(
+        self, demo_csv, tmp_path, capsys, family
+    ):
+        # An index out of [1, 4] and an empty list used to exit 1, as data
+        # errors, while a non-integer exited 2: each is a fault of the
+        # file, and its one error line names it.
+        fam = tmp_path / "fam.json"
+        fam.write_text(family, encoding="utf-8")
+        assert main(_select_args(demo_csv, "--models", f"@{fam}")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {fam}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["size<=x", "size<=", "size<=2.5"])
+    def test_a_bad_size_cap_is_a_usage_error(self, demo_csv, capsys, spec):
+        assert main(_select_args(demo_csv, "--models", spec)) == 2
+        assert "error: bad size cap in --models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--R", "0", "radius must be a positive finite float"),
+        ("--R", "inf", "radius must be a positive finite float"),
+        ("--phi", "-1", "penalty must be a nonnegative finite float"),
+        ("--phi", "nan", "penalty must be a nonnegative finite float"),
+    ])
+    def test_a_radius_or_penalty_out_of_range_is_a_usage_error(self, demo_csv, capsys, flag,
+                                                               value, message):
+        assert main(_select_args(demo_csv, flag, value)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_debug_unsafe_exposes_clean_scores(self, demo_csv, capsys):
         assert main(_select_args(demo_csv, "--debug-unsafe")) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -334,6 +368,12 @@ class TestSelect:
         '{"x": [[0.0, 100.0]], "y": 5}',
         '{"x": 5, "y": [-10.0, 10.0]}',
         '{"x": [[0.0, 100.0]]}',
+        # NaN and Infinity are JSON extensions that json.loads accepts;
+        # they used to fail later, as a bounds error that blamed the data.
+        '{"x": [[0.0, NaN]], "y": [-10.0, 10.0]}',
+        '{"x": [[-Infinity, 100.0]], "y": [-10.0, 10.0]}',
+        '{"x": [[0.0, Infinity]], "y": [-10.0, 10.0]}',
+        '{"x": [[0.0, 100.0]], "y": [NaN, 10.0]}',
     ])
     def test_a_malformed_ranges_file_is_one_usage_error_line(self, tmp_path, capsys, ranges,
                                                              intercept):
@@ -742,6 +782,34 @@ class TestValidate:
         r = float(np.max(np.abs(y)))
         expected = r * m.sqrt(2 / kappa)
         assert f"{expected:.6g}" in out
+
+    def test_a_singular_design_suggests_no_radius(self, tmp_path, capsys):
+        # Column b repeats column a, so every design holding both is singular.
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-1, 1, 30)
+        data = np.column_stack([np.clip(a + rng.normal(0, 0.1, 30), -1, 1), a, a])
+        p = tmp_path / "twin.csv"
+        np.savetxt(p, data, fmt="%.6f", delimiter=",", header="y,a,b", comments="")
+        assert main(["validate", "--input", str(p), "--response", "y"]) == 0
+        out = capsys.readouterr().out
+        assert "kappa0: " in out and "(exact minimum over all 1 subsets of size 3)" in out
+        assert "suggested minimum R: none; some restricted design is singular" in out
+
+    def test_past_4096_subsets_the_full_design_bounds_kappa(self, tmp_path, capsys):
+        # 14 covariates and the intercept: C(15, 7) = 6435 subsets of size 7.
+        rng = np.random.default_rng(9)
+        data = rng.uniform(-1, 1, (40, 15))
+        p = tmp_path / "wide.csv"
+        names = ",".join(["y"] + [f"x{j}" for j in range(1, 15)])
+        np.savetxt(p, data, fmt="%.6f", delimiter=",", header=names, comments="")
+        assert main(["validate", "--input", str(p), "--response", "y", "--max-size", "7"]) == 0
+        out = capsys.readouterr().out
+
+        from dpms import load_csv
+
+        x, _, _ = load_csv(p, "y")
+        kappa = float(np.linalg.eigvalsh(x.T @ x / x.shape[0])[0])
+        assert f"kappa0: {kappa:.6g} (lower bound from the full design matrix)" in out
 
     def test_bounds_violation_exits_one(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

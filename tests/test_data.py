@@ -1,5 +1,6 @@
 """Data contracts: masks, bounded datasets, sufficient statistics, CSV."""
 
+import math
 import re
 
 import numpy as np
@@ -229,6 +230,21 @@ class TestStandardize:
         ds = standardize(x, y, "clip")
         assert ds.response_bound == 4.0
         assert ds.bound_is_data_dependent
+
+    @pytest.mark.parametrize("x_ranges, y_range", [
+        ([[0.0, math.nan]], [-2.0, 2.0]),
+        ([[-math.inf, 10.0]], [-2.0, 2.0]),
+        ([[0.0, math.inf]], [-2.0, 2.0]),
+        ([[0.0, 10.0]], [math.nan, 2.0]),
+        ([[0.0, 10.0]], [-2.0, math.inf]),
+    ])
+    def test_rescale_ranges_must_be_finite(self, x_ranges, y_range):
+        # A NaN or infinite range used to pass the width check (NaN <= 0
+        # is false) and fail later as a bounds error that blamed the data.
+        x = np.array([[0.0], [5.0], [10.0]])
+        y = np.array([-2.0, 0.0, 2.0])
+        with pytest.raises(ConfigError, match="rescale ranges must be finite"):
+            standardize(x, y, "rescale", x_ranges=x_ranges, y_range=y_range)
 
     def test_rescale_affine_maps(self):
         x = np.array([[0.0], [5.0], [10.0]])
@@ -623,6 +639,28 @@ class TestLoadCsvFormats:
         x_off, y_off, _ = load_csv(p, "y", include_intercept=False)
         assert headers == [["y", "a"]]
         assert x_off.tobytes() == x.tobytes() and y_off.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1e", None),
+        ("-2.5E+", None),
+        ("1e0000000000000000001", 10.0),  # a 19-digit exponent
+        ("2.5e-0000000000000000003", 0.0025),
+    ])
+    def test_an_empty_or_19_digit_exponent_takes_the_csv_rules(self, tmp_path, cell, value):
+        # The plain route declines a cell whose exponent has no digit or
+        # more than 18; the csv rules then give float()'s bits or its
+        # row-numbered error.
+        from dpms.data import _decimal_rows
+
+        text = f"y,a\n0.5,1.5\n0.25,{cell}\n"
+        assert _decimal_rows(text.encode(), len("y,a\n"), 2) is None
+        if value is None:
+            self._fails(tmp_path, text, DataError,
+                        f"non-numeric value '{cell}' at data row 2, column 'a'")
+        else:
+            x, _, _ = self._load(tmp_path, text)
+            assert x[:, 0].tobytes() == np.array([1.5, float(cell)]).tobytes()
+            assert x[1, 0] == value
 
     @pytest.mark.parametrize("row, message", [
         ("0.5,1,2", "data row {n} has 3 cells, expected 2"),

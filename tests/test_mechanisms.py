@@ -414,8 +414,29 @@ class TestNoisyArgmin:
         with pytest.raises(ConfigError):
             noisy_argmin(_cands([0.0, 1.0], 1.0), PrivacyBudget(1.0, 0.5), RngStream(0, 0))
 
+    def test_rejects_an_empty_candidate_list(self):
+        with pytest.raises(DataError, match="need at least one candidate"):
+            noisy_argmin([], PrivacyBudget(1.0), RngStream(0, 0))
+
+    @pytest.mark.parametrize("score, scale, message", [
+        (math.nan, 1.0, "candidate score must be finite"),
+        (math.inf, 1.0, "candidate score must be finite"),
+        (-math.inf, 0.0, "candidate score must be finite"),
+        (0.0, -1.0, "noise_scale must be finite and >= 0"),
+        (0.0, math.inf, "noise_scale must be finite and >= 0"),
+        (0.0, math.nan, "noise_scale must be finite and >= 0"),
+    ])
+    def test_a_candidate_needs_a_finite_score_and_scale(self, score, scale, message):
+        with pytest.raises(DataError, match=message):
+            ScoredCandidate(ModelMask(1, 2), score, scale)
+
 
 class TestExponentialMechanism:
+    def test_rejects_nonzero_delta(self):
+        with pytest.raises(ConfigError, match="pure-epsilon"):
+            exponential_mechanism(_cands([0.0, 1.0], 0.0), 1.0, PrivacyBudget(1.0, 0.5),
+                                  RngStream(0, 0))
+
     def test_infinite_epsilon_is_argmin(self):
         cands = _cands([5.0, 2.0, 9.0], 0.0)
         mask, _ = exponential_mechanism(cands, 1.0, PrivacyBudget(math.inf), RngStream(1, 0))

@@ -147,6 +147,20 @@ class TestSelectionConfig:
             SelectionConfig(**base, stage1_fraction=0.5)
         assert SelectionConfig(radius=2, penalty=np.float64(0.0), budget=PrivacyBudget(1)).radius == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("radius", 0.0, "radius must be a positive finite float"),
+        ("radius", -1.0, "radius must be a positive finite float"),
+        ("radius", math.inf, "radius must be a positive finite float"),
+        ("radius", math.nan, "radius must be a positive finite float"),
+        ("penalty", -1.0, "penalty must be a nonnegative finite float"),
+        ("penalty", math.inf, "penalty must be a nonnegative finite float"),
+        ("penalty", math.nan, "penalty must be a nonnegative finite float"),
+    ])
+    def test_rejects_a_radius_or_penalty_out_of_range(self, field, value, message):
+        base = dict(radius=2.0, penalty=1.0, budget=PrivacyBudget(1.0))
+        with pytest.raises(ConfigError, match=message):
+            SelectionConfig(**{**base, field: value})
+
     @pytest.mark.parametrize("algorithm, delta", [("pcls", 0.0), ("pcpl", 1e-3)])
     def test_every_real_type_prints_the_same_report(self, algorithm, delta):
         # The config used to keep the caller's objects: radius=2 printed
@@ -1301,14 +1315,19 @@ class TestSupersetBounds:
     FAMILIES = [all_subsets(5), all_subsets(5, max_size=2)]
 
     @staticmethod
-    def _bounds(stats, family, radius, supersets, eager=None):
-        # The route given; the settle rule given, or as bound_masks picks it.
+    def _bounds(stats, family, radius, supersets, settled=None):
+        # The route given; the supersets settled or not as given (through a
+        # patched _ill_conditioned), or as the solver reads it off the data.
+        from dpms import solver
         from dpms.data import member_matrix
-        from dpms.solver import LossBounds, _ill_conditioned, _scale
 
-        eager = _ill_conditioned(stats) if eager is None else eager
-        return LossBounds(stats, member_matrix(family.bits, family.d), radius,
-                          _scale(stats, radius), supersets, eager)
+        bounds = solver.LossBounds(stats, member_matrix(family.bits, family.d), radius,
+                                   solver._scale(stats, radius), supersets)
+        with pytest.MonkeyPatch.context() as patch:
+            if settled is not None:
+                patch.setattr(solver, "_ill_conditioned", lambda stats: settled)
+            bounds.lower
+        return bounds
 
     @staticmethod
     def _datasets():
@@ -1347,8 +1366,8 @@ class TestSupersetBounds:
                 for i, sid in enumerate(streams):
                     assert pcls_select(ds, family, cfg, RngStream(23, sid)).chosen == (
                         family[full.winners[i]])
-                    for supersets, eager in ((True, False), (True, True), (False, False)):
-                        bounds = self._bounds(stats, family, radius, supersets, eager)
+                    for supersets, settled in ((True, False), (True, True), (False, False)):
+                        bounds = self._bounds(stats, family, radius, supersets, settled)
                         report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(23, sid))
                         assert report.chosen == family[full.winners[i]]
 
@@ -1357,9 +1376,9 @@ class TestSupersetBounds:
     def test_bounds_before_and_after_the_settle_hold_every_certified_loss(self, design, radius):
         # A binding superset is bounded by its gap at its projected start
         # and at one KKT candidate or, when the supersets are settled with
-        # the bounds (eager), at its settled fit too; where X'X is
-        # ill-conditioned (the one-hot design is singular), bound_masks
-        # settles them.  Both bounds hold every certified loss, and a
+        # the bounds, at its settled fit too; where X'X is ill-conditioned
+        # (the one-hot design is singular), the solver settles them.  Here
+        # each design is bounded both ways.  Both bounds hold every certified loss, and a
         # select on either releases the fully settled winner.
         from dpms.selection import _pcls_with_fits
         from dpms.solver import _ill_conditioned
@@ -1373,14 +1392,14 @@ class TestSupersetBounds:
             stats = sufficient_stats(ds)
             assert _ill_conditioned(stats) == (design in ("onehot", "near-onehot"))
             fits = fit_masks(stats, family, radius)
-            before = self._bounds(stats, family, radius, supersets=True, eager=False).lower
-            after = self._bounds(stats, family, radius, supersets=True, eager=True).lower
+            before = self._bounds(stats, family, radius, supersets=True, settled=False).lower
+            after = self._bounds(stats, family, radius, supersets=True, settled=True).lower
             assert np.all(before <= fits.neg2_loglik) and np.all(after <= fits.neg2_loglik)
             narrowed += int(np.any(after > before))
             full = _rows("pcls", cfg, ds, fits, family, 29, streams)
             for i, sid in enumerate(streams):
-                for eager in (False, True):
-                    bounds = self._bounds(stats, family, radius, supersets=True, eager=eager)
+                for settled in (False, True):
+                    bounds = self._bounds(stats, family, radius, supersets=True, settled=settled)
                     report = _pcls_with_fits(ds, family, bounds, cfg, RngStream(29, sid))
                     assert report.chosen == family[full.winners[i]]
         # The gap bounds are loose on the loosely collinear design, and the
@@ -1427,7 +1446,7 @@ class TestSupersetBounds:
             fits = fit_masks(stats, family, 2.5)
             full = _rows("pcls", cfg, ds, fits, family, 41, streams)
             bounds = solver.bound_masks(stats, family, 2.5)
-            assert bounds._supersets and not bounds._eager
+            assert bounds._supersets and not solver._ill_conditioned(stats)
             for i, sid in enumerate(streams):
                 state["bounded"] = False
                 report = pcls_select(ds, family, cfg, RngStream(41, sid))
@@ -1437,40 +1456,66 @@ class TestSupersetBounds:
 
     @pytest.mark.parametrize("design, mechanism", [
         ("onehot", "noisy_argmin"), ("near-onehot", "noisy_argmin"), ("signal", "exponential"),
+        ("onehot", "exponential"),
     ])
-    def test_supersets_settle_at_once_where_most_selects_would_settle_them(self, design, mechanism):
+    def test_supersets_settle_at_once_where_most_selects_would_settle_them(
+        self, design, mechanism, monkeypatch
+    ):
         # Where X'X is ill-conditioned (the one-hot design is singular),
-        # the gap bounds stay loose, and the exponential mechanism solves
-        # every mask that can reach a row's smallest score: in both cases
-        # a select on the gap bounds alone would first-pass many masks, so
-        # the supersets are settled with the bounds.  Settled supersets
-        # cost their lasso path, and bound a family only above 40 unknowns
-        # per superset unknown.
-        from dpms.solver import bound_masks
+        # the gap bounds stay loose and a select on them alone would
+        # first-pass many masks, so the supersets are settled with the
+        # bounds, in one batch, whichever mechanism releases.  The rule
+        # reads the data only: on the well-conditioned design the
+        # exponential mechanism's select settles no superset.  Settled
+        # supersets cost their lasso path, and bound a family only above
+        # 40 unknowns per superset unknown.
+        from dpms import solver
 
+        settles, bounding = [], []
+        settle, superset_lower = solver._settle, solver.LossBounds._superset_lower
+
+        def flagged(self):
+            bounding.append(True)
+            try:
+                return superset_lower(self)
+            finally:
+                bounding.pop()
+
+        def counted(a, yty, member, *rest):
+            if bounding:
+                settles.append(len(member))
+            return settle(a, yty, member, *rest)
+
+        monkeypatch.setattr(solver, "_settle", counted)
+        monkeypatch.setattr(solver.LossBounds, "_superset_lower", flagged)
         family = all_subsets(10)
         cfg = SelectionConfig(radius=2.5, penalty=2.0, budget=PrivacyBudget(1.0),
                               mechanism=mechanism)
+        settled = design != "signal"
         for seed in range(2):
             ds = _design(design, seed, d=10, n=1000)
             stats = sufficient_stats(ds)
-            bounds = bound_masks(stats, family, 2.5, eager=mechanism == "exponential")
-            assert bounds._supersets and bounds._eager
+            assert solver._ill_conditioned(stats) == settled
+            assert solver.bound_masks(stats, family, 2.5)._supersets
             # 23 unknowns per superset unknown: supersets on their gap
-            # bounds would bound this family, settled ones do not.
+            # bounds bound this family, settled ones do not.
             capped = all_subsets(10, max_size=5)
-            assert not bound_masks(stats, capped, 2.5, eager=mechanism == "exponential")._supersets
+            assert solver.bound_masks(stats, capped, 2.5)._supersets == (not settled)
             fits = fit_masks(stats, family, 2.5)
             full = _rows("pcls", cfg, ds, fits, family, 43, list(range(6)))
             for sid in range(6):
+                settles.clear()
                 assert pcls_select(ds, family, cfg, RngStream(43, sid)).chosen == (
                     family[full.winners[sid]])
+                # One batch of binding supersets, or none.
+                assert len(settles) == settled and all(settles)
 
     def test_a_failed_superset_settle_keeps_the_start_bounds(self, monkeypatch):
-        # An eager select settles the binding supersets with their bounds.
-        # When that settle raises SolverError, each superset keeps the gap
-        # bound at its projected start, and the release is still the one
-        # that fully settled fits give.
+        # Where X'X is ill-conditioned a select settles the binding
+        # supersets with their bounds; the rule is forced here on a
+        # well-conditioned design.  When that settle raises SolverError,
+        # each superset keeps the gap bound at its projected start, and the
+        # release is still the one that fully settled fits give.
         from dpms import solver
 
         family = all_subsets(10)
@@ -1497,6 +1542,7 @@ class TestSupersetBounds:
 
         monkeypatch.setattr(solver, "_settle", failing)
         monkeypatch.setattr(solver.LossBounds, "_superset_lower", flagged)
+        monkeypatch.setattr(solver, "_ill_conditioned", lambda stats: True)
         for sid in range(6):
             raised.clear()
             report = pcls_select(ds, family, cfg, RngStream(43, sid))

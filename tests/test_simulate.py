@@ -185,6 +185,18 @@ class TestSweepGrid:
                 algorithm="stepwise",
             )
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("phi_values", (1.0, -0.5), "phi values must be nonnegative and finite"),
+        ("phi_values", (math.inf,), "phi values must be nonnegative and finite"),
+        ("phi_values", (math.nan,), "phi values must be nonnegative and finite"),
+        ("n_values", (100, 0), "n values must be at least 1"),
+        ("n_values", (-3,), "n values must be at least 1"),
+    ])
+    def test_rejects_a_negative_phi_or_an_n_below_one(self, field, values, message):
+        base = dict(n_values=(100,), radius_values=(1.0,), epsilon_values=(1.0,))
+        with pytest.raises(ConfigError, match=message):
+            SweepGrid(**{**base, field: values})
+
     def test_fractional_replications_rejected(self):
         # 2.5 used to run two replications and divide the counts by 2.5,
         # so an infinite budget reported prop_agree = 0.8.
