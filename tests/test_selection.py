@@ -1378,8 +1378,9 @@ class TestSupersetBounds:
         # and at one KKT candidate or, when the supersets are settled with
         # the bounds, at its settled fit too; where X'X is ill-conditioned
         # (the one-hot design is singular), the solver settles them.  Here
-        # each design is bounded both ways.  Both bounds hold every certified loss, and a
-        # select on either releases the fully settled winner.
+        # each design is bounded both ways.  Both bounds hold every
+        # certified loss, and a select on either releases the fully
+        # settled winner.
         from dpms.selection import _pcls_with_fits
         from dpms.solver import _ill_conditioned
 
